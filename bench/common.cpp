@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "util/args.hpp"
@@ -17,6 +16,7 @@
 
 #include "core/figure1.hpp"
 #include "core/figure2.hpp"
+#include "core/parallel.hpp"
 #include "linarr/goto_heuristic.hpp"
 #include "netlist/generator.hpp"
 #include "obs/flight.hpp"
@@ -177,7 +177,7 @@ std::vector<double> run_method_row(
   // per-job vectors in index order, so this never touches determinism.
   std::atomic<std::size_t> jobs_done{0};  // mcopt-lint: allow(raw-atomic)
 
-  auto run_job = [&](std::size_t job, std::uint64_t worker) {
+  auto run_job = [&](std::size_t job, unsigned worker) {
     const std::size_t b = job / instances.size();
     const std::size_t i = job % instances.size();
     const auto& nl = instances[i];
@@ -215,28 +215,9 @@ std::vector<double> run_method_row(
     if (done < num_jobs) g_heartbeat.tick(done, num_jobs, std::nan(""));
   };
 
-  const unsigned workers = config.num_threads == 0 ? 1 : config.num_threads;
-  if (workers <= 1 || num_jobs <= 1) {
-    for (std::size_t job = 0; job < num_jobs; ++job) run_job(job, 0);
-  } else {
-    // Work-stealing job counter; job order is irrelevant because every
-    // output lands in a per-job slot and is reduced in index order.
-    std::atomic<std::size_t> next{0};  // mcopt-lint: allow(raw-atomic)
-    auto drain = [&](std::uint64_t worker) {
-      for (std::size_t job = next.fetch_add(1); job < num_jobs;
-           job = next.fetch_add(1)) {
-        run_job(job, worker);
-      }
-    };
-    std::vector<std::thread> pool;
-    const std::size_t spawn =
-        std::min<std::size_t>(workers, num_jobs);
-    pool.reserve(spawn);
-    for (std::size_t t = 0; t < spawn; ++t) {
-      pool.emplace_back(drain, static_cast<std::uint64_t>(t) + 1);
-    }
-    for (auto& thread : pool) thread.join();
-  }
+  // Claim order is irrelevant: every output lands in a per-job slot and is
+  // reduced in index order below.
+  core::parallel_for(num_jobs, config.num_threads, run_job);
 
   std::vector<double> totals(config.budgets.size(), 0.0);
   obs::TraceSink* sink = root.sink();

@@ -1,100 +1,18 @@
 #include "core/multistart.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "util/invariant.hpp"
+#include "core/parallel.hpp"
 
 namespace mcopt::core {
 
+// The restart loop and its fold live once, in core/parallel.cpp; on one
+// thread every restart runs inline on `problem`.
 MultistartResult multistart(Problem& problem, const Runner& runner,
                             const MultistartOptions& options,
                             util::Rng& rng) {
-  if (!runner) throw std::invalid_argument("multistart: null runner");
-  if (options.budget_per_start == 0) {
-    throw std::invalid_argument("multistart: budget_per_start must be >= 1");
-  }
-  if (options.budget_per_start > options.total_budget) {
-    throw std::invalid_argument(
-        "multistart: budget_per_start exceeds total_budget");
-  }
-
-  // One master draw, then a SplitMix-derived stream per restart: restart i
-  // sees Rng::split(master, i) no matter what earlier restarts consumed.
-  // This is what lets parallel_multistart() reproduce this loop bit-for-bit
-  // from worker threads (core/parallel.hpp); the caller's rng advances by
-  // exactly one output either way.
-  const std::uint64_t master = rng.next();
-
-  const obs::Recorder root =
-      options.recorder != nullptr ? *options.recorder : obs::Recorder{};
-
-  MultistartResult out;
-  std::uint64_t spent = 0;
-  bool first = true;
-  std::uint64_t index = 0;
-  while (spent < options.total_budget) {
-    const std::uint64_t slice =
-        std::min(options.budget_per_start, options.total_budget - spent);
-    util::Rng start_rng = util::Rng::split(master, index);
-    if (!first || options.randomize_first) problem.randomize(start_rng);
-
-    // Restart-scoped recorder, writing straight to the caller's sink (the
-    // sequential loop IS index order); worker 0 = the calling thread.
-    obs::Recorder restart_rec = root.for_restart(index, 0, nullptr);
-    if (restart_rec.on()) restart_rec.restart_begin(problem.cost());
-
-    const RunResult run = runner(problem, slice, start_rng, restart_rec);
-    // Charge what the run actually consumed (an early-terminating runner
-    // leaves budget for more restarts); the max(., 1) floor guarantees
-    // progress against a runner that reports zero ticks.
-    spent += std::max<std::uint64_t>(run.ticks, 1);
-    ++out.restarts;
-    ++index;
-    out.restart_best_costs.push_back(run.best_cost);
-
-    // Deep-verify the problem state between restarts; the per-run interval
-    // checks inside the runner are summed into the aggregate below.
-    if constexpr (util::kInvariantsEnabled) {
-      problem.check_invariants();
-      ++out.aggregate.invariants.executed;
-    }
-
-    if (first) {
-      const util::InvariantStats checks = out.aggregate.invariants;
-      out.aggregate = run;
-      out.aggregate.invariants += checks;
-      first = false;
-      // Aggregate-level confirmation of the incumbent after each restart
-      // folds (restart 0 always sets it).
-      restart_rec.new_best(0, run.ticks, out.aggregate.best_cost);
-    } else {
-      out.aggregate.final_cost = run.final_cost;
-      out.aggregate.proposals += run.proposals;
-      out.aggregate.accepts += run.accepts;
-      out.aggregate.uphill_accepts += run.uphill_accepts;
-      out.aggregate.descent_steps += run.descent_steps;
-      out.aggregate.ticks += run.ticks;
-      out.aggregate.temperatures_visited += run.temperatures_visited;
-      out.aggregate.invariants += run.invariants;
-      out.aggregate.metrics.merge(run.metrics);
-      if (run.best_cost < out.aggregate.best_cost) {
-        out.aggregate.best_cost = run.best_cost;
-        out.aggregate.best_state = run.best_state;
-        restart_rec.new_best(0, run.ticks, out.aggregate.best_cost);
-      }
-    }
-  }
-  if (out.aggregate.metrics.collected) {
-    out.aggregate.metrics.restarts = out.restarts;
-    if (!out.aggregate.metrics.profile.empty()) {
-      // Same root name as parallel_multistart(), so the exported tree is
-      // byte-identical across engines and thread counts.
-      out.aggregate.metrics.profile.nest_under("multistart", out.restarts,
-                                               out.aggregate.ticks);
-    }
-  }
-  return out;
+  ParallelMultistartOptions sequential;
+  sequential.multistart = options;
+  sequential.num_threads = 1;
+  return parallel_multistart(problem, runner, sequential, rng);
 }
 
 }  // namespace mcopt::core

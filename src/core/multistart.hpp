@@ -41,10 +41,10 @@ struct MultistartOptions {
   bool randomize_first = true;
   /// Optional telemetry (src/obs).  The engine derives a restart-scoped
   /// recorder per start (emitting restart_begin and aggregate-level
-  /// new_best events) and hands it to the runner; parallel_multistart()
-  /// buffers each restart's events in a private shard and drains them in
-  /// index order, so the trace stream is thread-count-invariant except for
-  /// `worker` stamps and worker_steal events.
+  /// new_best events) and hands it to the runner; the engine buffers each
+  /// restart's events in a private shard and drains them in index order,
+  /// so the trace stream is thread-count-invariant except for `worker`
+  /// stamps and worker_steal events.
   const obs::Recorder* recorder = nullptr;
 };
 
@@ -59,7 +59,10 @@ struct MultistartResult {
   std::vector<double> restart_best_costs;
 };
 
-/// Throws std::invalid_argument on a null runner or zero budget_per_start.
+/// Throws std::invalid_argument on a null runner, zero budget_per_start, or
+/// budget_per_start > total_budget.  This is core::parallel_multistart()
+/// with one thread: every restart runs on `problem`, which on return holds
+/// the last restart's final solution.
 ///
 /// RNG contract: one output of `rng` seeds a master stream, and restart i
 /// draws exclusively from util::Rng::split(master, i).  The caller's rng

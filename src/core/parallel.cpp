@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -20,39 +20,68 @@ namespace mcopt::core {
 
 namespace {
 
+/// parallel_for()'s shared state: the next unclaimed index and the first
+/// exception a job threw.  Both are guarded by `mu`; the thread-safety
+/// build rejects any unlocked touch.
+struct JobCounter {
+  util::Mutex mu;
+  std::size_t next GUARDED_BY(mu) = 0;
+  std::exception_ptr error GUARDED_BY(mu);
+
+  /// Claims the next index below `count`; false when none is left.
+  bool claim(std::size_t count, std::size_t* index) EXCLUDES(mu) {
+    util::MutexLock lock{mu};
+    if (next >= count) return false;
+    *index = next++;
+    return true;
+  }
+
+  /// Keeps the first failure and stops every further claim.
+  void fail(std::size_t count, std::exception_ptr failure) EXCLUDES(mu) {
+    util::MutexLock lock{mu};
+    if (!error) error = std::move(failure);
+    next = count;
+  }
+
+  [[nodiscard]] std::exception_ptr first_error() EXCLUDES(mu) {
+    util::MutexLock lock{mu};
+    return error;
+  }
+};
+
 /// Everything one restart produces: the run itself plus the final solution,
-/// so the reducer can leave the caller's problem in the sequential loop's
-/// end state, plus the restart's buffered trace events (drained into the
-/// caller's sink in index order).
+/// so the fold can leave the caller's problem in the last restart's end
+/// state, the restart's buffered trace events (drained into the caller's
+/// sink in index order), and the slice it ran with (checked by the fold).
 struct StartResult {
   RunResult run;
   Snapshot final_state;
   std::vector<obs::Event> events;
-  std::uint64_t worker = 0;  // 0 = the calling/reducing thread
+  std::uint64_t slice = 0;
+  unsigned worker = 0;  // 0 = the calling thread
 };
 
-/// Executes restart `index` with `slice` ticks on `problem` — one iteration
-/// of the sequential multistart() loop, including the between-restart deep
-/// verification.  Deterministic given (index, slice, start state); the
-/// recorder adds only the (worker, steal) stamps, which are excluded from
-/// the determinism contract (obs/event.hpp).
+/// Executes restart `index` with `slice` ticks on `problem`, including the
+/// between-restart deep verification.  Deterministic given (index, slice,
+/// start state); the recorder adds only the (worker, steal) stamps, which
+/// are excluded from the determinism contract (obs/event.hpp).  Restart 0
+/// is always the first job on a fresh problem (the caller's, or an unused
+/// clone), so keeping its start needs no restore.
 StartResult run_start(Problem& problem, const Runner& runner,
-                      const Snapshot& initial_state, bool randomize,
-                      std::uint64_t master, std::uint64_t index,
-                      std::uint64_t slice, const obs::Recorder& root,
-                      std::uint64_t worker, bool steal) {
+                      bool randomize, std::uint64_t master,
+                      std::uint64_t index, std::uint64_t slice,
+                      const obs::Recorder& root, unsigned worker) {
   util::Rng rng = util::Rng::split(master, index);
-  if (randomize) {
-    problem.randomize(rng);
-  } else {
-    problem.restore(initial_state);
-  }
+  if (randomize) problem.randomize(rng);
   StartResult out;
+  out.slice = slice;
+  out.worker = worker;
   // Buffer this restart's events privately; each shard has exactly one
   // writer (this thread), so no sink is ever shared across threads.
   obs::VectorSink shard;
   obs::Recorder rec =
       root.for_restart(index, worker, root.tracing() ? &shard : nullptr);
+  const bool steal = worker != 0;
   if (rec.on()) {
     if (steal) rec.worker_steal();
     rec.restart_begin(problem.cost());
@@ -66,45 +95,47 @@ StartResult run_start(Problem& problem, const Runner& runner,
   }
   problem.snapshot_into(out.final_state);
   out.events = shard.take();
-  out.worker = worker;
   return out;
 }
 
-/// Shared speculation state.  Workers claim restart indices below `limit`
-/// (and within `window` of the reducer) and deliver full-slice results;
-/// the reducing thread consumes them in index order.  Every field is
-/// guarded by `mu`; the thread-safety build rejects any unlocked touch.
-/// The mutex, each condvar, and the guarded data sit on their own cache
-/// lines so a worker spinning through wait/notify on one primitive never
-/// bounces the line holding another.
-struct SpeculationQueue {
-  alignas(64) util::Mutex mu;
-  alignas(64) util::CondVar work_cv;   // workers: more indices / shutdown
-  alignas(64) util::CondVar ready_cv;  // reducer: a result arrived
-  alignas(64) std::map<std::uint64_t, StartResult> ready GUARDED_BY(mu);
-  std::uint64_t next_index GUARDED_BY(mu) = 0;  // next claimable index
-  std::uint64_t consumed GUARDED_BY(mu) = 0;    // next index to fold
-  std::uint64_t limit GUARDED_BY(mu) = 0;       // < limit: full-slice starts
-  std::uint64_t window GUARDED_BY(mu) = 0;      // claim < consumed + window
-  std::uint64_t peak_ready GUARDED_BY(mu) = 0;  // high-water mark of `ready`
-  bool shutdown GUARDED_BY(mu) = false;
-
-  /// Is there an index a worker may claim right now?
-  [[nodiscard]] bool claimable_locked() const REQUIRES(mu) {
-    return next_index < limit && next_index < consumed + window;
-  }
-};
-
-/// Per-worker slot, one cache line each: a worker's hot bookkeeping never
-/// false-shares with a neighbouring worker's.  `starts` is written only by
-/// the owning worker while it runs and read only after join().
-struct alignas(64) WorkerSlot {
-  Problem* problem = nullptr;
-  std::uint64_t id = 0;      // 1-based (0 = the calling/reducing thread)
-  std::uint64_t starts = 0;  // restarts this worker completed
-};
-
 }  // namespace
+
+void parallel_for(std::size_t count, unsigned threads,
+                  const std::function<void(std::size_t index,
+                                           unsigned worker)>& job) {
+  if (threads <= 1) {
+    for (std::size_t index = 0; index < count; ++index) job(index, 0);
+    return;
+  }
+  JobCounter counter;
+  auto drain = [&counter, &job, count](unsigned worker) {
+    std::size_t index = 0;
+    while (counter.claim(count, &index)) {
+      try {
+        job(index, worker);
+      } catch (...) {
+        counter.fail(count, std::current_exception());
+      }
+    }
+  };
+  const auto spawn =
+      static_cast<unsigned>(std::min<std::size_t>(threads, count));
+  std::vector<std::thread> pool;
+  pool.reserve(spawn);
+  try {
+    for (unsigned worker = 1; worker <= spawn; ++worker) {
+      pool.emplace_back(drain, worker);
+    }
+  } catch (...) {
+    // A thread failed to start: the ones already running stop claiming,
+    // and are joined below before the failure is rethrown.
+    counter.fail(count, std::current_exception());
+  }
+  for (std::thread& thread : pool) thread.join();
+  if (const std::exception_ptr error = counter.first_error()) {
+    std::rethrow_exception(error);
+  }
+}
 
 MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
                                      const ParallelMultistartOptions& options,
@@ -123,219 +154,120 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
     throw std::invalid_argument("parallel_multistart: num_threads must be >= 1");
   }
 
-  // Clone in the calling thread, before any worker exists, so clone() never
-  // races with a mutating run.
+  // Spawned worker w runs on clones[w - 1].  Clone in the calling thread,
+  // before any worker exists, so clone() never races with a mutating run.
   std::vector<std::unique_ptr<Problem>> clones;
-  clones.reserve(options.num_threads);
-  for (unsigned t = 0; t < options.num_threads; ++t) {
-    auto clone = problem.clone();
-    if (!clone) {
-      throw std::invalid_argument(
-          "parallel_multistart: Problem::clone() returned nullptr");
+  if (options.num_threads > 1) {
+    clones.reserve(options.num_threads);
+    for (unsigned t = 0; t < options.num_threads; ++t) {
+      auto clone = problem.clone();
+      if (!clone) {
+        throw std::invalid_argument(
+            "parallel_multistart: Problem::clone() returned nullptr");
+      }
+      clones.push_back(std::move(clone));
     }
-    clones.push_back(std::move(clone));
   }
 
-  const std::uint64_t master = rng.next();  // same single draw as multistart()
-  const Snapshot initial_state = problem.snapshot();
+  // One master draw; restart i then sees Rng::split(master, i) no matter
+  // which thread runs it or what ran before it there.
+  const std::uint64_t master = rng.next();
   const std::uint64_t per_start = opts.budget_per_start;
   const std::uint64_t total = opts.total_budget;
+  const std::uint64_t round_cap = 64ULL * options.num_threads;
   const obs::Recorder root =
       opts.recorder != nullptr ? *opts.recorder : obs::Recorder{};
 
-  SpeculationQueue queue;
-  {
-    // No worker exists yet, but the guarded fields are only writable with
-    // the capability held — the analysis does not model "before spawn".
-    util::MutexLock lock{queue.mu};
-    queue.limit = total / per_start;
-    queue.window = 4ULL * options.num_threads + 4;
-  }
-
-  std::vector<WorkerSlot> slots(options.num_threads);
-  for (unsigned t = 0; t < options.num_threads; ++t) {
-    slots[t].problem = clones[t].get();
-    slots[t].id = static_cast<std::uint64_t>(t) + 1;
-  }
-
-  auto worker = [&](WorkerSlot& slot) {
-    while (true) {
-      std::uint64_t index;
-      {
-        util::MutexLock lock{queue.mu};
-        while (!queue.shutdown && !queue.claimable_locked()) {
-          queue.work_cv.wait(queue.mu);
-        }
-        if (queue.shutdown) return;
-        index = queue.next_index++;
-      }
-      StartResult result =
-          run_start(*slot.problem, runner, initial_state,
-                    index > 0 || opts.randomize_first, master, index,
-                    per_start, root, slot.id, /*steal=*/true);
-      ++slot.starts;
-      {
-        util::MutexLock lock{queue.mu};
-        queue.ready.emplace(index, std::move(result));
-        if (queue.ready.size() > queue.peak_ready) {
-          queue.peak_ready = queue.ready.size();
-        }
-      }
-      queue.ready_cv.notify_one();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(options.num_threads);
-  for (unsigned t = 0; t < options.num_threads; ++t) {
-    pool.emplace_back(worker, std::ref(slots[t]));
-  }
-
-  // Index-ordered reduction: the exact bookkeeping of the sequential loop.
-  // Ready results are drained in batches — one critical section pulls every
-  // consecutive speculative result the workers have delivered, and the
-  // folds themselves run lock-free on the local batch — so reducer/worker
-  // lock traffic is O(batches), not O(restarts).
   MultistartResult out;
-  Snapshot last_final_state = initial_state;
+  Snapshot last_final_state;
   std::uint64_t spent = 0;
-  bool first = true;
-  std::uint64_t index = 0;
-  std::vector<std::pair<std::uint64_t, StartResult>> batch;
-  std::size_t batch_cursor = 0;
+  std::vector<StartResult> round;
   while (spent < total) {
-    const std::uint64_t slice = std::min(per_start, total - spent);
-    StartResult start;
-    if (slice == per_start) {
-      if (batch_cursor < batch.size() && batch[batch_cursor].first == index) {
-        start = std::move(batch[batch_cursor].second);
-        ++batch_cursor;
-      } else {
-        // Every full-slice index is below queue.limit (the limit is
-        // re-derived from `spent` after each batch), so a worker claims it
-        // eventually: wait for it, then drain every consecutive ready
-        // result in the same critical section.
-        batch.clear();
-        batch_cursor = 0;
-        util::MutexLock lock{queue.mu};
-        while (queue.ready.count(index) == 0) queue.ready_cv.wait(queue.mu);
-        auto it = queue.ready.find(index);
-        std::uint64_t expect = index;
-        while (it != queue.ready.end() && it->first == expect) {
-          batch.emplace_back(expect, std::move(it->second));
-          it = queue.ready.erase(it);
-          ++expect;
-        }
-        start = std::move(batch.front().second);
-        batch_cursor = 1;
+    const std::uint64_t first = out.restarts;
+    const std::uint64_t full = std::min((total - spent) / per_start, round_cap);
+    // A remainder shorter than per_start runs alone, on the calling thread.
+    const bool remainder = full == 0;
+    const std::uint64_t slice = remainder ? total - spent : per_start;
+    round.clear();
+    round.resize(remainder ? 1 : full);
+    parallel_for(round.size(), remainder ? 1 : options.num_threads,
+                 [&](std::size_t i, unsigned worker) {
+                   Problem& target =
+                       worker == 0 ? problem : *clones[worker - 1];
+                   const std::uint64_t index = first + i;
+                   round[i] = run_start(
+                       target, runner, index > 0 || opts.randomize_first,
+                       master, index, slice, root, worker);
+                 });
+
+    for (StartResult& start : round) {
+      // Past a restart that charged more than its slice, the sequential
+      // loop runs a shorter slice or stops: the rest of the round is stale.
+      if (spent >= total || std::min(per_start, total - spent) != start.slice) {
+        break;
       }
-    } else {
-      // The remainder slice: the full-slice speculation (if any) used the
-      // wrong budget, so run this index here with the sequentially-correct
-      // slice.  Streams are index-keyed, so this reproduces exactly what
-      // the sequential loop would have done.  Any batched results are
-      // stale too: once the budget enters the remainder, every later slice
-      // is a (shrinking) remainder as well.
-      batch.clear();
-      batch_cursor = 0;
-      start = run_start(problem, runner, initial_state,
-                        index > 0 || opts.randomize_first, master, index,
-                        slice, root, /*worker=*/0, /*steal=*/false);
-    }
+      const std::uint64_t index = out.restarts;
+      // Drain the restart's shard into the caller's sink here, on the
+      // calling thread, strictly in index order, so the stream is the same
+      // at any thread count (worker stamps aside).
+      if (obs::TraceSink* sink = root.sink()) {
+        for (const obs::Event& event : start.events) sink->write(event);
+      }
+      if (options.timeline != nullptr && !start.run.metrics.profile.empty()) {
+        const std::uint32_t tid = start.worker;
+        options.timeline->set_thread_name(
+            options.timeline_pid, tid,
+            tid == 0 ? "caller thread" : "worker " + std::to_string(tid));
+        options.timeline->add_tree(start.run.metrics.profile,
+                                   options.timeline_pid, tid);
+      }
+      obs::Recorder fold_rec = root.for_restart(index, 0, nullptr);
 
-    // Drain the restart's shard into the caller's sink — only here, on the
-    // reducing thread, strictly in index order, so the stream matches the
-    // sequential loop event for event (worker stamps aside).
-    if (obs::TraceSink* sink = root.sink()) {
-      for (const obs::Event& event : start.events) sink->write(event);
-    }
-    // Per-worker timeline spans, drained in the same index order as the
-    // trace: only the reducing thread touches the builder.
-    if (options.timeline != nullptr && !start.run.metrics.profile.empty()) {
-      const auto tid = static_cast<std::uint32_t>(start.worker);
-      options.timeline->set_thread_name(
-          options.timeline_pid, tid,
-          tid == 0 ? "reducer" : "worker " + std::to_string(tid));
-      options.timeline->add_tree(start.run.metrics.profile,
-                                 options.timeline_pid, tid);
-    }
-    obs::Recorder fold_rec = root.for_restart(index, 0, nullptr);
-
-    spent += std::max<std::uint64_t>(start.run.ticks, 1);
-    ++out.restarts;
-    out.restart_best_costs.push_back(start.run.best_cost);
-    if constexpr (util::kInvariantsEnabled) {
-      ++out.aggregate.invariants.executed;
-    }
-    if (first) {
-      const util::InvariantStats checks = out.aggregate.invariants;
-      out.aggregate = start.run;
-      out.aggregate.invariants += checks;
-      first = false;
-      fold_rec.new_best(0, start.run.ticks, out.aggregate.best_cost);
-    } else {
-      out.aggregate.final_cost = start.run.final_cost;
-      out.aggregate.proposals += start.run.proposals;
-      out.aggregate.accepts += start.run.accepts;
-      out.aggregate.uphill_accepts += start.run.uphill_accepts;
-      out.aggregate.descent_steps += start.run.descent_steps;
-      out.aggregate.ticks += start.run.ticks;
-      out.aggregate.temperatures_visited += start.run.temperatures_visited;
-      out.aggregate.invariants += start.run.invariants;
-      out.aggregate.metrics.merge(start.run.metrics);
-      if (start.run.best_cost < out.aggregate.best_cost) {
-        out.aggregate.best_cost = start.run.best_cost;
-        out.aggregate.best_state = start.run.best_state;
+      // Charge what the run actually consumed (an early-terminating runner
+      // leaves budget for more restarts); the max(., 1) floor guarantees
+      // progress against a runner that reports zero ticks.
+      spent += std::max<std::uint64_t>(start.run.ticks, 1);
+      ++out.restarts;
+      out.restart_best_costs.push_back(start.run.best_cost);
+      if constexpr (util::kInvariantsEnabled) {
+        ++out.aggregate.invariants.executed;
+      }
+      if (index == 0) {
+        const util::InvariantStats checks = out.aggregate.invariants;
+        out.aggregate = start.run;
+        out.aggregate.invariants += checks;
         fold_rec.new_best(0, start.run.ticks, out.aggregate.best_cost);
+      } else {
+        out.aggregate.final_cost = start.run.final_cost;
+        out.aggregate.proposals += start.run.proposals;
+        out.aggregate.accepts += start.run.accepts;
+        out.aggregate.uphill_accepts += start.run.uphill_accepts;
+        out.aggregate.descent_steps += start.run.descent_steps;
+        out.aggregate.ticks += start.run.ticks;
+        out.aggregate.temperatures_visited += start.run.temperatures_visited;
+        out.aggregate.invariants += start.run.invariants;
+        out.aggregate.metrics.merge(start.run.metrics);
+        if (start.run.best_cost < out.aggregate.best_cost) {
+          out.aggregate.best_cost = start.run.best_cost;
+          out.aggregate.best_state = start.run.best_state;
+          fold_rec.new_best(0, start.run.ticks, out.aggregate.best_cost);
+        }
       }
-    }
-    last_final_state = std::move(start.final_state);
-    ++index;
-
-    // Underspending restarts extend the horizon of guaranteed full-slice
-    // starts; let the workers speculate into it.  Published once per
-    // drained batch (the mid-batch values are never observable to a
-    // claim that matters: the window only throttles speculation depth).
-    if (batch_cursor >= batch.size()) {
-      {
-        util::MutexLock lock{queue.mu};
-        queue.consumed = index;
-        const std::uint64_t guaranteed =
-            index + (total > spent ? (total - spent) / per_start : 0);
-        queue.limit = std::max(queue.limit, guaranteed);
-      }
-      queue.work_cv.notify_all();
+      last_final_state = std::move(start.final_state);
     }
   }
 
-  {
-    util::MutexLock lock{queue.mu};
-    queue.shutdown = true;
-  }
-  queue.work_cv.notify_all();
-  for (auto& thread : pool) thread.join();
-  std::uint64_t peak_ready = 0;
-  {
-    // All workers are joined; the lock is for the analysis' benefit (and
-    // the acquire ordering it implies costs nothing here).
-    util::MutexLock lock{queue.mu};
-    peak_ready = queue.peak_ready;
-  }
   if (out.aggregate.metrics.collected) {
     out.aggregate.metrics.restarts = out.restarts;
-    if (peak_ready > out.aggregate.metrics.queue_peak) {
-      out.aggregate.metrics.queue_peak = peak_ready;
-    }
     if (!out.aggregate.metrics.profile.empty()) {
-      // Same root name as the sequential multistart(), so the deterministic
-      // tree export is byte-identical across engines and thread counts.
+      // One root name at every thread count, so the deterministic tree
+      // export is byte-identical across them.
       out.aggregate.metrics.profile.nest_under("multistart", out.restarts,
                                                out.aggregate.ticks);
     }
   }
 
-  // Leave the caller's problem where the sequential loop would have: at the
-  // last restart's final solution.
+  // Leave the caller's problem at the last folded restart's final solution.
   problem.restore(last_final_state);
   return out;
 }

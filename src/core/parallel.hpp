@@ -1,40 +1,52 @@
-// Parallel multistart: the restarts of core::multistart() executed across a
-// fixed-size worker pool, bit-identical to the sequential loop.
+// Parallel multistart: the restarts of core::multistart() executed across
+// worker threads, bit-identical to a one-thread run.
 //
 // Restarts are embarrassingly parallel — each one randomizes, runs, and only
 // its RunResult matters — so they are the natural unit for scaling the
 // paper's equal-time protocol to multicore hardware.  Determinism is the
 // hard constraint: every reproduced table is pinned to a seed, so the
-// parallel engine must return *exactly* what the sequential loop returns,
-// for any thread count and any OS scheduling.  Three mechanisms deliver
-// that:
+// engine must return *exactly* the same result for any thread count and any
+// OS scheduling.  Three mechanisms deliver that:
 //
-//   1. Stream-per-restart RNG.  multistart() derives one master value from
+//   1. Stream-per-restart RNG.  The engine derives one master value from
 //      the caller's rng and gives restart i the stream
 //      util::Rng::split(master, i) (a SplitMix-style derivation).  A
 //      restart's randomness is a pure function of its index.
-//   2. Clone-per-worker problems.  Each worker owns a deep copy obtained
-//      from Problem::clone(); no mutable state is shared between threads.
-//   3. Index-ordered reduction.  Workers speculate on restart indices from
-//      a shared counter, but the caller folds the per-start RunResults into
-//      the aggregate strictly in index order, replaying the sequential
-//      loop's bookkeeping (best tie-breaks, counter sums, final_cost,
-//      invariant stats, tick accounting) operation for operation.
+//   2. Clone-per-worker problems.  Each spawned worker owns a deep copy
+//      obtained from Problem::clone(); no mutable state is shared between
+//      threads.
+//   3. One index-ordered fold.  The calling thread folds the per-restart
+//      RunResults into the aggregate strictly in index order (best
+//      tie-breaks, counter sums, final_cost, invariant stats, tick
+//      accounting).  multistart() is this engine on one thread, so there is
+//      no second copy of the bookkeeping to drift.
 //
 // The one sequential dependence is the budget: how many restarts fit, and
 // the size of the final remainder slice, depend on the ticks earlier
-// restarts consumed.  Runners almost always consume their full slice, so
-// workers speculate full-slice runs; the reducer detects the rare restart
-// whose sequential slice differs (the remainder, or after a runner
-// over/under-spends) and re-runs exactly that index with the correct slice
-// — speculation is a throughput optimization, never a semantics change.
+// restarts consumed.  The engine therefore runs in rounds.  A round runs
+// n = min((total - spent) / per_start, 64 * num_threads) full-slice restarts
+// through parallel_for() and then folds them; the remaining budget
+// guarantees each of them a full slice unless a runner charges past its
+// slice.  The fold stops at the first restart whose sequential slice,
+// min(per_start, total - spent), differs from the slice it ran with and
+// discards the rest of the round; the next round starts from the corrected
+// spend.  A remainder slice shorter than per_start runs on the calling
+// thread.
 //
-// All cross-thread state lives in one util::Mutex-guarded speculation
-// queue (util/sync.hpp) whose fields carry GUARDED_BY annotations; the
-// `thread-safety` CMake preset makes any unlocked access a compile error.
+// The round cap is derived from the thread count, not a knob: every round
+// ends at a barrier, and 64 restarts per worker keep that barrier idle for
+// about 1/64 of the round.  The price is memory: a round buffers up to
+// 64 * num_threads per-restart results (counters, best and final states,
+// and — when tracing — the restart's events at 56 B each) until the fold.
+//
+// The only cross-thread state is parallel_for()'s util::Mutex-guarded index
+// counter (util/sync.hpp); the `thread-safety` CMake preset makes any
+// unlocked access a compile error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "core/multistart.hpp"
 #include "core/problem.hpp"
@@ -43,36 +55,50 @@
 
 namespace mcopt::core {
 
+/// Runs job(index, worker) once for every index in [0, count) and returns
+/// when all of them have finished.  With threads <= 1 the jobs run in index
+/// order on the calling thread as worker 0.  Otherwise min(threads, count)
+/// std::threads with worker ids 1..min(threads, count) claim indices from
+/// one shared counter and are joined before the call returns; no two
+/// threads share a worker id, so a job may use per-worker state keyed by it.
+/// If a job throws, no further index is claimed and the first exception is
+/// rethrown once every thread has joined.
+void parallel_for(std::size_t count, unsigned threads,
+                  const std::function<void(std::size_t index,
+                                           unsigned worker)>& job);
+
 struct ParallelMultistartOptions {
   /// Budgets and restart policy, interpreted exactly as multistart() does.
   MultistartOptions multistart;
-  /// Worker threads to spawn.  Must be >= 1; the result is independent of
-  /// this value.  Oversubscribing the hardware is allowed (useful for
+  /// Worker threads.  Must be >= 1; the result is independent of this
+  /// value.  1 runs every restart on the caller's problem and clones
+  /// nothing.  Oversubscribing the hardware is allowed (useful for
   /// determinism tests); it costs throughput, not correctness.
   unsigned num_threads = 1;
   /// Optional per-worker span export: when set (and the recorder profiles),
-  /// the reducer lays each restart's profile tree on lane
+  /// the fold lays each restart's profile tree on lane
   /// (timeline_pid, worker-id) — strictly in restart-index order, on the
-  /// reducing thread, so the builder needs no locking.  Worker 0 is the
-  /// calling thread (remainder slices); pool workers are 1-based.
-  /// Timeline content is wall-clock measurement, outside the determinism
-  /// contract like every other wall export.
+  /// calling thread, so the builder needs no locking.  Worker 0 is the
+  /// calling thread; spawned workers are 1-based.  Timeline content is
+  /// wall-clock measurement, outside the determinism contract like every
+  /// other wall export.
   obs::TimelineBuilder* timeline = nullptr;
   std::uint32_t timeline_pid = 2;
 };
 
 /// Runs the restarts of multistart() on `options.num_threads` workers and
-/// returns a MultistartResult bit-identical to sequential multistart()
-/// with the same problem state, runner, budgets, and rng state.  On return
-/// `problem` holds the final solution of the last restart and the caller's
-/// rng has advanced by exactly one output — both as in the sequential loop.
+/// returns a MultistartResult bit-identical to multistart() with the same
+/// problem state, runner, budgets, and rng state.  On return `problem`
+/// holds the final solution of the last restart and the caller's rng has
+/// advanced by exactly one output.
 ///
-/// Requirements beyond multistart(): Problem::clone() must return a real
-/// deep copy (non-null), and the runner must be safe to call concurrently
-/// on distinct Problem instances (i.e. it touches nothing shared; the
-/// library runners qualify).  Throws std::invalid_argument on a null
-/// runner, zero budget_per_start, budget_per_start > total_budget, zero
-/// num_threads, or a problem whose clone() returns nullptr.
+/// Requirements beyond multistart() when num_threads > 1:
+/// Problem::clone() must return a real deep copy (non-null), and the runner
+/// must be safe to call concurrently on distinct Problem instances (i.e. it
+/// touches nothing shared; the library runners qualify).  Throws
+/// std::invalid_argument on a null runner, zero budget_per_start,
+/// budget_per_start > total_budget, zero num_threads, or — with more than
+/// one thread — a problem whose clone() returns nullptr.
 [[nodiscard]] MultistartResult parallel_multistart(
     Problem& problem, const Runner& runner,
     const ParallelMultistartOptions& options, util::Rng& rng);

@@ -82,7 +82,7 @@ class Problem {
   /// gives each worker thread its own clone; a clone must never alias
   /// mutable state with its source.  Returns nullptr when the problem does
   /// not support cloning (the default), in which case the parallel engine
-  /// refuses to run.
+  /// refuses to run on more than one thread.
   [[nodiscard]] virtual std::unique_ptr<Problem> clone() const {
     return nullptr;
   }

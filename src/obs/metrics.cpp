@@ -67,8 +67,6 @@ void RunMetrics::merge(const RunMetrics& other) {
   invariant_seconds += other.invariant_seconds;
   wall_seconds += other.wall_seconds;
   worker_steals += other.worker_steals;
-  // Peak depth is a max, not a sum: shards observe the same shared queue.
-  if (other.queue_peak > queue_peak) queue_peak = other.queue_peak;
   uphill_delta_proposed.merge(other.uphill_delta_proposed);
   uphill_delta_accepted.merge(other.uphill_delta_accepted);
   profile.merge(other.profile);
@@ -97,7 +95,6 @@ std::string RunMetrics::to_json() const {
   append_field("invariant_checks", invariant_checks, "  ", out);
   append_field("invariant_seconds", invariant_seconds, "  ", out);
   append_field("worker_steals", worker_steals, "  ", out);
-  append_field("queue_peak", queue_peak, "  ", out);
   append_field("wall_seconds", wall_seconds, "  ", out);
   out += "  \"uphill_delta_proposed\": ";
   uphill_delta_proposed.append_json(out);

@@ -70,10 +70,9 @@ struct RunMetrics {
   double invariant_seconds = 0.0;     ///< wall time inside check_invariants()
   double wall_seconds = 0.0;          ///< wall time of the run(s)
   /// Parallel-engine scheduling behaviour.  Like `worker` stamps on events,
-  /// these are deliberately nondeterministic (they observe the scheduler)
-  /// and are excluded from the registry's deterministic exports.
+  /// this is deliberately nondeterministic (it observes the scheduler) and
+  /// is excluded from the registry's deterministic exports.
   std::uint64_t worker_steals = 0;    ///< restarts claimed by pool workers
-  std::uint64_t queue_peak = 0;       ///< max speculation-queue depth (max-merged)
   /// Uphill Δcost magnitudes, log-bucketed (obs/histogram.hpp): every
   /// proposed uphill move, and the subset that was accepted.
   LogHistogram uphill_delta_proposed;

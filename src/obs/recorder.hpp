@@ -16,7 +16,7 @@
 // Sinks are internally locked (obs/trace.hpp), but the parallel engine
 // still never shares a *stream* across threads: each restart gets its own
 // shard recorder via for_restart() pointing at a private VectorSink, and
-// the reducer drains shards in restart-index order so the trace stays
+// the engine's fold drains shards in restart-index order so the trace stays
 // deterministic, not merely data-race-free.
 #pragma once
 

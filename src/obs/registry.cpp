@@ -192,9 +192,6 @@ void MetricsRegistry::populate_from_run(const RunMetrics& m) {
   counter_add_locked("mcopt_worker_steals_total",
                      "Restarts claimed by pool workers (scheduler-dependent)",
                      m.worker_steals, /*deterministic=*/false);
-  gauge_max_locked("mcopt_queue_peak",
-                   "Peak speculation-queue depth (scheduler-dependent)",
-                   static_cast<double>(m.queue_peak), /*deterministic=*/false);
   histogram_merge_locked("mcopt_uphill_delta_proposed",
                          "Cost increase of proposed uphill moves",
                          m.uphill_delta_proposed, /*deterministic=*/true);

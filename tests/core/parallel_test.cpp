@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -260,6 +261,91 @@ TEST(ParallelMultistartTest, EarlyTerminatingRunnerExtendsRestarts) {
     const MultistartResult parallel =
         parallel_multistart(problem, half_runner, options, rng);
     expect_identical(sequential, parallel);
+  }
+}
+
+TEST(ParallelMultistartTest, MisreportedTicksMatchSequential) {
+  // Overspend: every restart charges its slice plus 7 ticks.  With 2000
+  // ticks in slices of 100, restarts 0-17 get full slices (1926 spent) and
+  // restart 18 the 74-tick remainder, so the round of 20 full slices must
+  // discard its last two.  Zero ticks: each restart is charged the one-tick
+  // floor, so rounds shrink and the tail runs as remainders.
+  const Runner overspend = [](Problem& problem, std::uint64_t budget,
+                              util::Rng& rng, const obs::Recorder& recorder) {
+    RunResult run = random_descent(problem, budget, rng, &recorder);
+    run.ticks = budget + 7;
+    return run;
+  };
+  const Runner zero_ticks = [](Problem&, std::uint64_t, util::Rng&,
+                               const obs::Recorder&) { return RunResult{}; };
+  struct Case {
+    Runner runner;
+    std::uint64_t total_budget;
+    std::uint64_t restarts;
+    std::uint64_t ticks;
+  };
+  for (const Case& c : {Case{overspend, 2'000, 19, 18 * 107 + 81},
+                        Case{zero_ticks, 64, 64, 0}}) {
+    MultistartOptions opts;
+    opts.total_budget = c.total_budget;
+    opts.budget_per_start = c.total_budget / 20;
+
+    ToyProblem sequential_problem{{5, 4, 3, 2, 1, 2, 3, 4}, 0};
+    util::Rng sequential_rng{13};
+    const MultistartResult sequential =
+        multistart(sequential_problem, c.runner, opts, sequential_rng);
+    EXPECT_EQ(sequential.restarts, c.restarts);
+    EXPECT_EQ(sequential.aggregate.ticks, c.ticks);
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ToyProblem problem{{5, 4, 3, 2, 1, 2, 3, 4}, 0};
+      util::Rng rng{13};
+      ParallelMultistartOptions options;
+      options.multistart = opts;
+      options.num_threads = threads;
+      const MultistartResult parallel =
+          parallel_multistart(problem, c.runner, options, rng);
+      expect_identical(sequential, parallel);
+      EXPECT_EQ(problem.position(), sequential_problem.position());
+    }
+  }
+}
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const std::size_t count : {0, 1, 3, 100}) {
+      // Each job writes only its own slots, so the vectors need no lock.
+      std::vector<int> runs(count, 0);
+      std::vector<unsigned> workers(count, 0);
+      parallel_for(count, threads, [&](std::size_t index, unsigned worker) {
+        ++runs[index];
+        workers[index] = worker;
+      });
+      EXPECT_EQ(runs, std::vector<int>(count, 1))
+          << "threads=" << threads << " count=" << count;
+      const auto spawned =
+          static_cast<unsigned>(std::min<std::size_t>(threads, count));
+      for (const unsigned worker : workers) {
+        if (threads <= 1) {
+          EXPECT_EQ(worker, 0u);
+        } else {
+          EXPECT_GE(worker, 1u);
+          EXPECT_LE(worker, spawned);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, RethrowsAJobsExceptionAfterJoining) {
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(parallel_for(100, threads,
+                              [](std::size_t index, unsigned) {
+                                if (index == 7) {
+                                  throw std::runtime_error("job 7 failed");
+                                }
+                              }),
+                 std::runtime_error);
   }
 }
 

@@ -79,7 +79,6 @@ std::string canonical_json(obs::RunMetrics metrics) {
   for (auto& stage : metrics.stages) stage.wall_seconds = 0.0;
   // Scheduling observations are outside the determinism contract.
   metrics.worker_steals = 0;
-  metrics.queue_peak = 0;
   return metrics.to_json();
 }
 

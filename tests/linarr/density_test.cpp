@@ -228,7 +228,9 @@ TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
       ASSERT_EQ(spec.density(), before_density);
       ASSERT_EQ(spec.total_span(), before_span);
     }
-    if (trial % 25 == 0) ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    if (trial % 25 == 0) {
+      ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    }
   }
   EXPECT_TRUE(spec.verify());
 }
@@ -260,7 +262,9 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
       ASSERT_EQ(spec.density(), before_density);
       ASSERT_EQ(spec.total_span(), before_span);
     }
-    if (trial % 25 == 0) ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    if (trial % 25 == 0) {
+      ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    }
   }
   EXPECT_TRUE(spec.verify());
 }

@@ -77,7 +77,6 @@ TEST(RegistryTest, PopulateFromRunFlattensStagesWithLabels) {
   // Wall/scheduler observers are flagged out of the determinism contract.
   EXPECT_FALSE(reg.find("mcopt_wall_seconds")->deterministic);
   EXPECT_FALSE(reg.find("mcopt_worker_steals_total")->deterministic);
-  EXPECT_FALSE(reg.find("mcopt_queue_peak")->deterministic);
   EXPECT_TRUE(reg.find("mcopt_restarts_total")->deterministic);
 }
 

@@ -157,7 +157,9 @@ TEST(PartitionSpeculationTest, SwapSpeculationMatchesFlipOracle) {
       oracle.flip(b);
       ASSERT_EQ(spec.cut(), before_cut);
     }
-    if (trial % 25 == 0) ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    if (trial % 25 == 0) {
+      ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    }
   }
   EXPECT_TRUE(spec.verify());
 }

@@ -121,6 +121,8 @@ _TABLE: dict[str, tuple[str, ...]] = {
     # exceptions / diagnostics
     "exception": ("exception",), "terminate": ("exception",),
     "set_terminate": ("exception",), "terminate_handler": ("exception",),
+    "exception_ptr": ("exception",), "current_exception": ("exception",),
+    "rethrow_exception": ("exception",),
     "logic_error": ("stdexcept",), "runtime_error": ("stdexcept",),
     "invalid_argument": ("stdexcept",), "out_of_range": ("stdexcept",),
     "domain_error": ("stdexcept",), "length_error": ("stdexcept",),

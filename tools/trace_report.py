@@ -66,7 +66,6 @@ KNOWN_METRICS = {
     "mcopt_invariant_seconds",
     "mcopt_wall_seconds",
     "mcopt_worker_steals_total",
-    "mcopt_queue_peak",
     "mcopt_uphill_delta_proposed",
     "mcopt_uphill_delta_accepted",
     "mcopt_stage_proposals_total",
@@ -271,8 +270,7 @@ def report_metrics(path: str) -> int:
         metrics = json.load(handle)
     print(f"{path}: metrics summary")
     for key in ("restarts", "new_bests", "patience_resets", "trace_events",
-                "invariant_checks", "worker_steals", "queue_peak",
-                "wall_seconds"):
+                "invariant_checks", "worker_steals", "wall_seconds"):
         if key in metrics:
             print(f"  {key} = {metrics[key]}")
     print()
