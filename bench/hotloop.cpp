@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -149,23 +150,56 @@ class ScopedPerfSample {
   bool live_;
 };
 
-/// The informational per-path JSON fields bench_compare.py never gates:
-/// IPC, cache-miss rate, cycles per proposal.
-void append_perf_fields(const char* prefix, const obs::PerfCounts& counts,
-                        std::uint64_t proposals, std::string& json,
-                        const char* indent) {
-  char buf[192];
-  const double cycles_per_proposal =
-      proposals > 0 ? static_cast<double>(counts.cycles) /
-                          static_cast<double>(proposals)
-                    : 0.0;
-  std::snprintf(buf, sizeof buf,
-                "%s\"%s_ipc\": %.4f, \"%s_cache_miss_rate\": %.4f, "
-                "\"%s_cycles_per_proposal\": %.1f",
-                indent, prefix, obs::perf_ipc(counts), prefix,
-                obs::perf_cache_miss_rate(counts), prefix,
-                cycles_per_proposal);
-  json += buf;
+/// True when `which` is among the counters that opened; a derived field
+/// is reported only when every counter it is computed from did.
+bool opened(const std::vector<obs::PerfCounter>& open,
+            obs::PerfCounter which) {
+  return std::find(open.begin(), open.end(), which) != open.end();
+}
+
+/// One "perf_<counter>_available" field per counter of the menu, so a
+/// report says which counters opened instead of one flag for the group.
+std::string perf_availability_fields(
+    const std::vector<obs::PerfCounter>& open) {
+  std::string out;
+  for (const obs::PerfCounter which : obs::all_perf_counters()) {
+    std::string name = obs::perf_counter_name(which);
+    std::replace(name.begin(), name.end(), '-', '_');
+    out += "  \"perf_" + name + "_available\": " +
+           (opened(open, which) ? "true" : "false") + ",\n";
+  }
+  return out;
+}
+
+/// The informational per-path JSON fields bench_compare.py never gates —
+/// IPC, cache-miss rate, cycles per proposal — as `"key": value` pairs
+/// joined by ", ".  A field whose inputs never opened is left out, not
+/// written as 0; the result is empty when none can be computed.
+std::string perf_fields(const char* prefix, const obs::PerfCounts& counts,
+                        std::uint64_t proposals,
+                        const std::vector<obs::PerfCounter>& open) {
+  std::string out;
+  char buf[96];
+  auto add = [&](const char* field, double value, int precision) {
+    std::snprintf(buf, sizeof buf, "%s\"%s_%s\": %.*f",
+                  out.empty() ? "" : ", ", prefix, field, precision, value);
+    out += buf;
+  };
+  using obs::PerfCounter;
+  if (opened(open, PerfCounter::kCycles) &&
+      opened(open, PerfCounter::kInstructions)) {
+    add("ipc", obs::perf_ipc(counts), 4);
+  }
+  if (opened(open, PerfCounter::kCacheReferences) &&
+      opened(open, PerfCounter::kCacheMisses)) {
+    add("cache_miss_rate", obs::perf_cache_miss_rate(counts), 4);
+  }
+  if (opened(open, PerfCounter::kCycles) && proposals > 0) {
+    add("cycles_per_proposal",
+        static_cast<double>(counts.cycles) / static_cast<double>(proposals),
+        1);
+  }
+  return out;
 }
 
 }  // namespace
@@ -424,17 +458,18 @@ int main(int argc, char** argv) {
   json += buf;
   // Informational hardware-counter attribution (never gated): why the
   // speculative path is faster, not just how much.
-  json += std::string{"  \"perf_counters_available\": "} +
-          (perf.available() ? "true" : "false") + ",\n";
+  const std::vector<obs::PerfCounter> open = perf.active_counters();
+  json += perf_availability_fields(open);
   json += "  \"perf_unavailable_reason\": \"" +
           (perf.available() ? std::string{} : perf.unavailable_reason()) +
           "\",\n";
-  append_perf_fields("figure1_legacy", fig_legacy_perf,
-                     fig_reference.proposals, json, "  ");
-  json += ",\n";
-  append_perf_fields("figure1_spec", fig_spec_perf, fig_reference.proposals,
-                     json, "  ");
-  json += ",\n";
+  for (const auto& [prefix, counts] :
+       {std::pair{"figure1_legacy", fig_legacy_perf},
+        std::pair{"figure1_spec", fig_spec_perf}}) {
+    const std::string fields =
+        perf_fields(prefix, counts, fig_reference.proposals, open);
+    if (!fields.empty()) json += "  " + fields + ",\n";
+  }
   json += std::string{"  \"trajectory_identical\": "} +
           (trajectory_identical ? "true" : "false") + ",\n";
   json += std::string{"  \"parallel_identical\": "} +
@@ -447,14 +482,17 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"acceptance_rate\": %.4f, "
                   "\"legacy_proposals_per_sec\": %.1f, "
-                  "\"spec_proposals_per_sec\": %.1f, \"speedup\": %.3f,\n",
+                  "\"spec_proposals_per_sec\": %.1f, \"speedup\": %.3f",
                   row.name.c_str(), row.acceptance_rate,
                   row.legacy_proposals_per_sec, row.spec_proposals_per_sec,
                   row.speedup);
     json += buf;
-    append_perf_fields("legacy", row.legacy_perf, proposals, json, "     ");
-    json += ",\n";
-    append_perf_fields("spec", row.spec_perf, proposals, json, "     ");
+    for (const auto& [prefix, counts] :
+         {std::pair{"legacy", row.legacy_perf},
+          std::pair{"spec", row.spec_perf}}) {
+      const std::string fields = perf_fields(prefix, counts, proposals, open);
+      if (!fields.empty()) json += ",\n     " + fields;
+    }
     json += std::string{"}"} + (i + 1 < rows.size() ? "," : "") + "\n";
   }
   json += "  ]\n}\n";

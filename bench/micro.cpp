@@ -3,6 +3,8 @@
 // equal-tick tables would not correspond to equal time.  google-benchmark.
 #include <benchmark/benchmark.h>
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
@@ -81,6 +83,37 @@ void BM_DensitySwapUndo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
+
+// The speculative swap kernel alone: speculate_swap + discard on a fixed
+// arrangement, pairs drawn up front so the RNG is not timed.  Args:
+// (cells, multi_pin) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell.
+void BM_DensitySpeculateSwap(benchmark::State& state) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  util::Rng rng{10};
+  const auto nl =
+      state.range(1) == 0
+          ? netlist::random_gola(netlist::GolaParams{cells, cells * 10}, rng)
+          : netlist::random_nola(netlist::NolaParams{cells, cells * 10, 2, 6},
+                                 rng);
+  linarr::DensityState ds{nl, linarr::Arrangement::random(cells, rng)};
+  constexpr std::size_t kPairs = 4096;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs(kPairs);
+  for (auto& pair : pairs) pair = rng.next_distinct_pair(cells);
+  std::size_t i = 0;
+  PerfReport perf{state};
+  for (auto _ : state) {
+    const auto [a, b] = pairs[i];
+    i = (i + 1) % kPairs;
+    ds.speculate_swap(a, b);
+    benchmark::DoNotOptimize(ds.speculative_density());
+    ds.discard_speculation();
+  }
+}
+BENCHMARK(BM_DensitySpeculateSwap)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({60, 0})
+    ->ArgNames({"cells", "nola"});
 
 void BM_DensityFullRecount(benchmark::State& state) {
   const auto nl = gola(static_cast<std::size_t>(state.range(0)),

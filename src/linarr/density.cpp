@@ -37,6 +37,7 @@ DensityState::DensityState(const DensityState& other)
 DensityState& DensityState::operator=(const DensityState& other) {
   if (this == &other) return *this;
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
+  if (speculating()) discard_speculation();
   netlist_ = other.netlist_;
   arrangement_ = other.arrangement_;
   net_lo_ = other.net_lo_;
@@ -45,9 +46,6 @@ DensityState& DensityState::operator=(const DensityState& other) {
   cut_histogram_ = other.cut_histogram_;
   max_cut_ = other.max_cut_;
   total_span_ = other.total_span_;
-  spec_kind_ = SpecKind::kNone;
-  touched_.clear();
-  spec_clear_scratch();
   reserve_scratch();
   return *this;
 }
@@ -61,13 +59,14 @@ void DensityState::reserve_scratch() {
   const std::size_t boundaries = cuts_.size();
   touched_.reserve(nets);
   touched_mark_.assign(nets, 0);
-  spec_nets_.reserve(nets);
-  spec_new_lo_.reserve(nets);
-  spec_new_hi_.reserve(nets);
-  spec_boundaries_.reserve(boundaries);
-  spec_removed_values_.reserve(boundaries);
-  boundary_delta_.assign(boundaries, 0);
-  boundary_mark_.assign(boundaries, 0);
+  spec_net_count_ = 0;
+  spec_nets_.assign(nets, 0);
+  spec_new_lo_.assign(nets, 0);
+  spec_new_hi_.assign(nets, 0);
+  spec_boundary_count_ = 0;
+  spec_boundaries_.assign(boundaries, 0);
+  spec_deltas_.assign(boundaries, 0);
+  window_diff_.assign(arrangement_.size(), 0);
   removed_at_.assign(cut_histogram_.size(), 0);
 }
 
@@ -75,12 +74,11 @@ bool DensityState::scratch_reserved() const noexcept {
   const std::size_t nets = netlist_->num_nets();
   const std::size_t boundaries = cuts_.size();
   return touched_.capacity() >= nets && touched_mark_.size() == nets &&
-         spec_nets_.capacity() >= nets && spec_new_lo_.capacity() >= nets &&
-         spec_new_hi_.capacity() >= nets &&
-         spec_boundaries_.capacity() >= boundaries &&
-         spec_removed_values_.capacity() >= boundaries &&
-         boundary_delta_.size() == boundaries &&
-         boundary_mark_.size() == boundaries &&
+         spec_nets_.size() == nets && spec_new_lo_.size() == nets &&
+         spec_new_hi_.size() == nets &&
+         spec_boundaries_.size() == boundaries &&
+         spec_deltas_.size() == boundaries &&
+         window_diff_.size() == arrangement_.size() &&
          removed_at_.size() == cut_histogram_.size();
 }
 
@@ -188,85 +186,101 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
 }
 
 // mcopt: hot
-void DensityState::spec_touch_range(std::size_t lo, std::size_t hi,
-                                    int delta) {
-  for (std::size_t b = lo; b < hi; ++b) {
-    if (!boundary_mark_[b]) {
-      boundary_mark_[b] = 1;
-      // Reserved to cuts_.size() up front; never reallocates.
-      spec_boundaries_.push_back(b);  // mcopt-lint: allow(hot-loop-alloc)
-    }
-    boundary_delta_[b] += delta;
-  }
+void DensityState::spec_journal(NetId n, std::size_t new_lo,
+                                std::size_t new_hi) {
+  // A move visits each net at most once, so the count stays below
+  // num_nets() at every write.
+  spec_nets_[spec_net_count_] = n;
+  spec_new_lo_[spec_net_count_] = new_lo;
+  spec_new_hi_[spec_net_count_] = new_hi;
+  spec_net_count_ += static_cast<std::size_t>(new_lo != net_lo_[n] ||
+                                              new_hi != net_hi_[n]);
 }
 
 // mcopt: hot
-void DensityState::spec_record_net(NetId n, std::size_t new_lo,
-                                   std::size_t new_hi) {
+void DensityState::spec_swap_pin(NetId n, std::size_t from, std::size_t to) {
+  // L/H are the lowest/highest positions of the net's *other* pins.  The
+  // cached extrema give them unless the moving pin is one of the extrema.
+  // A pin at the net's leading end (the end it moves toward: the high end
+  // for a rightward pin) has the missing value behind `from`, where any
+  // stand-in clamps alike, so the opposite extremum serves; for a two-pin
+  // net the opposite extremum *is* the other pin.  Only a pin at the
+  // trailing end of a net of three or more pins walks the net.
   const std::size_t old_lo = net_lo_[n];
   const std::size_t old_hi = net_hi_[n];
-  if (new_lo == old_lo && new_hi == old_hi) return;
-  // Reserved to num_nets() up front; never reallocates.
-  spec_nets_.push_back(n);           // mcopt-lint: allow(hot-loop-alloc)
-  spec_new_lo_.push_back(new_lo);    // mcopt-lint: allow(hot-loop-alloc)
-  spec_new_hi_.push_back(new_hi);    // mcopt-lint: allow(hot-loop-alloc)
-  // Touch only the symmetric difference of the old boundary span
-  // [old_lo, old_hi) and the new one [new_lo, new_hi): the shared middle
-  // keeps its crossing count, so a long net sliding by one position costs
-  // O(1) boundary updates instead of O(span).
-  const std::size_t ilo = std::max(old_lo, new_lo);
-  const std::size_t ihi = std::min(old_hi, new_hi);
-  if (ilo < ihi) {
-    spec_touch_range(old_lo, ilo, -1);
-    spec_touch_range(ihi, old_hi, -1);
-    spec_touch_range(new_lo, ilo, +1);
-    spec_touch_range(ihi, new_hi, +1);
+  std::size_t other_lo = old_lo;
+  std::size_t other_hi = old_hi;
+  const bool rightward = from < to;
+  const bool trailing = rightward ? from == old_lo : from == old_hi;
+  if (trailing && netlist_->pins(n).size() > 2) {
+    other_lo = arrangement_.size();
+    other_hi = 0;
+    for (const CellId cell : netlist_->pins(n)) {
+      const std::size_t pos = arrangement_.position_of(cell);
+      if (pos == from) continue;
+      other_lo = std::min(other_lo, pos);
+      other_hi = std::max(other_hi, pos);
+    }
   } else {
-    spec_touch_range(old_lo, old_hi, -1);
-    spec_touch_range(new_lo, new_hi, +1);
+    if (from == old_lo) other_lo = old_hi;
+    if (from == old_hi) other_hi = old_lo;
   }
+  spec_journal(n, std::min(other_lo, to), std::max(other_hi, to));
+  // On boundary b in [lo, hi) a rightward pin changes the net's crossing
+  // count by [L <= b] - [b < H] = [L <= b] + [H <= b] - 1, a leftward one
+  // by the negation; the caller folds the -1 into window_diff_[lo].
+  // Clamping L and H into [lo, hi] keeps every write inside the window.
+  const std::size_t lo = std::min(from, to);
+  const std::size_t hi = std::max(from, to);
+  const int sign = rightward ? 1 : -1;
+  window_diff_[std::clamp(other_lo, lo, hi)] += sign;
+  window_diff_[std::clamp(other_hi, lo, hi)] += sign;
 }
 
 // mcopt: hot
-void DensityState::spec_finish() {
+void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
+  // One prefix-sum pass over the window: the running sum is boundary b's
+  // crossing delta, and the pass zeroes window_diff_ behind it.
+  int delta = 0;
+  int window_max = 0;
   long long span_delta = 0;
-  for (std::size_t i = 0; i < spec_nets_.size(); ++i) {
-    const NetId n = spec_nets_[i];
-    span_delta += static_cast<long long>(spec_new_hi_[i] - spec_new_lo_[i]) -
-                  static_cast<long long>(net_hi_[n] - net_lo_[n]);
+  std::size_t count = 0;
+  for (std::size_t b = lo; b < hi; ++b) {
+    delta += window_diff_[b];
+    window_diff_[b] = 0;
+    const int old_cut = cuts_[b];
+    const int changed = delta != 0 ? 1 : 0;
+    removed_at_[static_cast<std::size_t>(old_cut)] += changed;
+    window_max = std::max(window_max, old_cut + delta);
+    span_delta += delta;
+    spec_boundaries_[count] = b;
+    spec_deltas_[count] = delta;
+    count += static_cast<std::size_t>(changed);
   }
+  window_diff_[hi] = 0;
+  spec_boundary_count_ = count;
   spec_total_span_ = total_span_ + span_delta;
 
-  // Candidate density.  Boundaries outside the changed window keep their
-  // cut, so the candidate is the max of (a) the new cuts inside the window
-  // and (b) the largest committed cut value that still has at least one
-  // boundary *outside* the window.  removed_at_[v] counts changed
-  // boundaries whose committed cut is v, so cut_histogram_[v] -
-  // removed_at_[v] is the count of unchanged boundaries at v; we scan down
-  // from the committed density until that is nonzero.
+  // Candidate density.  Unchanged boundaries keep their cut, so the
+  // candidate is the max of (a) the new cuts inside the window and (b) the
+  // largest committed cut value that still has at least one unchanged
+  // boundary.  removed_at_[v] counts changed boundaries whose
+  // committed cut is v, so cut_histogram_[v] - removed_at_[v] is the count
+  // of unchanged boundaries at v; we scan down from the committed density
+  // until that is nonzero.
   const int cur = density();
-  int window_max = 0;
-  for (const std::size_t b : spec_boundaries_) {
-    const int dz = boundary_delta_[b];
-    if (dz == 0) continue;
-    const int old_cut = cuts_[b];
-    ++removed_at_[static_cast<std::size_t>(old_cut)];
-    // Reserved to cuts_.size() up front; never reallocates.
-    spec_removed_values_.push_back(old_cut);  // mcopt-lint: allow(hot-loop-alloc)
-    window_max = std::max(window_max, old_cut + dz);
-  }
   if (window_max >= cur) {
     spec_density_ = window_max;
-  } else {
-    int v = cur;
-    while (v > window_max &&
-           cut_histogram_[static_cast<std::size_t>(v)] -
-                   removed_at_[static_cast<std::size_t>(v)] ==
-               0) {
-      --v;
-    }
-    spec_density_ = v;  // v >= window_max on exit
+    return;
   }
+  int v = cur;
+  while (v > window_max &&
+         cut_histogram_[static_cast<std::size_t>(v)] -
+                 removed_at_[static_cast<std::size_t>(v)] ==
+             0) {
+    --v;
+  }
+  spec_density_ = v;  // v >= window_max on exit
 }
 
 // mcopt: hot
@@ -278,51 +292,32 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   spec_kind_ = SpecKind::kSwap;
   spec_a_ = p;
   spec_b_ = q;
-  touched_.clear();
-  // Origin marks: 1 = incident to the cell at p only, 2 = at q only,
-  // 3 = both.  touched_ is reserved to num_nets() up front.
-  for (const NetId net : netlist_->nets_of(arrangement_.cell_at(p))) {
-    if (!touched_mark_[net]) {
-      touched_mark_[net] = 1;
-      touched_.push_back(net);  // mcopt-lint: allow(hot-loop-alloc)
-    }
-  }
-  for (const NetId net : netlist_->nets_of(arrangement_.cell_at(q))) {
-    if (!touched_mark_[net]) {
+  const std::size_t lo = std::min(p, q);
+  const std::size_t hi = std::max(p, q);
+  const auto rightward = netlist_->nets_of(arrangement_.cell_at(lo));
+  const auto leftward = netlist_->nets_of(arrangement_.cell_at(hi));
+  // A net with pins on both cells keeps its position multiset, so its
+  // extrema and crossings cannot change.  Marks: 1 = on the cell at hi,
+  // 2 = on both.
+  for (const NetId net : leftward) touched_mark_[net] = 1;
+  int shift = 0;
+  for (const NetId net : rightward) {
+    if (touched_mark_[net]) {
       touched_mark_[net] = 2;
-      touched_.push_back(net);  // mcopt-lint: allow(hot-loop-alloc)
-    } else if (touched_mark_[net] == 1) {
-      touched_mark_[net] = 3;
+      continue;
     }
+    spec_swap_pin(net, lo, hi);
+    --shift;
   }
-  for (const NetId net : touched_) {
-    const char origin = touched_mark_[net];
+  for (const NetId net : leftward) {
+    const char mark = touched_mark_[net];
     touched_mark_[net] = 0;
-    // A net with pins at both p and q keeps the same position multiset
-    // after the swap: extrema provably unchanged.
-    if (origin == 3) continue;
-    const std::size_t lo = net_lo_[net];
-    const std::size_t hi = net_hi_[net];
-    const std::size_t moved = origin == 1 ? p : q;  // this net's moving pin
-    const std::size_t dest = origin == 1 ? q : p;   // ...and its new position
-    // An interior pin (strictly between the extrema, which other pins
-    // attain) landing inside [lo, hi] cannot move either extremum.
-    if (lo < moved && moved < hi && lo <= dest && dest <= hi) continue;
-    std::size_t new_lo = arrangement_.size();
-    std::size_t new_hi = 0;
-    for (const CellId cell : netlist_->pins(net)) {
-      std::size_t pos = arrangement_.position_of(cell);
-      if (pos == p) {
-        pos = q;
-      } else if (pos == q) {
-        pos = p;
-      }
-      new_lo = std::min(new_lo, pos);
-      new_hi = std::max(new_hi, pos);
-    }
-    spec_record_net(net, new_lo, new_hi);
+    if (mark == 2) continue;
+    spec_swap_pin(net, hi, lo);
+    ++shift;
   }
-  spec_finish();
+  window_diff_[lo] += shift;
+  spec_scan(lo, hi);
 }
 
 // mcopt: hot
@@ -362,40 +357,45 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
       new_lo = std::min(new_lo, npos);
       new_hi = std::max(new_hi, npos);
     }
-    spec_record_net(net, new_lo, new_hi);
+    // A net crossing [lo, hi) is +1 at lo and -1 at hi in difference
+    // form.  An extremum that changes was, and stays, inside [w_lo, w_hi]
+    // (pins outside the window do not move), so every write lands there.
+    const std::size_t old_lo = net_lo_[net];
+    const std::size_t old_hi = net_hi_[net];
+    if (new_lo != old_lo) {
+      --window_diff_[old_lo];
+      ++window_diff_[new_lo];
+    }
+    if (new_hi != old_hi) {
+      ++window_diff_[old_hi];
+      --window_diff_[new_hi];
+    }
+    spec_journal(net, new_lo, new_hi);
   }
-  spec_finish();
+  spec_scan(w_lo, w_hi);
 }
 
 // mcopt: hot
 void DensityState::commit_speculation() {
   MCOPT_DCHECK(speculating(), "commit without a pending speculation");
-  for (const std::size_t b : spec_boundaries_) {
-    boundary_mark_[b] = 0;
-    const int dz = boundary_delta_[b];
-    boundary_delta_[b] = 0;
-    if (dz == 0) continue;  // gained and lost the same crossings
+  for (std::size_t i = 0; i < spec_boundary_count_; ++i) {
+    const std::size_t b = spec_boundaries_[i];
     const int old_cut = cuts_[b];
-    const int new_cut = old_cut + dz;
+    const int new_cut = old_cut + spec_deltas_[i];
+    removed_at_[static_cast<std::size_t>(old_cut)] = 0;
     cuts_[b] = new_cut;
     // One histogram update per changed boundary — bump_boundary would pay
     // one per crossing *unit*.
     --cut_histogram_[static_cast<std::size_t>(old_cut)];
     ++cut_histogram_[static_cast<std::size_t>(new_cut)];
   }
-  spec_boundaries_.clear();
-  for (const int v : spec_removed_values_) {
-    removed_at_[static_cast<std::size_t>(v)] = 0;
-  }
-  spec_removed_values_.clear();
-  for (std::size_t i = 0; i < spec_nets_.size(); ++i) {
+  spec_boundary_count_ = 0;
+  for (std::size_t i = 0; i < spec_net_count_; ++i) {
     const NetId n = spec_nets_[i];
     net_lo_[n] = spec_new_lo_[i];
     net_hi_[n] = spec_new_hi_[i];
   }
-  spec_nets_.clear();
-  spec_new_lo_.clear();
-  spec_new_hi_.clear();
+  spec_net_count_ = 0;
   if (spec_kind_ == SpecKind::kSwap) {
     arrangement_.swap_positions(spec_a_, spec_b_);
   } else {
@@ -409,24 +409,12 @@ void DensityState::commit_speculation() {
 // mcopt: hot
 void DensityState::discard_speculation() {
   MCOPT_DCHECK(speculating(), "discard without a pending speculation");
-  spec_clear_scratch();
+  for (std::size_t i = 0; i < spec_boundary_count_; ++i) {
+    removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])] = 0;
+  }
+  spec_boundary_count_ = 0;
+  spec_net_count_ = 0;
   spec_kind_ = SpecKind::kNone;
-}
-
-// mcopt: hot
-void DensityState::spec_clear_scratch() {
-  for (const std::size_t b : spec_boundaries_) {
-    boundary_delta_[b] = 0;
-    boundary_mark_[b] = 0;
-  }
-  spec_boundaries_.clear();
-  for (const int v : spec_removed_values_) {
-    removed_at_[static_cast<std::size_t>(v)] = 0;
-  }
-  spec_removed_values_.clear();
-  spec_nets_.clear();
-  spec_new_lo_.clear();
-  spec_new_hi_.clear();
 }
 
 void DensityState::reset(Arrangement arrangement) {
@@ -441,6 +429,15 @@ void DensityState::reset(Arrangement arrangement) {
 bool DensityState::verify() const {
   if (speculating()) return false;
   if (!arrangement_.is_consistent()) return false;
+  // Per-move scratch is all zero between moves: a difference, mark or
+  // removal count left behind would corrupt the next speculation.
+  const auto all_zero = [](const auto& v) {
+    return std::all_of(v.begin(), v.end(), [](auto x) { return x == 0; });
+  };
+  if (!all_zero(window_diff_) || !all_zero(removed_at_) ||
+      !all_zero(touched_mark_)) {
+    return false;
+  }
   DensityState fresh{*netlist_, arrangement_};
   if (fresh.density() != density()) return false;
   if (fresh.total_span_ != total_span_) return false;

@@ -20,15 +20,27 @@
 //   * apply_swap/apply_move mutate the committed state in place (the
 //     original PR-0 path, kept as the semantic reference: self-inverse,
 //     obviously correct, used by the differential fuzz tests);
-//   * speculate_swap/speculate_move evaluate the same move into a
-//     touched-net journal without committing anything.  The candidate
-//     density/total span are exact integers, so a Metropolis loop can test
-//     them, then commit_speculation() in O(touched) or
-//     discard_speculation() in O(touched-scratch-clears) — a rejected
-//     proposal never writes cuts_, the histogram, or the arrangement.
-//     Speculation also skips nets whose extrema provably cannot change and
-//     updates only the end segments a span actually gained or lost, with
-//     one histogram update per changed boundary instead of one per crossing
+//   * speculate_swap/speculate_move evaluate the same move without
+//     committing anything.  A move can change crossing counts only on the
+//     boundaries of its window [min, max) of the two positions.  Each
+//     touched net adds its per-boundary change to one reserved difference
+//     array (window_diff_) as a few ±1 point writes, and a single
+//     prefix-sum pass over the window yields the changed boundaries and
+//     their deltas, the window's new maximum and the total-span delta,
+//     zeroing the array as it goes.  For a swap the writes come from the
+//     cached extrema in O(1) per net: a pin moving right from lo to hi
+//     changes its net's count on boundary b by [L <= b] - [b < H], where
+//     L/H are the extrema of the net's other pins (a leftward pin, the
+//     negation); only a pin at the trailing end of a net of three or more
+//     pins (the low end for a rightward pin) walks the net.  A move walks
+//     the pins of every net on the cells in its window.  The
+//     count-of-counts histogram minus the changed boundaries' old values
+//     gives the largest cut outside the changed set, so the
+//     candidate density/total span are exact integers a Metropolis loop
+//     can test, then commit_speculation() in O(changed) or
+//     discard_speculation() in O(changed) — a rejected proposal never
+//     writes cuts_, the histogram, or the arrangement.  A commit makes one
+//     histogram update per changed boundary instead of one per crossing
 //     unit, so accepted moves are cheaper than the apply path too.
 #pragma once
 
@@ -84,8 +96,9 @@ class DensityState {
   void apply_move(std::size_t from, std::size_t to);
 
   /// Speculatively evaluates a pairwise interchange of positions p and q
-  /// (p != q): records the touched-net journal and the exact candidate
-  /// density / total span, but commits nothing.  Exactly one of
+  /// (p != q, either order): records the changed nets and boundaries and
+  /// the exact candidate density / total span, but commits nothing.
+  /// O(nets of the two cells + |p - q|).  Exactly one of
   /// commit_speculation()/discard_speculation() must follow before the
   /// next move (speculative or applied).
   void speculate_swap(std::size_t p, std::size_t q);
@@ -111,19 +124,21 @@ class DensityState {
     return spec_kind_ != SpecKind::kNone;
   }
 
-  /// Commits the pending speculation in O(touched): one histogram update
-  /// per changed boundary, extrema from the journal, then the arrangement
-  /// move itself.
+  /// Commits the pending speculation in O(changed boundaries + changed
+  /// nets): one histogram update per changed boundary, extrema from the
+  /// journal, then the arrangement move itself.
   void commit_speculation();
 
-  /// Drops the pending speculation; only scratch marks are cleared.
+  /// Drops the pending speculation in O(changed boundaries); only scratch
+  /// is reset.
   void discard_speculation();
 
   /// Replaces the arrangement wholesale (full recount).
   void reset(Arrangement arrangement);
 
   /// Recomputes from scratch and compares with the incremental state.
-  /// Returns true when they agree (and no speculation is pending); tests
+  /// Returns true when they agree, no speculation is pending and every
+  /// per-move scratch array (window_diff_ included) is back to zero; tests
   /// assert this after random moves.
   [[nodiscard]] bool verify() const;
 
@@ -141,10 +156,9 @@ class DensityState {
   void activate_net(NetId n);  // recompute extrema, add span back
   void add_span(std::size_t lo, std::size_t hi, int delta);
   void bump_boundary(std::size_t b, int delta);
-  void spec_record_net(NetId n, std::size_t new_lo, std::size_t new_hi);
-  void spec_touch_range(std::size_t lo, std::size_t hi, int delta);
-  void spec_finish();
-  void spec_clear_scratch();
+  void spec_journal(NetId n, std::size_t new_lo, std::size_t new_hi);
+  void spec_swap_pin(NetId n, std::size_t from, std::size_t to);
+  void spec_scan(std::size_t lo, std::size_t hi);
 
   const Netlist* netlist_;
   Arrangement arrangement_;
@@ -157,22 +171,27 @@ class DensityState {
   std::vector<NetId> touched_;       // scratch, de-duplicated per move
   std::vector<char> touched_mark_;
 
-  // Speculation journal (SoA) and scratch.  All buffers are reserved once
-  // (constructor / copy) and only cleared between moves, so the
+  // Speculation journal (SoA) and scratch.  All buffers are sized once
+  // (constructor / copy) and only reset between moves, so the
   // speculate/commit/discard cycle is allocation-free.
   SpecKind spec_kind_ = SpecKind::kNone;
   std::size_t spec_a_ = 0;  // swap: positions; move: from -> to
   std::size_t spec_b_ = 0;
   int spec_density_ = 0;
   long long spec_total_span_ = 0;
+  // The journal arrays are sized, not grown: an entry is written at the
+  // count and the count advances only when it is kept, so neither the
+  // journal nor the window scan branches on whether a net or boundary
+  // changed.
+  std::size_t spec_net_count_ = 0;
   std::vector<NetId> spec_nets_;           // journal: net whose extrema move
   std::vector<std::size_t> spec_new_lo_;   //   parallel: candidate lo
   std::vector<std::size_t> spec_new_hi_;   //   parallel: candidate hi
-  std::vector<std::size_t> spec_boundaries_;  // changed boundaries, deduped
-  std::vector<int> boundary_delta_;        // per boundary, zero outside spec
-  std::vector<char> boundary_mark_;
+  std::size_t spec_boundary_count_ = 0;
+  std::vector<std::size_t> spec_boundaries_;  // changed boundaries, ascending
+  std::vector<int> spec_deltas_;           //   parallel: crossing delta
+  std::vector<int> window_diff_;    // size n, zero between moves
   std::vector<int> removed_at_;     // old cut value -> #changed boundaries
-  std::vector<int> spec_removed_values_;   // values touched in removed_at_
 };
 
 /// One-shot density of an arrangement (builds a temporary state).

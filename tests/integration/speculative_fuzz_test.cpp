@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include "core/problem.hpp"
 #include "linarr/problem.hpp"
@@ -175,6 +177,49 @@ TEST_P(SpeculativeFuzzTest, TspOrOpt) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpeculativeFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The three linear-arrangement configs again, beyond 2-pin nets on 12
+// cells: multi-pin NOLA nets, and the smallest arrangements (n = 2, 3).
+class LinArrShapeFuzzTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(LinArrShapeFuzzTest, AllMoveKindsAndObjectives) {
+  const auto& [shape, seed_param] = GetParam();
+  const auto seed = static_cast<std::uint64_t>(seed_param);
+  util::Rng gen{seed * 223 + 17};
+  const netlist::Netlist nl =
+      shape == "nola12"
+          ? netlist::random_nola(netlist::NolaParams{12, 80, 2, 6}, gen)
+      : shape == "gola2"
+          ? netlist::random_gola(netlist::GolaParams{2, 6}, gen)
+          : netlist::random_nola(netlist::NolaParams{3, 12, 2, 3}, gen);
+  const auto start = linarr::Arrangement::random(nl.num_cells(), gen);
+  const std::tuple<linarr::MoveKind, linarr::Objective> configs[] = {
+      {linarr::MoveKind::kPairwiseInterchange, linarr::Objective::kDensity},
+      {linarr::MoveKind::kSingleExchange, linarr::Objective::kDensity},
+      {linarr::MoveKind::kPairwiseInterchange,
+       linarr::Objective::kTotalSpan},
+  };
+  for (const auto& [move_kind, objective] : configs) {
+    linarr::LinArrProblem spec{nl, start, move_kind, objective,
+                               core::EvalPath::kSpeculative};
+    linarr::LinArrProblem legacy{nl, start, move_kind, objective,
+                                 core::EvalPath::kApplyUndo};
+    run_differential_fuzz(spec, legacy, seed, 600, [](core::Problem& p) {
+      ASSERT_TRUE(
+          dynamic_cast<linarr::LinArrProblem&>(p).state().verify());
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LinArrShapeFuzzTest,
+    ::testing::Combine(::testing::Values("nola12", "gola2", "nola3"),
+                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mcopt

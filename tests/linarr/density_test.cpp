@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "netlist/generator.hpp"
 
@@ -200,14 +202,14 @@ TEST(DensityBoundTest, DensityAtLeastMinDegreeOnGraphs) {
 // the candidate without touching the committed state; commit makes the
 // candidate current; discard is a perfect no-op.  The apply path is the
 // oracle.
-TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
-  util::Rng rng{83};
-  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
-  DensityState spec{nl, Arrangement::random(12, rng)};
+void expect_swap_speculation_matches_oracle(const Netlist& nl,
+                                            util::Rng& rng) {
+  const std::size_t n = nl.num_cells();
+  DensityState spec{nl, Arrangement::random(n, rng)};
   DensityState oracle{spec};
   for (int trial = 0; trial < 200; ++trial) {
-    const auto p = static_cast<std::size_t>(rng.next() % 12);
-    auto q = static_cast<std::size_t>(rng.next() % 11);
+    const auto p = static_cast<std::size_t>(rng.next() % n);
+    auto q = static_cast<std::size_t>(rng.next() % (n - 1));
     if (q >= p) ++q;
     const int before_density = spec.density();
     const long long before_span = spec.total_span();
@@ -235,14 +237,14 @@ TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
   EXPECT_TRUE(spec.verify());
 }
 
-TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
-  util::Rng rng{87};
-  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
-  DensityState spec{nl, Arrangement::random(12, rng)};
+void expect_move_speculation_matches_oracle(const Netlist& nl,
+                                            util::Rng& rng) {
+  const std::size_t n = nl.num_cells();
+  DensityState spec{nl, Arrangement::random(n, rng)};
   DensityState oracle{spec};
   for (int trial = 0; trial < 200; ++trial) {
-    const auto from = static_cast<std::size_t>(rng.next() % 12);
-    auto to = static_cast<std::size_t>(rng.next() % 11);
+    const auto from = static_cast<std::size_t>(rng.next() % n);
+    auto to = static_cast<std::size_t>(rng.next() % (n - 1));
     if (to >= from) ++to;
     const int before_density = spec.density();
     const long long before_span = spec.total_span();
@@ -269,6 +271,112 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
   EXPECT_TRUE(spec.verify());
 }
 
+TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
+  util::Rng rng{83};
+  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
+  expect_swap_speculation_matches_oracle(nl, rng);
+}
+
+TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
+  util::Rng rng{87};
+  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
+  expect_move_speculation_matches_oracle(nl, rng);
+}
+
+// The same oracle checks beyond 2-pin nets on 12 cells: multi-pin NOLA
+// nets (whose trailing-end pins walk the net) and the smallest
+// arrangements, where every window touches an end of the row.
+Netlist oracle_instance(const std::string& shape, util::Rng& rng) {
+  if (shape == "nola12") return random_nola(NolaParams{12, 80, 2, 6}, rng);
+  if (shape == "gola2") return random_gola(GolaParams{2, 6}, rng);
+  return random_nola(NolaParams{3, 12, 2, 3}, rng);  // "nola3"
+}
+
+class DensitySpeculationShapeTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DensitySpeculationShapeTest, SwapSpeculationMatchesApplyOracle) {
+  util::Rng rng{91};
+  const Netlist nl = oracle_instance(GetParam(), rng);
+  expect_swap_speculation_matches_oracle(nl, rng);
+}
+
+TEST_P(DensitySpeculationShapeTest, MoveSpeculationMatchesApplyOracle) {
+  util::Rng rng{93};
+  const Netlist nl = oracle_instance(GetParam(), rng);
+  expect_move_speculation_matches_oracle(nl, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DensitySpeculationShapeTest,
+                         ::testing::Values("nola12", "gola2", "nola3"),
+                         [](const auto& info) { return info.param; });
+
+// Every ordered swap (p, q) on `nl` from the identity arrangement: the
+// speculated density and span equal apply_swap's, and both a commit and a
+// discard leave a state that verify() accepts with the oracle's cuts.
+void expect_every_swap_matches_oracle(const Netlist& nl) {
+  const std::size_t n = nl.num_cells();
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (p == q) continue;
+      SCOPED_TRACE(::testing::Message() << "swap(" << p << ", " << q << ")");
+      DensityState spec{nl, Arrangement{n}};
+      DensityState oracle{nl, Arrangement{n}};
+      oracle.apply_swap(p, q);
+      spec.speculate_swap(p, q);
+      ASSERT_EQ(spec.speculative_density(), oracle.density());
+      ASSERT_EQ(spec.speculative_total_span(), oracle.total_span());
+      spec.discard_speculation();
+      ASSERT_TRUE(spec.verify());
+      spec.speculate_swap(p, q);
+      spec.commit_speculation();
+      ASSERT_TRUE(spec.verify());
+      ASSERT_EQ(spec.density(), oracle.density());
+      for (std::size_t b = 0; b + 1 < n; ++b) {
+        ASSERT_EQ(spec.cut_at(b), oracle.cut_at(b)) << "boundary " << b;
+      }
+    }
+  }
+}
+
+// Hand-built nets for each case of the swap kernel.  Cells start at their
+// own positions; the names say what swap(2, 5) sees, where the pin of cell
+// 2 moves right and the pin of cell 5 moves left.  The leading end of a
+// net is the end its moving pin heads toward, the trailing end the one it
+// leaves.  Every ordered pair then puts each net's cells at every position
+// of the window, with q = p + 1 and with p > q.
+TEST(DensitySpeculationTest, HandBuiltSwapCasesMatchApplyOracle) {
+  struct Case {
+    const char* name;
+    std::vector<CellId> pins;
+  };
+  const std::vector<Case> cases{
+      {"pin inside the span", {0, 2, 7}},
+      {"2-pin, pin at the leading end", {0, 2}},
+      {"3-pin, pin at the leading end", {0, 1, 2}},
+      {"2-pin, trailing pin, other pin inside the window", {2, 3}},
+      {"2-pin, trailing pin, other pin past the window", {2, 7}},
+      {"3-pin, trailing pin, rest inside the window", {2, 3, 4}},
+      {"3-pin, trailing pin, rest across the window end", {2, 4, 7}},
+      {"3-pin, trailing pin, rest past the window", {2, 6, 7}},
+      {"left pin inside the span", {1, 5, 7}},
+      {"2-pin, left pin at the leading end", {5, 6}},
+      {"3-pin, left pin at the trailing end", {0, 3, 5}},
+      {"net on both cells", {2, 5}},
+      {"net on both cells and beyond", {0, 2, 5, 7}},
+  };
+  Netlist::Builder all{8};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Netlist::Builder one{8};
+    one.add_net(c.pins);
+    all.add_net(c.pins);
+    expect_every_swap_matches_oracle(one.build());
+  }
+  SCOPED_TRACE("all nets together");
+  expect_every_swap_matches_oracle(all.build());
+}
+
 // Clone regression: vector copies shrink capacity to size and the per-move
 // scratch is empty between moves, so a defaulted copy would silently
 // re-allocate on the worker's first hot-loop move.  The copy constructor
@@ -289,12 +397,19 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
 
   // The copy must also be a correct speculation substrate, not just a
   // reserved one.
+  // verify() also requires every scratch difference to be back to zero, so
+  // a committed and a discarded speculation must both leave none behind.
   copied.speculate_swap(2, 9);
   const int candidate = copied.speculative_density();
   copied.commit_speculation();
   EXPECT_EQ(copied.density(), candidate);
   EXPECT_TRUE(copied.verify());
   EXPECT_TRUE(copied.scratch_reserved());
+
+  assigned.speculate_swap(11, 3);
+  assigned.discard_speculation();
+  EXPECT_TRUE(assigned.verify());
+  EXPECT_TRUE(assigned.scratch_reserved());
 }
 
 }  // namespace

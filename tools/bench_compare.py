@@ -56,7 +56,7 @@ PERF_KEY_PARTS = (
 ENV_KEYS = {"hardware_concurrency"}
 
 # Hardware-counter telemetry (IPC, cache-miss rates, cycles/proposal,
-# perf_counters_available, ...): reported for humans, never gated.  Their
+# perf_<counter>_available, ...): reported for humans, never gated.  Their
 # presence and values depend on perf_event_open permissions and the host
 # PMU, not on the code under test, so a run without counters must compare
 # clean against a baseline recorded with them (and vice versa).
@@ -115,7 +115,7 @@ def compare_values(path: str, base, fresh, tolerance_pct: float,
         return
 
     key = path.rsplit(".", 1)[-1].split("[")[0]
-    # Informational wins over the bool-gate rule: perf_counters_available
+    # Informational wins over the bool-gate rule: perf_cycles_available
     # flipping true -> false is the host losing PMU access, not a
     # regression in the code under test.
     kind = classify(key)
@@ -211,7 +211,7 @@ def self_test() -> int:
         "was_false": False,
         "hardware_concurrency": 1,
         "off_overhead_pct": 1.0,
-        "perf_counters_available": True,
+        "perf_cycles_available": True,
         "spec_ipc": 2.5,
         "legacy_cache_miss_rate": 0.04,
         "spec_cycles_per_proposal": 150.0,
@@ -265,9 +265,9 @@ def self_test() -> int:
     # bool flipping false, and counters vanishing entirely all pass.
     expect("informational drift", mutated(spec_ipc=0.01), want_fail=False)
     expect("informational bool flip",
-           mutated(perf_counters_available=False), want_fail=False)
+           mutated(perf_cycles_available=False), want_fail=False)
     no_counters = mutated()
-    for key in ("perf_counters_available", "spec_ipc",
+    for key in ("perf_cycles_available", "spec_ipc",
                 "legacy_cache_miss_rate", "spec_cycles_per_proposal"):
         del no_counters[key]
     expect("informational fields absent", no_counters, want_fail=False)
