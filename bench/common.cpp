@@ -26,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace mcopt::bench {
 
@@ -613,6 +614,20 @@ void write_json_report(const std::string& name, const std::string& payload) {
   }
   out << payload;
   std::printf("(json report written to %s)\n", path.c_str());
+}
+
+PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
+                               const std::vector<double>& baseline_seconds) {
+  std::vector<double> pct;
+  pct.reserve(tier_seconds.size());
+  for (std::size_t rep = 0; rep < tier_seconds.size(); ++rep) {
+    if (baseline_seconds[rep] > 0.0) {
+      pct.push_back(100.0 * (tier_seconds[rep] / baseline_seconds[rep] - 1.0));
+    }
+  }
+  if (pct.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(pct.begin(), pct.end());
+  return {*lo, util::median(pct), *hi};
 }
 
 }  // namespace mcopt::bench

@@ -218,4 +218,17 @@ void maybe_write_csv(const std::string& experiment, const util::Table& table);
 /// can diff perf trajectories.
 void write_json_report(const std::string& name, const std::string& payload);
 
+/// Paired per-rep overhead of a timed tier against the baseline run of the
+/// same rep, in percent: 100 * (tier / baseline - 1).  Adjacent runs share
+/// machine conditions, so drift cancels out of each ratio.  The median is
+/// the overhead the overhead benches report and gate; min and max show its
+/// noise floor.
+struct PairedOverhead {
+  double min_pct = 0.0;
+  double median_pct = 0.0;
+  double max_pct = 0.0;
+};
+PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
+                               const std::vector<double>& baseline_seconds);
+
 }  // namespace mcopt::bench

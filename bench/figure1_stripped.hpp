@@ -106,7 +106,7 @@ inline core::RunResult run_figure1_stripped(core::Problem& problem,
         take = true;
         gate_counter = 1;
       }
-    } else {
+    } else if (!g.never_accepts(temp)) {
       take = rng.next_double() < g.probability(temp, h_i, h_j);
     }
 

@@ -84,10 +84,12 @@ void BM_DensitySwapUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 
-// The speculative swap kernel alone: speculate_swap + discard on a fixed
-// arrangement, pairs drawn up front so the RNG is not timed.  Args:
-// (cells, multi_pin) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell.
-void BM_DensitySpeculateSwap(benchmark::State& state) {
+// The speculative kernels alone: speculate_swap (resp. speculate_move) +
+// discard on a fixed arrangement, pairs drawn up front so the RNG is not
+// timed.  Args: (cells, nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets
+// per cell.
+template <bool kMove>
+void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
   util::Rng rng{10};
   const auto nl =
@@ -104,12 +106,29 @@ void BM_DensitySpeculateSwap(benchmark::State& state) {
   for (auto _ : state) {
     const auto [a, b] = pairs[i];
     i = (i + 1) % kPairs;
-    ds.speculate_swap(a, b);
+    if constexpr (kMove) {
+      ds.speculate_move(a, b);
+    } else {
+      ds.speculate_swap(a, b);
+    }
     benchmark::DoNotOptimize(ds.speculative_density());
     ds.discard_speculation();
   }
 }
+
+void BM_DensitySpeculateSwap(benchmark::State& state) {
+  density_speculation<false>(state);
+}
 BENCHMARK(BM_DensitySpeculateSwap)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({60, 0})
+    ->ArgNames({"cells", "nola"});
+
+void BM_DensitySpeculateMove(benchmark::State& state) {
+  density_speculation<true>(state);
+}
+BENCHMARK(BM_DensitySpeculateMove)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})
@@ -126,28 +145,20 @@ void BM_DensityFullRecount(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityFullRecount)->Arg(15)->Arg(60)->Arg(240);
 
-// Arg 0 = apply+undo, arg 1 = speculative delta evaluation.  Run with the
-// perf counters available, the IPC / cache_miss_rate / cycles_per_iter
-// user counters attribute the speculative-path speedup to its
-// microarchitectural cause instead of just asserting the ratio.
+// One propose + reject through the Problem interface.  Run with the perf
+// counters available, the IPC / cache_miss_rate / cycles_per_iter user
+// counters attribute its cost to the microarchitecture.
 void BM_LinArrProposeReject(benchmark::State& state) {
   const auto nl = gola(15, 150);
   util::Rng rng{4};
-  const auto path = state.range(0) == 0 ? core::EvalPath::kApplyUndo
-                                        : core::EvalPath::kSpeculative;
-  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng),
-                                linarr::MoveKind::kPairwiseInterchange,
-                                linarr::Objective::kDensity, path};
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng)};
   PerfReport perf{state};
   for (auto _ : state) {
     benchmark::DoNotOptimize(problem.propose(rng));
     problem.reject();
   }
 }
-BENCHMARK(BM_LinArrProposeReject)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("spec");
+BENCHMARK(BM_LinArrProposeReject);
 
 void BM_GEvaluate(benchmark::State& state) {
   const auto cls = static_cast<core::GClass>(state.range(0));

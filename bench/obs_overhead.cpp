@@ -17,7 +17,9 @@
 //
 // Methodology: one untimed warmup pass over all tiers, then best-of-reps
 // with reps interleaved across tiers (not tier-by-tier) so machine drift
-// cannot skew the comparison.
+// cannot skew the comparison.  Each tier's overhead_pct is the median of
+// its paired per-rep ratios against the baseline (the gate reads it);
+// overhead_pct_min/_median/_max give their spread.
 //
 // Results land in BENCH_obs.json via bench::write_json_report.  Wall-clock
 // numbers are hardware-dependent; the determinism checks are not.
@@ -46,7 +48,6 @@
 #include "util/args.hpp"
 #include "util/budget.hpp"
 #include "util/invariant.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -57,7 +58,7 @@ struct ConfigTiming {
   std::string name;
   double best_seconds = 0.0;
   double proposals_per_sec = 0.0;
-  double overhead_pct = 0.0;  // vs the stripped baseline
+  bench::PairedOverhead overhead;  // vs the stripped baseline
 };
 
 }  // namespace
@@ -148,14 +149,13 @@ int main(int argc, char** argv) {
   // slow machine drift lands evenly on all configs instead of biasing
   // whichever tier happens to run last.  The old per-tier outer loop made
   // the stripped baseline absorb all the cold-start cost and could report
-  // *negative* overhead for the instrumented tiers.  Overheads are the
-  // minimum over reps of the *paired* per-rep ratio against the baseline
-  // run of the same rep: temporally adjacent runs share machine
-  // conditions, so drift cancels out of the ratio instead of landing in
-  // whichever tier a global minimum happens to favour.  The median ratio
-  // is the reported overhead: unlike a minimum it is not biased low when
-  // a baseline rep eats a noise spike, and unlike a mean it shrugs off a
-  // single bad rep of the measured tier.
+  // *negative* overhead for the instrumented tiers.  Overheads come from
+  // the *paired* per-rep ratio against the baseline run of the same rep
+  // (bench::paired_overhead).  The median ratio is the reported overhead:
+  // unlike a minimum it is not biased low when a baseline rep eats a noise
+  // spike, and unlike a mean it shrugs off a single bad rep of the
+  // measured tier.  The min and max ratios are reported beside it, so a
+  // reader can see how much of the median is noise.
   std::vector<ConfigTiming> timings(tiers.size());
   std::vector<std::vector<double>> rep_seconds(
       tiers.size(), std::vector<double>(reps, 0.0));
@@ -181,19 +181,12 @@ int main(int argc, char** argv) {
     }
   }
   for (std::size_t i = 0; i < tiers.size(); ++i) {
-    double best = 1e300;
-    std::vector<double> ratios;
-    ratios.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      best = std::min(best, rep_seconds[i][rep]);
-      if (rep_seconds[0][rep] > 0.0) {
-        ratios.push_back(rep_seconds[i][rep] / rep_seconds[0][rep]);
-      }
-    }
+    const double best =
+        *std::min_element(rep_seconds[i].begin(), rep_seconds[i].end());
     timings[i].best_seconds = best;
     timings[i].proposals_per_sec =
         best > 0.0 ? static_cast<double>(reference.proposals) / best : 0.0;
-    timings[i].overhead_pct = 100.0 * (util::median(ratios) - 1.0);
+    timings[i].overhead = bench::paired_overhead(rep_seconds[i], rep_seconds[0]);
   }
 
   util::Table table;
@@ -201,16 +194,20 @@ int main(int argc, char** argv) {
   table.add_column("seconds");
   table.add_column("proposals/s");
   table.add_column("overhead %");
+  table.add_column("min %");
+  table.add_column("max %");
   for (const ConfigTiming& timing : timings) {
     table.begin_row();
     table.cell(timing.name);
     table.cell(timing.best_seconds, 4);
     table.cell(timing.proposals_per_sec, 0);
-    table.cell(timing.overhead_pct, 2);
+    table.cell(timing.overhead.median_pct, 2);
+    table.cell(timing.overhead.min_pct, 2);
+    table.cell(timing.overhead.max_pct, 2);
   }
   table.print();
 
-  const double off_overhead = timings[1].overhead_pct;
+  const double off_overhead = timings[1].overhead.median_pct;
   const bool gate_ok = off_overhead < gate_pct;
 
   // Acceptance criterion: traced 8-thread run == untraced 1-thread run in
@@ -269,13 +266,16 @@ int main(int argc, char** argv) {
   json += "  \"configs\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const ConfigTiming& timing = timings[i];
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"seconds\": %.6f, "
-                  "\"proposals_per_sec\": %.1f, \"overhead_pct\": %.3f}%s\n",
+                  "\"proposals_per_sec\": %.1f, \"overhead_pct\": %.3f, "
+                  "\"overhead_pct_min\": %.3f, \"overhead_pct_median\": %.3f, "
+                  "\"overhead_pct_max\": %.3f}%s\n",
                   timing.name.c_str(), timing.best_seconds,
-                  timing.proposals_per_sec, timing.overhead_pct,
-                  i + 1 < timings.size() ? "," : "");
+                  timing.proposals_per_sec, timing.overhead.median_pct,
+                  timing.overhead.min_pct, timing.overhead.median_pct,
+                  timing.overhead.max_pct, i + 1 < timings.size() ? "," : "");
     json += buf;
   }
   json += "  ]\n}\n";

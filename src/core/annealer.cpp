@@ -1,5 +1,6 @@
 #include "core/annealer.hpp"
 
+#include <string>
 #include <utility>
 
 #include "core/figure1.hpp"
@@ -7,6 +8,25 @@
 #include "core/schedule.hpp"
 
 namespace mcopt::core {
+namespace {
+
+/// The quench limit of annealing: one level whose g is identically 0.
+class QuenchG final : public GFunction {
+ public:
+  [[nodiscard]] unsigned num_temperatures() const noexcept override {
+    return 1;
+  }
+  [[nodiscard]] double probability(unsigned /*t*/, double /*h_i*/,
+                                   double /*h_j*/) const override {
+    return 0.0;
+  }
+  [[nodiscard]] bool never_accepts(unsigned /*t*/) const noexcept override {
+    return true;
+  }
+  [[nodiscard]] std::string name() const override { return "quench"; }
+};
+
+}  // namespace
 
 RunResult simulated_annealing(Problem& problem, const AnnealOptions& options,
                               util::Rng& rng) {
@@ -22,46 +42,10 @@ RunResult simulated_annealing(Problem& problem, const AnnealOptions& options,
 
 RunResult random_descent(Problem& problem, std::uint64_t budget,
                          util::Rng& rng, const obs::Recorder* recorder) {
-  RunResult result;
-  result.initial_cost = problem.cost();
-  result.best_cost = result.initial_cost;
-  problem.snapshot_into(result.best_state);
-  result.temperatures_visited = 1;
-
-  obs::Recorder rec = recorder != nullptr ? *recorder : obs::Recorder{};
-  rec.begin_run(&result.metrics, 1);
-  obs::ProfileScope profile_scope{rec, "random_descent"};
-  rec.stage_begin(0, 0, result.initial_cost, result.best_cost,
-                  obs::StageReason::kStart);
-
-  double h_i = result.initial_cost;
-  util::WorkBudget work{budget};
-  while (!work.exhausted()) {
-    const double h_j = problem.propose(rng);
-    work.charge();
-    ++result.proposals;
-    const double delta = h_j - h_i;
-    rec.proposal(0, work.spent(), h_j, result.best_cost, delta);
-    if (h_j < h_i) {
-      problem.accept();
-      ++result.accepts;
-      h_i = h_j;
-      rec.accept(0, work.spent(), h_j, result.best_cost, delta);
-      if (h_i < result.best_cost) {
-        result.best_cost = h_i;
-        problem.snapshot_into(result.best_state);
-        rec.new_best(0, work.spent(), result.best_cost);
-      }
-    } else {
-      problem.reject();
-      rec.reject(0, work.spent(), h_j, result.best_cost);
-    }
-  }
-  result.ticks = work.spent();
-  result.final_cost = problem.cost();
-  profile_scope.add_ticks(result.ticks);
-  rec.end_run();
-  return result;
+  Figure1Options options;
+  options.budget = budget;
+  options.recorder = recorder;
+  return run_figure1(problem, QuenchG{}, options, rng);
 }
 
 }  // namespace mcopt::core

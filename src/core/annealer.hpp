@@ -37,8 +37,10 @@ struct AnnealOptions {
 
 /// Pure descent baseline: repeatedly proposes random perturbations and
 /// accepts only strict improvements until the budget is spent (the
-/// "quench" limit of annealing; used by ablation benches).  The optional
-/// recorder observes the run as a single stage-0 level.
+/// "quench" limit of annealing; used by ablation benches).  This is
+/// run_figure1 with one level whose g is identically 0, so a rejection
+/// draws no random number.  The optional recorder observes the run as a
+/// single stage-0 level.
 [[nodiscard]] RunResult random_descent(Problem& problem, std::uint64_t budget,
                                        util::Rng& rng,
                                        const obs::Recorder* recorder = nullptr);

@@ -129,7 +129,7 @@ RunResult run_figure1(Problem& problem, const GFunction& g,
         take = true;
         gate_counter = 1;  // the paper resets to 1, not 0
       }
-    } else {
+    } else if (!g.never_accepts(temp)) {
       take = rng.next_double() < g.probability(temp, h_i, h_j);
     }
 

@@ -22,7 +22,9 @@
 // straightforward implementation random-walks, so the paper's gate (§3) is
 // applied: an uphill move is taken only once `gate_threshold` consecutive
 // uphill proposals have accumulated since the last improvement, after which
-// the gate counter resets to 1.
+// the gate counter resets to 1.  Levels where g is identically 0
+// (GFunction::never_accepts) reject every non-improving move without an
+// acceptance draw.
 #pragma once
 
 #include <cstdint>

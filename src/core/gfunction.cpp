@@ -139,6 +139,8 @@ class CohoonG final : public GFunction {
 
 bool GFunction::always_accepts(unsigned /*t*/) const noexcept { return false; }
 
+bool GFunction::never_accepts(unsigned /*t*/) const noexcept { return false; }
+
 double GFunction::temperature(unsigned /*t*/) const noexcept { return 0.0; }
 
 std::unique_ptr<GFunction> make_g(GClass cls, const GParams& params) {

@@ -53,6 +53,11 @@ class GFunction {
   /// random-walk.
   [[nodiscard]] virtual bool always_accepts(unsigned t) const noexcept;
 
+  /// True when g is identically 0 at level `t`.  The Figure 1 runner then
+  /// rejects every non-improving move without drawing a random number —
+  /// the quench that core::random_descent runs.
+  [[nodiscard]] virtual bool never_accepts(unsigned t) const noexcept;
+
   /// The Boltzmann temperature Y_t at level `t`, when this class's
   /// acceptance rule is of the e^(-Δ/Y_t) family (Metropolis, Six
   /// Temperature Annealing, explicit annealing schedules); 0 otherwise.

@@ -21,23 +21,6 @@ namespace mcopt::core {
 /// (a permutation for linear arrangement and TSP, side bits for partition).
 using Snapshot = std::vector<std::uint32_t>;
 
-/// How a problem evaluates a proposed perturbation.
-///
-/// Both paths expose the same propose/accept/reject contract, return
-/// bit-identical costs, and consume the RNG stream identically — the
-/// differential fuzz tests enforce this — so the choice is purely a
-/// performance knob.
-enum class EvalPath {
-  /// propose() evaluates the candidate into per-move scratch without
-  /// committing; accept() commits in O(touched) and reject() only clears
-  /// scratch.  A rejected proposal is (nearly) free — the right choice
-  /// for Metropolis loops at low acceptance rates.
-  kSpeculative,
-  /// propose() applies the move and reject() replays the exact inverse —
-  /// the original path, kept as the semantic reference and fuzz oracle.
-  kApplyUndo,
-};
-
 class Problem {
  public:
   virtual ~Problem() = default;
@@ -45,9 +28,13 @@ class Problem {
   /// h(i) of the current solution.
   [[nodiscard]] virtual double cost() const = 0;
 
-  /// Applies one random perturbation (e.g. a pairwise interchange, §4.2.1)
+  /// Draws one random perturbation (e.g. a pairwise interchange, §4.2.1)
   /// and returns h(j), the cost of the perturbed solution.  Exactly one of
   /// accept()/reject() must follow before the next propose()/descend().
+  /// The runners never read cost() while a perturbation is pending: the
+  /// library's problems evaluate j without committing it (cost() stays
+  /// h(i)), but a problem may equally apply the move here and undo it in
+  /// reject().
   virtual double propose(util::Rng& rng) = 0;
 
   /// Commits the pending perturbation: j becomes the current solution.

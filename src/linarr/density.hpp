@@ -16,32 +16,33 @@
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` recomputes everything from scratch for tests.
 //
-// Two evaluation paths:
-//   * apply_swap/apply_move mutate the committed state in place (the
-//     original PR-0 path, kept as the semantic reference: self-inverse,
-//     obviously correct, used by the differential fuzz tests);
-//   * speculate_swap/speculate_move evaluate the same move without
-//     committing anything.  A move can change crossing counts only on the
-//     boundaries of its window [min, max) of the two positions.  Each
-//     touched net adds its per-boundary change to one reserved difference
-//     array (window_diff_) as a few ±1 point writes, and a single
-//     prefix-sum pass over the window yields the changed boundaries and
-//     their deltas, the window's new maximum and the total-span delta,
-//     zeroing the array as it goes.  For a swap the writes come from the
-//     cached extrema in O(1) per net: a pin moving right from lo to hi
-//     changes its net's count on boundary b by [L <= b] - [b < H], where
-//     L/H are the extrema of the net's other pins (a leftward pin, the
-//     negation); only a pin at the trailing end of a net of three or more
-//     pins (the low end for a rightward pin) walks the net.  A move walks
-//     the pins of every net on the cells in its window.  The
-//     count-of-counts histogram minus the changed boundaries' old values
-//     gives the largest cut outside the changed set, so the
-//     candidate density/total span are exact integers a Metropolis loop
-//     can test, then commit_speculation() in O(changed) or
-//     discard_speculation() in O(changed) — a rejected proposal never
+// Two ways to make a move:
+//   * speculate_swap/speculate_move — the path LinArrProblem runs —
+//     evaluate a move without committing anything.  A move can change
+//     crossing counts only on the boundaries of its window [min, max) of
+//     the two positions.  Each touched net adds its per-boundary change to
+//     one reserved difference array (window_diff_) as a few ±1 point
+//     writes, and a single prefix-sum pass over the window yields the
+//     changed boundaries and their deltas, the window's new maximum and
+//     the total-span delta, zeroing the array as it goes.  For a swap the
+//     writes come from the cached extrema in O(1) per net: a pin moving
+//     right from lo to hi changes its net's count on boundary b by
+//     [L <= b] - [b < H], where L/H are the extrema of the net's other
+//     pins (a leftward pin, the negation); only a pin at the trailing end
+//     of a net of three or more pins (the low end for a rightward pin)
+//     walks the net.  A move walks the pins of every net on the cells in
+//     its window.  The count-of-counts histogram minus the changed
+//     boundaries' old values gives the largest cut outside the changed
+//     set, so the candidate density/total span are exact integers a
+//     Metropolis loop can test, then commit_speculation() in O(changed)
+//     or discard_speculation() in O(changed) — a rejected proposal never
 //     writes cuts_, the histogram, or the arrangement.  A commit makes one
 //     histogram update per changed boundary instead of one per crossing
-//     unit, so accepted moves are cheaper than the apply path too.
+//     unit.
+//   * apply_swap/apply_move mutate the committed state in place.  They
+//     are self-inverse and obviously correct: the reference the density
+//     tests hold the speculative kernels to, beside verify()'s full
+//     recount.
 #pragma once
 
 #include <cstddef>

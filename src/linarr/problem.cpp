@@ -11,12 +11,10 @@
 namespace mcopt::linarr {
 
 LinArrProblem::LinArrProblem(const Netlist& netlist, Arrangement start,
-                             MoveKind move_kind, Objective objective,
-                             core::EvalPath path)
+                             MoveKind move_kind, Objective objective)
     : state_(netlist, std::move(start)),
       move_kind_(move_kind),
-      objective_(objective),
-      path_(path) {
+      objective_(objective) {
   if (netlist.num_cells() < 2) {
     throw std::invalid_argument("LinArrProblem: need at least two cells");
   }
@@ -37,75 +35,42 @@ double LinArrProblem::speculative_objective() const noexcept {
 double LinArrProblem::cost() const { return objective_value(); }
 
 // mcopt: hot
-double LinArrProblem::propose(util::Rng& rng) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("propose: a perturbation is already pending");
-  }
-  const std::size_t n = state_.arrangement().size();
-  const auto [a, b] = rng.next_distinct_pair(n);
-  pending_a_ = a;
-  pending_b_ = b;
-  if (path_ == core::EvalPath::kSpeculative) {
-    if (move_kind_ == MoveKind::kPairwiseInterchange) {
-      state_.speculate_swap(a, b);
-      pending_ = Pending::kSwap;
-    } else {
-      state_.speculate_move(a, b);
-      pending_ = Pending::kMove;
-    }
-    return speculative_objective();
-  }
-  if (move_kind_ == MoveKind::kPairwiseInterchange) {
-    state_.apply_swap(a, b);
-    pending_ = Pending::kSwap;
-  } else {
-    state_.apply_move(a, b);
-    pending_ = Pending::kMove;
-  }
-  return objective_value();
-}
-
-// mcopt: hot
-void LinArrProblem::accept() {
-  if (pending_ == Pending::kNone) {
-    throw std::logic_error("accept: no pending perturbation");
-  }
-  if (path_ == core::EvalPath::kSpeculative) {
-    state_.commit_speculation();
-  }
-  pending_ = Pending::kNone;
-}
-
-// mcopt: hot
-void LinArrProblem::reject() {
-  if (pending_ == Pending::kNone) {
-    throw std::logic_error("reject: no pending perturbation");
-  }
-  if (path_ == core::EvalPath::kSpeculative) {
-    state_.discard_speculation();
-  } else {
-    undo_pending();
-  }
-  pending_ = Pending::kNone;
-}
-
-void LinArrProblem::undo_pending() {
-  if (pending_ == Pending::kSwap) {
-    state_.apply_swap(pending_a_, pending_b_);
-  } else if (pending_ == Pending::kMove) {
-    // move_position(from, to) is undone by move_position(to, from).
-    state_.apply_move(pending_b_, pending_a_);
-  }
-}
-
-bool LinArrProblem::try_improving_move(std::size_t a, std::size_t b,
-                                       double before) {
+double LinArrProblem::speculate(std::size_t a, std::size_t b) {
   if (move_kind_ == MoveKind::kPairwiseInterchange) {
     state_.speculate_swap(a, b);
   } else {
     state_.speculate_move(a, b);
   }
-  if (speculative_objective() < before) {
+  return speculative_objective();
+}
+
+// mcopt: hot
+double LinArrProblem::propose(util::Rng& rng) {
+  if (pending_) {
+    throw std::logic_error("propose: a perturbation is already pending");
+  }
+  const auto [a, b] = rng.next_distinct_pair(state_.arrangement().size());
+  pending_ = true;
+  return speculate(a, b);
+}
+
+// mcopt: hot
+void LinArrProblem::accept() {
+  if (!pending_) throw std::logic_error("accept: no pending perturbation");
+  state_.commit_speculation();
+  pending_ = false;
+}
+
+// mcopt: hot
+void LinArrProblem::reject() {
+  if (!pending_) throw std::logic_error("reject: no pending perturbation");
+  state_.discard_speculation();
+  pending_ = false;
+}
+
+bool LinArrProblem::try_improving_move(std::size_t a, std::size_t b,
+                                       double before) {
+  if (speculate(a, b) < before) {
     state_.commit_speculation();
     return true;
   }
@@ -114,66 +79,24 @@ bool LinArrProblem::try_improving_move(std::size_t a, std::size_t b,
 }
 
 void LinArrProblem::descend(util::WorkBudget& budget) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("descend: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("descend: a perturbation is pending");
   const std::size_t n = state_.arrangement().size();
   bool improved = true;
-  if (path_ == core::EvalPath::kSpeculative) {
-    // Same scan order and charge cadence as the apply-undo loop below, so
-    // both paths reach the identical local optimum with identical budget
-    // consumption — only the cost of each *rejected* candidate differs.
-    while (improved && !budget.exhausted()) {
-      improved = false;
-      for (std::size_t a = 0; a + 1 < n && !budget.exhausted(); ++a) {
-        for (std::size_t b = a + 1; b < n && !budget.exhausted(); ++b) {
-          const double before = objective_value();
-          budget.charge();
-          if (try_improving_move(a, b, before)) {
-            improved = true;
-            continue;
-          }
-          if (move_kind_ == MoveKind::kSingleExchange) {
-            // Single exchange is directional: try a->b, then b->a.
-            if (budget.exhausted()) break;
-            budget.charge();
-            if (try_improving_move(b, a, before)) improved = true;
-          }
-        }
-      }
-    }
-    return;
-  }
   while (improved && !budget.exhausted()) {
     improved = false;
     for (std::size_t a = 0; a + 1 < n && !budget.exhausted(); ++a) {
       for (std::size_t b = a + 1; b < n && !budget.exhausted(); ++b) {
         const double before = objective_value();
-        if (move_kind_ == MoveKind::kPairwiseInterchange) {
-          state_.apply_swap(a, b);
-          budget.charge();
-          if (objective_value() < before) {
-            improved = true;
-          } else {
-            state_.apply_swap(a, b);
-          }
-        } else {
+        budget.charge();
+        if (try_improving_move(a, b, before)) {
+          improved = true;
+          continue;
+        }
+        if (move_kind_ == MoveKind::kSingleExchange) {
           // Single exchange is directional: try a->b, then b->a.
-          state_.apply_move(a, b);
-          budget.charge();
-          if (objective_value() < before) {
-            improved = true;
-            continue;
-          }
-          state_.apply_move(b, a);
           if (budget.exhausted()) break;
-          state_.apply_move(b, a);
           budget.charge();
-          if (objective_value() < before) {
-            improved = true;
-          } else {
-            state_.apply_move(a, b);
-          }
+          if (try_improving_move(b, a, before)) improved = true;
         }
       }
     }
@@ -181,9 +104,7 @@ void LinArrProblem::descend(util::WorkBudget& budget) {
 }
 
 void LinArrProblem::randomize(util::Rng& rng) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("randomize: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("randomize: a perturbation is pending");
   state_.reset(Arrangement::random(state_.arrangement().size(), rng));
 }
 
@@ -202,16 +123,13 @@ std::unique_ptr<core::Problem> LinArrProblem::clone() const {
 }
 
 void LinArrProblem::restore(const core::Snapshot& snap) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("restore: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("restore: a perturbation is pending");
   state_.reset(Arrangement::from_order(
       std::vector<CellId>(snap.begin(), snap.end())));
 }
 
 void LinArrProblem::check_invariants() const {
-  MCOPT_CHECK(pending_ == Pending::kNone,
-              "deep check with a perturbation pending");
+  MCOPT_CHECK(!pending_, "deep check with a perturbation pending");
   MCOPT_CHECK(state_.arrangement().is_consistent(),
               "arrangement order/position maps diverged");
   MCOPT_CHECK(state_.verify(),
@@ -224,28 +142,12 @@ bool LinArrProblem::is_local_optimum() {
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
-      if (path_ == core::EvalPath::kSpeculative) {
-        if (move_kind_ == MoveKind::kPairwiseInterchange) {
-          if (b < a) continue;  // swaps are symmetric
-          state_.speculate_swap(a, b);
-        } else {
-          state_.speculate_move(a, b);
-        }
-        const double h = speculative_objective();
-        state_.discard_speculation();
-        if (h < h0) return false;
-      } else if (move_kind_ == MoveKind::kPairwiseInterchange) {
-        if (b < a) continue;  // swaps are symmetric
-        state_.apply_swap(a, b);
-        const double h = objective_value();
-        state_.apply_swap(a, b);
-        if (h < h0) return false;
-      } else {
-        state_.apply_move(a, b);
-        const double h = objective_value();
-        state_.apply_move(b, a);
-        if (h < h0) return false;
+      if (move_kind_ == MoveKind::kPairwiseInterchange && b < a) {
+        continue;  // swaps are symmetric
       }
+      const double h = speculate(a, b);
+      state_.discard_speculation();
+      if (h < h0) return false;
     }
   }
   return true;

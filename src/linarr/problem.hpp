@@ -29,13 +29,13 @@ enum class Objective {
 
 class LinArrProblem final : public core::Problem {
  public:
-  /// Starts from `start`; `netlist` must outlive the problem.
-  /// `path` picks the proposal evaluation strategy (see core::EvalPath);
-  /// both paths produce bit-identical cost trajectories.
+  /// Starts from `start`; `netlist` must outlive the problem.  propose()
+  /// scores the move speculatively (DensityState::speculate_swap /
+  /// speculate_move): accept() commits it, reject() only discards the
+  /// per-move scratch.
   LinArrProblem(const Netlist& netlist, Arrangement start,
                 MoveKind move_kind = MoveKind::kPairwiseInterchange,
-                Objective objective = Objective::kDensity,
-                core::EvalPath path = core::EvalPath::kSpeculative);
+                Objective objective = Objective::kDensity);
 
   // core::Problem
   [[nodiscard]] double cost() const override;
@@ -57,7 +57,6 @@ class LinArrProblem final : public core::Problem {
     return state_.arrangement();
   }
   [[nodiscard]] MoveKind move_kind() const noexcept { return move_kind_; }
-  [[nodiscard]] core::EvalPath eval_path() const noexcept { return path_; }
 
   /// True when no pairwise interchange (resp. single exchange) lowers the
   /// cost; Figure 2 tests assert this postcondition of descend().  O(n^2)
@@ -67,22 +66,17 @@ class LinArrProblem final : public core::Problem {
  private:
   double objective_value() const noexcept;
   double speculative_objective() const noexcept;
-  /// Applies the pending move's inverse (apply-undo path only).
-  void undo_pending();
-  /// Speculatively evaluates swap/move (by move_kind_) of (a, b) and
-  /// commits iff the candidate improves on `before`.  Returns true when
-  /// committed.
+  /// Speculatively evaluates the swap/move (by move_kind_) of (a, b) and
+  /// returns its objective; the speculation stays open.
+  double speculate(std::size_t a, std::size_t b);
+  /// speculate(a, b), committed iff the candidate improves on `before`.
+  /// Returns true when committed.
   bool try_improving_move(std::size_t a, std::size_t b, double before);
 
   DensityState state_;
   MoveKind move_kind_;
   Objective objective_;
-  core::EvalPath path_;
-
-  enum class Pending { kNone, kSwap, kMove };
-  Pending pending_ = Pending::kNone;
-  std::size_t pending_a_ = 0;  // swap: positions; move: from -> to
-  std::size_t pending_b_ = 0;
+  bool pending_ = false;
 };
 
 }  // namespace mcopt::linarr

@@ -11,8 +11,8 @@
 
 namespace mcopt::partition {
 
-PartitionProblem::PartitionProblem(PartitionState start, core::EvalPath path)
-    : state_(std::move(start)), path_(path) {
+PartitionProblem::PartitionProblem(PartitionState start)
+    : state_(std::move(start)) {
   if (!state_.is_balanced()) {
     throw std::invalid_argument("PartitionProblem: start is not balanced");
   }
@@ -27,9 +27,7 @@ double PartitionProblem::propose(util::Rng& rng) {
     throw std::logic_error("propose: a perturbation is already pending");
   }
   // Uniform cross-side pair via rejection on uniform distinct pairs; at
-  // balance, acceptance probability is ~1/2 per draw.  The draw loop only
-  // reads committed sides, so both evaluation paths consume the RNG
-  // stream identically.
+  // balance, acceptance probability is ~1/2 per draw.
   const std::size_t n = state_.netlist().num_cells();
   CellId a;
   CellId b;
@@ -39,31 +37,21 @@ double PartitionProblem::propose(util::Rng& rng) {
     b = static_cast<CellId>(y);
   } while (state_.side(a) == state_.side(b));
   pending_ = true;
-  pending_a_ = a;
-  pending_b_ = b;
-  if (path_ == core::EvalPath::kSpeculative) {
-    state_.speculate_swap(a, b);
-    return static_cast<double>(state_.speculative_cut());
-  }
-  state_.swap(a, b);
-  return cost();
+  state_.speculate_swap(a, b);
+  return static_cast<double>(state_.speculative_cut());
 }
 
 // mcopt: hot
 void PartitionProblem::accept() {
   if (!pending_) throw std::logic_error("accept: no pending perturbation");
-  if (path_ == core::EvalPath::kSpeculative) state_.commit_speculation();
+  state_.commit_speculation();
   pending_ = false;
 }
 
 // mcopt: hot
 void PartitionProblem::reject() {
   if (!pending_) throw std::logic_error("reject: no pending perturbation");
-  if (path_ == core::EvalPath::kSpeculative) {
-    state_.discard_speculation();
-  } else {
-    state_.swap(pending_a_, pending_b_);
-  }
+  state_.discard_speculation();
   pending_ = false;
 }
 
@@ -78,21 +66,12 @@ void PartitionProblem::descend(util::WorkBudget& budget) {
         if (state_.side(a) == state_.side(b)) continue;
         const int before = state_.cut();
         budget.charge();
-        if (path_ == core::EvalPath::kSpeculative) {
-          state_.speculate_swap(a, b);
-          if (state_.speculative_cut() < before) {
-            state_.commit_speculation();
-            improved = true;
-          } else {
-            state_.discard_speculation();
-          }
-          continue;
-        }
-        state_.swap(a, b);
-        if (state_.cut() < before) {
+        state_.speculate_swap(a, b);
+        if (state_.speculative_cut() < before) {
+          state_.commit_speculation();
           improved = true;
         } else {
-          state_.swap(a, b);
+          state_.discard_speculation();
         }
       }
     }

@@ -18,10 +18,10 @@ namespace mcopt::partition {
 class PartitionProblem final : public core::Problem {
  public:
   /// Starts from `start` (must be balanced).  The underlying netlist must
-  /// outlive the problem.  `path` picks the proposal evaluation strategy
-  /// (see core::EvalPath); both paths produce bit-identical trajectories.
-  explicit PartitionProblem(PartitionState start,
-                            core::EvalPath path = core::EvalPath::kSpeculative);
+  /// outlive the problem.  propose() scores the swap speculatively
+  /// (PartitionState::speculate_swap): accept() commits it, reject() only
+  /// discards the per-move scratch.
+  explicit PartitionProblem(PartitionState start);
 
   // core::Problem
   [[nodiscard]] double cost() const override {
@@ -40,14 +40,10 @@ class PartitionProblem final : public core::Problem {
   [[nodiscard]] std::unique_ptr<core::Problem> clone() const override;
 
   [[nodiscard]] const PartitionState& state() const noexcept { return state_; }
-  [[nodiscard]] core::EvalPath eval_path() const noexcept { return path_; }
 
  private:
   PartitionState state_;
-  core::EvalPath path_;
   bool pending_ = false;
-  CellId pending_a_ = 0;
-  CellId pending_b_ = 0;
 };
 
 }  // namespace mcopt::partition

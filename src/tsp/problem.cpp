@@ -12,11 +12,8 @@
 namespace mcopt::tsp {
 
 TspProblem::TspProblem(const TspInstance& instance, Order start,
-                       TspMoveKind move_kind, core::EvalPath path)
-    : instance_(&instance),
-      order_(std::move(start)),
-      move_kind_(move_kind),
-      path_(path) {
+                       TspMoveKind move_kind)
+    : instance_(&instance), order_(std::move(start)), move_kind_(move_kind) {
   if (!is_valid_order(order_, instance.size())) {
     throw std::invalid_argument("TspProblem: start is not a valid order");
   }
@@ -34,12 +31,8 @@ double TspProblem::propose_two_opt(util::Rng& rng) {
     i = std::min(a, b);
     j = std::max(a, b);
   } while (i == 0 && j == n - 1);
-  // The delta reads only the four changed edges of the *committed* order,
-  // so computing it before (speculative) or after recording the move
-  // (apply-undo) yields the same bits.
+  // The delta reads only the four changed edges of the committed order.
   pending_delta_ = two_opt_delta(*instance_, order_, i, j);
-  if (path_ == core::EvalPath::kApplyUndo) apply_two_opt(order_, i, j);
-  pending_ = Pending::kTwoOpt;
   pending_i_ = i;
   pending_j_ = j;
   return length_ + pending_delta_;
@@ -57,13 +50,6 @@ double TspProblem::propose_or_opt(util::Rng& rng) {
     k = static_cast<std::size_t>(rng.next_below(n));
   } while ((k >= i && k < i + len) || k == (i + n - 1) % n || len >= n - 1);
   pending_delta_ = or_opt_delta(*instance_, order_, i, len, k);
-  if (path_ == core::EvalPath::kApplyUndo) {
-    // The speculative path skips both the O(n) backup copy and the
-    // rewrite: the tour is only touched on accept().
-    pending_backup_ = order_;
-    apply_or_opt(order_, i, len, k);
-  }
-  pending_ = Pending::kOrOpt;
   pending_i_ = i;
   pending_j_ = k;
   pending_len_ = len;
@@ -72,58 +58,41 @@ double TspProblem::propose_or_opt(util::Rng& rng) {
 
 // mcopt: hot
 double TspProblem::propose(util::Rng& rng) {
-  if (pending_ != Pending::kNone) {
+  if (pending_) {
     throw std::logic_error("propose: a perturbation is already pending");
   }
+  pending_ = true;
   return move_kind_ == TspMoveKind::kTwoOpt ? propose_two_opt(rng)
                                             : propose_or_opt(rng);
 }
 
 // mcopt: hot
 void TspProblem::accept() {
-  if (pending_ == Pending::kNone) {
-    throw std::logic_error("accept: no pending perturbation");
-  }
-  if (path_ == core::EvalPath::kSpeculative) {
-    if (pending_ == Pending::kTwoOpt) {
-      apply_two_opt(order_, pending_i_, pending_j_);
-    } else {
-      apply_or_opt(order_, pending_i_, pending_len_, pending_j_);
-    }
+  if (!pending_) throw std::logic_error("accept: no pending perturbation");
+  if (move_kind_ == TspMoveKind::kTwoOpt) {
+    apply_two_opt(order_, pending_i_, pending_j_);
+  } else {
+    apply_or_opt(order_, pending_i_, pending_len_, pending_j_);
   }
   length_ += pending_delta_;
-  pending_ = Pending::kNone;
+  pending_ = false;
   if (++accepts_since_resync_ >= kResyncInterval) resync_length();
 }
 
 // mcopt: hot
 void TspProblem::reject() {
-  if (pending_ == Pending::kNone) {
-    throw std::logic_error("reject: no pending perturbation");
-  }
-  if (path_ == core::EvalPath::kApplyUndo) {
-    if (pending_ == Pending::kTwoOpt) {
-      apply_two_opt(order_, pending_i_, pending_j_);  // self-inverse
-    } else {
-      order_ = pending_backup_;
-    }
-  }
-  // Speculative path: the tour was never touched — nothing to undo.
-  pending_ = Pending::kNone;
+  if (!pending_) throw std::logic_error("reject: no pending perturbation");
+  pending_ = false;  // the tour was never touched — nothing to undo
 }
 
 void TspProblem::descend(util::WorkBudget& budget) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("descend: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("descend: a perturbation is pending");
   two_opt_descent(*instance_, order_, budget);
   resync_length();
 }
 
 void TspProblem::randomize(util::Rng& rng) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("randomize: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("randomize: a perturbation is pending");
   order_ = random_order(order_.size(), rng);
   resync_length();
 }
@@ -141,9 +110,7 @@ std::unique_ptr<core::Problem> TspProblem::clone() const {
 }
 
 void TspProblem::restore(const core::Snapshot& snap) {
-  if (pending_ != Pending::kNone) {
-    throw std::logic_error("restore: a perturbation is pending");
-  }
+  if (pending_) throw std::logic_error("restore: a perturbation is pending");
   Order order(snap.begin(), snap.end());
   if (!is_valid_order(order, instance_->size())) {
     throw std::invalid_argument("TspProblem::restore: invalid snapshot");
@@ -153,8 +120,7 @@ void TspProblem::restore(const core::Snapshot& snap) {
 }
 
 void TspProblem::check_invariants() const {
-  MCOPT_CHECK(pending_ == Pending::kNone,
-              "deep check with a perturbation pending");
+  MCOPT_CHECK(!pending_, "deep check with a perturbation pending");
   MCOPT_CHECK(is_valid_order(order_, instance_->size()),
               "tour is no longer a permutation of the cities");
   // The incrementally-maintained length drifts by at most rounding between

@@ -23,14 +23,11 @@ enum class TspMoveKind {
 
 class TspProblem final : public core::Problem {
  public:
-  /// Starts from `start`; `instance` must outlive the problem.
-  /// `path` picks the proposal evaluation strategy (see core::EvalPath);
-  /// both paths produce bit-identical trajectories.  On the speculative
-  /// path propose() only computes the move delta — the tour is rewritten
-  /// on accept(), so a rejected Or-opt never copies the order at all.
+  /// Starts from `start`; `instance` must outlive the problem.  propose()
+  /// only computes the move delta — the tour is rewritten on accept(), so
+  /// a rejected move never touches the order at all.
   TspProblem(const TspInstance& instance, Order start,
-             TspMoveKind move_kind = TspMoveKind::kTwoOpt,
-             core::EvalPath path = core::EvalPath::kSpeculative);
+             TspMoveKind move_kind = TspMoveKind::kTwoOpt);
 
   // core::Problem
   [[nodiscard]] double cost() const override { return length_; }
@@ -51,7 +48,6 @@ class TspProblem final : public core::Problem {
     return *instance_;
   }
   [[nodiscard]] TspMoveKind move_kind() const noexcept { return move_kind_; }
-  [[nodiscard]] core::EvalPath eval_path() const noexcept { return path_; }
 
  private:
   void resync_length();
@@ -61,16 +57,13 @@ class TspProblem final : public core::Problem {
   const TspInstance* instance_;
   Order order_;
   TspMoveKind move_kind_;
-  core::EvalPath path_;
   double length_ = 0.0;
 
-  enum class Pending { kNone, kTwoOpt, kOrOpt };
-  Pending pending_ = Pending::kNone;
+  bool pending_ = false;
   std::size_t pending_i_ = 0;
-  std::size_t pending_j_ = 0;
+  std::size_t pending_j_ = 0;    // 2-opt: segment end; Or-opt: insertion point
   std::size_t pending_len_ = 0;  // Or-opt segment length
   double pending_delta_ = 0.0;
-  Order pending_backup_;  // Or-opt undo (apply-undo path only)
 
   std::uint64_t accepts_since_resync_ = 0;
   static constexpr std::uint64_t kResyncInterval = 4096;

@@ -1,10 +1,13 @@
 #include "core/annealer.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include <stdexcept>
-
+#include "obs/recorder.hpp"
 #include "support/toy_problem.hpp"
 
 namespace mcopt::core {
@@ -87,6 +90,32 @@ TEST(RandomDescentTest, NeverAcceptsUphill) {
   EXPECT_LE(result.final_cost, result.initial_cost);
   EXPECT_DOUBLE_EQ(result.best_cost, result.final_cost);
   EXPECT_EQ(result.proposals, 2000u);
+}
+
+TEST(RandomDescentTest, RejectionsDrawNoRandomNumbers) {
+  // ToyProblem::propose draws one next_bool(); a rejection must draw
+  // nothing more, so the stream is exactly one draw per proposal.
+  ToyProblem problem{rugged_landscape(), 12};
+  util::Rng rng{9};
+  const RunResult result = random_descent(problem, 300, rng);
+  ASSERT_LT(result.accepts, result.proposals);
+  util::Rng expected{9};
+  for (std::uint64_t i = 0; i < result.proposals; ++i) {
+    (void)expected.next_bool(0.5);
+  }
+  EXPECT_EQ(rng.next(), expected.next());
+}
+
+TEST(RandomDescentTest, ReportsUnderTheFigure1ProfileNode) {
+  ToyProblem problem{rugged_landscape(), 12};
+  util::Rng rng{10};
+  const obs::Recorder recorder{nullptr, /*collect_metrics=*/true,
+                               /*trace_sample=*/1, /*run=*/0,
+                               /*collect_profile=*/true};
+  const RunResult result = random_descent(problem, 200, rng, &recorder);
+  EXPECT_NE(result.metrics.profile.to_json(/*include_wall=*/false)
+                .find("\"figure1\""),
+            std::string::npos);
 }
 
 TEST(RandomDescentTest, ReachesNearestBasin) {

@@ -97,6 +97,18 @@ TEST(GOneTest, AlwaysOneAndFlagged) {
   EXPECT_TRUE(g->always_accepts(0));
 }
 
+TEST(GFunctionTest, NoPaperClassNeverAccepts) {
+  // Figure 1 skips the acceptance draw only on never_accepts() levels, so
+  // a paper class reporting it would change that class's RNG stream.
+  for (int c = 1; c <= 22; ++c) {
+    const auto g = make_g(static_cast<GClass>(c), {.num_nets = 150});
+    for (unsigned t = 0; t < g->num_temperatures(); ++t) {
+      EXPECT_FALSE(g->never_accepts(t)) << "class " << c << " level " << t;
+    }
+  }
+  EXPECT_FALSE(make_annealing_g({4.0, 2.0})->never_accepts(0));
+}
+
 TEST(TwoLevelTest, LevelValuesAndFlags) {
   const auto g = make_g(GClass::kTwoLevel);
   ASSERT_EQ(g->num_temperatures(), 2u);

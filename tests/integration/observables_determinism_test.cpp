@@ -1,7 +1,6 @@
 // Determinism of the thermodynamic observables (obs/observables.hpp):
 // the per-stage cost statistics, specific heat, autocorrelation, and
-// equilibrium flags must be bit-identical between 1 and 8 threads and
-// between the speculative and apply-undo proposal evaluation paths — the
+// equilibrium flags must be bit-identical between 1 and 8 threads — the
 // same contract the trace and metrics layers already satisfy.  Also pins
 // the flight-recorder ring across the parallel shard drain: its bounded
 // tail must equal the tail of the sequential stream.
@@ -34,13 +33,10 @@ netlist::Netlist test_netlist() {
   return netlist::random_gola(netlist::GolaParams{15, 120}, rng);
 }
 
-linarr::LinArrProblem test_problem(const netlist::Netlist& nl,
-                                   core::EvalPath path) {
+linarr::LinArrProblem test_problem(const netlist::Netlist& nl) {
   util::Rng rng{util::derive_seed(kSeed, 2)};
   return linarr::LinArrProblem{
-      nl, linarr::Arrangement::random(nl.num_cells(), rng),
-      linarr::MoveKind::kPairwiseInterchange, linarr::Objective::kDensity,
-      path};
+      nl, linarr::Arrangement::random(nl.num_cells(), rng)};
 }
 
 core::Runner figure1_runner(const core::GFunction& g) {
@@ -53,10 +49,9 @@ core::Runner figure1_runner(const core::GFunction& g) {
   };
 }
 
-obs::RunMetrics run_with(unsigned threads, core::EvalPath path,
-                         obs::TraceSink* sink = nullptr) {
+obs::RunMetrics run_with(unsigned threads, obs::TraceSink* sink = nullptr) {
   const auto nl = test_netlist();
-  auto problem = test_problem(nl, path);
+  auto problem = test_problem(nl);
   const auto g = core::make_g(core::GClass::kSixTempAnnealing);
   const auto runner = figure1_runner(*g);
 
@@ -107,21 +102,14 @@ void expect_same_observables(const obs::RunMetrics& a,
 }
 
 TEST(ObservablesDeterminismTest, BitIdenticalAcrossThreadCounts) {
-  const obs::RunMetrics t1 = run_with(1, core::EvalPath::kSpeculative);
-  const obs::RunMetrics t8 = run_with(8, core::EvalPath::kSpeculative);
+  const obs::RunMetrics t1 = run_with(1);
+  const obs::RunMetrics t8 = run_with(8);
   expect_same_observables(t1, t8);
   EXPECT_EQ(canonical_json(t1), canonical_json(t8));
 }
 
-TEST(ObservablesDeterminismTest, BitIdenticalAcrossEvalPaths) {
-  const obs::RunMetrics spec = run_with(4, core::EvalPath::kSpeculative);
-  const obs::RunMetrics undo = run_with(4, core::EvalPath::kApplyUndo);
-  expect_same_observables(spec, undo);
-  EXPECT_EQ(canonical_json(spec), canonical_json(undo));
-}
-
 TEST(ObservablesDeterminismTest, TemperatureAndHeatPopulateTheRegistry) {
-  const obs::RunMetrics metrics = run_with(2, core::EvalPath::kSpeculative);
+  const obs::RunMetrics metrics = run_with(2);
   // The annealing schedule records a positive Boltzmann temperature for
   // at least the hot stages, so a specific-heat estimate exists.
   bool saw_temperature = false;
@@ -150,11 +138,11 @@ TEST(ObservablesDeterminismTest, TemperatureAndHeatPopulateTheRegistry) {
 // sanctioned worker nondeterminism is filtered out.
 TEST(ObservablesDeterminismTest, FlightRingTailMatchesAcrossShardDrain) {
   obs::VectorSink full;
-  static_cast<void>(run_with(1, core::EvalPath::kSpeculative, &full));
+  static_cast<void>(run_with(1, &full));
 
   constexpr std::size_t kCapacity = 64;
   obs::RingBufferSink ring{kCapacity};
-  static_cast<void>(run_with(8, core::EvalPath::kSpeculative, &ring));
+  static_cast<void>(run_with(8, &ring));
 
   auto filtered = [](const std::vector<obs::Event>& events) {
     std::vector<obs::Event> out;

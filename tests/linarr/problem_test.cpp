@@ -47,26 +47,14 @@ TEST(LinArrProblemTest, RejectsTinyNetlist) {
   EXPECT_THROW((LinArrProblem{nl, Arrangement{1}}), std::invalid_argument);
 }
 
-TEST(LinArrProblemTest, ProposeReturnsPerturbedCost) {
-  const Netlist nl = paper_instance();
-  util::Rng rng{4};
-  LinArrProblem problem{nl, Arrangement::random(15, rng),
-                        MoveKind::kPairwiseInterchange, Objective::kDensity,
-                        core::EvalPath::kApplyUndo};
-  const double h_j = problem.propose(rng);
-  EXPECT_DOUBLE_EQ(h_j, problem.cost());  // apply-undo: pending is visible
-  problem.reject();
-}
-
 TEST(LinArrProblemTest, SpeculativeProposeLeavesCommittedCostVisible) {
   const Netlist nl = paper_instance();
   util::Rng rng{4};
   LinArrProblem problem{nl, Arrangement::random(15, rng)};
-  ASSERT_EQ(problem.eval_path(), core::EvalPath::kSpeculative);
   const double h_i = problem.cost();
   const double h_j = problem.propose(rng);
-  // Speculative: nothing is committed until accept(), so cost() still
-  // reports the current solution.
+  // Nothing is committed until accept(), so cost() still reports the
+  // current solution.
   EXPECT_DOUBLE_EQ(problem.cost(), h_i);
   problem.accept();
   EXPECT_DOUBLE_EQ(problem.cost(), h_j);

@@ -26,10 +26,16 @@ TEST(PartitionProblemTest, ProposePreservesBalance) {
   const Netlist nl = netlist::random_graph(20, 60, rng);
   PartitionProblem problem{PartitionState::random(nl, rng)};
   for (int i = 0; i < 200; ++i) {
-    (void)problem.propose(rng);
+    const double h_i = problem.cost();
+    const auto sides_i = problem.state().sides();
+    const double h_j = problem.propose(rng);
+    // Nothing is committed until accept(): cost() and the sides stay at i.
+    ASSERT_EQ(problem.cost(), h_i) << "step " << i;
+    ASSERT_EQ(problem.state().sides(), sides_i) << "step " << i;
     ASSERT_TRUE(problem.state().is_balanced());
     if (rng.next_bool(0.5)) {
       problem.accept();
+      ASSERT_EQ(problem.cost(), h_j) << "step " << i;
     } else {
       problem.reject();
     }
@@ -46,6 +52,7 @@ TEST(PartitionProblemTest, RejectRestoresCut) {
   const auto sides_before = problem.state().sides();
   for (int i = 0; i < 100; ++i) {
     (void)problem.propose(rng);
+    ASSERT_EQ(problem.cost(), before) << "step " << i;
     problem.reject();
   }
   EXPECT_DOUBLE_EQ(problem.cost(), before);

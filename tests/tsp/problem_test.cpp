@@ -34,7 +34,12 @@ TEST(TspProblemTest, ProposeAcceptRejectKeepLengthExact) {
   const TspInstance inst = TspInstance::random_euclidean(15, rng);
   TspProblem problem{inst, random_order(15, rng)};
   for (int i = 0; i < 2000; ++i) {
+    const double h_i = problem.cost();
+    const Order order_i = problem.order();
     const double h_j = problem.propose(rng);
+    // Nothing is committed until accept(): cost() and the tour stay at i.
+    ASSERT_EQ(problem.cost(), h_i) << "step " << i;
+    ASSERT_EQ(problem.order(), order_i) << "step " << i;
     if (rng.next_bool(0.5)) {
       problem.accept();
       ASSERT_NEAR(problem.cost(), h_j, 1e-6);
@@ -110,7 +115,12 @@ TEST(TspProblemTest, OrOptMovesKeepLengthExact) {
   const TspInstance inst = TspInstance::random_euclidean(15, rng);
   TspProblem problem{inst, random_order(15, rng), TspMoveKind::kOrOpt};
   for (int i = 0; i < 1500; ++i) {
+    const double h_i = problem.cost();
+    const Order order_i = problem.order();
     const double h_j = problem.propose(rng);
+    // Nothing is committed until accept(): cost() and the tour stay at i.
+    ASSERT_EQ(problem.cost(), h_i) << "step " << i;
+    ASSERT_EQ(problem.order(), order_i) << "step " << i;
     if (rng.next_bool(0.5)) {
       problem.accept();
       ASSERT_NEAR(problem.cost(), h_j, 1e-6);

@@ -213,7 +213,7 @@ def self_test() -> int:
         "off_overhead_pct": 1.0,
         "perf_cycles_available": True,
         "spec_ipc": 2.5,
-        "legacy_cache_miss_rate": 0.04,
+        "figure1_spec_cache_miss_rate": 0.04,
         "spec_cycles_per_proposal": 150.0,
         "configs": [
             {"name": "off", "seconds": 1.00, "proposals_per_sec": 1000.0},
@@ -268,11 +268,11 @@ def self_test() -> int:
            mutated(perf_cycles_available=False), want_fail=False)
     no_counters = mutated()
     for key in ("perf_cycles_available", "spec_ipc",
-                "legacy_cache_miss_rate", "spec_cycles_per_proposal"):
+                "figure1_spec_cache_miss_rate", "spec_cycles_per_proposal"):
         del no_counters[key]
     expect("informational fields absent", no_counters, want_fail=False)
     expect("informational fields appear",
-           mutated(legacy_ipc=1.2), want_fail=False)
+           mutated(figure1_spec_ipc=1.2), want_fail=False)
 
     # Structural: missing key and shorter row list fail; new key warns.
     missing = mutated()
