@@ -7,7 +7,10 @@
 //
 //  1. A stripped Metropolis kernel with a *fixed* uphill-accept
 //     probability, swept from always-reject to always-accept, so the
-//     throughput is measured as a function of acceptance rate.  The kernel
+//     throughput is measured as a function of acceptance rate.  It runs
+//     on GOLA 15/150 and 60/600, whose nets all take DensityState's
+//     two-pin path, and on NOLA 15/150 with 2-6 pins, so the wide-net
+//     path is priced and identity-checked too.  The kernel
 //     owns its acceptance draws and streams them from Rng::next_block in
 //     256-word blocks; pair draws stay inside propose().  Every rep of a
 //     config replays the same streams and must agree exactly (final cost,
@@ -218,6 +221,7 @@ int main(int argc, char** argv) {
 
   util::Rng gen_small{util::derive_seed(bench::kSeed, 15)};
   util::Rng gen_large{util::derive_seed(bench::kSeed, 60)};
+  util::Rng gen_nola{util::derive_seed(bench::kSeed + 1, 15)};
   std::vector<Instance> instances;
   instances.push_back(
       {"15/150", 15,
@@ -225,6 +229,9 @@ int main(int argc, char** argv) {
   instances.push_back(
       {"60/600", 60,
        netlist::random_gola(netlist::GolaParams{60, 600}, gen_large)});
+  instances.push_back(
+      {"nola 15/150", 15,
+       netlist::random_nola(netlist::NolaParams{15, 150, 2, 6}, gen_nola)});
 
   auto make_problem = [&](const Instance& inst) {
     util::Rng start_rng{util::derive_seed(bench::kSeed + 3, inst.cells)};

@@ -85,10 +85,10 @@ void BM_DensitySwapUndo(benchmark::State& state) {
 BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 
 // The speculative kernels alone: speculate_swap (resp. speculate_move) +
-// discard on a fixed arrangement, pairs drawn up front so the RNG is not
-// timed.  Args: (cells, nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets
-// per cell.
-template <bool kMove>
+// discard on a fixed arrangement, or speculate_swap + commit (the accept
+// path), pairs drawn up front so the RNG is not timed.  Args: (cells,
+// nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell.
+template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
   util::Rng rng{10};
@@ -112,7 +112,11 @@ void density_speculation(benchmark::State& state) {
       ds.speculate_swap(a, b);
     }
     benchmark::DoNotOptimize(ds.speculative_density());
-    ds.discard_speculation();
+    if constexpr (kCommit) {
+      ds.commit_speculation();
+    } else {
+      ds.discard_speculation();
+    }
   }
 }
 
@@ -120,6 +124,15 @@ void BM_DensitySpeculateSwap(benchmark::State& state) {
   density_speculation<false>(state);
 }
 BENCHMARK(BM_DensitySpeculateSwap)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({60, 0})
+    ->ArgNames({"cells", "nola"});
+
+void BM_DensitySpeculateCommit(benchmark::State& state) {
+  density_speculation<false, true>(state);
+}
+BENCHMARK(BM_DensitySpeculateCommit)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})

@@ -33,6 +33,7 @@
 #include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
 #include "partition/problem.hpp"
+#include "support/linarr_shapes.hpp"
 #include "tsp/instance.hpp"
 #include "tsp/problem.hpp"
 #include "tsp/tour.hpp"
@@ -212,7 +213,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpeculativeFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // The three linear-arrangement configs again, beyond 2-pin nets on 12
-// cells: multi-pin NOLA nets, and the smallest arrangements (n = 2, 3).
+// cells: multi-pin NOLA nets, two-pin and three-pin nets on the same
+// cells, heavily parallel two-pin nets, and the smallest arrangements
+// (n = 2, 3); see tests/support/linarr_shapes.hpp.
 class LinArrShapeFuzzTest
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
@@ -220,12 +223,7 @@ TEST_P(LinArrShapeFuzzTest, AllMoveKindsAndObjectives) {
   const auto& [shape, seed_param] = GetParam();
   const auto seed = static_cast<std::uint64_t>(seed_param);
   util::Rng gen{seed * 223 + 17};
-  const netlist::Netlist nl =
-      shape == "nola12"
-          ? netlist::random_nola(netlist::NolaParams{12, 80, 2, 6}, gen)
-      : shape == "gola2"
-          ? netlist::random_gola(netlist::GolaParams{2, 6}, gen)
-          : netlist::random_nola(netlist::NolaParams{3, 12, 2, 3}, gen);
+  const netlist::Netlist nl = mcopt::testing::linarr_shape(shape, gen);
   const auto start = linarr::Arrangement::random(nl.num_cells(), gen);
   const std::tuple<linarr::MoveKind, linarr::Objective> configs[] = {
       {linarr::MoveKind::kPairwiseInterchange, linarr::Objective::kDensity},
@@ -240,7 +238,8 @@ TEST_P(LinArrShapeFuzzTest, AllMoveKindsAndObjectives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LinArrShapeFuzzTest,
-    ::testing::Combine(::testing::Values("nola12", "gola2", "nola3"),
+    ::testing::Combine(::testing::Values("nola12", "gola2", "nola3",
+                                         "mixed12", "parallel8", "gola3"),
                        ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8)),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" +

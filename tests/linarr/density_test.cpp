@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "netlist/generator.hpp"
+#include "support/linarr_shapes.hpp"
 
 namespace mcopt::linarr {
 namespace {
@@ -149,6 +150,32 @@ TEST(DensityOfTest, OneShotMatchesState) {
   EXPECT_EQ(density_of(nl, arr), state.density());
 }
 
+// The recount builds no DensityState, so the state's own counts are an
+// independent check of it on random GOLA and NOLA instances.
+TEST(DensityOfTest, RecountMatchesStateOnRandomInstances) {
+  util::Rng rng{79};
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 2 + rng.next_below(30);
+    const std::size_t max_pins = std::min<std::size_t>(n, 6);
+    const Netlist nl =
+        trial % 2 == 0 ? random_gola(GolaParams{n, 5 * n}, rng)
+                       : random_nola(NolaParams{n, 5 * n, 2, max_pins}, rng);
+    const Arrangement arr = Arrangement::random(n, rng);
+    const DensityState state{nl, arr};
+    const std::vector<int> counts = crossing_counts(nl, arr);
+    ASSERT_EQ(counts.size(), n - 1);
+    for (std::size_t b = 0; b + 1 < n; ++b) {
+      ASSERT_EQ(counts[b], state.cut_at(b)) << "trial " << trial;
+    }
+    ASSERT_EQ(density_of(nl, arr), state.density()) << "trial " << trial;
+  }
+}
+
+TEST(DensityOfTest, RejectsSizeMismatch) {
+  const Netlist nl = path_graph(4);
+  EXPECT_THROW((void)density_of(nl, Arrangement{5}), std::invalid_argument);
+}
+
 // Property sweep: after arbitrary interleavings of swaps and moves the
 // incremental state must equal a from-scratch recount.  Parameterized over
 // (instance seed, use NOLA multi-pin nets).
@@ -284,51 +311,63 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
 }
 
 // The same oracle checks beyond 2-pin nets on 12 cells: multi-pin NOLA
-// nets (whose trailing-end pins walk the net) and the smallest
-// arrangements, where every window touches an end of the row.
-Netlist oracle_instance(const std::string& shape, util::Rng& rng) {
-  if (shape == "nola12") return random_nola(NolaParams{12, 80, 2, 6}, rng);
-  if (shape == "gola2") return random_gola(GolaParams{2, 6}, rng);
-  return random_nola(NolaParams{3, 12, 2, 3}, rng);  // "nola3"
-}
-
+// nets (whose trailing-end pins walk the net), two-pin and three-pin nets
+// on the same cells, heavily parallel two-pin nets, and the smallest
+// arrangements, where every window touches an end of the row (see
+// tests/support/linarr_shapes.hpp).
 class DensitySpeculationShapeTest
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DensitySpeculationShapeTest, SwapSpeculationMatchesApplyOracle) {
   util::Rng rng{91};
-  const Netlist nl = oracle_instance(GetParam(), rng);
+  const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
   expect_swap_speculation_matches_oracle(nl, rng);
 }
 
 TEST_P(DensitySpeculationShapeTest, MoveSpeculationMatchesApplyOracle) {
   util::Rng rng{93};
-  const Netlist nl = oracle_instance(GetParam(), rng);
+  const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
   expect_move_speculation_matches_oracle(nl, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DensitySpeculationShapeTest,
-                         ::testing::Values("nola12", "gola2", "nola3"),
+                         ::testing::Values("nola12", "gola2", "nola3",
+                                           "mixed12", "parallel8", "gola3"),
                          [](const auto& info) { return info.param; });
 
-// Every ordered swap (p, q) on `nl` from the identity arrangement: the
-// speculated density and span equal apply_swap's, and both a commit and a
-// discard leave a state that verify() accepts with the oracle's cuts.
-void expect_every_swap_matches_oracle(const Netlist& nl) {
+// Every ordered swap (or single exchange) (p, q) on `nl` from the
+// identity arrangement: the speculated density and span equal the apply
+// path's, and both a commit and a discard leave a state that verify()
+// accepts with the oracle's cuts.
+template <bool kMove>
+void expect_every_pair_matches_oracle(const Netlist& nl) {
   const std::size_t n = nl.num_cells();
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < n; ++q) {
       if (p == q) continue;
-      SCOPED_TRACE(::testing::Message() << "swap(" << p << ", " << q << ")");
+      SCOPED_TRACE(::testing::Message()
+                   << (kMove ? "move(" : "swap(") << p << ", " << q << ")");
       DensityState spec{nl, Arrangement{n}};
       DensityState oracle{nl, Arrangement{n}};
-      oracle.apply_swap(p, q);
-      spec.speculate_swap(p, q);
+      const auto speculate = [&] {
+        if constexpr (kMove) {
+          spec.speculate_move(p, q);
+        } else {
+          spec.speculate_swap(p, q);
+        }
+      };
+      if constexpr (kMove) {
+        oracle.apply_move(p, q);
+      } else {
+        oracle.apply_swap(p, q);
+      }
+      ASSERT_TRUE(oracle.verify());
+      speculate();
       ASSERT_EQ(spec.speculative_density(), oracle.density());
       ASSERT_EQ(spec.speculative_total_span(), oracle.total_span());
       spec.discard_speculation();
       ASSERT_TRUE(spec.verify());
-      spec.speculate_swap(p, q);
+      speculate();
       spec.commit_speculation();
       ASSERT_TRUE(spec.verify());
       ASSERT_EQ(spec.density(), oracle.density());
@@ -344,37 +383,71 @@ void expect_every_swap_matches_oracle(const Netlist& nl) {
 // 2 moves right and the pin of cell 5 moves left.  The leading end of a
 // net is the end its moving pin heads toward, the trailing end the one it
 // leaves.  Every ordered pair then puts each net's cells at every position
-// of the window, with q = p + 1 and with p > q.
-TEST(DensitySpeculationTest, HandBuiltSwapCasesMatchApplyOracle) {
-  struct Case {
-    const char* name;
-    std::vector<CellId> pins;
+// of the window, with q = p + 1 and with p > q.  Two-pin nets take the
+// neighbour-list path and wide nets the cached-extrema path; the last
+// cases put both kinds, and parallel two-pin nets, on the swapped cells.
+// The single-exchange test runs every ordered move over the same nets.
+struct HandBuiltCase {
+  const char* name;
+  std::vector<std::vector<CellId>> nets;
+  int copies = 1;  // each net added this many times
+};
+
+const std::vector<HandBuiltCase>& hand_built_cases() {
+  static const std::vector<HandBuiltCase> cases{
+      {"pin inside the span", {{0, 2, 7}}},
+      {"2-pin, pin at the leading end", {{0, 2}}},
+      {"3-pin, pin at the leading end", {{0, 1, 2}}},
+      {"2-pin, trailing pin, other pin inside the window", {{2, 3}}},
+      {"2-pin, trailing pin, other pin past the window", {{2, 7}}},
+      {"3-pin, trailing pin, rest inside the window", {{2, 3, 4}}},
+      {"3-pin, trailing pin, rest across the window end", {{2, 4, 7}}},
+      {"3-pin, trailing pin, rest past the window", {{2, 6, 7}}},
+      {"left pin inside the span", {{1, 5, 7}}},
+      {"2-pin, left pin at the leading end", {{5, 6}}},
+      {"3-pin, left pin at the trailing end", {{0, 3, 5}}},
+      {"net on both cells", {{2, 5}}},
+      {"net on both cells and beyond", {{0, 2, 5, 7}}},
+      {"2-pin net on both cells, 40 copies", {{2, 5}}, 40},
+      {"parallel 2-pin nets off both cells", {{2, 3}, {2, 7}, {0, 5}, {5, 6}},
+       40},
+      {"2-pin and wide nets sharing both cells",
+       {{2, 5}, {2, 5, 7}, {0, 2}, {0, 1, 2}, {2, 3, 4}, {5, 6}, {3, 5, 6},
+        {1, 5}}},
+      {"mixed nets with parallel copies on both cells",
+       {{2, 5}, {2, 4}, {0, 2, 5}, {4, 5}, {1, 2, 6}},
+       3},
   };
-  const std::vector<Case> cases{
-      {"pin inside the span", {0, 2, 7}},
-      {"2-pin, pin at the leading end", {0, 2}},
-      {"3-pin, pin at the leading end", {0, 1, 2}},
-      {"2-pin, trailing pin, other pin inside the window", {2, 3}},
-      {"2-pin, trailing pin, other pin past the window", {2, 7}},
-      {"3-pin, trailing pin, rest inside the window", {2, 3, 4}},
-      {"3-pin, trailing pin, rest across the window end", {2, 4, 7}},
-      {"3-pin, trailing pin, rest past the window", {2, 6, 7}},
-      {"left pin inside the span", {1, 5, 7}},
-      {"2-pin, left pin at the leading end", {5, 6}},
-      {"3-pin, left pin at the trailing end", {0, 3, 5}},
-      {"net on both cells", {2, 5}},
-      {"net on both cells and beyond", {0, 2, 5, 7}},
-  };
-  Netlist::Builder all{8};
-  for (const Case& c : cases) {
+  return cases;
+}
+
+Netlist hand_built_netlist(const std::vector<HandBuiltCase>& cases) {
+  Netlist::Builder b{8};
+  for (const HandBuiltCase& c : cases) {
+    for (int copy = 0; copy < c.copies; ++copy) {
+      for (const auto& pins : c.nets) b.add_net(pins);
+    }
+  }
+  return b.build();
+}
+
+template <bool kMove>
+void expect_hand_built_cases_match_oracle() {
+  for (const HandBuiltCase& c : hand_built_cases()) {
     SCOPED_TRACE(c.name);
-    Netlist::Builder one{8};
-    one.add_net(c.pins);
-    all.add_net(c.pins);
-    expect_every_swap_matches_oracle(one.build());
+    expect_every_pair_matches_oracle<kMove>(hand_built_netlist({c}));
   }
   SCOPED_TRACE("all nets together");
-  expect_every_swap_matches_oracle(all.build());
+  expect_every_pair_matches_oracle<kMove>(
+      hand_built_netlist(hand_built_cases()));
+}
+
+TEST(DensitySpeculationTest, HandBuiltSwapCasesMatchApplyOracle) {
+  expect_hand_built_cases_match_oracle<false>();
+}
+
+TEST(DensitySpeculationTest, HandBuiltMoveCasesMatchApplyOracle) {
+  expect_hand_built_cases_match_oracle<true>();
 }
 
 // Clone regression: vector copies shrink capacity to size and the per-move
