@@ -154,20 +154,34 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
     throw std::invalid_argument("parallel_multistart: num_threads must be >= 1");
   }
 
-  // Spawned worker w runs on clones[w - 1].  Clone in the calling thread,
-  // before any worker exists, so clone() never races with a mutating run.
-  std::vector<std::unique_ptr<Problem>> clones;
-  if (options.num_threads > 1) {
-    clones.reserve(options.num_threads);
-    for (unsigned t = 0; t < options.num_threads; ++t) {
-      auto clone = problem.clone();
+  // Spawned worker w runs on clones[w - 1], which it makes on its own
+  // thread before its first restart.  The copy is then allocated by that
+  // thread: with a per-thread allocator arena (glibc malloc has one) no two
+  // workers' per-move buffers share a cache line.  Cloned on the calling
+  // thread, every clone would come from one arena, where reused free
+  // chunks interleave them, and workers would slow each other by an amount
+  // that changes from call to call.  The caller's problem is never run in
+  // a round that has spawned workers, and clone_mu serializes the clone()
+  // calls, so a clone() that writes to its source (to count itself, say)
+  // stays race-free.  The first round always has a full slice, so with
+  // more than one thread some worker calls clone() and a nullptr throws.
+  std::vector<std::unique_ptr<Problem>> clones(options.num_threads);
+  util::Mutex clone_mu;
+  const auto worker_problem = [&](unsigned worker) -> Problem& {
+    if (worker == 0) return problem;
+    std::unique_ptr<Problem>& clone = clones[worker - 1];
+    if (!clone) {
+      {
+        util::MutexLock lock{clone_mu};
+        clone = problem.clone();
+      }
       if (!clone) {
         throw std::invalid_argument(
             "parallel_multistart: Problem::clone() returned nullptr");
       }
-      clones.push_back(std::move(clone));
     }
-  }
+    return *clone;
+  };
 
   // One master draw; restart i then sees Rng::split(master, i) no matter
   // which thread runs it or what ran before it there.
@@ -192,8 +206,7 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
     round.resize(remainder ? 1 : full);
     parallel_for(round.size(), remainder ? 1 : options.num_threads,
                  [&](std::size_t i, unsigned worker) {
-                   Problem& target =
-                       worker == 0 ? problem : *clones[worker - 1];
+                   Problem& target = worker_problem(worker);
                    const std::uint64_t index = first + i;
                    round[i] = run_start(
                        target, runner, index > 0 || opts.randomize_first,

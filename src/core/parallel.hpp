@@ -13,8 +13,8 @@
 //      util::Rng::split(master, i) (a SplitMix-style derivation).  A
 //      restart's randomness is a pure function of its index.
 //   2. Clone-per-worker problems.  Each spawned worker owns a deep copy
-//      obtained from Problem::clone(); no mutable state is shared between
-//      threads.
+//      obtained from Problem::clone(), made on the worker's own thread;
+//      no mutable state is shared between threads.
 //   3. One index-ordered fold.  The calling thread folds the per-restart
 //      RunResults into the aggregate strictly in index order (best
 //      tie-breaks, counter sums, final_cost, invariant stats, tick
@@ -40,8 +40,9 @@
 // and — when tracing — the restart's events at 56 B each) until the fold.
 //
 // The only cross-thread state is parallel_for()'s util::Mutex-guarded index
-// counter (util/sync.hpp); the `thread-safety` CMake preset makes any
-// unlocked access a compile error.
+// counter (util/sync.hpp) and the util::Mutex that serializes the workers'
+// clone() calls; the `thread-safety` CMake preset makes any unlocked access
+// to the counter a compile error.
 #pragma once
 
 #include <cstddef>

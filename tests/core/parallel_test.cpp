@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/annealer.hpp"
@@ -232,6 +235,66 @@ TEST(ParallelMultistartTest, MoreThreadsThanRestarts) {
       parallel_multistart(problem, descent_runner(), options, rng);
   EXPECT_EQ(result.restarts, 2u);
   EXPECT_EQ(result.aggregate.ticks, 200u);
+}
+
+// A ToyProblem whose clone() records the calling thread in a shared log.
+// The log is written without a lock, so the engine must serialize the
+// clone() calls; the TSan build flags a data race otherwise.
+class LoggingCloneProblem final : public Problem {
+ public:
+  LoggingCloneProblem(ToyProblem inner, std::vector<std::thread::id>& log)
+      : inner_(std::move(inner)), log_(&log) {}
+
+  [[nodiscard]] double cost() const override { return inner_.cost(); }
+  double propose(util::Rng& rng) override { return inner_.propose(rng); }
+  void accept() override { inner_.accept(); }
+  void reject() override { inner_.reject(); }
+  void descend(util::WorkBudget& budget) override { inner_.descend(budget); }
+  void randomize(util::Rng& rng) override { inner_.randomize(rng); }
+  [[nodiscard]] Snapshot snapshot() const override {
+    return inner_.snapshot();
+  }
+  void restore(const Snapshot& snap) override { inner_.restore(snap); }
+
+  [[nodiscard]] std::unique_ptr<Problem> clone() const override {
+    log_->push_back(std::this_thread::get_id());
+    return std::make_unique<LoggingCloneProblem>(inner_, *log_);
+  }
+
+ private:
+  ToyProblem inner_;
+  std::vector<std::thread::id>* log_;
+};
+
+TEST(ParallelMultistartTest, WorkersCloneOnTheirOwnThreadsOneAtATime) {
+  const std::vector<double> landscape{6, 3, 5, 2, 6, 4, 7, 1, 5, 0, 6, 3};
+  MultistartOptions opts;
+  // Restarts long enough that a worker's first one is still running when
+  // the next worker clones: no claim then orders their clone() calls.
+  opts.total_budget = 400'000;
+  opts.budget_per_start = 50'000;
+
+  ToyProblem sequential_problem{landscape, 0};
+  util::Rng sequential_rng{5};
+  const MultistartResult sequential = multistart(
+      sequential_problem, descent_runner(), opts, sequential_rng);
+
+  std::vector<std::thread::id> log;
+  LoggingCloneProblem problem{ToyProblem{landscape, 0}, log};
+  util::Rng rng{5};
+  ParallelMultistartOptions options;
+  options.multistart = opts;
+  options.num_threads = 4;
+  const MultistartResult parallel =
+      parallel_multistart(problem, descent_runner(), options, rng);
+  expect_identical(sequential, parallel);
+
+  // One clone per worker that ran, each made on a worker thread.
+  EXPECT_GE(log.size(), 1u);
+  EXPECT_LE(log.size(), 4u);
+  for (const std::thread::id id : log) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
 }
 
 TEST(ParallelMultistartTest, EarlyTerminatingRunnerExtendsRestarts) {
