@@ -87,7 +87,8 @@ BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 // The speculative kernels alone: speculate_swap (resp. speculate_move) +
 // discard on a fixed arrangement, or speculate_swap + commit (the accept
 // path), pairs drawn up front so the RNG is not timed.  Args: (cells,
-// nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell.
+// nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell; the NOLA 60
+// and 240 rows give wide nets one and four words of position bits.
 template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
@@ -127,6 +128,8 @@ BENCHMARK(BM_DensitySpeculateSwap)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})
+    ->Args({60, 1})
+    ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 
 void BM_DensitySpeculateCommit(benchmark::State& state) {
@@ -136,6 +139,8 @@ BENCHMARK(BM_DensitySpeculateCommit)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})
+    ->Args({60, 1})
+    ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 
 void BM_DensitySpeculateMove(benchmark::State& state) {
@@ -145,6 +150,8 @@ BENCHMARK(BM_DensitySpeculateMove)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})
+    ->Args({60, 1})
+    ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 
 void BM_DensityFullRecount(benchmark::State& state) {

@@ -1,17 +1,44 @@
 #include "linarr/density.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "util/invariant.hpp"
 
 namespace mcopt::linarr {
+namespace {
+
+// mcopt: hot
+bool has_bit(const std::uint64_t* bits, std::size_t pos) {
+  return ((bits[pos / 64] >> (pos % 64)) & 1U) != 0;
+}
+
+// mcopt: hot
+inline std::pair<std::size_t, std::size_t> other_extrema(
+    const std::uint64_t* bits, std::size_t words, std::size_t skip) {
+  // [lowest, highest] set bit of a wide net's position bits but `skip`.
+  // A wide net has at least two pins besides that one, so both scans
+  // stop on a set word without a bound check.
+  const std::size_t skip_word = skip / 64;
+  const std::uint64_t keep = ~(std::uint64_t{1} << (skip % 64));
+  const auto masked = [&](std::size_t i) {
+    return i == skip_word ? bits[i] & keep : bits[i];
+  };
+  std::size_t i = 0;
+  while (masked(i) == 0) ++i;
+  std::size_t j = words - 1;
+  while (masked(j) == 0) --j;
+  return {i * 64 + static_cast<std::size_t>(std::countr_zero(masked(i))),
+          j * 64 + 63 - static_cast<std::size_t>(std::countl_zero(masked(j)))};
+}
+
+}  // namespace
 
 DensityState::DensityState(const Netlist& netlist, Arrangement arrangement)
     : netlist_(&netlist), arrangement_(std::move(arrangement)) {
@@ -33,8 +60,8 @@ DensityState::DensityState(const DensityState& other)
       wide_net_(other.wide_net_),
       wide_offsets_(other.wide_offsets_),
       cell_wide_(other.cell_wide_),
-      net_lo_(other.net_lo_),
-      net_hi_(other.net_hi_),
+      words_(other.words_),
+      bits_(other.bits_),
       cuts_(other.cuts_),
       cut_histogram_(other.cut_histogram_),
       max_cut_(other.max_cut_),
@@ -91,8 +118,8 @@ void DensityState::index_nets() {
     pair_offsets_.push_back(pairs_.size());
     wide_offsets_.push_back(cell_wide_.size());
   }
-  net_lo_.resize(wide_net_.size());
-  net_hi_.resize(wide_net_.size());
+  words_ = (cells + 63) / 64;
+  bits_.assign(wide_net_.size() * words_, 0);
 }
 
 void DensityState::reserve_scratch() {
@@ -102,12 +129,9 @@ void DensityState::reserve_scratch() {
   // copies shrink capacity to size, which is zero for empty scratch).
   const std::size_t wide = wide_net_.size();
   const std::size_t boundaries = cuts_.size();
-  touched_.reserve(wide);
   touched_mark_.assign(wide, 0);
   spec_net_count_ = 0;
-  spec_nets_.assign(wide, 0);
-  spec_new_lo_.assign(wide, 0);
-  spec_new_hi_.assign(wide, 0);
+  spec_nets_.assign(wide + 1, 0);  // a full journal takes one more write
   spec_boundary_count_ = 0;
   spec_boundaries_.assign(boundaries, 0);
   spec_deltas_.assign(boundaries, 0);
@@ -118,9 +142,7 @@ void DensityState::reserve_scratch() {
 bool DensityState::scratch_reserved() const noexcept {
   const std::size_t wide = wide_net_.size();
   const std::size_t boundaries = cuts_.size();
-  return touched_.capacity() >= wide && touched_mark_.size() == wide &&
-         spec_nets_.size() == wide && spec_new_lo_.size() == wide &&
-         spec_new_hi_.size() == wide &&
+  return touched_mark_.size() == wide && spec_nets_.size() == wide + 1 &&
          spec_boundaries_.size() == boundaries &&
          spec_deltas_.size() == boundaries &&
          window_diff_.size() == arrangement_.size() &&
@@ -138,23 +160,27 @@ std::pair<std::size_t, std::size_t> DensityState::extent(NetId n) const {
   return {lo, hi};
 }
 
+// mcopt: hot
+void DensityState::pin_bits(NetId n, std::uint64_t* out) const {
+  std::fill_n(out, words_, std::uint64_t{0});
+  for (const CellId cell : netlist_->pins(n)) {
+    const std::size_t pos = arrangement_.position_of(cell);
+    out[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+}
+
 void DensityState::rebuild() {
   // Every net's extent into a difference array over the boundaries (the
-  // last entry only ever collects a -1), then one prefix-sum pass.  Wide
-  // nets are numbered in NetId order, so one cursor finds each as the
-  // nets go by and records its extrema.
+  // last entry only ever collects a -1), then one prefix-sum pass.
   const std::size_t n = arrangement_.size();
   cuts_.assign(n, 0);
-  std::size_t w = 0;
   for (NetId net = 0; net < netlist_->num_nets(); ++net) {
     const auto [lo, hi] = extent(net);
     ++cuts_[lo];
     --cuts_[hi];
-    if (w < wide_net_.size() && wide_net_[w] == net) {
-      net_lo_[w] = lo;
-      net_hi_[w] = hi;
-      ++w;
-    }
+  }
+  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
+    pin_bits(wide_net_[w], bits_.data() + w * words_);
   }
   cuts_.pop_back();
   cut_histogram_.assign(netlist_->num_nets() + 2, 0);
@@ -234,7 +260,7 @@ void DensityState::apply(SpecKind kind, std::size_t a, std::size_t b) {
   respan_window(lo, hi, +1);
   for (std::size_t pos = lo; pos <= hi; ++pos) {
     for (const std::uint32_t w : wide_nets_of(arrangement_.cell_at(pos))) {
-      std::tie(net_lo_[w], net_hi_[w]) = extent(wide_net_[w]);
+      pin_bits(wide_net_[w], bits_.data() + w * words_);
     }
   }
 }
@@ -254,55 +280,35 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
 }
 
 // mcopt: hot
-void DensityState::spec_journal(std::uint32_t w, std::size_t new_lo,
-                                std::size_t new_hi) {
-  // A move visits each wide net at most once, so the count stays below
-  // the number of wide nets at every write.
-  spec_nets_[spec_net_count_] = w;
-  spec_new_lo_[spec_net_count_] = new_lo;
-  spec_new_hi_[spec_net_count_] = new_hi;
-  spec_net_count_ += static_cast<std::size_t>(new_lo != net_lo_[w] ||
-                                              new_hi != net_hi_[w]);
-}
-
-// mcopt: hot
-void DensityState::spec_swap_pin(std::uint32_t w, std::size_t from,
-                                 std::size_t to) {
-  // L/H are the lowest/highest positions of the wide net's *other* pins.
-  // The cached extrema give them unless the moving pin is one of the
-  // extrema.  A pin at the net's leading end (the end it moves toward:
-  // the high end for a rightward pin) has the missing value behind
-  // `from`, where any stand-in clamps alike, so the opposite extremum
-  // serves.  Only a pin at the trailing end walks the net.
-  const std::size_t old_lo = net_lo_[w];
-  const std::size_t old_hi = net_hi_[w];
-  std::size_t other_lo = old_lo;
-  std::size_t other_hi = old_hi;
-  const bool rightward = from < to;
-  const bool trailing = rightward ? from == old_lo : from == old_hi;
-  if (trailing) {
-    other_lo = arrangement_.size();
-    other_hi = 0;
-    for (const CellId cell : netlist_->pins(wide_net_[w])) {
-      const std::size_t pos = arrangement_.position_of(cell);
-      if (pos == from) continue;
-      other_lo = std::min(other_lo, pos);
-      other_hi = std::max(other_hi, pos);
+int DensityState::spec_swap_wide(CellId x, CellId y, std::size_t lo,
+                                 std::size_t hi) {
+  // Cell x at lo moves right, cell y at hi left.  L/H are the extrema of
+  // a net's other pins.  A net whose bit at the other cell's position is
+  // set is on both cells: it adds 0 and its journal slot is not kept.
+  // Returns the fold into window_diff_[lo]: -1 per kept net of x, +1 per
+  // kept net of y.
+  std::size_t count = 0;
+  const auto visit = [&](CellId c, std::size_t from, std::size_t to,
+                         int sign) {
+    for (const std::uint32_t w : wide_nets_of(c)) {
+      const std::uint64_t* bits = bits_.data() + w * words_;
+      const bool moves = !has_bit(bits, to);
+      const auto [other_lo, other_hi] = other_extrema(bits, words_, from);
+      // On boundary b in [lo, hi) a rightward pin changes the net's count
+      // by [L <= b] - [b < H] = [L <= b] + [H <= b] - 1, a leftward one by
+      // the negation; clamped into [lo, hi], L and H stay in the window.
+      const int d = moves ? sign : 0;
+      window_diff_[std::clamp(other_lo, lo, hi)] += d;
+      window_diff_[std::clamp(other_hi, lo, hi)] += d;
+      spec_nets_[count] = w;
+      count += static_cast<std::size_t>(moves);
     }
-  } else {
-    if (from == old_lo) other_lo = old_hi;
-    if (from == old_hi) other_hi = old_lo;
-  }
-  spec_journal(w, std::min(other_lo, to), std::max(other_hi, to));
-  // On boundary b in [lo, hi) a rightward pin changes the net's crossing
-  // count by [L <= b] - [b < H] = [L <= b] + [H <= b] - 1, a leftward one
-  // by the negation; the caller folds the -1 into window_diff_[lo].
-  // Clamping L and H into [lo, hi] keeps every write inside the window.
-  const std::size_t lo = std::min(from, to);
-  const std::size_t hi = std::max(from, to);
-  const int sign = rightward ? 1 : -1;
-  window_diff_[std::clamp(other_lo, lo, hi)] += sign;
-  window_diff_[std::clamp(other_hi, lo, hi)] += sign;
+  };
+  visit(x, lo, hi, 1);
+  const std::size_t rightward = count;
+  visit(y, hi, lo, -1);
+  spec_net_count_ = count;
+  return static_cast<int>(count - 2 * rightward);
 }
 
 // mcopt: hot
@@ -376,25 +382,9 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
         nb.cell == x ? 0 : nb.weight;
   }
-  // Wide nets.  A net with pins on both cells keeps its position
-  // multiset, so its extrema and crossings cannot change.  Marks: 1 = on
-  // the cell at hi, 2 = on both.
-  const auto leftward = wide_nets_of(y);
-  for (const std::uint32_t w : leftward) touched_mark_[w] = 1;
-  for (const std::uint32_t w : wide_nets_of(x)) {
-    if (touched_mark_[w]) {
-      touched_mark_[w] = 2;
-      continue;
-    }
-    spec_swap_pin(w, lo, hi);
-    --shift;
-  }
-  for (const std::uint32_t w : leftward) {
-    const char mark = touched_mark_[w];
-    touched_mark_[w] = 0;
-    if (mark == 2) continue;
-    spec_swap_pin(w, hi, lo);
-    ++shift;
+  // Wide nets, out of line; a swap of two cells on none makes no call.
+  if (!wide_nets_of(x).empty() || !wide_nets_of(y).empty()) {
+    shift += spec_swap_wide(x, y, lo, hi);
   }
   window_diff_[lo] += shift;
   spec_scan(lo, hi);
@@ -420,8 +410,10 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
     return pos - w_lo <= width ? pos + back : pos;
   };
   // A net crossing [lo, hi) is +1 at lo and -1 at hi in difference form,
-  // so each net writes its old extent negated and its new one.
-  touched_.clear();
+  // so each net writes its old extent negated and its new one.  Every
+  // wide net with a pin in the window is journaled once, through the
+  // touched marks: its bits change even where its extrema do not.
+  std::size_t count = 0;
   for (std::size_t pos = w_lo; pos <= w_hi; ++pos) {
     const CellId c = arrangement_.cell_at(pos);
     const std::size_t new_pos = shifted(pos);
@@ -441,35 +433,30 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
       window_diff_[std::max(new_pos, new_z)] -= m;
     }
     for (const std::uint32_t w : wide_nets_of(c)) {
-      if (!touched_mark_[w]) {
-        touched_mark_[w] = 1;
-        touched_.push_back(w);  // mcopt-lint: allow(hot-loop-alloc)
-      }
+      spec_nets_[count] = w;
+      count += static_cast<std::size_t>(touched_mark_[w] == 0);
+      touched_mark_[w] = 1;
     }
   }
-  // Wide nets walk their pins.  An extremum that changes was, and stays,
-  // inside [w_lo, w_hi] (pins outside the window do not move), so every
-  // write lands there.
-  for (const std::uint32_t w : touched_) {
+  spec_net_count_ = count;
+  // Wide nets.  L/H, the extrema of the pins off `from`, come from the
+  // bits; the shift keeps their order, so the new extrema are
+  // shifted(L)/shifted(H), joined by `to` when the net holds the moving
+  // cell.  An extremum that changes was, and stays, inside [w_lo, w_hi]
+  // (pins outside the window do not move); one that does not change
+  // writes -1 and +1 to the same entry.
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t w = spec_nets_[i];
     touched_mark_[w] = 0;
-    std::size_t new_lo = arrangement_.size();
-    std::size_t new_hi = 0;
-    for (const CellId cell : netlist_->pins(wide_net_[w])) {
-      const std::size_t npos = shifted(arrangement_.position_of(cell));
-      new_lo = std::min(new_lo, npos);
-      new_hi = std::max(new_hi, npos);
-    }
-    const std::size_t old_lo = net_lo_[w];
-    const std::size_t old_hi = net_hi_[w];
-    if (new_lo != old_lo) {
-      --window_diff_[old_lo];
-      ++window_diff_[new_lo];
-    }
-    if (new_hi != old_hi) {
-      ++window_diff_[old_hi];
-      --window_diff_[new_hi];
-    }
-    spec_journal(w, new_lo, new_hi);
+    const std::uint64_t* bits = bits_.data() + w * words_;
+    const bool holds = has_bit(bits, from);
+    const auto [other_lo, other_hi] = other_extrema(bits, words_, from);
+    const std::size_t new_lo = shifted(other_lo);
+    const std::size_t new_hi = shifted(other_hi);
+    --window_diff_[holds ? std::min(other_lo, from) : other_lo];
+    ++window_diff_[holds ? std::min(new_lo, to) : new_lo];
+    ++window_diff_[holds ? std::max(other_hi, from) : other_hi];
+    --window_diff_[holds ? std::max(new_hi, to) : new_hi];
   }
   spec_scan(w_lo, w_hi);
 }
@@ -489,13 +476,22 @@ void DensityState::commit_speculation() {
     ++cut_histogram_[static_cast<std::size_t>(new_cut)];
   }
   spec_boundary_count_ = 0;
+  rearrange(spec_kind_, spec_a_, spec_b_);
+  // A swapped net is on exactly one of the two cells, so its bits at the
+  // two positions trade places; a single exchange moves a whole window.
+  const std::size_t a = spec_a_;
+  const std::size_t b = spec_b_;
   for (std::size_t i = 0; i < spec_net_count_; ++i) {
     const std::uint32_t w = spec_nets_[i];
-    net_lo_[w] = spec_new_lo_[i];
-    net_hi_[w] = spec_new_hi_[i];
+    std::uint64_t* bits = bits_.data() + w * words_;
+    if (spec_kind_ == SpecKind::kSwap) {
+      bits[a / 64] ^= std::uint64_t{1} << (a % 64);
+      bits[b / 64] ^= std::uint64_t{1} << (b % 64);
+    } else {
+      pin_bits(wide_net_[w], bits);
+    }
   }
   spec_net_count_ = 0;
-  rearrange(spec_kind_, spec_a_, spec_b_);
   max_cut_ = spec_density_;  // exact, not just an upper bound
   total_span_ = spec_total_span_;
   spec_kind_ = SpecKind::kNone;
@@ -544,8 +540,11 @@ bool DensityState::verify() const {
   if (std::accumulate(counts.begin(), counts.end(), 0LL) != total_span_) {
     return false;
   }
-  for (std::size_t w = 0; w < wide_net_.size(); ++w) {
-    if (extent(wide_net_[w]) != std::pair{net_lo_[w], net_hi_[w]}) {
+  std::vector<std::uint64_t> recount(words_);
+  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
+    pin_bits(wide_net_[w], recount.data());
+    if (!std::equal(recount.begin(), recount.end(),
+                    bits_.data() + w * words_)) {
       return false;
     }
   }

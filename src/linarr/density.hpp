@@ -11,7 +11,7 @@
 //   * per-boundary crossing counts,
 //   * a histogram of crossing counts with a lazily-decremented maximum, so
 //     density() is O(1) amortized after a move,
-//   * the position extrema (lo, hi) of every net of three or more pins.
+//   * the position bits of every net of three or more pins.
 //
 // Nets take one of two paths by pin count alone, fixed when the state is
 // built:
@@ -19,15 +19,15 @@
 //     distinct two-pin neighbours z with weight 2 x (the number of two-pin
 //     nets joining the two cells; parallel nets are merged), plus the
 //     cell's two-pin degree.  A two-pin net's extent is the positions of
-//     its two pins, read from the arrangement, so it has no cached
-//     extrema and never enters the journal or the touched marks.
+//     its two pins, so it never enters the journal.
 //   * Nets of three or more pins ("wide" nets) are renumbered 0..m-1 and
-//     listed per cell; only they keep cached extrema, journal entries and
-//     touched marks.
+//     listed per cell.  Each keeps ceil(n/64) words of position bits (bit
+//     p set when one of its pins sits at position p): its extrema are its
+//     lowest and highest set bits, and "is it on the cell at p" is a test.
 //
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
-// from-scratch recount (crossing_counts) for tests.
+// from-scratch recount for tests.
 //
 // Two ways to make a move:
 //   * speculate_swap/speculate_move — the path LinArrProblem runs —
@@ -47,23 +47,24 @@
 //       clamp(pos z, lo, hi) for each neighbour z of x and -w for each
 //       neighbour z != x of y.  A net joining x and y keeps its extent:
 //       its -1 and +1 at lo cancel, x's +w for it lands at hi, past the
-//       window, and y's is skipped.  Wide nets read L/H from the cached
-//       extrema in O(1); only a pin at the trailing end of a wide net
-//       (the low end for a rightward pin) walks the net.  The wide-net
-//       step (spec_swap_pin) never sees a two-pin net, so it has no
-//       two-pin case, where the opposite extremum is the other pin.
+//       window, and y's is skipped.  A wide net's L/H are its extreme
+//       set bits with the moving pin's masked off; one on both cells (its
+//       bit at the other position is set) adds 0.  The swap has no marks.
 //     - A single exchange shifts every cell in its window by one.  Each
 //       two-pin net with a pin in the window writes its old and new
 //       extents (four clamped writes), visited once from its lower pin in
-//       the window; each wide net there walks its pins.
+//       the window.  Each wide net there (once, through touched marks)
+//       reads its extrema from its bits: the new ones are the shifted old
+//       ones, joined by `to` when the net holds the moving cell.
 //     The count-of-counts histogram minus the changed boundaries' old
 //     values gives the largest cut outside the changed set, so the
 //     candidate density/total span are exact integers a Metropolis loop
 //     can test, then commit_speculation() or discard_speculation() in
 //     O(changed boundaries + changed wide nets) — a rejected proposal
-//     never writes cuts_, the histogram, or the arrangement.  A commit
-//     makes one histogram update per changed boundary instead of one per
-//     crossing unit.
+//     never writes cuts_, the histogram, the bits or the arrangement.  A
+//     commit makes one histogram update per changed boundary instead of
+//     one per crossing unit.  The journal holds wide-net ids only; a commit
+//     flips their bits at a swap's two positions or re-derives them.
 //   * apply_swap/apply_move mutate the committed state in place: every
 //     net with a pin in the move's window is re-spanned from its pin
 //     positions before and after the move.  apply_swap is self-inverse,
@@ -130,7 +131,8 @@ class DensityState {
   /// Speculatively evaluates a pairwise interchange of positions p and q
   /// (p != q, either order): records the changed wide nets and boundaries
   /// and the exact candidate density / total span, but commits nothing.
-  /// O(two-pin neighbours and wide nets of the two cells + |p - q|).
+  /// O(|p - q| + the two cells' two-pin neighbours and wide nets, each
+  /// wide net scanning at most ceil(n/64) words of position bits).
   /// Exactly one of commit_speculation()/discard_speculation() must follow
   /// before the next move (speculative or applied).
   void speculate_swap(std::size_t p, std::size_t q);
@@ -157,8 +159,8 @@ class DensityState {
   }
 
   /// Commits the pending speculation in O(changed boundaries + changed
-  /// wide nets): one histogram update per changed boundary, wide-net
-  /// extrema from the journal, then the arrangement move itself.
+  /// wide nets): one histogram update per changed boundary, the
+  /// arrangement move itself, then the journaled wide nets' bits.
   void commit_speculation();
 
   /// Drops the pending speculation in O(changed boundaries); only scratch
@@ -170,7 +172,7 @@ class DensityState {
 
   /// Compares the incremental state with an independent recount: cuts,
   /// density and total span against crossing_counts(), and each wide
-  /// net's cached extrema against a fresh min/max of its pin positions.
+  /// net's position bits against a fresh recount from its pins.
   /// Returns true when they agree, no speculation is pending and every
   /// per-move scratch array (window_diff_ included) is back to zero; tests
   /// assert this after random moves.
@@ -202,6 +204,7 @@ class DensityState {
 
   /// [lowest, highest] pin position of net n under the arrangement.
   [[nodiscard]] std::pair<std::size_t, std::size_t> extent(NetId n) const;
+  void pin_bits(NetId n, std::uint64_t* out) const;  // words_ words
 
   void index_nets();
   void rebuild();
@@ -211,8 +214,8 @@ class DensityState {
   void respan_window(std::size_t lo, std::size_t hi, int delta);
   void rearrange(SpecKind kind, std::size_t a, std::size_t b);
   void apply(SpecKind kind, std::size_t a, std::size_t b);
-  void spec_journal(std::uint32_t w, std::size_t new_lo, std::size_t new_hi);
-  void spec_swap_pin(std::uint32_t w, std::size_t from, std::size_t to);
+  [[gnu::noinline]] int spec_swap_wide(CellId x, CellId y, std::size_t lo,
+                                       std::size_t hi);
   void spec_scan(std::size_t lo, std::size_t hi);
 
   const Netlist* netlist_;
@@ -231,16 +234,15 @@ class DensityState {
   std::vector<std::size_t> wide_offsets_;
   std::vector<std::uint32_t> cell_wide_;
 
-  std::vector<std::size_t> net_lo_;  // per wide net
-  std::vector<std::size_t> net_hi_;
+  std::size_t words_ = 0;             // ceil(n/64)
+  std::vector<std::uint64_t> bits_;   // words_ per wide net
   std::vector<int> cuts_;            // size n-1
   std::vector<int> cut_histogram_;   // value -> #boundaries, size num_nets+2
   mutable int max_cut_ = 0;          // lazily tightened upper bound
   long long total_span_ = 0;
-  std::vector<std::uint32_t> touched_;  // scratch: wide nets, per move
-  std::vector<char> touched_mark_;      //   parallel to wide nets
+  std::vector<char> touched_mark_;   // scratch: per wide net, per move
 
-  // Speculation journal (SoA) and scratch.  All buffers are sized once
+  // Speculation journal and scratch.  All buffers are sized once
   // (constructor / copy) and only reset between moves, so the
   // speculate/commit/discard cycle is allocation-free.
   SpecKind spec_kind_ = SpecKind::kNone;
@@ -253,9 +255,7 @@ class DensityState {
   // journal nor the window scan branches on whether a net or boundary
   // changed.
   std::size_t spec_net_count_ = 0;
-  std::vector<std::uint32_t> spec_nets_;   // journal: moved wide net
-  std::vector<std::size_t> spec_new_lo_;   //   parallel: candidate lo
-  std::vector<std::size_t> spec_new_hi_;   //   parallel: candidate hi
+  std::vector<std::uint32_t> spec_nets_;   // journal: moved wide net ids
   std::size_t spec_boundary_count_ = 0;
   std::vector<std::size_t> spec_boundaries_;  // changed boundaries, ascending
   std::vector<int> spec_deltas_;           //   parallel: crossing delta

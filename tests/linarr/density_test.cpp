@@ -311,10 +311,10 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
 }
 
 // The same oracle checks beyond 2-pin nets on 12 cells: multi-pin NOLA
-// nets (whose trailing-end pins walk the net), two-pin and three-pin nets
-// on the same cells, heavily parallel two-pin nets, and the smallest
-// arrangements, where every window touches an end of the row (see
-// tests/support/linarr_shapes.hpp).
+// nets, two-pin and three-pin nets on the same cells, heavily parallel
+// two-pin nets, the smallest arrangements, where every window touches an
+// end of the row, and NOLA rows whose wide nets keep one to three words
+// of position bits (see tests/support/linarr_shapes.hpp).
 class DensitySpeculationShapeTest
     : public ::testing::TestWithParam<std::string> {};
 
@@ -332,7 +332,9 @@ TEST_P(DensitySpeculationShapeTest, MoveSpeculationMatchesApplyOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DensitySpeculationShapeTest,
                          ::testing::Values("nola12", "gola2", "nola3",
-                                           "mixed12", "parallel8", "gola3"),
+                                           "mixed12", "parallel8", "gola3",
+                                           "nola63", "nola64", "nola65",
+                                           "nola130"),
                          [](const auto& info) { return info.param; });
 
 // Every ordered swap (or single exchange) (p, q) on `nl` from the
@@ -384,7 +386,7 @@ void expect_every_pair_matches_oracle(const Netlist& nl) {
 // net is the end its moving pin heads toward, the trailing end the one it
 // leaves.  Every ordered pair then puts each net's cells at every position
 // of the window, with q = p + 1 and with p > q.  Two-pin nets take the
-// neighbour-list path and wide nets the cached-extrema path; the last
+// neighbour-list path and wide nets the position-bits path; the last
 // cases put both kinds, and parallel two-pin nets, on the swapped cells.
 // The single-exchange test runs every ordered move over the same nets.
 struct HandBuiltCase {
@@ -448,6 +450,34 @@ TEST(DensitySpeculationTest, HandBuiltSwapCasesMatchApplyOracle) {
 
 TEST(DensitySpeculationTest, HandBuiltMoveCasesMatchApplyOracle) {
   expect_hand_built_cases_match_oracle<true>();
+}
+
+// Word edges.  On 130 cells each wide net keeps three words of position
+// bits.  From the identity arrangement, every ordered swap and single
+// exchange moves pins across the 63/64 and 127/128 word edges, onto and
+// off the first and last bit of a word, and through a net on every cell.
+Netlist word_edge_netlist() {
+  constexpr std::size_t kCells = 130;
+  Netlist::Builder b{kCells};
+  b.add_net({62, 63, 64});
+  b.add_net({63, 64, 65});
+  b.add_net({0, 63, 64, 129});
+  b.add_net({64, 127, 128});
+  b.add_net({1, 63, 128});
+  b.add_net({63, 64});
+  b.add_net({0, 129});
+  std::vector<CellId> every(kCells);
+  for (std::size_t c = 0; c < kCells; ++c) every[c] = static_cast<CellId>(c);
+  b.add_net(every);
+  return b.build();
+}
+
+TEST(DensitySpeculationTest, WordEdgeSwapsMatchApplyOracle) {
+  expect_every_pair_matches_oracle<false>(word_edge_netlist());
+}
+
+TEST(DensitySpeculationTest, WordEdgeMovesMatchApplyOracle) {
+  expect_every_pair_matches_oracle<true>(word_edge_netlist());
 }
 
 // Clone regression: vector copies shrink capacity to size and the per-move

@@ -7,12 +7,18 @@
 //   nola3     NOLA on n = 3, 2-3 pins
 //   parallel8 two-pin nets on 8 cells, each pair repeated 1-40 times (the
 //             first pair exactly 40), so neighbour weights reach 80
+//   nola63, nola64, nola65, nola130
+//             NOLA on n cells / 3n nets, 2-6 pins, plus a wide net on
+//             cells 0 and 61-65 (those below n) and one on every cell:
+//             wide nets keep one (n = 63, 64), two (65) or three (130)
+//             words of position bits
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
@@ -29,6 +35,26 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
   if (shape == "gola2") return random_gola(GolaParams{2, 6}, rng);
   if (shape == "gola3") return random_gola(GolaParams{3, 12}, rng);
   if (shape == "nola3") return random_nola(NolaParams{3, 12, 2, 3}, rng);
+  for (const std::size_t n : {63U, 64U, 65U, 130U}) {
+    if (shape != "nola" + std::to_string(n)) continue;
+    const netlist::Netlist base =
+        random_nola(NolaParams{n, n * 3, 2, 6}, rng);
+    netlist::Netlist::Builder b{n};
+    for (netlist::NetId net = 0; net < base.num_nets(); ++net) {
+      b.add_net(base.pins(net));
+    }
+    std::vector<netlist::CellId> edge;
+    for (const netlist::CellId c : {0U, 61U, 62U, 63U, 64U, 65U}) {
+      if (c < n) edge.push_back(c);
+    }
+    b.add_net(edge);
+    std::vector<netlist::CellId> every(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      every[c] = static_cast<netlist::CellId>(c);
+    }
+    b.add_net(every);
+    return b.build();
+  }
   if (shape == "parallel8") {
     constexpr std::size_t kCells = 8;
     netlist::Netlist::Builder b{kCells};
