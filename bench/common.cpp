@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace mcopt::bench {
 
@@ -255,6 +254,45 @@ std::vector<double> run_method_row(
   return totals;
 }
 
+std::optional<long long> positive_int_flag(const util::Args& args,
+                                           const std::string& name,
+                                           long long fallback,
+                                           std::string* error) {
+  long long value = 0;
+  try {
+    value = args.get_int(name, fallback);
+  } catch (const std::invalid_argument&) {
+    *error = "--" + name + " expects an integer (got '" +
+             args.value(name).value_or("") + "')";
+    return std::nullopt;
+  }
+  if (value < 1) {
+    *error = "--" + name + " must be >= 1 (got " + std::to_string(value) + ")";
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> positive_double_flag(const util::Args& args,
+                                           const std::string& name,
+                                           double fallback,
+                                           std::string* error) {
+  double value = 0.0;
+  try {
+    value = args.get_double(name, fallback);
+  } catch (const std::invalid_argument&) {
+    *error = "--" + name + " expects a number (got '" +
+             args.value(name).value_or("") + "')";
+    return std::nullopt;
+  }
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    *error = "--" + name + " must be a finite number > 0 (got " +
+             args.value(name).value_or("") + ")";
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::optional<DriverOptions> parse_driver_options(int argc,
                                                   const char* const* argv,
                                                   std::string* error) {
@@ -282,62 +320,25 @@ std::optional<DriverOptions> parse_driver_options(int argc,
 
   // Each numeric flag is validated by name so the error tells the user
   // exactly which value to fix.
-  auto positive_int = [&](const char* name, long long fallback,
-                          long long* value) {
-    try {
-      *value = args.get_int(name, fallback);
-    } catch (const std::invalid_argument&) {
-      *error = std::string{"--"} + name + " expects an integer (got '" +
-               args.value(name).value_or("") + "')";
-      return false;
-    }
-    if (*value < 1) {
-      *error = std::string{"--"} + name + " must be >= 1 (got " +
-               std::to_string(*value) + ")";
-      return false;
-    }
-    return true;
-  };
-  long long threads = 1;
-  long long sample = 1;
-  if (!positive_int("threads", 1, &threads)) return std::nullopt;
-  if (!positive_int("trace-sample", 1, &sample)) return std::nullopt;
-  out.threads = static_cast<unsigned>(threads);
-  out.trace_sample = static_cast<std::uint64_t>(sample);
+  const auto threads = positive_int_flag(args, "threads", 1, error);
+  if (!threads) return std::nullopt;
+  const auto sample = positive_int_flag(args, "trace-sample", 1, error);
+  if (!sample) return std::nullopt;
+  out.threads = static_cast<unsigned>(*threads);
+  out.trace_sample = static_cast<std::uint64_t>(*sample);
 
+  // A bare --progress or --flight-recorder selects the default.
   if (args.has("progress")) {
-    const std::string value = args.value("progress").value_or("");
-    if (value.empty()) {
-      out.progress_interval = 2.0;  // bare --progress
-    } else {
-      try {
-        out.progress_interval = args.get_double("progress", 2.0);
-      } catch (const std::invalid_argument&) {
-        *error = "--progress expects a number of seconds (got '" + value +
-                 "')";
-        return std::nullopt;
-      }
-      if (out.progress_interval <= 0.0) {
-        *error = "--progress interval must be > 0 (got " + value + ")";
-        return std::nullopt;
-      }
-    }
+    const auto interval = positive_double_flag(args, "progress", 2.0, error);
+    if (!interval) return std::nullopt;
+    out.progress_interval = *interval;
   }
-
   if (args.has("flight-recorder")) {
-    const std::string value = args.value("flight-recorder").value_or("");
-    if (value.empty()) {
-      out.flight_capacity = obs::FlightRecorder::kDefaultCapacity;  // bare
-    } else {
-      long long cap = 0;
-      if (!positive_int("flight-recorder",
-                        static_cast<long long>(
-                            obs::FlightRecorder::kDefaultCapacity),
-                        &cap)) {
-        return std::nullopt;
-      }
-      out.flight_capacity = static_cast<std::size_t>(cap);
-    }
+    const auto cap = positive_int_flag(
+        args, "flight-recorder",
+        static_cast<long long>(obs::FlightRecorder::kDefaultCapacity), error);
+    if (!cap) return std::nullopt;
+    out.flight_capacity = static_cast<std::size_t>(*cap);
   }
   out.flight_path = args.get("flight-out", out.flight_path);
   if (out.flight_capacity == 0 && args.has("flight-out")) {
@@ -614,20 +615,6 @@ void write_json_report(const std::string& name, const std::string& payload) {
   }
   out << payload;
   std::printf("(json report written to %s)\n", path.c_str());
-}
-
-PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
-                               const std::vector<double>& baseline_seconds) {
-  std::vector<double> pct;
-  pct.reserve(tier_seconds.size());
-  for (std::size_t rep = 0; rep < tier_seconds.size(); ++rep) {
-    if (baseline_seconds[rep] > 0.0) {
-      pct.push_back(100.0 * (tier_seconds[rep] / baseline_seconds[rep] - 1.0));
-    }
-  }
-  if (pct.empty()) return {};
-  const auto [lo, hi] = std::minmax_element(pct.begin(), pct.end());
-  return {*lo, util::median(pct), *hi};
 }
 
 }  // namespace mcopt::bench

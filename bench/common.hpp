@@ -30,6 +30,7 @@
 #include "obs/heartbeat.hpp"
 #include "obs/perfcount.hpp"
 #include "obs/recorder.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace mcopt::bench {
@@ -134,6 +135,23 @@ struct DriverOptions {
   bool verbose = false;
 };
 
+/// Reads the integer flag --name, or `fallback` when it is absent.
+/// Returns nullopt and fills `*error` with a one-line message naming the
+/// flag when the value is not an integer (trailing characters included),
+/// overflows, or is < 1.  Every bench's numeric flags go through this or
+/// positive_double_flag, so a bad value is a usage error, never an abort.
+std::optional<long long> positive_int_flag(const util::Args& args,
+                                           const std::string& name,
+                                           long long fallback,
+                                           std::string* error);
+
+/// positive_int_flag for a real-valued flag: rejects anything that is not
+/// a finite number > 0.
+std::optional<double> positive_double_flag(const util::Args& args,
+                                           const std::string& name,
+                                           double fallback,
+                                           std::string* error);
+
 /// Side-effect-free parse of the shared driver flags.  Returns nullopt and
 /// fills `*error` with a one-line message (flag name included) on any
 /// unknown flag, conflicting pair, or non-positive numeric value.
@@ -217,18 +235,5 @@ void maybe_write_csv(const std::string& experiment, const util::Table& table);
 /// bench output (BENCH_parallel.json etc.) flows through here so future PRs
 /// can diff perf trajectories.
 void write_json_report(const std::string& name, const std::string& payload);
-
-/// Paired per-rep overhead of a timed tier against the baseline run of the
-/// same rep, in percent: 100 * (tier / baseline - 1).  Adjacent runs share
-/// machine conditions, so drift cancels out of each ratio.  The median is
-/// the overhead the overhead benches report and gate; min and max show its
-/// noise floor.
-struct PairedOverhead {
-  double min_pct = 0.0;
-  double median_pct = 0.0;
-  double max_pct = 0.0;
-};
-PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
-                               const std::vector<double>& baseline_seconds);
 
 }  // namespace mcopt::bench

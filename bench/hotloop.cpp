@@ -3,22 +3,17 @@
 // propose() scores a move speculatively — it evaluates the candidate into
 // per-move scratch without committing it — so accept() commits in
 // O(touched) and reject() only clears the scratch.  This bench prices
-// that loop on two workloads:
-//
-//  1. A stripped Metropolis kernel with a *fixed* uphill-accept
-//     probability, swept from always-reject to always-accept, so the
-//     throughput is measured as a function of acceptance rate.  It runs
-//     on GOLA 15/150 and 60/600, whose nets all take DensityState's
-//     two-pin path, and on NOLA 15/150 with 2-6 pins, so the wide-net
-//     path is priced and identity-checked too.  The kernel
-//     owns its acceptance draws and streams them from Rng::next_block in
-//     256-word blocks; pair draws stay inside propose().  Every rep of a
-//     config replays the same streams and must agree exactly (final cost,
-//     accept count, final arrangement) or the bench fails.
-//  2. The hand-stripped Figure 1 loop (bench/figure1_stripped.hpp) — the
-//     baseline the observability benches time — with
-//     bench::stripped_results_match enforcing bit-identical reps.  Its
-//     whole-run acceptance rate is reported alongside its throughput.
+// that loop on a stripped Metropolis kernel with a *fixed* uphill-accept
+// probability, swept from always-reject to always-accept, so the
+// throughput is measured as a function of acceptance rate.  It runs on
+// GOLA 15/150 and 60/600, whose nets all take DensityState's two-pin
+// path, and on NOLA 15/150 with 2-6 pins, so the wide-net path is priced
+// and identity-checked too.  The kernel owns its acceptance draws and
+// streams them from Rng::next_block in 256-word blocks; pair draws stay
+// inside propose().  Every rep of a config replays the same streams and
+// must agree exactly (final cost, accept count, final arrangement) or the
+// bench fails.  The Figure 1 annealing loop itself is timed, against its
+// stripped copy, by bench/obs_overhead.
 //
 // The bench also re-checks determinism where the speculation journal
 // could plausibly leak state: an 8-thread parallel multistart over
@@ -43,7 +38,6 @@
 #include "core/multistart.hpp"
 #include "core/parallel.hpp"
 #include "core/problem.hpp"
-#include "figure1_stripped.hpp"
 #include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
 #include "obs/log.hpp"
@@ -204,19 +198,21 @@ int main(int argc, char** argv) {
              args.program().c_str());
     return 2;
   }
-  const long long proposals_flag = args.get_int("proposals", 2'000'000);
-  const long long reps_flag = args.get_int("reps", 5);
-  if (proposals_flag < 1 || reps_flag < 1) {
-    obs::log(obs::LogLevel::kError, "%s: flags must be positive",
-             args.program().c_str());
+  std::string error;
+  const auto proposals_flag =
+      bench::positive_int_flag(args, "proposals", 2'000'000, &error);
+  const auto reps_flag = bench::positive_int_flag(args, "reps", 5, &error);
+  if (!proposals_flag || !reps_flag) {
+    obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
+             error.c_str());
     return 2;
   }
-  const auto proposals = static_cast<std::uint64_t>(proposals_flag);
-  const auto reps = static_cast<std::size_t>(reps_flag);
+  const auto proposals = static_cast<std::uint64_t>(*proposals_flag);
+  const auto reps = static_cast<std::size_t>(*reps_flag);
 
   bench::print_header(
       "Proposal hot-loop throughput",
-      "fixed-acceptance Metropolis kernel + stripped Figure 1; best-of-reps; "
+      "fixed-acceptance Metropolis kernel; best-of-reps; "
       "gate: bit-identical reps and 1- vs 8-thread multistart");
 
   util::Rng gen_small{util::derive_seed(bench::kSeed, 15)};
@@ -290,41 +286,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Stripped Figure 1: the baseline loop the overhead benches time.
-  const auto g = core::make_g(core::GClass::kSixTempAnnealing);
-  core::Figure1Options fig_options;
-  fig_options.budget = proposals;
-  core::RunResult fig_reference;
-  double fig_best = 1e300;
-  obs::PerfCounts fig_perf;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    auto problem = make_problem(instances[0]);
-    util::Rng rng{bench::kSeed + 9};
-    const ScopedPerfSample sample{perf};
-    util::Stopwatch watch;
-    const core::RunResult result =
-        bench::run_figure1_stripped(problem, *g, fig_options, rng);
-    const double seconds = watch.seconds();
-    const obs::PerfCounts counts = sample.finish();
-    if (rep == 0) {
-      fig_reference = result;
-    } else if (!bench::stripped_results_match(fig_reference, result)) {
-      obs::log(obs::LogLevel::kError,
-               "FATAL: stripped Figure 1 diverged between reps "
-               "(determinism violation)");
-      trajectory_identical = false;
-    }
-    if (seconds < fig_best) fig_perf = counts;
-    fig_best = std::min(fig_best, seconds);
-  }
-  const double fig_acceptance =
-      static_cast<double>(fig_reference.accepts) /
-      static_cast<double>(fig_reference.proposals);
-  const double fig_proposals_per_sec =
-      static_cast<double>(fig_reference.proposals) / fig_best;
-
   // Parallel determinism: clones across 8 workers must match the 1-thread
   // run exactly.
+  const auto g = core::make_g(core::GClass::kSixTempAnnealing);
   core::Runner runner = [&g](core::Problem& p, std::uint64_t slice,
                              util::Rng& r, const obs::Recorder& recorder) {
     core::Figure1Options options;
@@ -369,10 +333,6 @@ int main(int argc, char** argv) {
     table.cell(row.acceptance_rate, 4);
     table.cell(row.proposals_per_sec, 0);
   }
-  table.begin_row();
-  table.cell("figure1 stripped 15/150");
-  table.cell(fig_acceptance, 4);
-  table.cell(fig_proposals_per_sec, 0);
   table.print();
 
   const bool gate_ok = trajectory_identical && parallel_identical;
@@ -383,21 +343,12 @@ int main(int argc, char** argv) {
   json += "  \"seed\": " + std::to_string(bench::kSeed) + ",\n";
   json += "  \"proposals\": " + std::to_string(proposals) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "  \"figure1_acceptance_rate\": %.4f,\n"
-                "  \"figure1_spec_proposals_per_sec\": %.1f,\n",
-                fig_acceptance, fig_proposals_per_sec);
-  json += buf;
   // Informational hardware-counter fields (never gated).
   const std::vector<obs::PerfCounter> open = perf.active_counters();
   json += perf_availability_fields(open);
   json += "  \"perf_unavailable_reason\": \"" +
           (perf.available() ? std::string{} : perf.unavailable_reason()) +
           "\",\n";
-  const std::string fig_fields =
-      perf_fields("figure1_spec", fig_perf, fig_reference.proposals, open);
-  if (!fig_fields.empty()) json += "  " + fig_fields + ",\n";
   json += std::string{"  \"trajectory_identical\": "} +
           (trajectory_identical ? "true" : "false") + ",\n";
   json += std::string{"  \"parallel_identical\": "} +
@@ -407,6 +358,7 @@ int main(int argc, char** argv) {
   json += "  \"configs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& row = rows[i];
+    char buf[320];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"acceptance_rate\": %.4f, "
                   "\"spec_proposals_per_sec\": %.1f",
@@ -421,10 +373,8 @@ int main(int argc, char** argv) {
   json += "  ]\n}\n";
   bench::write_json_report("BENCH_hotloop", json);
 
-  std::printf(
-      "\nFigure 1 stripped: %.0f proposals/s at %.1f%% acceptance.\n"
-      "Rep/thread determinism: %s — %s.\n",
-      fig_proposals_per_sec, 100.0 * fig_acceptance,
-      gate_ok ? "bit-identical" : "MISMATCH", gate_ok ? "PASS" : "FAIL");
+  std::printf("\nRep/thread determinism: %s — %s.\n",
+              gate_ok ? "bit-identical" : "MISMATCH",
+              gate_ok ? "PASS" : "FAIL");
   return gate_ok ? 0 : 1;
 }

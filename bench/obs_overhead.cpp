@@ -1,25 +1,30 @@
-// Observability overhead — proves the Recorder is free when off.
+// Recorder overhead — the price of each observability tier on the Figure 1
+// loop, and the proof that observing a run never changes it.
 //
-// The contract (src/obs/recorder.hpp): every event method is an inlined
-// `if (off_) return;` in front of an out-of-line slow path, so compiling
-// the instrumentation into the Figure 1 hot loop must cost <1% in
-// proposals/sec when no recorder is installed.  This bench measures that
-// directly against a hand-stripped copy of the same loop
-// (bench/figure1_stripped.hpp, verified bit-identical in its results),
-// then reports the price of each
-// observability tier when it *is* on: metrics only, ring-buffer trace,
-// and sampled JSONL trace.
+// The contract (src/obs/recorder.hpp): every event method and every
+// profile scope is an inlined `if (off_) return;` in front of an
+// out-of-line slow path, so compiling the instrumentation into the Figure 1
+// hot loop must cost <1% in proposals/sec when no recorder is installed.
+// This bench measures that directly against a hand-stripped copy of the
+// same loop (run_stripped_figure1 below, held bit-identical in its results
+// to the real one), then prices each tier when it *is* on: metrics
+// (counters, uphill-delta histograms, observables), metrics + profiler,
+// a ring-buffer trace and a sampled JSONL trace.
 //
-// It also enforces the cross-cutting acceptance criterion of the telemetry
-// work: a traced 8-thread parallel multistart run must be bit-identical in
-// its final results (aggregate counters, best state, per-restart history)
-// to an untraced single-threaded run.
+// It also enforces the two thread-count determinism criteria of the
+// telemetry work on one parallel multistart workload:
+//  - a traced and profiled 8-thread run is bit-identical in its final
+//    results (aggregate counters, best state, per-restart history) to an
+//    untraced 1-thread run;
+//  - its deterministic exports (registry JSON, Prometheus text and the
+//    wall-free profile tree) equal the same-recorder 1-thread run's, byte
+//    for byte.
 //
 // Methodology: one untimed warmup pass over all tiers, then best-of-reps
 // with reps interleaved across tiers (not tier-by-tier) so machine drift
 // cannot skew the comparison.  Each tier's overhead_pct is the median of
 // its paired per-rep ratios against the baseline (the gate reads it);
-// overhead_pct_min/_median/_max give their spread.
+// overhead_pct_min/_max give their spread.
 //
 // Results land in BENCH_obs.json via bench::write_json_report.  Wall-clock
 // numbers are hardware-dependent; the determinism checks are not.
@@ -35,7 +40,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "figure1_stripped.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
 #include "core/multistart.hpp"
@@ -44,22 +48,189 @@
 #include "netlist/generator.hpp"
 #include "obs/log.hpp"
 #include "obs/recorder.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/budget.hpp"
 #include "util/invariant.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace mcopt;
 
+/// core::run_figure1 exactly as it would look with no instrumentation
+/// compiled in at all: the timing baseline of every tier.  Every timed run
+/// is checked against it with results_match, so the two loops cannot drift
+/// apart silently.
+core::RunResult run_stripped_figure1(core::Problem& problem,
+                                     const core::GFunction& g,
+                                     const core::Figure1Options& options,
+                                     util::Rng& rng) {
+  const unsigned k = g.num_temperatures();
+  util::WorkBudget budget{options.budget};
+
+  core::RunResult result;
+  result.initial_cost = problem.cost();
+  result.best_cost = result.initial_cost;
+  problem.snapshot_into(result.best_state);
+  result.temperatures_visited = k == 0 ? 0 : 1;
+
+  unsigned temp = 0;
+  std::uint64_t reject_counter = 0;
+  std::uint64_t accept_counter = 0;
+  unsigned gate_counter = 0;
+  double h_i = result.initial_cost;
+
+  auto advance_temperature = [&]() -> bool {
+    if (temp + 1 >= k) return false;
+    ++temp;
+    ++result.temperatures_visited;
+    reject_counter = 0;
+    accept_counter = 0;
+    return true;
+  };
+
+  bool schedule_exhausted = false;
+  while (!budget.exhausted() && !schedule_exhausted && k > 0) {
+    while (budget.spent() >= budget.slice_end(k, temp)) {
+      if (!advance_temperature()) {
+        schedule_exhausted = true;
+        break;
+      }
+    }
+    if (schedule_exhausted) break;
+
+    if constexpr (util::kInvariantsEnabled) {
+      if (options.invariant_check_interval != 0 &&
+          result.proposals % options.invariant_check_interval == 0) {
+        problem.check_invariants();
+        ++result.invariants.executed;
+      }
+    }
+
+    const double h_j = problem.propose(rng);
+    budget.charge();
+    ++result.proposals;
+    result.ticks = budget.spent();
+
+    auto note_accept = [&]() {
+      ++accept_counter;
+      if (options.equilibrium_accepts > 0 &&
+          accept_counter >= options.equilibrium_accepts &&
+          !advance_temperature()) {
+        schedule_exhausted = true;
+      }
+    };
+
+    const double delta = h_j - h_i;
+    if (delta < 0.0) {
+      problem.accept();
+      ++result.accepts;
+      h_i = h_j;
+      gate_counter = 0;
+      reject_counter = 0;
+      if (h_i < result.best_cost) {
+        result.best_cost = h_i;
+        problem.snapshot_into(result.best_state);
+      }
+      note_accept();
+      continue;
+    }
+
+    if (options.equilibrium_rejects > 0 &&
+        reject_counter >= options.equilibrium_rejects) {
+      problem.reject();
+      if (!advance_temperature()) break;
+      continue;
+    }
+
+    bool take = false;
+    if (g.always_accepts(temp)) {
+      ++gate_counter;
+      if (gate_counter >= options.gate_threshold) {
+        take = true;
+        gate_counter = 1;
+      }
+    } else if (!g.never_accepts(temp)) {
+      take = rng.next_double() < g.probability(temp, h_i, h_j);
+    }
+
+    if (take) {
+      problem.accept();
+      ++result.accepts;
+      if (delta > 0.0) ++result.uphill_accepts;
+      h_i = h_j;
+      reject_counter = 0;
+      note_accept();
+    } else {
+      problem.reject();
+      ++reject_counter;
+    }
+  }
+
+  result.final_cost = problem.cost();
+  return result;
+}
+
+bool results_match(const core::RunResult& a, const core::RunResult& b) {
+  return a.best_cost == b.best_cost && a.final_cost == b.final_cost &&
+         a.proposals == b.proposals && a.accepts == b.accepts &&
+         a.uphill_accepts == b.uphill_accepts && a.ticks == b.ticks &&
+         a.temperatures_visited == b.temperatures_visited &&
+         a.best_state == b.best_state;
+}
+
+/// Paired per-rep overhead of a timed tier against the baseline run of the
+/// same rep, in percent: 100 * (tier / baseline - 1).  Adjacent runs share
+/// machine conditions, so drift cancels out of each ratio.  The median is
+/// the reported (and gated) overhead; min and max show its noise floor.
+struct PairedOverhead {
+  double min_pct = 0.0;
+  double median_pct = 0.0;
+  double max_pct = 0.0;
+};
+
+PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
+                               const std::vector<double>& baseline_seconds) {
+  std::vector<double> pct;
+  pct.reserve(tier_seconds.size());
+  for (std::size_t rep = 0; rep < tier_seconds.size(); ++rep) {
+    if (baseline_seconds[rep] > 0.0) {
+      pct.push_back(100.0 * (tier_seconds[rep] / baseline_seconds[rep] - 1.0));
+    }
+  }
+  if (pct.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(pct.begin(), pct.end());
+  return {*lo, util::median(pct), *hi};
+}
+
 struct ConfigTiming {
   std::string name;
   double best_seconds = 0.0;
   double proposals_per_sec = 0.0;
-  bench::PairedOverhead overhead;  // vs the stripped baseline
+  PairedOverhead overhead;  // vs the stripped baseline
 };
+
+/// The deterministic export bundle compared across thread counts.
+struct Snapshot {
+  std::string registry_json;
+  std::string prometheus;
+  std::string profile_json;
+
+  [[nodiscard]] bool operator==(const Snapshot&) const = default;
+};
+
+Snapshot export_snapshot(const obs::RunMetrics& metrics) {
+  obs::MetricsRegistry registry;
+  registry.populate_from_run(metrics);
+  Snapshot snap;
+  snap.registry_json = registry.to_json(/*deterministic_only=*/true);
+  snap.prometheus = registry.to_prometheus(/*deterministic_only=*/true);
+  snap.profile_json = metrics.profile.to_json(/*include_wall=*/false);
+  return snap;
+}
 
 }  // namespace
 
@@ -72,16 +243,20 @@ int main(int argc, char** argv) {
              args.program().c_str());
     return 2;
   }
-  const long long budget_flag = args.get_int("budget", 2'000'000);
-  const long long reps_flag = args.get_int("reps", 5);
-  const double gate_pct = args.get_double("gate-pct", 1.0);
-  if (budget_flag < 1 || reps_flag < 1 || gate_pct <= 0.0) {
-    obs::log(obs::LogLevel::kError, "%s: flags must be positive",
-             args.program().c_str());
+  std::string error;
+  const auto budget_flag =
+      bench::positive_int_flag(args, "budget", 2'000'000, &error);
+  const auto reps_flag = bench::positive_int_flag(args, "reps", 5, &error);
+  const auto gate_flag =
+      bench::positive_double_flag(args, "gate-pct", 1.0, &error);
+  if (!budget_flag || !reps_flag || !gate_flag) {
+    obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
+             error.c_str());
     return 2;
   }
-  const auto budget = static_cast<std::uint64_t>(budget_flag);
-  const auto reps = static_cast<std::size_t>(reps_flag);
+  const auto budget = static_cast<std::uint64_t>(*budget_flag);
+  const auto reps = static_cast<std::size_t>(*reps_flag);
+  const double gate_pct = *gate_flag;
 
   char gate_buf[32];
   std::snprintf(gate_buf, sizeof gate_buf, "%.2f", gate_pct);
@@ -113,7 +288,7 @@ int main(int argc, char** argv) {
     util::Rng rng{bench::kSeed + 9};
     util::Stopwatch watch;
     core::RunResult result =
-        stripped ? bench::run_figure1_stripped(problem, *g, options, rng)
+        stripped ? run_stripped_figure1(problem, *g, options, rng)
                  : core::run_figure1(problem, *g, options, rng);
     const double seconds = watch.seconds();
     if (out != nullptr) *out = result;
@@ -126,7 +301,10 @@ int main(int argc, char** argv) {
   obs::RingBufferSink ring{65536};
   std::ostringstream jsonl_out;
   obs::JsonlFileSink jsonl{jsonl_out};
-  const obs::Recorder metrics_only{nullptr, /*collect_metrics=*/true};
+  const obs::Recorder metrics{nullptr, /*collect_metrics=*/true};
+  const obs::Recorder metrics_profile{nullptr, /*collect_metrics=*/true,
+                                      /*trace_sample=*/1, /*run=*/0,
+                                      /*collect_profile=*/true};
   const obs::Recorder ring_traced{&ring, /*collect_metrics=*/true};
   const obs::Recorder jsonl_sampled{&jsonl, /*collect_metrics=*/true,
                                     /*trace_sample=*/64};
@@ -139,7 +317,8 @@ int main(int argc, char** argv) {
   const std::vector<Tier> tiers{
       {"baseline (stripped loop)", true, nullptr},
       {"off (no recorder)", false, nullptr},
-      {"metrics only", false, &metrics_only},
+      {"metrics only", false, &metrics},
+      {"metrics + profiler", false, &metrics_profile},
       {"ring trace 64k + metrics", false, &ring_traced},
       {"jsonl 1/64 + metrics", false, &jsonl_sampled},
   };
@@ -151,11 +330,11 @@ int main(int argc, char** argv) {
   // the stripped baseline absorb all the cold-start cost and could report
   // *negative* overhead for the instrumented tiers.  Overheads come from
   // the *paired* per-rep ratio against the baseline run of the same rep
-  // (bench::paired_overhead).  The median ratio is the reported overhead:
-  // unlike a minimum it is not biased low when a baseline rep eats a noise
-  // spike, and unlike a mean it shrugs off a single bad rep of the
-  // measured tier.  The min and max ratios are reported beside it, so a
-  // reader can see how much of the median is noise.
+  // (paired_overhead).  The median ratio is the reported overhead: unlike
+  // a minimum it is not biased low when a baseline rep eats a noise spike,
+  // and unlike a mean it shrugs off a single bad rep of the measured tier.
+  // The min and max ratios are reported beside it, so a reader can see how
+  // much of the median is noise.
   std::vector<ConfigTiming> timings(tiers.size());
   std::vector<std::vector<double>> rep_seconds(
       tiers.size(), std::vector<double>(reps, 0.0));
@@ -170,7 +349,7 @@ int main(int argc, char** argv) {
       options.recorder = tier.recorder;
       core::RunResult result;
       const double seconds = timed_run(options, tier.stripped, &result);
-      if (!bench::stripped_results_match(reference, result)) {
+      if (!results_match(reference, result)) {
         obs::log(obs::LogLevel::kError,
                  "FATAL: '%s' changed the optimization results "
                  "(determinism violation)",
@@ -186,7 +365,7 @@ int main(int argc, char** argv) {
     timings[i].best_seconds = best;
     timings[i].proposals_per_sec =
         best > 0.0 ? static_cast<double>(reference.proposals) / best : 0.0;
-    timings[i].overhead = bench::paired_overhead(rep_seconds[i], rep_seconds[0]);
+    timings[i].overhead = paired_overhead(rep_seconds[i], rep_seconds[0]);
   }
 
   util::Table table;
@@ -210,8 +389,8 @@ int main(int argc, char** argv) {
   const double off_overhead = timings[1].overhead.median_pct;
   const bool gate_ok = off_overhead < gate_pct;
 
-  // Acceptance criterion: traced 8-thread run == untraced 1-thread run in
-  // every final result the engines report.
+  // Thread-count determinism: one runner and one multistart option block,
+  // run untraced at 1 thread and traced + profiled at 1 and 8 threads.
   core::Runner runner = [&g](core::Problem& p, std::uint64_t slice,
                              util::Rng& r, const obs::Recorder& recorder) {
     core::Figure1Options options;
@@ -220,36 +399,47 @@ int main(int argc, char** argv) {
     return core::run_figure1(p, *g, options, r);
   };
   const std::uint64_t ms_budget = std::min<std::uint64_t>(budget, 200'000);
+  core::ParallelMultistartOptions ms_options;
+  ms_options.multistart.total_budget = ms_budget;
+  ms_options.multistart.budget_per_start =
+      ms_budget / 50 == 0 ? 1 : ms_budget / 50;
 
-  auto untraced_problem = make_problem();
-  core::MultistartOptions seq_options;
-  seq_options.total_budget = ms_budget;
-  seq_options.budget_per_start = ms_budget / 50 == 0 ? 1 : ms_budget / 50;
-  util::Rng seq_rng{bench::kSeed + 21};
-  const auto untraced =
-      core::multistart(untraced_problem, runner, seq_options, seq_rng);
+  auto run_multistart = [&](unsigned threads, obs::VectorSink* events) {
+    auto problem = make_problem();
+    const obs::Recorder traced{events, /*collect_metrics=*/true,
+                               /*trace_sample=*/16, /*run=*/0,
+                               /*collect_profile=*/true};
+    core::ParallelMultistartOptions options = ms_options;
+    if (events != nullptr) options.multistart.recorder = &traced;
+    options.num_threads = threads;
+    util::Rng rng{bench::kSeed + 21};
+    return core::parallel_multistart(problem, runner, options, rng);
+  };
 
-  auto traced_problem = make_problem();
-  obs::VectorSink events;
-  const obs::Recorder root{&events, /*collect_metrics=*/true,
-                           /*trace_sample=*/16};
-  core::ParallelMultistartOptions par_options;
-  par_options.multistart = seq_options;
-  par_options.multistart.recorder = &root;
-  par_options.num_threads = 8;
-  util::Rng par_rng{bench::kSeed + 21};
-  const auto traced =
-      core::parallel_multistart(traced_problem, runner, par_options, par_rng);
+  const auto untraced = run_multistart(1, nullptr);
+  obs::VectorSink events1;
+  obs::VectorSink events8;
+  const auto traced1 = run_multistart(1, &events1);
+  const auto traced8 = run_multistart(8, &events8);
 
   const bool determinism_ok =
-      untraced.restarts == traced.restarts &&
-      untraced.restart_best_costs == traced.restart_best_costs &&
-      bench::stripped_results_match(untraced.aggregate, traced.aggregate);
+      untraced.restarts == traced8.restarts &&
+      untraced.restart_best_costs == traced8.restart_best_costs &&
+      results_match(untraced.aggregate, traced8.aggregate);
   if (!determinism_ok) {
     obs::log(obs::LogLevel::kError,
              "FATAL: traced 8-thread multistart differs from untraced "
              "1-thread multistart (determinism violation)");
   }
+  const bool snapshots_identical =
+      export_snapshot(traced1.aggregate.metrics) ==
+      export_snapshot(traced8.aggregate.metrics);
+  if (!snapshots_identical) {
+    obs::log(obs::LogLevel::kError,
+             "FATAL: 8-thread registry/profile exports differ from 1-thread "
+             "(determinism violation)");
+  }
+  const std::size_t parallel_events = events8.events().size();
 
   std::string json = "{\n  \"bench\": \"obs_overhead\",\n";
   json += "  \"seed\": " + std::to_string(bench::kSeed) + ",\n";
@@ -261,21 +451,22 @@ int main(int argc, char** argv) {
           ",\n";
   json += std::string{"  \"traced_parallel_bit_identical\": "} +
           (determinism_ok ? "true" : "false") + ",\n";
+  json += std::string{"  \"registry_snapshots_identical\": "} +
+          (snapshots_identical ? "true" : "false") + ",\n";
   json += "  \"trace_events_in_parallel_check\": " +
-          std::to_string(events.events().size()) + ",\n";
+          std::to_string(parallel_events) + ",\n";
   json += "  \"configs\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const ConfigTiming& timing = timings[i];
-    char buf[384];
+    char buf[320];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"seconds\": %.6f, "
                   "\"proposals_per_sec\": %.1f, \"overhead_pct\": %.3f, "
-                  "\"overhead_pct_min\": %.3f, \"overhead_pct_median\": %.3f, "
-                  "\"overhead_pct_max\": %.3f}%s\n",
+                  "\"overhead_pct_min\": %.3f, \"overhead_pct_max\": %.3f}%s\n",
                   timing.name.c_str(), timing.best_seconds,
                   timing.proposals_per_sec, timing.overhead.median_pct,
-                  timing.overhead.min_pct, timing.overhead.median_pct,
-                  timing.overhead.max_pct, i + 1 < timings.size() ? "," : "");
+                  timing.overhead.min_pct, timing.overhead.max_pct,
+                  i + 1 < timings.size() ? "," : "");
     json += buf;
   }
   json += "  ]\n}\n";
@@ -284,9 +475,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nOff-path overhead: %.2f%% (gate: <%.2f%%) — %s.\n"
       "Traced 8-thread multistart vs untraced 1-thread: %s "
-      "(%zu events captured).\n",
+      "(%zu events captured).\n"
+      "8-thread vs 1-thread deterministic registry exports: %s.\n",
       off_overhead, gate_pct, gate_ok ? "PASS" : "FAIL",
-      determinism_ok ? "bit-identical" : "MISMATCH", events.events().size());
-  if (!gate_ok || !determinism_ok) return 1;
+      determinism_ok ? "bit-identical" : "MISMATCH", parallel_events,
+      snapshots_identical ? "byte-identical" : "MISMATCH");
+  if (!gate_ok || !determinism_ok || !snapshots_identical) return 1;
   return 0;
 }

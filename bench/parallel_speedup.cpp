@@ -67,13 +67,17 @@ int main(int argc, char** argv) {
              args.program().c_str());
     return 2;
   }
-  const long long max_threads = args.get_int("max-threads", 8);
-  const long long budget_flag = args.get_int("budget", 400'000);
-  if (max_threads < 1 || budget_flag < 1) {
-    obs::log(obs::LogLevel::kError, "%s: flags must be positive",
-             args.program().c_str());
+  std::string error;
+  const auto max_threads_flag =
+      bench::positive_int_flag(args, "max-threads", 8, &error);
+  const auto budget_flag =
+      bench::positive_int_flag(args, "budget", 400'000, &error);
+  if (!max_threads_flag || !budget_flag) {
+    obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
+             error.c_str());
     return 2;
   }
+  const long long max_threads = *max_threads_flag;
 
   bench::print_header(
       "Parallel multistart — threads x size throughput sweep",
@@ -105,7 +109,7 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   const std::uint64_t total_budget = bench::scaled(
-      static_cast<std::uint64_t>(budget_flag));
+      static_cast<std::uint64_t>(*budget_flag));
   const std::uint64_t per_start = total_budget / 100 == 0
                                       ? 1
                                       : total_budget / 100;

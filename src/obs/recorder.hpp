@@ -236,7 +236,7 @@ class Recorder {
 // ProfileScope's members live here, not in profiler.cpp: profiler.hpp is
 // included above before Recorder exists, and keeping these inline makes a
 // scope on an off/non-profiling recorder a single predicted branch with no
-// call — the property bench/metrics_overhead gates.
+// call — the property bench/obs_overhead gates.
 inline ProfileScope::ProfileScope(Recorder& recorder, const char* name)
     : recorder_(recorder.profile_enter(name) ? &recorder : nullptr) {}
 

@@ -1,6 +1,7 @@
 // Shared bench-driver flag parsing (bench/common): the side-effect-free
-// parse_driver_options path, including the validation satellite — zero or
-// negative numeric flags must be rejected with an error naming the flag.
+// parse_driver_options path and the positive_int_flag/positive_double_flag
+// helpers behind every bench's numeric flags — a malformed, overflowing,
+// zero or negative value must be rejected with an error naming the flag.
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "common.hpp"
 #include "obs/flight.hpp"
+#include "util/args.hpp"
 
 namespace mcopt::bench {
 namespace {
@@ -192,6 +194,59 @@ TEST(DriverFlagsTest, TimelineAndPerfCombineWithOtherObservability) {
   EXPECT_EQ(opts->perf_counters.size(), 1u);
   EXPECT_EQ(opts->profile_path, "p.json");
   EXPECT_EQ(opts->threads, 2u);
+}
+
+util::Args bench_args(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "bench");
+  return util::Args{static_cast<int>(argv.size()), argv.data()};
+}
+
+TEST(NumericFlagTest, PositiveIntFlagParsesOrFallsBack) {
+  std::string error;
+  EXPECT_EQ(positive_int_flag(bench_args({"--budget", "400000"}), "budget",
+                              7, &error),
+            400000);
+  EXPECT_EQ(positive_int_flag(bench_args({}), "budget", 7, &error), 7);
+  EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(NumericFlagTest, PositiveIntFlagRejectsBadValuesNamingTheFlag) {
+  for (const char* value :
+       {"abc", "1e3", "12x", "99999999999999999999", "0", "-5"}) {
+    std::string error;
+    EXPECT_FALSE(positive_int_flag(bench_args({"--budget", value}), "budget",
+                                   7, &error)
+                     .has_value())
+        << value;
+    EXPECT_NE(error.find("--budget"), std::string::npos) << error;
+    EXPECT_NE(error.find(value), std::string::npos) << error;
+  }
+}
+
+TEST(NumericFlagTest, PositiveDoubleFlagParsesOrFallsBack) {
+  std::string error;
+  EXPECT_EQ(positive_double_flag(bench_args({"--gate-pct", "2.5"}),
+                                 "gate-pct", 1.0, &error),
+            2.5);
+  EXPECT_EQ(positive_double_flag(bench_args({"--gate-pct", "1e1"}),
+                                 "gate-pct", 1.0, &error),
+            10.0);
+  EXPECT_EQ(positive_double_flag(bench_args({}), "gate-pct", 1.0, &error),
+            1.0);
+  EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(NumericFlagTest, PositiveDoubleFlagRejectsBadValuesNamingTheFlag) {
+  for (const char* value :
+       {"abc", "1.5x", "1e999", "0", "-0.5", "nan", "inf"}) {
+    std::string error;
+    EXPECT_FALSE(positive_double_flag(bench_args({"--gate-pct", value}),
+                                      "gate-pct", 1.0, &error)
+                     .has_value())
+        << value;
+    EXPECT_NE(error.find("--gate-pct"), std::string::npos) << error;
+    EXPECT_NE(error.find(value), std::string::npos) << error;
+  }
 }
 
 TEST(DriverFlagsTest, QuietAndVerboseConflict) {

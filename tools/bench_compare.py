@@ -2,7 +2,7 @@
 """Bench-regression gate: diff fresh BENCH_*.json against committed baselines.
 
 The bench drivers write machine-readable reports (BENCH_obs.json,
-BENCH_metrics.json, BENCH_parallel.json, ...) via
+BENCH_hotloop.json, BENCH_parallel.json) via
 bench::write_json_report.  The repo commits one baseline per report at the
 repository root; CI reruns the benches and feeds the fresh files through
 this gate::
