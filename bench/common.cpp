@@ -29,18 +29,37 @@
 
 namespace mcopt::bench {
 
+namespace {
+
+/// A bad MCOPT_BENCH_SCALE is a usage error, like a bad flag.
+[[noreturn]] void reject_bench_scale(const char* why) {
+  obs::log(obs::LogLevel::kError, "MCOPT_BENCH_SCALE=%s: %s",
+           std::getenv("MCOPT_BENCH_SCALE"), why);
+  std::exit(2);
+}
+
+}  // namespace
+
 double bench_scale() {
   static const double scale = [] {
     const char* env = std::getenv("MCOPT_BENCH_SCALE");
-    if (env == nullptr) return 1.0;
-    const double v = std::atof(env);
-    return v >= 0.01 ? v : 1.0;
+    if (env == nullptr || env[0] == '\0') return 1.0;
+    char* end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end == env || *end != '\0') reject_bench_scale("expects a number");
+    if (!std::isfinite(v)) reject_bench_scale("must be finite");
+    if (v < 0.01) reject_bench_scale("must be >= 0.01");
+    return v;
   }();
   return scale;
 }
 
 std::uint64_t scaled(std::uint64_t budget) {
   const double v = static_cast<double>(budget) * bench_scale();
+  // 2^64: the first double a uint64_t cannot hold.
+  if (v >= 18446744073709551616.0) {
+    reject_bench_scale("a scaled budget does not fit in 64 bits");
+  }
   return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
 }
 
@@ -577,13 +596,14 @@ long long goto_total_reduction(
 }
 
 void print_header(const std::string& title, const std::string& protocol) {
+  // Validates MCOPT_BENCH_SCALE before the first line goes out.
+  const std::uint64_t six_sec = scaled(kSixSec);
   std::printf("================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("%s\n", protocol.c_str());
   std::printf("seed=%llu  tick calibration: 6 s ~= %llu ticks  scale=%.2f\n",
               static_cast<unsigned long long>(kSeed),
-              static_cast<unsigned long long>(scaled(kSixSec)),
-              bench_scale());
+              static_cast<unsigned long long>(six_sec), bench_scale());
   std::printf("================================================================\n");
 }
 

@@ -49,10 +49,12 @@ inline constexpr std::uint64_t kTuneBudget = 500;
 /// Training-set size for the tuning pass (the paper used all 30).
 inline constexpr std::size_t kTuneInstances = 30;
 
-/// MCOPT_BENCH_SCALE (double >= 0.01); 1.0 when unset/invalid.
+/// MCOPT_BENCH_SCALE (a finite number >= 0.01); 1.0 when unset or empty.
+/// Any other value prints an error naming the variable and exits 2.
 double bench_scale();
 
-/// Budget scaled by bench_scale(), minimum 1 tick.
+/// Budget scaled by bench_scale(), minimum 1 tick.  Exits 2, like a bad
+/// MCOPT_BENCH_SCALE, when the scaled budget does not fit in 64 bits.
 std::uint64_t scaled(std::uint64_t budget);
 
 /// The 30-instance GOLA / NOLA test sets of §4.2.1 / §4.3.1.

@@ -21,23 +21,18 @@
 
 namespace mcopt::obs {
 
+/// Trace event kinds, one per MCOPT_EVENT_KIND line of obs/schema.def, in
+/// that order.
 enum class EventKind : std::uint8_t {
-  kStageBegin = 0,   ///< a temperature level was entered
-  kProposal = 1,     ///< a random perturbation was sampled (subsampled)
-  kAccept = 2,       ///< the pending perturbation was committed
-  kReject = 3,       ///< the pending perturbation was discarded
-  kRestartBegin = 4, ///< a multistart restart began from a fresh solution
-  kNewBest = 5,      ///< the best-so-far cost improved
-  kWorkerSteal = 6,  ///< a parallel worker claimed a restart (nondeterministic)
+#define MCOPT_EVENT_KIND(id, wire_name, deterministic) id,
+#include "obs/schema.def"
 };
 
-/// Why a stage was entered; carried only by kStageBegin events.
+/// Why a stage was entered; carried only by kStageBegin events.  One
+/// enumerator per MCOPT_STAGE_REASON line of obs/schema.def.
 enum class StageReason : std::uint8_t {
-  kNone = 0,         ///< not a stage event
-  kStart = 1,        ///< first stage of a run
-  kSlice = 2,        ///< the level's budget slice was exhausted (§4.2.1)
-  kPatience = 3,     ///< the Step 4 reject counter fired
-  kEquilibrium = 4,  ///< the [KIRK83] acceptance criterion fired
+#define MCOPT_STAGE_REASON(id, wire_name, on_stage_begin) id,
+#include "obs/schema.def"
 };
 
 /// One observation.  Fixed-size and trivially copyable so ring buffers and
@@ -55,21 +50,20 @@ struct Event {
   double best = 0.0;          ///< best-so-far cost when the event fired
 };
 
-/// Stable lowercase names used in the JSONL schema ("stage_begin", ...).
+/// The wire names of obs/schema.def used in the JSONL schema.
 [[nodiscard]] const char* event_kind_name(EventKind kind) noexcept;
 [[nodiscard]] const char* stage_reason_name(StageReason reason) noexcept;
 
 /// Appends the canonical single-line JSONL form of `event` (including the
-/// trailing newline) to `out`.  Key order is fixed; doubles are printed
-/// with %.17g so values round-trip exactly.  This is THE schema that
-/// tools/trace_report.py validates — change both together.
+/// trailing newline) to `out`: the line format_jsonl() produces.
 void append_jsonl(const Event& event, std::string& out);
 
-/// Formats the same canonical JSONL line (trailing newline included) into a
-/// caller-provided buffer with a single snprintf — no allocation, usable on
-/// the flight recorder's signal-handler dump path.  Returns the line length,
-/// or 0 if `cap` was too small.  Byte-identical to append_jsonl
-/// (test-enforced).  256 bytes is always enough.
+/// Formats the canonical JSONL line of `event` (trailing newline included)
+/// into a caller-provided buffer with a single snprintf — no allocation,
+/// usable on the flight recorder's signal-handler dump path.  Key order is
+/// fixed; doubles are printed with %.17g so values round-trip exactly.
+/// Returns the line length, or 0 if `cap` was too small.  256 bytes is
+/// always enough.
 [[nodiscard]] std::size_t format_jsonl(const Event& event, char* buf,
                                        std::size_t cap) noexcept;
 

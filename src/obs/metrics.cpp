@@ -2,22 +2,11 @@
 
 #include <cstdio>
 
+#include "obs/json_number.hpp"
+
 namespace mcopt::obs {
 
 namespace {
-
-void append_u64(std::uint64_t value, std::string& out) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(value));
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
-void append_double(double value, std::string& out) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", value);
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
 
 void append_field(const char* key, std::uint64_t value, const char* indent,
                   std::string& out, bool comma = true) {

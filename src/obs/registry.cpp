@@ -1,12 +1,28 @@
 #include "obs/registry.hpp"
 
-#include <cstdio>
+#include <cstddef>
 #include <vector>
 
+#include "obs/json_number.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfcount.hpp"
 
 namespace mcopt::obs {
+
+// The families of obs/schema.def, one enumerator per entry, and
+// (below) one table row per entry.
+enum class CounterFamily : std::uint8_t {
+#define MCOPT_COUNTER(id, family, deterministic, help) id,
+#include "obs/schema.def"
+};
+enum class GaugeFamily : std::uint8_t {
+#define MCOPT_GAUGE(id, family, deterministic, help) id,
+#include "obs/schema.def"
+};
+enum class HistogramFamily : std::uint8_t {
+#define MCOPT_HISTOGRAM(id, family, deterministic, help) id,
+#include "obs/schema.def"
+};
 
 namespace {
 
@@ -16,18 +32,29 @@ std::string base_name(const std::string& name) {
   return brace == std::string::npos ? name : name.substr(0, brace);
 }
 
-void append_u64(std::uint64_t value, std::string& out) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(value));
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
+/// One Prometheus family of obs/schema.def: its name, determinism flag and
+/// HELP text.
+struct Family {
+  const char* name;
+  bool deterministic;
+  const char* help;
+};
 
-void append_double(double value, std::string& out) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", value);
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
+#define MCOPT_FAMILY_ROW(id, family, deterministic, help) \
+  {family, deterministic, help},
+constexpr Family kCounterFamilies[] = {
+#define MCOPT_COUNTER MCOPT_FAMILY_ROW
+#include "obs/schema.def"
+};
+constexpr Family kGaugeFamilies[] = {
+#define MCOPT_GAUGE MCOPT_FAMILY_ROW
+#include "obs/schema.def"
+};
+constexpr Family kHistogramFamilies[] = {
+#define MCOPT_HISTOGRAM MCOPT_FAMILY_ROW
+#include "obs/schema.def"
+};
+#undef MCOPT_FAMILY_ROW
 
 const char* kind_name(MetricKind kind) {
   switch (kind) {
@@ -169,177 +196,107 @@ const Metric* MetricsRegistry::find(const std::string& name) const {
   return it == metrics_.end() ? nullptr : &it->second;
 }
 
+void MetricsRegistry::emit_locked(CounterFamily family,
+                                  const std::string& label, std::uint64_t v) {
+  const Family& f = kCounterFamilies[static_cast<std::size_t>(family)];
+  counter_add_locked(f.name + label, f.help, v, f.deterministic);
+}
+
+void MetricsRegistry::emit_locked(GaugeFamily family, const std::string& label,
+                                  double v) {
+  const Family& f = kGaugeFamilies[static_cast<std::size_t>(family)];
+  gauge_max_locked(f.name + label, f.help, v, f.deterministic);
+}
+
+void MetricsRegistry::emit_locked(HistogramFamily family,
+                                  const std::string& label,
+                                  const LogHistogram& h) {
+  const Family& f = kHistogramFamilies[static_cast<std::size_t>(family)];
+  histogram_merge_locked(f.name + label, f.help, h, f.deterministic);
+}
+
 void MetricsRegistry::populate_from_run(const RunMetrics& m) {
+  using C = CounterFamily;
+  using G = GaugeFamily;
+  using H = HistogramFamily;
   util::MutexLock lock{mu_};
-  counter_add_locked("mcopt_restarts_total", "Multistart restarts folded in",
-                     m.restarts, /*deterministic=*/true);
-  counter_add_locked("mcopt_new_bests_total", "Best-so-far improvements",
-                     m.new_bests, /*deterministic=*/true);
-  counter_add_locked("mcopt_patience_resets_total",
-                     "Step 4 reject counters reset by an accept",
-                     m.patience_resets, /*deterministic=*/true);
-  counter_add_locked("mcopt_trace_events_total",
-                     "Trace events emitted post-sampling", m.trace_events,
-                     /*deterministic=*/true);
-  counter_add_locked("mcopt_invariant_checks_total",
-                     "Deep invariant verifications", m.invariant_checks,
-                     /*deterministic=*/true);
-  gauge_max_locked("mcopt_invariant_seconds",
-                   "Wall time inside check_invariants()", m.invariant_seconds,
-                   /*deterministic=*/false);
-  gauge_max_locked("mcopt_wall_seconds", "Wall time of the run(s)",
-                   m.wall_seconds, /*deterministic=*/false);
-  counter_add_locked("mcopt_worker_steals_total",
-                     "Restarts claimed by pool workers (scheduler-dependent)",
-                     m.worker_steals, /*deterministic=*/false);
-  histogram_merge_locked("mcopt_uphill_delta_proposed",
-                         "Cost increase of proposed uphill moves",
-                         m.uphill_delta_proposed, /*deterministic=*/true);
-  histogram_merge_locked("mcopt_uphill_delta_accepted",
-                         "Cost increase of accepted uphill moves",
-                         m.uphill_delta_accepted, /*deterministic=*/true);
+  const std::string unlabeled;
+  emit_locked(C::kRestarts, unlabeled, m.restarts);
+  emit_locked(C::kNewBests, unlabeled, m.new_bests);
+  emit_locked(C::kPatienceResets, unlabeled, m.patience_resets);
+  emit_locked(C::kTraceEvents, unlabeled, m.trace_events);
+  emit_locked(C::kInvariantChecks, unlabeled, m.invariant_checks);
+  emit_locked(G::kInvariantSeconds, unlabeled, m.invariant_seconds);
+  emit_locked(G::kWallSeconds, unlabeled, m.wall_seconds);
+  emit_locked(C::kWorkerSteals, unlabeled, m.worker_steals);
+  emit_locked(H::kUphillDeltaProposed, unlabeled, m.uphill_delta_proposed);
+  emit_locked(H::kUphillDeltaAccepted, unlabeled, m.uphill_delta_accepted);
   for (std::size_t i = 0; i < m.stages.size(); ++i) {
     const StageMetrics& s = m.stages[i];
-    std::string label = "{stage=\"";
-    append_u64(static_cast<std::uint64_t>(i), label);
-    label += "\"}";
-    counter_add_locked("mcopt_stage_proposals_total" + label,
-                       "Proposals per temperature level", s.proposals,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_accepts_total" + label,
-                       "Accepted proposals per temperature level", s.accepts,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_uphill_accepts_total" + label,
-                       "Accepted cost-increasing proposals per level",
-                       s.uphill_accepts, /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_rejects_total" + label,
-                       "Rejected proposals per temperature level", s.rejects,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_downhill_proposals_total" + label,
-                       "Proposals with negative cost delta",
-                       s.downhill_proposals, /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_sideways_proposals_total" + label,
-                       "Proposals with zero cost delta", s.sideways_proposals,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_uphill_proposals_total" + label,
-                       "Proposals with positive cost delta",
-                       s.uphill_proposals, /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_new_bests_total" + label,
-                       "Best-so-far improvements per level", s.new_bests,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_patience_fires_total" + label,
-                       "Step 4 advances out of this level", s.patience_fires,
-                       /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_ticks_total" + label,
-                       "Budget ticks charged per level", s.ticks,
-                       /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_wall_seconds" + label,
-                     "Wall time per level (staged runners only)",
-                     s.wall_seconds, /*deterministic=*/false);
-    gauge_max_locked("mcopt_stage_acceptance_rate" + label,
-                     "accepts / proposals per level", s.acceptance_rate(),
-                     /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_uphill_rate" + label,
-                     "uphill accepts / uphill proposals per level (realized g)",
-                     s.uphill_rate(), /*deterministic=*/true);
+    const std::string label = "{stage=\"" + std::to_string(i) + "\"}";
+    emit_locked(C::kStageProposals, label, s.proposals);
+    emit_locked(C::kStageAccepts, label, s.accepts);
+    emit_locked(C::kStageUphillAccepts, label, s.uphill_accepts);
+    emit_locked(C::kStageRejects, label, s.rejects);
+    emit_locked(C::kStageDownhillProposals, label, s.downhill_proposals);
+    emit_locked(C::kStageSidewaysProposals, label, s.sideways_proposals);
+    emit_locked(C::kStageUphillProposals, label, s.uphill_proposals);
+    emit_locked(C::kStageNewBests, label, s.new_bests);
+    emit_locked(C::kStagePatienceFires, label, s.patience_fires);
+    emit_locked(C::kStageTicks, label, s.ticks);
+    emit_locked(G::kStageWallSeconds, label, s.wall_seconds);
+    emit_locked(G::kStageAcceptanceRate, label, s.acceptance_rate());
+    emit_locked(G::kStageUphillRate, label, s.uphill_rate());
   }
-  // Thermodynamic observables: derived from exact integer accumulators at
-  // this call, so the exported doubles are a pure function of the seed and
-  // safe to keep in the deterministic_only view.
   for (std::size_t i = 0; i < m.observables.size(); ++i) {
     const StageObservables& o = m.observables[i];
-    std::string label = "{stage=\"";
-    append_u64(static_cast<std::uint64_t>(i), label);
-    label += "\"}";
-    counter_add_locked("mcopt_stage_cost_samples_total" + label,
-                       "Cost samples folded into the stage observables",
-                       o.samples, /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_cost_mean" + label,
-                     "Mean chain cost (energy) per level", o.mean(),
-                     /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_cost_variance" + label,
-                     "Chain cost variance per level", o.variance(),
-                     /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_temperature" + label,
-                     "Boltzmann temperature Y_t (0 = non-thermal rule)",
-                     o.temperature, /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_specific_heat" + label,
-                     "Var(E)/Y_t^2 — peaks at the freezing transition",
-                     o.specific_heat(), /*deterministic=*/true);
-    gauge_max_locked("mcopt_stage_autocorr_lag1" + label,
-                     "Lag-1 cost autocorrelation per level",
-                     o.autocorrelation(1), /*deterministic=*/true);
-    counter_add_locked("mcopt_stage_equilibrated_total" + label,
-                       "Runs whose drift detector flagged this level "
-                       "equilibrated",
-                       o.equilibrated_runs, /*deterministic=*/true);
+    const std::string label = "{stage=\"" + std::to_string(i) + "\"}";
+    emit_locked(C::kStageCostSamples, label, o.samples);
+    emit_locked(G::kStageCostMean, label, o.mean());
+    emit_locked(G::kStageCostVariance, label, o.variance());
+    emit_locked(G::kStageTemperature, label, o.temperature);
+    emit_locked(G::kStageSpecificHeat, label, o.specific_heat());
+    emit_locked(G::kStageAutocorrLag1, label, o.autocorrelation(1));
+    emit_locked(C::kStageEquilibrated, label, o.equilibrated_runs);
   }
-  // Hardware-counter attribution per profile scope.  Every family is a
-  // measurement of the machine, so all are nondeterministic (excluded from
-  // the bit-identity exports), and all are absent when perf_event_open was
-  // unavailable — the counts then stay zero and nothing registers, which
-  // is the graceful-degradation contract the tests pin.
-  {
-    std::vector<std::string> paths(m.profile.nodes.size());
-    for (std::size_t i = 0; i < m.profile.nodes.size(); ++i) {
-      const ProfileNode& node = m.profile.nodes[i];
-      paths[i] = node.parent < 0
-                     ? node.name
-                     : paths[static_cast<std::size_t>(node.parent)] + "/" +
-                           node.name;
-      if (!node.perf.any()) continue;
-      const std::string label = "{scope=\"" + paths[i] + "\"}";
-      if (node.perf.cycles > 0) {
-        counter_add_locked("mcopt_perf_cycles_total" + label,
-                           "CPU cycles inside the profile scope "
-                           "(perf_event, user space only)",
-                           node.perf.cycles, /*deterministic=*/false);
-      }
-      if (node.perf.instructions > 0) {
-        counter_add_locked("mcopt_perf_instructions_total" + label,
-                           "Retired instructions inside the profile scope",
-                           node.perf.instructions, /*deterministic=*/false);
-      }
-      if (node.perf.cache_refs > 0) {
-        counter_add_locked("mcopt_perf_cache_references_total" + label,
-                           "Cache references inside the profile scope",
-                           node.perf.cache_refs, /*deterministic=*/false);
-      }
-      if (node.perf.cache_misses > 0) {
-        counter_add_locked("mcopt_perf_cache_misses_total" + label,
-                           "Cache misses inside the profile scope",
-                           node.perf.cache_misses, /*deterministic=*/false);
-      }
-      if (node.perf.branch_misses > 0) {
-        counter_add_locked("mcopt_perf_branch_misses_total" + label,
-                           "Branch mispredictions inside the profile scope",
-                           node.perf.branch_misses, /*deterministic=*/false);
-      }
-      if (node.perf.task_clock_ns > 0) {
-        counter_add_locked("mcopt_perf_task_clock_ns_total" + label,
-                           "Task-clock nanoseconds inside the profile scope",
-                           node.perf.task_clock_ns, /*deterministic=*/false);
-      }
-      const double ipc = perf_ipc(node.perf);
-      if (ipc > 0.0) {
-        gauge_max_locked("mcopt_perf_ipc" + label,
-                         "Instructions per cycle inside the profile scope",
-                         ipc, /*deterministic=*/false);
-      }
-      if (node.perf.cache_refs > 0) {
-        gauge_max_locked("mcopt_perf_cache_miss_rate" + label,
-                         "cache misses / cache references per profile scope",
-                         perf_cache_miss_rate(node.perf),
-                         /*deterministic=*/false);
-      }
-      if (node.perf.cycles > 0 && node.ticks > 0) {
-        gauge_max_locked("mcopt_perf_cycles_per_tick" + label,
-                         "CPU cycles per budget tick (proposal) inside the "
-                         "profile scope",
-                         static_cast<double>(node.perf.cycles) /
-                             static_cast<double>(node.ticks),
-                         /*deterministic=*/false);
-      }
+  // Hardware-counter attribution per profile scope.  A family registers
+  // only when its count is nonzero, so all are absent when perf_event_open
+  // was unavailable — the graceful-degradation contract the tests pin.
+  std::vector<std::string> paths(m.profile.nodes.size());
+  for (std::size_t i = 0; i < m.profile.nodes.size(); ++i) {
+    const ProfileNode& node = m.profile.nodes[i];
+    paths[i] = node.parent < 0
+                   ? node.name
+                   : paths[static_cast<std::size_t>(node.parent)] + "/" +
+                         node.name;
+    if (!node.perf.any()) continue;
+    const PerfCounts& p = node.perf;
+    const std::string label = "{scope=\"" + paths[i] + "\"}";
+    if (p.cycles > 0) emit_locked(C::kPerfCycles, label, p.cycles);
+    if (p.instructions > 0) {
+      emit_locked(C::kPerfInstructions, label, p.instructions);
+    }
+    if (p.cache_refs > 0) {
+      emit_locked(C::kPerfCacheReferences, label, p.cache_refs);
+    }
+    if (p.cache_misses > 0) {
+      emit_locked(C::kPerfCacheMisses, label, p.cache_misses);
+    }
+    if (p.branch_misses > 0) {
+      emit_locked(C::kPerfBranchMisses, label, p.branch_misses);
+    }
+    if (p.task_clock_ns > 0) {
+      emit_locked(C::kPerfTaskClockNs, label, p.task_clock_ns);
+    }
+    const double ipc = perf_ipc(p);
+    if (ipc > 0.0) emit_locked(G::kPerfIpc, label, ipc);
+    if (p.cache_refs > 0) {
+      emit_locked(G::kPerfCacheMissRate, label, perf_cache_miss_rate(p));
+    }
+    if (p.cycles > 0 && node.ticks > 0) {
+      emit_locked(G::kPerfCyclesPerTick, label,
+                  static_cast<double>(p.cycles) /
+                      static_cast<double>(node.ticks));
     }
   }
 }

@@ -18,15 +18,18 @@
 // export order never depends on insertion order.
 //
 // Prometheus naming: per-stage samples encode the label in the key
-// (`mcopt_stage_proposals_total{stage="3"}`); families sharing a base name
-// sort adjacently, so HELP/TYPE headers are emitted once per family as the
-// text exposition format requires.
+// (`family{stage="3"}`); families sharing a base name sort adjacently, so
+// HELP/TYPE headers are emitted once per family as the text exposition
+// format requires.
+//
+// Family names, TYPEs, HELP texts and determinism flags of the standard
+// families come from obs/schema.def.
 //
 // Thread-safety: a registry may be populated and merged from concurrent
-// jobs (the shape the mcopt_serve job queue needs).  All state is guarded
-// by one util::Mutex; the public methods lock once and delegate to
-// REQUIRES-annotated *_locked() helpers, so the locking structure is
-// visible in the signatures and enforced by the thread-safety build.
+// threads.  All state is guarded by one util::Mutex; the public methods
+// lock once and delegate to REQUIRES-annotated *_locked() helpers, so the
+// locking structure is visible in the signatures and enforced by the
+// thread-safety build.
 // Determinism is unaffected: counters sum, gauges max, and histogram
 // buckets add commutatively, so any interleaving of whole operations
 // yields the same exports.
@@ -45,6 +48,11 @@
 namespace mcopt::obs {
 
 struct RunMetrics;
+// The standard families, one enumerator per obs/schema.def entry (defined
+// in registry.cpp).
+enum class CounterFamily : std::uint8_t;
+enum class GaugeFamily : std::uint8_t;
+enum class HistogramFamily : std::uint8_t;
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -122,6 +130,15 @@ class MetricsRegistry {
   void histogram_merge_locked(const std::string& name, const char* help,
                               const LogHistogram& h, bool deterministic)
       REQUIRES(mu_);
+
+  /// One sample `family` + `label` of a standard family, with the HELP
+  /// text and determinism flag of its schema entry.
+  void emit_locked(CounterFamily family, const std::string& label,
+                   std::uint64_t v) REQUIRES(mu_);
+  void emit_locked(GaugeFamily family, const std::string& label, double v)
+      REQUIRES(mu_);
+  void emit_locked(HistogramFamily family, const std::string& label,
+                   const LogHistogram& h) REQUIRES(mu_);
 
   mutable util::Mutex mu_;
   std::map<std::string, Metric> metrics_ GUARDED_BY(mu_);

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdio>
 
+#include "obs/json_number.hpp"
 #include "obs/perfcount.hpp"
 
 namespace mcopt::obs {
@@ -31,13 +32,6 @@ void append_escaped(const std::string& text, std::string& out) {
   }
 }
 
-void append_u64(std::uint64_t value, std::string& out) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(value));
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
 /// Microseconds with nanosecond precision — the ts/dur unit the Trace
 /// Event Format specifies.
 void append_us(std::uint64_t ns, std::string& out) {
@@ -48,7 +42,8 @@ void append_us(std::uint64_t ns, std::string& out) {
   out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
 }
 
-void append_double(double value, std::string& out) {
+/// Six significant digits: enough for the args panel of a timeline viewer.
+void append_short_double(double value, std::string& out) {
   char buf[32];
   const int n = std::snprintf(buf, sizeof buf, "%.6g", value);
   out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
@@ -102,11 +97,11 @@ void TimelineBuilder::add_span(const ProfileTree& tree, std::int32_t index,
     const double ipc = perf_ipc(node.perf);
     if (ipc > 0.0) {
       event.args_json += ", \"ipc\": ";
-      append_double(ipc, event.args_json);
+      append_short_double(ipc, event.args_json);
     }
     if (node.perf.cache_refs > 0) {
       event.args_json += ", \"cache_miss_rate\": ";
-      append_double(perf_cache_miss_rate(node.perf), event.args_json);
+      append_short_double(perf_cache_miss_rate(node.perf), event.args_json);
     }
     if (node.perf.cycles > 0) {
       event.args_json += ", \"cycles\": ";

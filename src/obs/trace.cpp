@@ -15,102 +15,50 @@ namespace {
 /// trace prefix on disk.
 constexpr std::size_t kJsonlBufferBytes = 1 << 16;
 
-void append_double(double value, std::string& out) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", value);
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
-void append_u64(std::uint64_t value, std::string& out) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(value));
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
 }  // namespace
 
 const char* event_kind_name(EventKind kind) noexcept {
   switch (kind) {
-    case EventKind::kStageBegin: return "stage_begin";
-    case EventKind::kProposal: return "proposal_sampled";
-    case EventKind::kAccept: return "accept";
-    case EventKind::kReject: return "reject";
-    case EventKind::kRestartBegin: return "restart_begin";
-    case EventKind::kNewBest: return "new_best";
-    case EventKind::kWorkerSteal: return "worker_steal";
+#define MCOPT_EVENT_KIND(id, wire_name, deterministic) \
+  case EventKind::id:                                  \
+    return wire_name;
+#include "obs/schema.def"
   }
   return "unknown";
 }
 
 const char* stage_reason_name(StageReason reason) noexcept {
   switch (reason) {
-    case StageReason::kNone: return "none";
-    case StageReason::kStart: return "start";
-    case StageReason::kSlice: return "slice";
-    case StageReason::kPatience: return "patience";
-    case StageReason::kEquilibrium: return "equilibrium";
+#define MCOPT_STAGE_REASON(id, wire_name, on_stage_begin) \
+  case StageReason::id:                                   \
+    return wire_name;
+#include "obs/schema.def"
   }
   return "unknown";
 }
 
 void append_jsonl(const Event& event, std::string& out) {
-  out += "{\"event\":\"";
-  out += event_kind_name(event.kind);
-  out += "\",\"run\":";
-  append_u64(event.run, out);
-  out += ",\"restart\":";
-  append_u64(event.restart, out);
-  out += ",\"worker\":";
-  append_u64(event.worker, out);
-  out += ",\"tick\":";
-  append_u64(event.tick, out);
-  out += ",\"stage\":";
-  append_u64(event.stage, out);
-  out += ",\"cost\":";
-  append_double(event.cost, out);
-  out += ",\"best\":";
-  append_double(event.best, out);
-  if (event.kind == EventKind::kStageBegin) {
-    out += ",\"reason\":\"";
-    out += stage_reason_name(event.reason);
-    out += "\"";
-  }
-  out += "}\n";
+  char line[256];
+  out.append(line, format_jsonl(event, line, sizeof line));
 }
 
 std::size_t format_jsonl(const Event& event, char* buf,
                          std::size_t cap) noexcept {
-  // One snprintf mirroring append_jsonl byte for byte (a unit test pins the
-  // two together).  snprintf is not formally async-signal-safe, but this
-  // numeric subset allocates nothing on common libcs — the accepted
-  // best-effort trade for a crash-path dump.
-  int n;
-  if (event.kind == EventKind::kStageBegin) {
-    n = std::snprintf(
-        buf, cap,
-        "{\"event\":\"%s\",\"run\":%llu,\"restart\":%llu,\"worker\":%llu,"
-        "\"tick\":%llu,\"stage\":%llu,\"cost\":%.17g,\"best\":%.17g,"
-        "\"reason\":\"%s\"}\n",
-        event_kind_name(event.kind),
-        static_cast<unsigned long long>(event.run),
-        static_cast<unsigned long long>(event.restart),
-        static_cast<unsigned long long>(event.worker),
-        static_cast<unsigned long long>(event.tick),
-        static_cast<unsigned long long>(event.stage), event.cost, event.best,
-        stage_reason_name(event.reason));
-  } else {
-    n = std::snprintf(
-        buf, cap,
-        "{\"event\":\"%s\",\"run\":%llu,\"restart\":%llu,\"worker\":%llu,"
-        "\"tick\":%llu,\"stage\":%llu,\"cost\":%.17g,\"best\":%.17g}\n",
-        event_kind_name(event.kind),
-        static_cast<unsigned long long>(event.run),
-        static_cast<unsigned long long>(event.restart),
-        static_cast<unsigned long long>(event.worker),
-        static_cast<unsigned long long>(event.tick),
-        static_cast<unsigned long long>(event.stage), event.cost, event.best);
-  }
+  // snprintf is not formally async-signal-safe, but this numeric subset
+  // allocates nothing on common libcs — the accepted best-effort trade for
+  // a crash-path dump.  Only stage_begin lines carry the reason key.
+  const bool staged = event.kind == EventKind::kStageBegin;
+  const int n = std::snprintf(
+      buf, cap,
+      "{\"event\":\"%s\",\"run\":%llu,\"restart\":%llu,\"worker\":%llu,"
+      "\"tick\":%llu,\"stage\":%llu,\"cost\":%.17g,\"best\":%.17g%s%s%s}\n",
+      event_kind_name(event.kind), static_cast<unsigned long long>(event.run),
+      static_cast<unsigned long long>(event.restart),
+      static_cast<unsigned long long>(event.worker),
+      static_cast<unsigned long long>(event.tick),
+      static_cast<unsigned long long>(event.stage), event.cost, event.best,
+      staged ? ",\"reason\":\"" : "",
+      staged ? stage_reason_name(event.reason) : "", staged ? "\"" : "");
   if (n <= 0 || static_cast<std::size_t>(n) >= cap) return 0;
   return static_cast<std::size_t>(n);
 }

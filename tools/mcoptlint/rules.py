@@ -7,7 +7,7 @@ Two families:
     semantics (same names, same allow() escape hatch, same exempt files)
   * the semantic rules regex cannot express, built on cppmodel:
     rng-provenance, unordered-iteration, nodiscard-contract,
-    include-hygiene
+    include-hygiene, hot-loop-alloc
 
 Every rule here has a committed known-bad fixture under
 tools/mcoptlint/fixtures/ that `mcoptlint --self-test` proves trips.
@@ -20,8 +20,7 @@ import re
 
 from mcoptlint import lexer
 from mcoptlint.cppmodel import CppModel
-from mcoptlint.engine import (REPO_ROOT, FileContext, Finding, RegexRule,
-                              Rule)
+from mcoptlint.engine import FileContext, Finding, RegexRule, Rule
 from mcoptlint.stdheaders import (BARE_SYMBOLS, CANONICAL, KNOWN_HEADERS,
                                   STD_SYMBOLS)
 
@@ -474,145 +473,6 @@ class HotLoopAllocRule(Rule):
         return out
 
 
-#: `case EventKind::kFoo:` labels of a wire-name switch.  Anchored on the
-#: EventKind qualifier so stage_reason_name()'s StageReason cases (and any
-#: other string switch) never match.
-_EVENT_CASE_RE = re.compile(
-    r"case\s+(?:\w+\s*::\s*)*EventKind\s*::\s*k\w+\s*:\s*return\b")
-
-#: Extracts the returned wire name from *raw* text (string literals are
-#: blanked in the stripped text the case label was found in).
-_EVENT_NAME_RE = re.compile(r'return\s*"([^"]+)"')
-
-
-def _schema_event_kinds() -> frozenset[str] | None:
-    """The EVENT_KINDS wire names declared in tools/trace_report.py, or
-    None when the schema table cannot be located (rule stays silent
-    rather than flagging every kind on a partial checkout)."""
-    path = REPO_ROOT / "tools" / "trace_report.py"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return None
-    match = re.search(r"EVENT_KINDS\s*=\s*\{([^}]*)\}", text)
-    if not match:
-        return None
-    return frozenset(re.findall(r'"([^"]+)"', match.group(1)))
-
-
-class EventSchemaSyncRule(Rule):
-    """The JSONL trace schema lives in two places that must not drift:
-    event_kind_name()'s `case EventKind::kFoo: return "foo";` table in
-    src/obs/trace.cpp defines the wire names, and trace_report.py's
-    EVENT_KINDS set defines what --validate (and CI's traced smoke run)
-    accepts.  A new kind added to the C++ side alone produces traces that
-    fail validation; this rule flags any returned wire name absent from
-    the Python schema table, so both move in the same change."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            name="event-schema-sync",
-            explanation="EventKind wire name missing from "
-            "tools/trace_report.py EVENT_KINDS; traces containing it fail "
-            "--validate, so extend the schema table in the same change",
-        )
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        out = []
-        known: frozenset[str] | None = None
-        for match in _EVENT_CASE_RE.finditer(ctx.stripped_text):
-            # The literal was blanked by the stripper; re-read it from the
-            # raw text right after the case label.
-            raw_tail = ctx.raw_text[match.start():match.start() + 200]
-            name_match = _EVENT_NAME_RE.search(raw_tail)
-            if not name_match:
-                continue
-            if known is None:
-                known = _schema_event_kinds()
-            if known is None:
-                return []
-            name = name_match.group(1)
-            if name not in known:
-                out.append(ctx.finding(
-                    ctx.model.line_at(match.start()), self.name,
-                    f'event kind "{name}" is not in trace_report.py\'s '
-                    "EVENT_KINDS; add it there so --validate accepts "
-                    "traces that contain it"))
-        return out
-
-
-#: A registry emission call whose family name may follow as a string
-#: literal.  The declarations in registry.hpp/.cpp take `const
-#: std::string& name` first, so requiring a quote right after the paren
-#: skips them.
-_METRIC_CALL_RE = re.compile(
-    r"\b(?:counter_add|gauge_max|histogram_merge)(?:_locked)?\s*\(")
-
-_METRIC_NAME_RE = re.compile(r'\(\s*"([^"]+)"')
-
-
-def _schema_known_metrics() -> frozenset[str] | None:
-    """The Prometheus family names declared in trace_report.py's
-    KNOWN_METRICS, or None when the table cannot be located (rule stays
-    silent rather than flagging every family on a partial checkout)."""
-    path = REPO_ROOT / "tools" / "trace_report.py"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return None
-    match = re.search(r"KNOWN_METRICS\s*=\s*\{([^}]*)\}", text)
-    if not match:
-        return None
-    return frozenset(re.findall(r'"([^"]+)"', match.group(1)))
-
-
-class CounterNameSyncRule(Rule):
-    """The Prometheus family namespace lives in two places that must not
-    drift: the string literals passed to MetricsRegistry::counter_add /
-    gauge_max / histogram_merge (and their _locked variants) in C++, and
-    trace_report.py's KNOWN_METRICS table that --prom validation (run by
-    CI on the smoke exposition) accepts.  A family emitted by C++ alone
-    produces expositions that fail validation; this rule flags any
-    mcopt_-prefixed literal absent from the Python table, so both move in
-    the same change.  Scoped to src/: tests exercise the registry with
-    synthetic family names that never reach a shipped exposition."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            name="counter-name-sync",
-            explanation="Prometheus family missing from "
-            "tools/trace_report.py KNOWN_METRICS; expositions containing "
-            "it fail --prom validation, so extend the table in the same "
-            "change",
-            scope={"src"},
-        )
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        out = []
-        known: frozenset[str] | None = None
-        for match in _METRIC_CALL_RE.finditer(ctx.stripped_text):
-            # The literal was blanked by the stripper; re-read it from the
-            # raw text right after the call.
-            raw_tail = ctx.raw_text[match.start():match.start() + 200]
-            name_match = _METRIC_NAME_RE.search(raw_tail)
-            if not name_match:
-                continue  # family name is a variable, not a literal
-            name = name_match.group(1)
-            if not name.startswith("mcopt_"):
-                continue
-            if known is None:
-                known = _schema_known_metrics()
-            if known is None:
-                return []
-            if name not in known:
-                out.append(ctx.finding(
-                    ctx.model.line_at(match.start()), self.name,
-                    f'metric family "{name}" is not in trace_report.py\'s '
-                    "KNOWN_METRICS; add it there so --prom validation "
-                    "accepts expositions that contain it"))
-        return out
-
-
 def default_rules() -> list[Rule]:
     rules: list[Rule] = [
         RegexRule(name=name, explanation=explanation,
@@ -626,7 +486,5 @@ def default_rules() -> list[Rule]:
         NodiscardContractRule(),
         IncludeHygieneRule(),
         HotLoopAllocRule(),
-        EventSchemaSyncRule(),
-        CounterNameSyncRule(),
     ]
     return rules

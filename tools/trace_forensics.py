@@ -43,15 +43,17 @@ import trace_report  # noqa: E402  (sibling module, needs the path tweak)
 def normalize(events: list[dict], strict_worker: bool) -> list[dict]:
     """Strips the sanctioned nondeterminism from a stream.
 
-    Unless ``strict_worker``, drops ``worker_steal`` events and the
-    ``worker`` field — the two carve-outs of the determinism contract.
-    Returns copies; the input is not modified.
+    Unless ``strict_worker``, drops the events of nondeterministic kinds
+    (``worker_steal``, per src/obs/schema.def) and the ``worker`` field —
+    the two carve-outs of the determinism contract.  Returns copies; the
+    input is not modified.
     """
     if strict_worker:
         return [dict(e) for e in events]
+    kinds = trace_report.schema().event_kinds
     out = []
     for event in events:
-        if event.get("event") == "worker_steal":
+        if not kinds.get(event.get("event"), True):
             continue
         copy = dict(event)
         copy.pop("worker", None)

@@ -27,6 +27,10 @@ Beyond traces, it renders the other observability exports:
 * ``--prom FILE``: validates a ``--prom-out`` Prometheus text exposition
   (HELP/TYPE before samples, contiguous families, parseable samples).
 
+The event kinds, stage reasons and ``mcopt_`` families that ``--validate``
+and ``--prom`` accept are read from ``src/obs/schema.def`` (found relative
+to this file), the list the C++ side is generated from.
+
 Determinism contract (see src/obs/event.hpp): every field except
 ``worker`` — and ``worker_steal`` events entirely — is a pure function of
 the seed.  Cross-thread-count comparisons must ignore both; ``--validate``
@@ -36,68 +40,46 @@ checks shape, not worker placement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from collections import defaultdict
+from typing import NamedTuple
 
-EVENT_KINDS = {
-    "stage_begin",
-    "proposal_sampled",
-    "accept",
-    "reject",
-    "restart_begin",
-    "new_best",
-    "worker_steal",
-}
+SCHEMA_DEF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "src", "obs", "schema.def")
 
-STAGE_REASONS = {"start", "slice", "patience", "equilibrium"}
+# One X-macro entry of schema.def: its macro, wire name and first flag.
+SCHEMA_ENTRY = re.compile(
+    r'^MCOPT_(EVENT_KIND|STAGE_REASON|COUNTER|GAUGE|HISTOGRAM)\(\s*\w+\s*,'
+    r'\s*"([^"]+)"\s*,\s*(true|false)\b', re.MULTILINE)
 
-# Every Prometheus family the C++ registry may emit (src/obs/registry.cpp).
-# ``--prom`` validation rejects any other mcopt_-prefixed family, and
-# mcoptlint's counter-name-sync rule checks the C++ side against this
-# table, so the two can never drift silently.  Keep one name per line.
-KNOWN_METRICS = {
-    "mcopt_restarts_total",
-    "mcopt_new_bests_total",
-    "mcopt_patience_resets_total",
-    "mcopt_trace_events_total",
-    "mcopt_invariant_checks_total",
-    "mcopt_invariant_seconds",
-    "mcopt_wall_seconds",
-    "mcopt_worker_steals_total",
-    "mcopt_uphill_delta_proposed",
-    "mcopt_uphill_delta_accepted",
-    "mcopt_stage_proposals_total",
-    "mcopt_stage_accepts_total",
-    "mcopt_stage_uphill_accepts_total",
-    "mcopt_stage_rejects_total",
-    "mcopt_stage_downhill_proposals_total",
-    "mcopt_stage_sideways_proposals_total",
-    "mcopt_stage_uphill_proposals_total",
-    "mcopt_stage_new_bests_total",
-    "mcopt_stage_patience_fires_total",
-    "mcopt_stage_ticks_total",
-    "mcopt_stage_wall_seconds",
-    "mcopt_stage_acceptance_rate",
-    "mcopt_stage_uphill_rate",
-    "mcopt_stage_cost_samples_total",
-    "mcopt_stage_cost_mean",
-    "mcopt_stage_cost_variance",
-    "mcopt_stage_temperature",
-    "mcopt_stage_specific_heat",
-    "mcopt_stage_autocorr_lag1",
-    "mcopt_stage_equilibrated_total",
-    "mcopt_perf_cycles_total",
-    "mcopt_perf_instructions_total",
-    "mcopt_perf_cache_references_total",
-    "mcopt_perf_cache_misses_total",
-    "mcopt_perf_branch_misses_total",
-    "mcopt_perf_task_clock_ns_total",
-    "mcopt_perf_ipc",
-    "mcopt_perf_cache_miss_rate",
-    "mcopt_perf_cycles_per_tick",
-}
+
+class Schema(NamedTuple):
+    """The trace and metric vocabulary declared in src/obs/schema.def."""
+    event_kinds: dict[str, bool]     # wire name -> deterministic
+    stage_reasons: frozenset[str]    # reasons a stage_begin line may carry
+    families: frozenset[str]         # Prometheus family names
+
+
+@functools.cache
+def schema() -> Schema:
+    """Parses src/obs/schema.def, the one schema source the C++ side is
+    generated from, so the accepted vocabulary cannot drift from it."""
+    with open(SCHEMA_DEF, encoding="utf-8") as handle:
+        entries = SCHEMA_ENTRY.findall(handle.read())
+    kinds = {name: flag == "true" for macro, name, flag in entries
+             if macro == "EVENT_KIND"}
+    reasons = frozenset(name for macro, name, flag in entries
+                        if macro == "STAGE_REASON" and flag == "true")
+    families = frozenset(name for macro, name, _ in entries
+                         if macro not in ("EVENT_KIND", "STAGE_REASON"))
+    if not (kinds and reasons and families):
+        raise OSError(f"{SCHEMA_DEF}: no schema entries found")
+    return Schema(kinds, reasons, families)
+
 
 REQUIRED_KEYS = ("event", "run", "restart", "worker", "tick", "stage",
                  "cost", "best")
@@ -119,7 +101,7 @@ def validate_line(lineno: int, line: str) -> list[str]:
         if key not in event:
             errors.append(f"line {lineno}: missing key '{key}'")
     kind = event.get("event")
-    if kind is not None and kind not in EVENT_KINDS:
+    if kind is not None and kind not in schema().event_kinds:
         errors.append(f"line {lineno}: unknown event kind '{kind}'")
     for key in INT_KEYS:
         value = event.get(key)
@@ -135,9 +117,10 @@ def validate_line(lineno: int, line: str) -> list[str]:
                           f"got {value!r}")
     if kind == "stage_begin":
         reason = event.get("reason")
-        if reason not in STAGE_REASONS:
+        reasons = schema().stage_reasons
+        if reason not in reasons:
             errors.append(f"line {lineno}: stage_begin reason {reason!r} "
-                          f"not in {sorted(STAGE_REASONS)}")
+                          f"not in {sorted(reasons)}")
     elif "reason" in event:
         errors.append(f"line {lineno}: '{kind}' must not carry 'reason'")
     extra = set(event) - set(REQUIRED_KEYS) - {"reason"}
@@ -382,9 +365,10 @@ def validate_prometheus(path: str) -> int:
                 if name in declared:
                     errors.append(f"line {lineno}: duplicate TYPE for "
                                   f"'{name}' (family not contiguous)")
-                if name.startswith("mcopt_") and name not in KNOWN_METRICS:
+                if (name.startswith("mcopt_")
+                        and name not in schema().families):
                     errors.append(f"line {lineno}: family '{name}' not in "
-                                  f"KNOWN_METRICS (update trace_report.py)")
+                                  f"src/obs/schema.def")
                 declared[name] = match.group(2)
                 seen_families.append(name)
                 continue
