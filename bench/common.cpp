@@ -162,6 +162,19 @@ std::string observables_note(const obs::RunMetrics& metrics) {
          std::to_string(active) + " stages";
 }
 
+/// Writes one export file; logs "cannot write <path>" and returns false
+/// when the file cannot be opened or the write (close included) fails.
+bool write_export(const std::string& path, const std::string& text) {
+  std::ofstream out{path};
+  out << text;
+  out.close();
+  if (!out) {
+    obs::log(obs::LogLevel::kError, "cannot write %s", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t invariant_checks_executed() { return g_invariant_checks; }
@@ -494,33 +507,34 @@ void absorb_run_metrics(const obs::RunMetrics& metrics) {
 }
 
 void finish_driver_observability() {
+  bool ok = true;
   if (g_trace_sink != nullptr) {
     g_trace_sink->flush();
-    obs::log(obs::LogLevel::kInfo, "trace: %llu events -> %s",
-             static_cast<unsigned long long>(g_trace_sink->written()),
-             g_trace_path.c_str());
+    if (g_trace_sink->failed()) {
+      obs::log(obs::LogLevel::kError, "cannot write %s", g_trace_path.c_str());
+      ok = false;
+    } else {
+      obs::log(obs::LogLevel::kInfo, "trace: %llu events -> %s",
+               static_cast<unsigned long long>(g_trace_sink->written()),
+               g_trace_path.c_str());
+    }
   }
   if (!g_metrics_path.empty()) {
-    std::ofstream out{g_metrics_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_metrics_path.c_str());
-    } else {
-      out << g_metrics_totals.to_json();
+    if (write_export(g_metrics_path, g_metrics_totals.to_json())) {
       obs::log(obs::LogLevel::kInfo, "%s",
                g_metrics_totals.summary().c_str());
       obs::log(obs::LogLevel::kInfo, "metrics -> %s", g_metrics_path.c_str());
+    } else {
+      ok = false;
     }
   }
   if (!g_profile_path.empty()) {
-    std::ofstream out{g_profile_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_profile_path.c_str());
-    } else {
-      out << "{\n  \"profile\": " << g_metrics_totals.profile.to_json()
-          << "\n}\n";
+    if (write_export(g_profile_path, "{\n  \"profile\": " +
+                                         g_metrics_totals.profile.to_json() +
+                                         "\n}\n")) {
       obs::log(obs::LogLevel::kInfo, "profile -> %s", g_profile_path.c_str());
+    } else {
+      ok = false;
     }
   }
   if (!g_timeline_path.empty()) {
@@ -531,28 +545,22 @@ void finish_driver_observability() {
       g_timeline.set_thread_name(0, 0, "all runs");
       g_timeline.add_tree(g_metrics_totals.profile, 0, 0);
     }
-    std::ofstream out{g_timeline_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_timeline_path.c_str());
-    } else {
-      out << g_timeline.to_json();
+    if (write_export(g_timeline_path, g_timeline.to_json())) {
       obs::log(obs::LogLevel::kInfo,
                "timeline: %zu events -> %s (open in ui.perfetto.dev)",
                g_timeline.num_events(), g_timeline_path.c_str());
+    } else {
+      ok = false;
     }
   }
   if (!g_prom_path.empty()) {
-    std::ofstream out{g_prom_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_prom_path.c_str());
-    } else {
-      obs::MetricsRegistry registry;
-      registry.populate_from_run(g_metrics_totals);
-      out << registry.to_prometheus();
+    obs::MetricsRegistry registry;
+    registry.populate_from_run(g_metrics_totals);
+    if (write_export(g_prom_path, registry.to_prometheus())) {
       obs::log(obs::LogLevel::kInfo, "prometheus metrics (%zu series) -> %s",
                registry.size(), g_prom_path.c_str());
+    } else {
+      ok = false;
     }
   }
   const obs::FlightRecorder& flight = obs::FlightRecorder::instance();
@@ -574,6 +582,7 @@ void finish_driver_observability() {
       std::abort();
     }
   }
+  if (!ok) std::exit(1);
 }
 
 long long total_start_density(const std::vector<netlist::Netlist>& instances,

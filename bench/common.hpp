@@ -202,8 +202,11 @@ obs::Heartbeat* driver_heartbeat();
 void absorb_run_metrics(const obs::RunMetrics& metrics);
 
 /// Flushes the trace sink, writes the --metrics-out / --profile-out /
-/// --prom-out files, and logs a one-line telemetry summary.  Call once at
-/// the end of a driver's main; no-op when observability is off.
+/// --prom-out / --timeline-out files, and logs a one-line telemetry
+/// summary.  Call once at the end of a driver's main; no-op when
+/// observability is off.  When the trace or any export cannot be written
+/// it logs "cannot write <path>" for each, and exits with status 1 once
+/// every export has been tried.
 void finish_driver_observability();
 
 /// Sum of the starting densities over the instance set for the given start

@@ -58,12 +58,16 @@ struct Event {
 /// trailing newline) to `out`: the line format_jsonl() produces.
 void append_jsonl(const Event& event, std::string& out);
 
-/// Formats the canonical JSONL line of `event` (trailing newline included)
-/// into a caller-provided buffer with a single snprintf — no allocation,
-/// usable on the flight recorder's signal-handler dump path.  Key order is
-/// fixed; doubles are printed with %.17g so values round-trip exactly.
-/// Returns the line length, or 0 if `cap` was too small.  256 bytes is
-/// always enough.
+/// A buffer this large always holds a JSONL line and its NUL.
+inline constexpr std::size_t kJsonlLineCap = 256;
+
+/// Formats the canonical JSONL line of `event` (trailing newline and a NUL
+/// terminator included) into a caller-provided buffer — no allocation, so
+/// it serves the flight recorder's signal-handler dump path.  Key order is
+/// fixed; doubles print as %.17g would, so values round-trip exactly, but
+/// an integral cost is written as an integer without printf.  Returns the
+/// line length, or 0 if `cap` was too small (a line of n characters needs
+/// n + 1 bytes).
 [[nodiscard]] std::size_t format_jsonl(const Event& event, char* buf,
                                        std::size_t cap) noexcept;
 

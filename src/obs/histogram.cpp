@@ -1,7 +1,8 @@
 #include "obs/histogram.hpp"
 
 #include <bit>
-#include <cstdio>
+
+#include "obs/json_number.hpp"
 
 namespace mcopt::obs {
 
@@ -40,27 +41,28 @@ std::uint64_t LogHistogram::cumulative(std::size_t i) const noexcept {
 }
 
 void LogHistogram::append_json(std::string& out) const {
-  char buf[64];
   std::size_t last = 0;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
     if (buckets_[i] != 0) last = i;
   }
-  std::snprintf(buf, sizeof buf, "{\"count\": %llu, \"sum\": %.17g, ",
-                static_cast<unsigned long long>(count_), sum_);
-  out += buf;
-  out += "\"buckets\": [";
+  out += "{\"count\": ";
+  append_u64(count_, out);
+  out += ", \"sum\": ";
+  append_double(sum_, out);
+  out += ", \"buckets\": [";
   std::uint64_t running = 0;
   for (std::size_t i = 0; i <= last && i + 1 < kNumBuckets; ++i) {
     if (count_ == 0) break;
     running += buckets_[i];
-    std::snprintf(buf, sizeof buf, "{\"le\": %llu, \"count\": %llu}, ",
-                  static_cast<unsigned long long>(bucket_bound(i)),
-                  static_cast<unsigned long long>(running));
-    out += buf;
+    out += "{\"le\": ";
+    append_u64(bucket_bound(i), out);
+    out += ", \"count\": ";
+    append_u64(running, out);
+    out += "}, ";
   }
-  std::snprintf(buf, sizeof buf, "{\"le\": \"+Inf\", \"count\": %llu}]}",
-                static_cast<unsigned long long>(count_));
-  out += buf;
+  out += "{\"le\": \"+Inf\", \"count\": ";
+  append_u64(count_, out);
+  out += "}]}";
 }
 
 }  // namespace mcopt::obs

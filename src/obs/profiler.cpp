@@ -1,10 +1,11 @@
 #include "obs/profiler.hpp"
 
 #include <cstddef>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/json_number.hpp"
 
 namespace mcopt::obs {
 
@@ -67,37 +68,31 @@ namespace {
 void append_node_json(const ProfileTree& tree, std::int32_t index,
                       bool include_wall, std::string& out) {
   const auto& node = tree.nodes[static_cast<std::size_t>(index)];
-  char buf[96];
   out += "{\"name\": \"";
   out += node.name;
-  out += "\", ";
-  std::snprintf(buf, sizeof buf, "\"calls\": %llu, \"ticks\": %llu",
-                static_cast<unsigned long long>(node.calls),
-                static_cast<unsigned long long>(node.ticks));
-  out += buf;
+  out += "\", \"calls\": ";
+  append_u64(node.calls, out);
+  out += ", \"ticks\": ";
+  append_u64(node.ticks, out);
   if (include_wall) {
-    std::snprintf(buf, sizeof buf, ", \"wall_ns\": %llu",
-                  static_cast<unsigned long long>(node.wall_ns));
-    out += buf;
+    out += ", \"wall_ns\": ";
+    append_u64(node.wall_ns, out);
     // Hardware counts share wall_ns' carve-out: present only in the
     // nondeterministic form, and only when a counter actually fired.
     if (node.perf.any()) {
-      out += ", \"perf\": {";
-      std::snprintf(buf, sizeof buf,
-                    "\"cycles\": %llu, \"instructions\": %llu",
-                    static_cast<unsigned long long>(node.perf.cycles),
-                    static_cast<unsigned long long>(node.perf.instructions));
-      out += buf;
-      std::snprintf(buf, sizeof buf,
-                    ", \"cache_refs\": %llu, \"cache_misses\": %llu",
-                    static_cast<unsigned long long>(node.perf.cache_refs),
-                    static_cast<unsigned long long>(node.perf.cache_misses));
-      out += buf;
-      std::snprintf(buf, sizeof buf,
-                    ", \"branch_misses\": %llu, \"task_clock_ns\": %llu}",
-                    static_cast<unsigned long long>(node.perf.branch_misses),
-                    static_cast<unsigned long long>(node.perf.task_clock_ns));
-      out += buf;
+      out += ", \"perf\": {\"cycles\": ";
+      append_u64(node.perf.cycles, out);
+      out += ", \"instructions\": ";
+      append_u64(node.perf.instructions, out);
+      out += ", \"cache_refs\": ";
+      append_u64(node.perf.cache_refs, out);
+      out += ", \"cache_misses\": ";
+      append_u64(node.perf.cache_misses, out);
+      out += ", \"branch_misses\": ";
+      append_u64(node.perf.branch_misses, out);
+      out += ", \"task_clock_ns\": ";
+      append_u64(node.perf.task_clock_ns, out);
+      out += "}";
     }
   }
   out += ", \"children\": [";

@@ -3,8 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/json_number.hpp"
 
 namespace mcopt::obs {
 
@@ -14,6 +17,12 @@ namespace {
 /// cost amortizes, small enough that a crashed run still leaves a useful
 /// trace prefix on disk.
 constexpr std::size_t kJsonlBufferBytes = 1 << 16;
+
+/// Copies `text` to `out`; returns one past its end.
+char* put(char* out, std::string_view text) noexcept {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
 
 }  // namespace
 
@@ -38,29 +47,51 @@ const char* stage_reason_name(StageReason reason) noexcept {
 }
 
 void append_jsonl(const Event& event, std::string& out) {
-  char line[256];
+  char line[kJsonlLineCap];
   out.append(line, format_jsonl(event, line, sizeof line));
 }
 
+// mcopt: hot
 std::size_t format_jsonl(const Event& event, char* buf,
                          std::size_t cap) noexcept {
-  // snprintf is not formally async-signal-safe, but this numeric subset
-  // allocates nothing on common libcs — the accepted best-effort trade for
-  // a crash-path dump.  Only stage_begin lines carry the reason key.
-  const bool staged = event.kind == EventKind::kStageBegin;
-  const int n = std::snprintf(
-      buf, cap,
-      "{\"event\":\"%s\",\"run\":%llu,\"restart\":%llu,\"worker\":%llu,"
-      "\"tick\":%llu,\"stage\":%llu,\"cost\":%.17g,\"best\":%.17g%s%s%s}\n",
-      event_kind_name(event.kind), static_cast<unsigned long long>(event.run),
-      static_cast<unsigned long long>(event.restart),
-      static_cast<unsigned long long>(event.worker),
-      static_cast<unsigned long long>(event.tick),
-      static_cast<unsigned long long>(event.stage), event.cost, event.best,
-      staged ? ",\"reason\":\"" : "",
-      staged ? stage_reason_name(event.reason) : "", staged ? "\"" : "");
-  if (n <= 0 || static_cast<std::size_t>(n) >= cap) return 0;
-  return static_cast<std::size_t>(n);
+  if (cap < kJsonlLineCap) {
+    // Encode into a full-size line, then copy it only if it fits.
+    char line[kJsonlLineCap];
+    const std::size_t n = format_jsonl(event, line, sizeof line);
+    if (n >= cap) return 0;
+    std::memcpy(buf, line, n + 1);
+    return n;
+  }
+  // Every write below is bounded, and the longest line (all integers at
+  // UINT64_MAX, both costs at -DBL_MAX, a stage_begin reason) stays well
+  // under kJsonlLineCap.  snprintf runs only for a non-integral cost; it
+  // is not formally async-signal-safe, but allocates nothing on common
+  // libcs: the accepted best-effort trade for a crash-path dump.
+  char* p = buf;
+  p = put(p, "{\"event\":\"");
+  p = put(p, event_kind_name(event.kind));
+  p = put(p, "\",\"run\":");
+  p = write_u64(p, event.run);
+  p = put(p, ",\"restart\":");
+  p = write_u64(p, event.restart);
+  p = put(p, ",\"worker\":");
+  p = write_u64(p, event.worker);
+  p = put(p, ",\"tick\":");
+  p = write_u64(p, event.tick);
+  p = put(p, ",\"stage\":");
+  p = write_u64(p, event.stage);
+  p = put(p, ",\"cost\":");
+  p = write_double(p, event.cost);
+  p = put(p, ",\"best\":");
+  p = write_double(p, event.best);
+  if (event.kind == EventKind::kStageBegin) {  // the only lines with a reason
+    p = put(p, ",\"reason\":\"");
+    p = put(p, stage_reason_name(event.reason));
+    p = put(p, "\"");
+  }
+  p = put(p, "}\n");
+  *p = '\0';
+  return static_cast<std::size_t>(p - buf);
 }
 
 RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {
@@ -112,7 +143,7 @@ std::size_t RingBufferSink::crash_dump(int fd) const noexcept
   const std::size_t count = std::min(buffer_.size(), capacity_);
   const std::size_t start = full_ && capacity_ != 0 ? next_ % capacity_ : 0;
   std::size_t lines = 0;
-  char line[512];
+  char line[kJsonlLineCap];
   for (std::size_t i = 0; i < count; ++i) {
     const Event& event = buffer_[(start + i) % capacity_];
     const std::size_t len = format_jsonl(event, line, sizeof line);
@@ -139,12 +170,12 @@ JsonlFileSink::JsonlFileSink(const std::string& path)
     throw std::invalid_argument("JsonlFileSink: cannot open " + path);
   }
   util::MutexLock lock{mu_};
-  buffer_.reserve(kJsonlBufferBytes + 256);
+  buffer_.reserve(kJsonlBufferBytes + kJsonlLineCap);
 }
 
 JsonlFileSink::JsonlFileSink(std::ostream& out) : out_(&out) {
   util::MutexLock lock{mu_};
-  buffer_.reserve(kJsonlBufferBytes + 256);
+  buffer_.reserve(kJsonlBufferBytes + kJsonlLineCap);
 }
 
 JsonlFileSink::~JsonlFileSink() {
@@ -169,12 +200,18 @@ std::uint64_t JsonlFileSink::written() const {
   return written_;
 }
 
+bool JsonlFileSink::failed() const {
+  util::MutexLock lock{mu_};
+  return failed_;
+}
+
 void JsonlFileSink::flush_locked() {
   if (!buffer_.empty()) {
     out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
     buffer_.clear();
   }
   out_->flush();
+  if (!*out_) failed_ = true;
 }
 
 }  // namespace mcopt::obs

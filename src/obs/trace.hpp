@@ -111,7 +111,8 @@ class RingBufferSink final : public TraceSink {
 /// JSONL writer (see obs/event.hpp append_jsonl for the schema).  Output is
 /// buffered and flushed on flush() and destruction.  Lines are appended
 /// atomically under the sink's mutex, so concurrent writers interleave per
-/// event, never mid-line.
+/// event, never mid-line.  A failed write does not throw from write();
+/// failed() reports it once the buffer has been flushed.
 class JsonlFileSink final : public TraceSink {
  public:
   /// Opens `path` for writing; throws std::invalid_argument on failure.
@@ -125,6 +126,9 @@ class JsonlFileSink final : public TraceSink {
 
   /// Events written so far (buffered or not).
   [[nodiscard]] std::uint64_t written() const EXCLUDES(mu_);
+  /// True once a flush has failed to reach the stream (disk full, closed
+  /// pipe); sticky.  Events after the failure are counted but lost.
+  [[nodiscard]] bool failed() const EXCLUDES(mu_);
 
  private:
   void flush_locked() REQUIRES(mu_);
@@ -136,6 +140,7 @@ class JsonlFileSink final : public TraceSink {
   std::ostream* out_ PT_GUARDED_BY(mu_);
   std::string buffer_ GUARDED_BY(mu_);
   std::uint64_t written_ GUARDED_BY(mu_) = 0;
+  bool failed_ GUARDED_BY(mu_) = false;
 };
 
 /// Fans one stream out to two sinks (e.g. a JSONL file AND the flight

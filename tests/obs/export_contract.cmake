@@ -3,7 +3,8 @@
 # accept the trace (--validate) and the Prometheus text (--prom), and to
 # reject copies with one planted unknown event kind and one planted unknown
 # mcopt_ family.  Both sides read their vocabulary from src/obs/schema.def,
-# so this fails when either stops doing so:
+# so this fails when either stops doing so.  The trace must also match a
+# pinned SHA-256:
 #
 #   cmake -DDRIVER=<table_4_1> -DPYTHON=<python3> -DREPORT=<trace_report.py>
 #         -DWORKDIR=<dir> -P export_contract.cmake
@@ -21,6 +22,18 @@ execute_process(COMMAND "${DRIVER}" --quiet --trace "${trace}"
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${DRIVER} exited with ${status}:\n${err}")
+endif()
+
+# The trace bytes are pinned: the JSONL encoder may change how it writes a
+# line, never what it writes.  Re-pin only for a deliberate format change.
+set(want_sha256
+    2244de268fd89e5621210c7493a954893bce294bd1bc8c83d254185442fee78a)
+file(SHA256 "${trace}" sha256)
+if(NOT sha256 STREQUAL want_sha256)
+  file(STRINGS "${trace}" lines)
+  list(LENGTH lines count)
+  message(FATAL_ERROR "trace SHA-256 ${sha256} (${count} lines), want "
+                      "${want_sha256} (23070 lines)")
 endif()
 
 # Runs trace_report.py with `args` and requires exit status `want`.

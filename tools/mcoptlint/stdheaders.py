@@ -97,7 +97,7 @@ _TABLE: dict[str, tuple[str, ...]] = {
     "lround": ("cmath",), "llround": ("cmath",), "trunc": ("cmath",),
     "fmod": ("cmath",),
     "isnan": ("cmath",), "isfinite": ("cmath",), "isinf": ("cmath",),
-    "nan": ("cmath",),
+    "nan": ("cmath",), "signbit": ("cmath",),
     "numeric_limits": ("limits",),
     "bit_width": ("bit",), "countl_zero": ("bit",), "countr_zero": ("bit",),
     "popcount": ("bit",), "has_single_bit": ("bit",),
@@ -197,6 +197,8 @@ BARE_SYMBOLS: dict[str, frozenset[str]] = {
     "INT_MIN": frozenset({"climits"}),
     "CHAR_BIT": frozenset({"climits"}),
     "DBL_EPSILON": frozenset({"cfloat"}),
+    "DBL_MAX": frozenset({"cfloat"}),
+    "DBL_MIN": frozenset({"cfloat"}),
 }
 
 #: Every header that can be *required* by some symbol above; only these
