@@ -17,8 +17,10 @@
 //
 // The bench also re-checks determinism where the speculation journal
 // could plausibly leak state: an 8-thread parallel multistart over
-// cloned problems must match the 1-thread run exactly.  gate_ok is the
-// conjunction of the identity checks; the bench exits 1 when it fails.
+// cloned problems must match the 1-thread run exactly, on GOLA 15/150 and
+// on NOLA 15/150, whose clones carry the wide-net column state.  gate_ok
+// is the conjunction of the identity checks; the bench exits 1 when it
+// fails.
 //
 // Results land in BENCH_hotloop.json via bench::write_json_report and are
 // gated against the committed baseline by tools/bench_compare.py.
@@ -297,8 +299,8 @@ int main(int argc, char** argv) {
     return core::run_figure1(p, *g, options, r);
   };
   const std::uint64_t ms_budget = std::min<std::uint64_t>(proposals, 200'000);
-  auto run_multistart = [&](unsigned threads) {
-    auto problem = make_problem(instances[0]);
+  auto run_multistart = [&](const Instance& inst, unsigned threads) {
+    auto problem = make_problem(inst);
     core::ParallelMultistartOptions options;
     options.multistart.total_budget = ms_budget;
     options.multistart.budget_per_start =
@@ -307,16 +309,19 @@ int main(int argc, char** argv) {
     util::Rng rng{bench::kSeed + 21};
     return core::parallel_multistart(problem, runner, options, rng);
   };
-  const auto t1 = run_multistart(1);
-  const auto t8 = run_multistart(8);
-  const bool parallel_identical =
-      t1.restarts == t8.restarts &&
-      t1.restart_best_costs == t8.restart_best_costs &&
-      t1.aggregate.best_cost == t8.aggregate.best_cost &&
-      t1.aggregate.final_cost == t8.aggregate.final_cost &&
-      t1.aggregate.best_state == t8.aggregate.best_state &&
-      t1.aggregate.proposals == t8.aggregate.proposals &&
-      t1.aggregate.accepts == t8.aggregate.accepts;
+  bool parallel_identical = true;
+  for (const Instance* inst : {&instances[0], &instances[2]}) {
+    const auto t1 = run_multistart(*inst, 1);
+    const auto t8 = run_multistart(*inst, 8);
+    parallel_identical =
+        parallel_identical && t1.restarts == t8.restarts &&
+        t1.restart_best_costs == t8.restart_best_costs &&
+        t1.aggregate.best_cost == t8.aggregate.best_cost &&
+        t1.aggregate.final_cost == t8.aggregate.final_cost &&
+        t1.aggregate.best_state == t8.aggregate.best_state &&
+        t1.aggregate.proposals == t8.aggregate.proposals &&
+        t1.aggregate.accepts == t8.aggregate.accepts;
+  }
   if (!parallel_identical) {
     obs::log(obs::LogLevel::kError,
              "FATAL: parallel multistart results diverged across thread "

@@ -38,6 +38,23 @@ inline std::pair<std::size_t, std::size_t> other_extrema(
           j * 64 + 63 - static_cast<std::size_t>(std::countl_zero(masked(j)))};
 }
 
+// mcopt: hot
+inline int popcount64(std::uint64_t x) {
+  // std::popcount is a libgcc call on a baseline x86-64 target (no
+  // -mpopcnt); this SWAR count stays inline everywhere.
+  x -= (x >> 1) & 0x5555555555555555U;
+  x = (x & 0x3333333333333333U) + ((x >> 2) & 0x3333333333333333U);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fU;
+  return static_cast<int>((x * 0x0101010101010101U) >> 56);
+}
+
+// The selection rule's prices (density.hpp): one word of the column
+// kernel's window against one wide-net incidence of the per-net kernel,
+// in relative units fitted to both kernels' measured costs
+// (EXPERIMENTS.md).
+constexpr std::size_t kColumnWordCost = 1;
+constexpr std::size_t kIncidenceCost = 2;
+
 }  // namespace
 
 DensityState::DensityState(const Netlist& netlist, Arrangement arrangement)
@@ -65,7 +82,13 @@ DensityState::DensityState(const DensityState& other)
       cuts_(other.cuts_),
       cut_histogram_(other.cut_histogram_),
       max_cut_(other.max_cut_),
-      total_span_(other.total_span_) {
+      total_span_(other.total_span_),
+      uses_columns_(other.uses_columns_),
+      net_words_(other.net_words_),
+      col_(other.col_),
+      pre_(other.pre_),
+      suf_(other.suf_),
+      wide_cut_(other.wide_cut_) {
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
   reserve_scratch();
 }
@@ -120,6 +143,19 @@ void DensityState::index_nets() {
   }
   words_ = (cells + 63) / 64;
   bits_.assign(wide_net_.size() * words_, 0);
+  // The kernel rule (density.hpp): expected window x words against the
+  // two cells' expected wide incidences, both scaled by 3n.
+  const std::size_t net_words = (wide_net_.size() + 63) / 64;
+  uses_columns_ = net_words > 0 &&
+                  kColumnWordCost * (cells + 1) * net_words * cells <=
+                      kIncidenceCost * 6 * cell_wide_.size();
+  if (uses_columns_) {
+    net_words_ = net_words;
+    col_.assign(cells * net_words_, 0);
+    pre_.assign((cells + 1) * net_words_, 0);
+    suf_.assign((cells + 1) * net_words_, 0);
+    wide_cut_.assign(cells - 1, 0);
+  }
 }
 
 void DensityState::reserve_scratch() {
@@ -137,6 +173,9 @@ void DensityState::reserve_scratch() {
   spec_deltas_.assign(boundaries, 0);
   window_diff_.assign(arrangement_.size(), 0);
   removed_at_.assign(cut_histogram_.size(), 0);
+  spec_pre_.assign(pre_.size(), 0);
+  spec_suf_.assign(suf_.size(), 0);
+  spec_wide_cut_.assign(wide_cut_.size(), 0);
 }
 
 bool DensityState::scratch_reserved() const noexcept {
@@ -146,7 +185,9 @@ bool DensityState::scratch_reserved() const noexcept {
          spec_boundaries_.size() == boundaries &&
          spec_deltas_.size() == boundaries &&
          window_diff_.size() == arrangement_.size() &&
-         removed_at_.size() == cut_histogram_.size();
+         removed_at_.size() == cut_histogram_.size() &&
+         spec_pre_.size() == pre_.size() && spec_suf_.size() == suf_.size() &&
+         spec_wide_cut_.size() == wide_cut_.size();
 }
 
 std::pair<std::size_t, std::size_t> DensityState::extent(NetId n) const {
@@ -182,6 +223,7 @@ void DensityState::rebuild() {
   for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
     pin_bits(wide_net_[w], bits_.data() + w * words_);
   }
+  if (uses_columns_) refresh_columns(0, n - 1);
   cuts_.pop_back();
   cut_histogram_.assign(netlist_->num_nets() + 2, 0);
   int cut = 0;
@@ -240,6 +282,38 @@ void DensityState::respan_window(std::size_t lo, std::size_t hi, int delta) {
 }
 
 // mcopt: hot
+void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
+  // Re-derives col_ rows lo..hi from the cells now there, then the pre_
+  // and suf_ rows and wide counts that depend on them; the rest stands,
+  // since a move permutes the cells of [lo, hi] among those positions.
+  const std::size_t m = net_words_;
+  for (std::size_t p = lo; p <= hi; ++p) {
+    std::uint64_t* row = col_.data() + p * m;
+    std::fill_n(row, m, std::uint64_t{0});
+    for (const std::uint32_t w : wide_nets_of(arrangement_.cell_at(p))) {
+      row[w / 64] |= std::uint64_t{1} << (w % 64);
+    }
+  }
+  for (std::size_t k = lo + 1; k <= hi + 1; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      pre_[k * m + i] = pre_[(k - 1) * m + i] | col_[(k - 1) * m + i];
+    }
+  }
+  for (std::size_t k = hi + 1; k-- > lo;) {
+    for (std::size_t i = 0; i < m; ++i) {
+      suf_[k * m + i] = suf_[(k + 1) * m + i] | col_[k * m + i];
+    }
+  }
+  for (std::size_t b = lo; b < hi; ++b) {
+    int count = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      count += popcount64(pre_[(b + 1) * m + i] & suf_[(b + 1) * m + i]);
+    }
+    wide_cut_[b] = count;
+  }
+}
+
+// mcopt: hot
 void DensityState::rearrange(SpecKind kind, std::size_t a, std::size_t b) {
   if (kind == SpecKind::kSwap) {
     arrangement_.swap_positions(a, b);
@@ -263,6 +337,7 @@ void DensityState::apply(SpecKind kind, std::size_t a, std::size_t b) {
       pin_bits(wide_net_[w], bits_.data() + w * words_);
     }
   }
+  if (uses_columns_) refresh_columns(lo, hi);
 }
 
 // mcopt: hot
@@ -309,6 +384,75 @@ int DensityState::spec_swap_wide(CellId x, CellId y, std::size_t lo,
   visit(y, hi, lo, -1);
   spec_net_count_ = count;
   return static_cast<int>(count - 2 * rightward);
+}
+
+// mcopt: hot
+void DensityState::spec_swap_columns(std::size_t lo, std::size_t hi) {
+  // After the swap col'[lo] = col[hi], col'[hi] = col[lo] and every other
+  // column stands, so pre' and suf' differ from the committed sets only
+  // on the window's rows lo+1..hi: one running OR from each end.
+  const std::size_t m = net_words_;
+  const std::uint64_t* col = col_.data();
+  std::uint64_t* pre = spec_pre_.data();
+  std::uint64_t* suf = spec_suf_.data();
+  const std::uint64_t* left = pre_.data() + lo * m;
+  const std::uint64_t* add = col + hi * m;  // col'[lo]
+  for (std::size_t k = lo + 1; k <= hi; ++k) {
+    std::uint64_t* row = pre + k * m;
+    for (std::size_t i = 0; i < m; ++i) row[i] = left[i] | add[i];
+    left = row;
+    add = col + k * m;
+  }
+  // Right to left, each boundary's candidate count |pre' & suf'| as soon
+  // as its suf' row is known.  Its change d[b] goes into window_diff_ in
+  // difference form, d[b] - d[b-1] at b, so spec_scan's prefix sum adds
+  // d[b] at boundary b; the -d[hi-1] at hi is past the window.
+  const std::uint64_t* right = suf_.data() + (hi + 1) * m;
+  add = col + lo * m;  // col'[hi]
+  int next = 0;  // d[b+1]
+  for (std::size_t b = hi; b-- > lo;) {
+    std::uint64_t* row = suf + (b + 1) * m;
+    const std::uint64_t* both = pre + (b + 1) * m;
+    int count = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      row[i] = right[i] | add[i];
+      count += popcount64(both[i] & row[i]);
+    }
+    right = row;
+    add = col + b * m;
+    spec_wide_cut_[b] = count;
+    const int d = count - wide_cut_[b];
+    window_diff_[b + 1] += next - d;
+    next = d;
+  }
+  window_diff_[lo] += next;
+}
+
+// mcopt: hot
+void DensityState::commit_swap_columns(std::size_t lo, std::size_t hi) {
+  // The nets on exactly one of the two cells are col[lo] ^ col[hi]: their
+  // position bits trade places.  Then the two columns trade, and the
+  // speculated window becomes the committed one.
+  const std::size_t m = net_words_;
+  std::uint64_t* col_lo = col_.data() + lo * m;
+  std::uint64_t* col_hi = col_.data() + hi * m;
+  const std::uint64_t flip_lo = std::uint64_t{1} << (lo % 64);
+  const std::uint64_t flip_hi = std::uint64_t{1} << (hi % 64);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::uint64_t moved = col_lo[i] ^ col_hi[i]; moved != 0;
+         moved &= moved - 1) {
+      const std::size_t w =
+          i * 64 + static_cast<std::size_t>(std::countr_zero(moved));
+      std::uint64_t* bits = bits_.data() + w * words_;
+      bits[lo / 64] ^= flip_lo;
+      bits[hi / 64] ^= flip_hi;
+    }
+  }
+  std::swap_ranges(col_lo, col_lo + m, col_hi);
+  const std::size_t rows = (lo + 1) * m;
+  std::copy_n(spec_pre_.data() + rows, (hi - lo) * m, pre_.data() + rows);
+  std::copy_n(spec_suf_.data() + rows, (hi - lo) * m, suf_.data() + rows);
+  std::copy_n(spec_wide_cut_.data() + lo, hi - lo, wide_cut_.data() + lo);
 }
 
 // mcopt: hot
@@ -382,8 +526,11 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
         nb.cell == x ? 0 : nb.weight;
   }
-  // Wide nets, out of line; a swap of two cells on none makes no call.
-  if (!wide_nets_of(x).empty() || !wide_nets_of(y).empty()) {
+  // Wide nets, out of line; a swap of two cells on none makes no call
+  // to the per-net kernel.
+  if (uses_columns_) {
+    spec_swap_columns(lo, hi);
+  } else if (!wide_nets_of(x).empty() || !wide_nets_of(y).empty()) {
     shift += spec_swap_wide(x, y, lo, hi);
   }
   window_diff_[lo] += shift;
@@ -492,6 +639,15 @@ void DensityState::commit_speculation() {
     }
   }
   spec_net_count_ = 0;
+  if (uses_columns_) {
+    const std::size_t lo = std::min(a, b);
+    const std::size_t hi = std::max(a, b);
+    if (spec_kind_ == SpecKind::kSwap) {
+      commit_swap_columns(lo, hi);
+    } else {
+      refresh_columns(lo, hi);
+    }
+  }
   max_cut_ = spec_density_;  // exact, not just an upper bound
   total_span_ = spec_total_span_;
   spec_kind_ = SpecKind::kNone;
@@ -548,7 +704,37 @@ bool DensityState::verify() const {
       return false;
     }
   }
-  return true;
+  return !uses_columns_ || verify_columns();
+}
+
+bool DensityState::verify_columns() const {
+  // Columns from each wide net's pins, the prefix and suffix sets from
+  // the columns, and the wide crossing counts from the nets' extents,
+  // which never read a set.
+  const std::size_t n = arrangement_.size();
+  const std::size_t m = net_words_;
+  std::vector<std::uint64_t> col(n * m, 0);
+  std::vector<int> wide_cut(n, 0);
+  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
+    for (const CellId cell : netlist_->pins(wide_net_[w])) {
+      const std::size_t pos = arrangement_.position_of(cell);
+      col[pos * m + w / 64] |= std::uint64_t{1} << (w % 64);
+    }
+    const auto [lo, hi] = extent(wide_net_[w]);
+    ++wide_cut[lo];
+    --wide_cut[hi];
+  }
+  std::partial_sum(wide_cut.begin(), wide_cut.end(), wide_cut.begin());
+  wide_cut.pop_back();
+  std::vector<std::uint64_t> pre((n + 1) * m, 0);
+  std::vector<std::uint64_t> suf((n + 1) * m, 0);
+  for (std::size_t k = 1; k <= n; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      pre[k * m + i] = pre[(k - 1) * m + i] | col[(k - 1) * m + i];
+      suf[(n - k) * m + i] = suf[(n - k + 1) * m + i] | col[(n - k) * m + i];
+    }
+  }
+  return col == col_ && pre == pre_ && suf == suf_ && wide_cut == wide_cut_;
 }
 
 std::vector<int> crossing_counts(const Netlist& netlist,

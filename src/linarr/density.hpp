@@ -11,7 +11,9 @@
 //   * per-boundary crossing counts,
 //   * a histogram of crossing counts with a lazily-decremented maximum, so
 //     density() is O(1) amortized after a move,
-//   * the position bits of every net of three or more pins.
+//   * the position bits of every net of three or more pins,
+//   * on instances that take the column kernel (below), a position-major
+//     index of those nets.
 //
 // Nets take one of two paths by pin count alone, fixed when the state is
 // built:
@@ -24,6 +26,34 @@
 //     listed per cell.  Each keeps ceil(n/64) words of position bits (bit
 //     p set when one of its pins sits at position p): its extrema are its
 //     lowest and highest set bits, and "is it on the cell at p" is a test.
+//
+// A swap scores its wide nets with one of two kernels, chosen once, at
+// construction, from the instance's own size:
+//   * The per-net kernel walks the wide nets of the two swapped cells and
+//     writes each one's change as point differences (below).  Its cost is
+//     the two cells' wide incidences, about 2I/n for I wide pins.
+//   * The column kernel keeps, per position p, the set col[p] of wide nets
+//     with a pin at p (ceil(m/64) words), and per boundary b the committed
+//     prefix set pre[b] = col[0] | ... | col[b], suffix set
+//     suf[b] = col[b+1] | ... | col[n-1] and wide crossing count
+//     |pre[b] & suf[b]|.  A swap of positions lo < hi trades col[lo] and
+//     col[hi], so only the window's boundaries change: two running ORs
+//     give the candidate pre'/suf' there, and |pre'[b] & suf'[b]| minus
+//     the committed count joins the two-pin differences.  A commit trades
+//     the two columns, copies the speculated window, and flips the
+//     position bits of the nets in col[lo] ^ col[hi] (those on exactly
+//     one of the two cells).  Its cost is the window times the words,
+//     about (n+1)/3 x ceil(m/64) for a uniformly drawn pair.
+//   The rule: the column kernel iff
+//     kColumnWordCost x (n+1) x ceil(m/64) x n <= kIncidenceCost x 6 x I,
+//   i.e. expected window x words, priced per word, against the two
+//   cells' expected wide incidences, priced per incidence.  The prices
+//   are 1 and 2: timed with either kernel forced on the same NOLA
+//   instances, a window word costs about half an incidence (EXPERIMENTS.md
+//   has the crossover data).  Small dense
+//   instances (the paper's NOLA 15/150) take the column kernel; large
+//   ones, where the window grows as n and the words as m, keep the
+//   per-net kernel.  An instance with no wide net keeps no column state.
 //
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
@@ -47,9 +77,11 @@
 //       clamp(pos z, lo, hi) for each neighbour z of x and -w for each
 //       neighbour z != x of y.  A net joining x and y keeps its extent:
 //       its -1 and +1 at lo cancel, x's +w for it lands at hi, past the
-//       window, and y's is skipped.  A wide net's L/H are its extreme
-//       set bits with the moving pin's masked off; one on both cells (its
-//       bit at the other position is set) adds 0.  The swap has no marks.
+//       window, and y's is skipped.  In the per-net kernel a wide net's
+//       L/H are its extreme set bits with the moving pin's masked off; one
+//       on both cells (its bit at the other position is set) adds 0.  The
+//       column kernel writes each window boundary's wide-count change
+//       instead, in the same difference form.  The swap has no marks.
 //     - A single exchange shifts every cell in its window by one.  Each
 //       two-pin net with a pin in the window writes its old and new
 //       extents (four clamped writes), visited once from its lower pin in
@@ -63,8 +95,10 @@
 //     O(changed boundaries + changed wide nets) — a rejected proposal
 //     never writes cuts_, the histogram, the bits or the arrangement.  A
 //     commit makes one histogram update per changed boundary instead of
-//     one per crossing unit.  The journal holds wide-net ids only; a commit
-//     flips their bits at a swap's two positions or re-derives them.
+//     one per crossing unit.  The journal holds wide-net ids only (a
+//     column-kernel swap keeps none); a commit flips their bits at a
+//     swap's two positions or re-derives them, and re-derives the window's
+//     columns after a single exchange.
 //   * apply_swap/apply_move mutate the committed state in place: every
 //     net with a pin in the move's window is re-spanned from its pin
 //     positions before and after the move.  apply_swap is self-inverse,
@@ -131,8 +165,9 @@ class DensityState {
   /// Speculatively evaluates a pairwise interchange of positions p and q
   /// (p != q, either order): records the changed wide nets and boundaries
   /// and the exact candidate density / total span, but commits nothing.
-  /// O(|p - q| + the two cells' two-pin neighbours and wide nets, each
-  /// wide net scanning at most ceil(n/64) words of position bits).
+  /// O(|p - q| + the two cells' two-pin neighbours), plus either the two
+  /// cells' wide nets, each scanning at most ceil(n/64) words of position
+  /// bits, or, with uses_columns(), |p - q| x ceil(m/64) words.
   /// Exactly one of commit_speculation()/discard_speculation() must follow
   /// before the next move (speculative or applied).
   void speculate_swap(std::size_t p, std::size_t q);
@@ -171,8 +206,11 @@ class DensityState {
   void reset(Arrangement arrangement);
 
   /// Compares the incremental state with an independent recount: cuts,
-  /// density and total span against crossing_counts(), and each wide
-  /// net's position bits against a fresh recount from its pins.
+  /// density and total span against crossing_counts(), each wide net's
+  /// position bits against a fresh recount from its pins and, with
+  /// uses_columns(), the columns, prefix and suffix sets against ones
+  /// rebuilt from the cells and the wide crossing counts against the wide
+  /// nets' extents.
   /// Returns true when they agree, no speculation is pending and every
   /// per-move scratch array (window_diff_ included) is back to zero; tests
   /// assert this after random moves.
@@ -182,6 +220,11 @@ class DensityState {
   /// the clone regression test asserts this so cloned workers stay
   /// allocation-free on the hot path.
   [[nodiscard]] bool scratch_reserved() const noexcept;
+
+  /// True when speculate_swap scores wide nets with the column kernel
+  /// rather than net by net: fixed at construction by the rule in the
+  /// header comment, so tests can assert which kernel an instance takes.
+  [[nodiscard]] bool uses_columns() const noexcept { return uses_columns_; }
 
  private:
   enum class SpecKind : unsigned char { kNone, kSwap, kMove };
@@ -216,6 +259,10 @@ class DensityState {
   void apply(SpecKind kind, std::size_t a, std::size_t b);
   [[gnu::noinline]] int spec_swap_wide(CellId x, CellId y, std::size_t lo,
                                        std::size_t hi);
+  [[gnu::noinline]] void spec_swap_columns(std::size_t lo, std::size_t hi);
+  [[gnu::noinline]] void commit_swap_columns(std::size_t lo, std::size_t hi);
+  void refresh_columns(std::size_t lo, std::size_t hi);
+  [[nodiscard]] bool verify_columns() const;
   void spec_scan(std::size_t lo, std::size_t hi);
 
   const Netlist* netlist_;
@@ -261,6 +308,24 @@ class DensityState {
   std::vector<int> spec_deltas_;           //   parallel: crossing delta
   std::vector<int> window_diff_;    // size n, zero between moves
   std::vector<int> removed_at_;     // old cut value -> #changed boundaries
+  // Column-kernel scratch, laid out as pre_/suf_/wide_cut_: a swap on
+  // [lo, hi) writes rows lo+1..hi and entries lo..hi-1.
+  std::vector<std::uint64_t> spec_pre_;
+  std::vector<std::uint64_t> spec_suf_;
+  std::vector<int> spec_wide_cut_;
+
+  // The column kernel's state, empty unless uses_columns_ (declared last,
+  // so the members a GOLA move reads keep their offsets).  Each row is
+  // net_words_ words, a set of wide nets: col_ row p holds the nets with
+  // a pin at position p; pre_ row k = col rows 0..k-1 ORed, suf_ row k =
+  // col rows k..n-1 ORed (k = 0..n), so boundary b's left and right sets
+  // are row b+1 of each; wide_cut_[b] = |pre_ row b+1 & suf_ row b+1|.
+  bool uses_columns_ = false;
+  std::size_t net_words_ = 0;         // ceil(m/64)
+  std::vector<std::uint64_t> col_;    // n rows
+  std::vector<std::uint64_t> pre_;    // n+1 rows
+  std::vector<std::uint64_t> suf_;    // n+1 rows
+  std::vector<int> wide_cut_;         // size n-1
 };
 
 /// Crossing count of every boundary (size n-1), recounted from scratch in

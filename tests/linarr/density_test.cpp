@@ -176,26 +176,48 @@ TEST(DensityOfTest, RejectsSizeMismatch) {
   EXPECT_THROW((void)density_of(nl, Arrangement{5}), std::invalid_argument);
 }
 
-// Property sweep: after arbitrary interleavings of swaps and moves the
-// incremental state must equal a from-scratch recount.  Parameterized over
-// (instance seed, use NOLA multi-pin nets).
-class DensityChurnTest
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+// Which swap kernel each test shape takes under the rule in density.hpp:
+// the column kernel, or the per-net one (every shape without a wide net
+// takes neither).  Listing both sides, and crossover23 exactly at the
+// rule, means a change to the rule that moves a shape fails here instead
+// of silently leaving one kernel untested.
+bool takes_columns(const std::string& shape) {
+  for (const char* name : {"nola12", "mixed12", "nola3", "crossover23"}) {
+    if (shape == name) return true;
+  }
+  return false;
+}
 
-TEST_P(DensityChurnTest, IncrementalAlwaysMatchesRecount) {
-  const auto [seed, multi_pin] = GetParam();
-  util::Rng rng{static_cast<std::uint64_t>(seed)};
-  const Netlist nl =
-      multi_pin ? random_nola(NolaParams{12, 60, 2, 6}, rng)
-                : random_gola(GolaParams{12, 60}, rng);
-  DensityState state{nl, Arrangement::random(12, rng)};
+// Property sweep: after arbitrary interleavings of swaps and moves, applied
+// or speculated and then committed or discarded, the incremental state
+// must equal a from-scratch recount.
+void expect_churn_matches_recount(const Netlist& nl, util::Rng& rng) {
+  const std::size_t n = nl.num_cells();
+  DensityState state{nl, Arrangement::random(n, rng)};
   ASSERT_TRUE(state.verify());
   for (int step = 0; step < 300; ++step) {
-    const auto [a, b] = rng.next_distinct_pair(12);
-    if (rng.next_bool(0.5)) {
-      state.apply_swap(a, b);
-    } else {
-      state.apply_move(a, b);
+    const auto [a, b] = rng.next_distinct_pair(n);
+    const bool swap = rng.next_bool(0.5);
+    switch (rng.next_below(3)) {
+      case 0:
+        if (swap) {
+          state.apply_swap(a, b);
+        } else {
+          state.apply_move(a, b);
+        }
+        break;
+      default:
+        if (swap) {
+          state.speculate_swap(a, b);
+        } else {
+          state.speculate_move(a, b);
+        }
+        if (rng.next_bool(0.5)) {
+          state.commit_speculation();
+        } else {
+          state.discard_speculation();
+        }
+        break;
     }
     if (step % 10 == 0) {
       ASSERT_TRUE(state.verify()) << "step " << step;
@@ -204,6 +226,31 @@ TEST_P(DensityChurnTest, IncrementalAlwaysMatchesRecount) {
     ASSERT_LE(state.density(), static_cast<int>(nl.num_nets()));
   }
   EXPECT_TRUE(state.verify());
+}
+
+// Parameterized over (instance seed, use multi-pin nets).  The multi-pin
+// case runs NOLA 12/60 (column kernel) and the shapes one pin under
+// (per-net kernel) and exactly at the kernel rule's crossover.
+class DensityChurnTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(DensityChurnTest, IncrementalAlwaysMatchesRecount) {
+  const auto [seed, multi_pin] = GetParam();
+  util::Rng rng{static_cast<std::uint64_t>(seed)};
+  if (!multi_pin) {
+    expect_churn_matches_recount(random_gola(GolaParams{12, 60}, rng), rng);
+    return;
+  }
+  const Netlist nola = random_nola(NolaParams{12, 60, 2, 6}, rng);
+  ASSERT_TRUE((DensityState{nola, Arrangement{12}}.uses_columns()));
+  expect_churn_matches_recount(nola, rng);
+  for (const std::string shape : {"below23", "crossover23"}) {
+    SCOPED_TRACE(shape);
+    const Netlist nl = mcopt::testing::linarr_shape(shape, rng);
+    ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
+              takes_columns(shape));
+    expect_churn_matches_recount(nl, rng);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DensityChurnTest,
@@ -313,20 +360,25 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
 // The same oracle checks beyond 2-pin nets on 12 cells: multi-pin NOLA
 // nets, two-pin and three-pin nets on the same cells, heavily parallel
 // two-pin nets, the smallest arrangements, where every window touches an
-// end of the row, and NOLA rows whose wide nets keep one to three words
-// of position bits (see tests/support/linarr_shapes.hpp).
+// end of the row, NOLA rows whose wide nets keep one to three words of
+// position bits, and the two sides of the swap-kernel rule (see
+// tests/support/linarr_shapes.hpp).  Each asserts the kernel it takes.
 class DensitySpeculationShapeTest
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DensitySpeculationShapeTest, SwapSpeculationMatchesApplyOracle) {
   util::Rng rng{91};
   const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
+  ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
+            takes_columns(GetParam()));
   expect_swap_speculation_matches_oracle(nl, rng);
 }
 
 TEST_P(DensitySpeculationShapeTest, MoveSpeculationMatchesApplyOracle) {
   util::Rng rng{93};
   const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
+  ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
+            takes_columns(GetParam()));
   expect_move_speculation_matches_oracle(nl, rng);
 }
 
@@ -334,7 +386,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DensitySpeculationShapeTest,
                          ::testing::Values("nola12", "gola2", "nola3",
                                            "mixed12", "parallel8", "gola3",
                                            "nola63", "nola64", "nola65",
-                                           "nola130"),
+                                           "nola130", "below23",
+                                           "crossover23"),
                          [](const auto& info) { return info.param; });
 
 // Every ordered swap (or single exchange) (p, q) on `nl` from the
@@ -480,23 +533,78 @@ TEST(DensitySpeculationTest, WordEdgeMovesMatchApplyOracle) {
   expect_every_pair_matches_oracle<true>(word_edge_netlist());
 }
 
+// Degenerate instances for the column kernel, each through every ordered
+// swap and single exchange against the apply oracle, with verify() after
+// each: the smallest wide net (n = 3, one 3-pin net), wide nets only, one
+// net on every cell (its crossing count never changes), and 64 and 65
+// wide nets, one and two words of net bits per column.
+Netlist degenerate_netlist(const std::string& name) {
+  util::Rng rng{97};
+  if (name == "three_cells_one_wide_net") {
+    Netlist::Builder b{3};
+    b.add_net({0, 1, 2});
+    return b.build();
+  }
+  if (name == "wide_nets_only") {
+    return random_nola(NolaParams{12, 40, 3, 6}, rng);
+  }
+  if (name == "net_on_every_cell") {
+    constexpr std::size_t kCells = 10;
+    Netlist::Builder b{kCells};
+    std::vector<CellId> every(kCells);
+    for (std::size_t c = 0; c < kCells; ++c) every[c] = static_cast<CellId>(c);
+    b.add_net(every);
+    for (int net = 0; net < 12; ++net) {
+      const auto [u, v] = rng.next_distinct_pair(kCells);
+      b.add_net({static_cast<CellId>(u), static_cast<CellId>(v)});
+    }
+    return b.build();
+  }
+  if (name == "wide64") return random_nola(NolaParams{16, 64, 3, 6}, rng);
+  if (name == "wide65") return random_nola(NolaParams{16, 65, 3, 6}, rng);
+  throw std::invalid_argument("degenerate_netlist: unknown " + name);
+}
+
+class DensityDegenerateTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DensityDegenerateTest, SwapsMatchApplyOracle) {
+  const Netlist nl = degenerate_netlist(GetParam());
+  ASSERT_TRUE((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()));
+  expect_every_pair_matches_oracle<false>(nl);
+}
+
+TEST_P(DensityDegenerateTest, MovesMatchApplyOracle) {
+  const Netlist nl = degenerate_netlist(GetParam());
+  ASSERT_TRUE((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()));
+  expect_every_pair_matches_oracle<true>(nl);
+}
+
+INSTANTIATE_TEST_SUITE_P(Instances, DensityDegenerateTest,
+                         ::testing::Values("three_cells_one_wide_net",
+                                           "wide_nets_only",
+                                           "net_on_every_cell", "wide64",
+                                           "wide65"),
+                         [](const auto& info) { return info.param; });
+
 // Clone regression: vector copies shrink capacity to size and the per-move
 // scratch is empty between moves, so a defaulted copy would silently
 // re-allocate on the worker's first hot-loop move.  The copy constructor
-// and assignment must re-reserve everything.
-TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
-  util::Rng rng{81};
-  const Netlist nl = random_gola(GolaParams{15, 150}, rng);
-  DensityState state{nl, Arrangement::random(15, rng)};
+// and assignment must re-reserve everything, the column kernel's state
+// and scratch on NOLA 15/150 included.
+void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
+  const std::size_t n = nl.num_cells();
+  DensityState state{nl, Arrangement::random(n, rng)};
   ASSERT_TRUE(state.scratch_reserved());
 
   DensityState copied{state};
   EXPECT_TRUE(copied.scratch_reserved());
+  EXPECT_EQ(copied.uses_columns(), state.uses_columns());
 
-  DensityState assigned{nl, Arrangement::random(15, rng)};
+  DensityState assigned{nl, Arrangement::random(n, rng)};
   assigned = state;
   EXPECT_TRUE(assigned.scratch_reserved());
   EXPECT_EQ(assigned.density(), state.density());
+  EXPECT_EQ(assigned.uses_columns(), state.uses_columns());
 
   // The copy must also be a correct speculation substrate, not just a
   // reserved one.
@@ -513,6 +621,16 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   assigned.discard_speculation();
   EXPECT_TRUE(assigned.verify());
   EXPECT_TRUE(assigned.scratch_reserved());
+}
+
+TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
+  util::Rng rng{81};
+  const Netlist gola = random_gola(GolaParams{15, 150}, rng);
+  const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  ASSERT_FALSE((DensityState{gola, Arrangement{15}}.uses_columns()));
+  ASSERT_TRUE((DensityState{nola, Arrangement{15}}.uses_columns()));
+  expect_copies_re_reserve(gola, rng);
+  expect_copies_re_reserve(nola, rng);
 }
 
 }  // namespace

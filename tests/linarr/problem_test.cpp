@@ -212,25 +212,33 @@ INSTANTIATE_TEST_SUITE_P(
                                          MoveKind::kSingleExchange),
                        ::testing::Bool()));
 
+// On GOLA and on a NOLA instance that takes the column kernel, whose
+// column state and scratch the clone must carry too.
 TEST(LinArrProblemTest, CloneReReservesSpeculationScratch) {
-  const Netlist nl = paper_instance();
-  util::Rng rng{14};
-  LinArrProblem problem{nl, Arrangement::random(15, rng)};
-  const auto clone = problem.clone();
-  auto& cloned = dynamic_cast<LinArrProblem&>(*clone);
-  EXPECT_TRUE(cloned.state().scratch_reserved());
-  // The clone must run the speculative hot loop correctly from the start —
-  // this is exactly the parallel engine's per-worker path.
-  for (int i = 0; i < 50; ++i) {
-    const double h_j = cloned.propose(rng);
-    if (h_j <= cloned.cost()) {
-      cloned.accept();
-    } else {
-      cloned.reject();
+  const Netlist gola = paper_instance();
+  util::Rng nola_rng{20};
+  const Netlist nola =
+      netlist::random_nola(NolaParams{15, 150, 2, 6}, nola_rng);
+  for (const Netlist* nl : {&gola, &nola}) {
+    util::Rng rng{14};
+    LinArrProblem problem{*nl, Arrangement::random(15, rng)};
+    const auto clone = problem.clone();
+    auto& cloned = dynamic_cast<LinArrProblem&>(*clone);
+    EXPECT_EQ(cloned.state().uses_columns(), nl == &nola);
+    EXPECT_TRUE(cloned.state().scratch_reserved());
+    // The clone must run the speculative hot loop correctly from the
+    // start — this is exactly the parallel engine's per-worker path.
+    for (int i = 0; i < 50; ++i) {
+      const double h_j = cloned.propose(rng);
+      if (h_j <= cloned.cost()) {
+        cloned.accept();
+      } else {
+        cloned.reject();
+      }
     }
+    EXPECT_TRUE(cloned.state().verify());
+    EXPECT_TRUE(cloned.state().scratch_reserved());
   }
-  EXPECT_TRUE(cloned.state().verify());
-  EXPECT_TRUE(cloned.state().scratch_reserved());
 }
 
 TEST(LinArrNolaTest, MultiPinInstancesWork) {

@@ -12,12 +12,20 @@
 //             cells 0 and 61-65 (those below n) and one on every cell:
 //             wide nets keep one (n = 63, 64), two (65) or three (130)
 //             words of position bits
+//   crossover23, below23
+//             40 two-pin nets on 23 cells plus eight wide nets of 46
+//             (crossover23) or 45 (below23) pins in all: the swap-kernel
+//             rule in linarr/density.hpp takes the column kernel from 46
+//             wide pins on 23 cells with one word of net bits, so
+//             crossover23 sits exactly at the crossover and below23 one
+//             pin under it
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netlist/generator.hpp"
@@ -53,6 +61,31 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
       every[c] = static_cast<netlist::CellId>(c);
     }
     b.add_net(every);
+    return b.build();
+  }
+  if (shape == "crossover23" || shape == "below23") {
+    constexpr std::size_t kCells = 23;
+    netlist::Netlist::Builder b{kCells};
+    for (int net = 0; net < 40; ++net) {
+      const auto [u, v] = rng.next_distinct_pair(kCells);
+      b.add_net({static_cast<netlist::CellId>(u),
+                 static_cast<netlist::CellId>(v)});
+    }
+    const std::size_t last = shape == "crossover23" ? 5 : 4;
+    const std::size_t sizes[] = {6, 6, 6, 6, 6, 6, 5, last};
+    for (const std::size_t pins : sizes) {
+      std::vector<netlist::CellId> cells(kCells);
+      for (std::size_t c = 0; c < kCells; ++c) {
+        cells[c] = static_cast<netlist::CellId>(c);
+      }
+      // A partial Fisher-Yates shuffle: `pins` distinct cells.
+      for (std::size_t i = 0; i < pins; ++i) {
+        std::swap(cells[i], cells[i + static_cast<std::size_t>(
+                                          rng.next_below(kCells - i))]);
+      }
+      cells.resize(pins);
+      b.add_net(cells);
+    }
     return b.build();
   }
   if (shape == "parallel8") {
