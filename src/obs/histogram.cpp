@@ -1,7 +1,5 @@
 #include "obs/histogram.hpp"
 
-#include <bit>
-
 #include "obs/json_number.hpp"
 
 namespace mcopt::obs {
@@ -9,23 +7,6 @@ namespace mcopt::obs {
 std::uint64_t LogHistogram::bucket_bound(std::size_t i) noexcept {
   if (i + 1 >= kNumBuckets) return 0;  // overflow bucket: no finite bound
   return std::uint64_t{1} << i;
-}
-
-std::size_t LogHistogram::bucket_index(double value) noexcept {
-  if (value < 1.0) return 0;  // negatives and [0,1) share bucket 0
-  // Integer bit-scan keeps the boundaries exact: values in [2^(k-1), 2^k)
-  // have floor(value) with bit width k and land in bucket k.
-  const double capped =
-      value >= 9.007199254740992e15 ? 9.007199254740992e15 : value;
-  const auto floored = static_cast<std::uint64_t>(capped);
-  const auto width = static_cast<std::size_t>(std::bit_width(floored));
-  return width < kNumBuckets - 1 ? width : kNumBuckets - 1;
-}
-
-void LogHistogram::record(double value) noexcept {
-  ++buckets_[bucket_index(value)];
-  ++count_;
-  sum_ += value < 0.0 ? 0.0 : value;
 }
 
 void LogHistogram::merge(const LogHistogram& other) noexcept {

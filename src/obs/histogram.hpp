@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,9 +38,24 @@ class LogHistogram {
   [[nodiscard]] static std::uint64_t bucket_bound(std::size_t i) noexcept;
 
   /// Bucket index for a value (negatives clamp to bucket 0).
-  [[nodiscard]] static std::size_t bucket_index(double value) noexcept;
+  [[nodiscard]] static std::size_t bucket_index(double value) noexcept {
+    if (value < 1.0) return 0;  // negatives and [0,1) share bucket 0
+    // Integer bit-scan keeps the boundaries exact: values in
+    // [2^(k-1), 2^k) have floor(value) with bit width k and land in
+    // bucket k.
+    const double capped =
+        value >= 9.007199254740992e15 ? 9.007199254740992e15 : value;
+    const auto floored = static_cast<std::uint64_t>(capped);
+    const auto width = static_cast<std::size_t>(std::bit_width(floored));
+    return width < kNumBuckets - 1 ? width : kNumBuckets - 1;
+  }
 
-  void record(double value) noexcept;
+  /// Inline: the recorder calls it once per uphill proposal.
+  void record(double value) noexcept {
+    ++buckets_[bucket_index(value)];
+    ++count_;
+    sum_ += value < 0.0 ? 0.0 : value;
+  }
 
   /// Commutative element-wise accumulation (see header comment).
   void merge(const LogHistogram& other) noexcept;

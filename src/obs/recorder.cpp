@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "obs/perfcount.hpp"
 
@@ -15,7 +16,8 @@ Recorder::Recorder(TraceSink* sink, bool collect_metrics,
       profile_enabled_(collect_profile),
       sink_(sink),
       sample_(trace_sample == 0 ? 1 : trace_sample),
-      run_(run) {}
+      run_(run),
+      countdown_(sample_) {}
 
 Recorder Recorder::for_restart(std::uint64_t restart, std::uint64_t worker,
                                TraceSink* shard_sink) const {
@@ -26,6 +28,7 @@ Recorder Recorder::for_restart(std::uint64_t restart, std::uint64_t worker,
   out.sink_ = shard_sink != nullptr ? shard_sink : sink_;
   out.off_ = out.sink_ == nullptr && !out.metrics_enabled_;
   out.sample_ = sample_;
+  out.countdown_ = sample_;
   out.run_ = run_;
   out.restart_ = restart;
   out.worker_ = worker;
@@ -46,6 +49,8 @@ void Recorder::begin_run(RunMetrics* metrics, std::size_t num_stages,
   // their exited children — breaking the child-sums-never-exceed-parent
   // invariant the timeline export and profiler_test rely on.
   while (!pstack_.empty()) profile_exit();
+  // Likewise, the open sample runs belong to the old metrics.
+  if (metrics_ != nullptr) close_runs();
   metrics_ = metrics_enabled_ ? metrics : nullptr;
   if (metrics_ != nullptr) {
     metrics_->collected = true;
@@ -56,8 +61,11 @@ void Recorder::begin_run(RunMetrics* metrics, std::size_t num_stages,
       metrics_->observables.resize(num_stages);
     }
   }
-  step_ = 0;
+  countdown_ = sample_;
   sample_live_ = true;
+  stage_ = kNoStage;
+  tally_ = nullptr;
+  observed_ = nullptr;
   stage_walls_ = stage_walls;
   have_stage_ = false;
   cur_stage_ = 0;
@@ -72,23 +80,49 @@ void Recorder::end_run() {
   // end_run in the runner's epilogue) are closed here; their destructors
   // then find an empty stack and no-op.
   while (!pstack_.empty()) profile_exit();
+  if (metrics_ != nullptr) close_runs();
+  stage_ = kNoStage;
+  tally_ = nullptr;
+  observed_ = nullptr;
   close_stage_wall();
   if (metrics_ != nullptr) metrics_->wall_seconds += run_watch_.seconds();
   metrics_ = nullptr;
 }
 
 StageMetrics& Recorder::stage_slot(std::uint32_t stage) {
-  if (metrics_->stages.size() <= stage) metrics_->stages.resize(stage + 1);
+  if (metrics_->stages.size() <= stage) {
+    metrics_->stages.resize(stage + 1);
+    if (tally_ != nullptr) tally_ = &metrics_->stages[stage_];
+  }
   return metrics_->stages[stage];
 }
 
 StageObservables& Recorder::observables_slot(std::uint32_t stage) {
   if (metrics_->observables.size() <= stage) {
     metrics_->observables.resize(stage + 1);
+    if (observed_ != nullptr) observed_ = &metrics_->observables[stage_];
   }
   return metrics_->observables[stage];
 }
 
+void Recorder::bind_stage(std::uint32_t stage) {
+  stage_ = stage;
+  if (metrics_ != nullptr) {
+    tally_ = &stage_slot(stage);
+    observed_ = &observables_slot(stage);
+  }
+  // No energy compares equal to NaN, so the next proposal rounds its
+  // energy and checks it against the stage's open run.
+  run_energy_ = std::numeric_limits<double>::quiet_NaN();
+}
+
+void Recorder::close_runs() noexcept {
+  for (StageObservables& observables : metrics_->observables) {
+    observables.close_run();
+  }
+}
+
+// mcopt: hot
 void Recorder::emit(EventKind kind, StageReason reason, std::uint32_t stage,
                     std::uint64_t tick, double cost, double best) {
   if (sink_ == nullptr) return;
@@ -128,54 +162,31 @@ void Recorder::stage_begin_impl(std::uint32_t stage, std::uint64_t tick,
   emit(EventKind::kStageBegin, reason, stage, tick, cost, best);
 }
 
+// mcopt: hot
 void Recorder::proposal_impl(std::uint32_t stage, std::uint64_t tick,
-                             double cost, double best, double delta) {
-  if (metrics_ != nullptr) {
-    StageMetrics& s = stage_slot(stage);
-    ++s.proposals;
-    ++s.ticks;
-    if (delta < 0.0) {
-      ++s.downhill_proposals;
-    } else if (delta > 0.0) {
-      ++s.uphill_proposals;
-      metrics_->uphill_delta_proposed.record(delta);
-    } else {
-      ++s.sideways_proposals;
-    }
-    // The chain's energy at this proposal is the pre-move cost; runners
-    // pass the candidate cost plus its delta, so recover it exactly.
+                             double cost, double best, double energy) {
+  if (stage != stage_) bind_stage(stage);
+  if (observed_ != nullptr && energy != run_energy_) {
     // llround keeps integral-valued costs exact and quantizes real-valued
-    // ones deterministically.
-    observables_slot(stage).add_sample(std::llround(cost - delta));
+    // ones deterministically; a new value ends the stage's open run.
+    const std::int64_t value = std::llround(energy);
+    if (value != observed_->run_value) {
+      observed_->close_run();
+      observed_->run_value = value;
+    }
   }
-  ++step_;
-  sample_live_ = sample_ <= 1 || step_ % sample_ == 0;
+  run_energy_ = energy;
   if (sample_live_) {
+    countdown_ = sample_;
     emit(EventKind::kProposal, StageReason::kNone, stage, tick, cost, best);
   }
 }
 
-void Recorder::accept_impl(std::uint32_t stage, std::uint64_t tick,
-                           double cost, double best, double delta) {
-  if (metrics_ != nullptr) {
-    StageMetrics& s = stage_slot(stage);
-    ++s.accepts;
-    if (delta > 0.0) {
-      ++s.uphill_accepts;
-      metrics_->uphill_delta_accepted.record(delta);
-    }
-  }
-  if (sample_live_) {
-    emit(EventKind::kAccept, StageReason::kNone, stage, tick, cost, best);
-  }
-}
-
-void Recorder::reject_impl(std::uint32_t stage, std::uint64_t tick,
-                           double cost, double best) {
-  if (metrics_ != nullptr) ++stage_slot(stage).rejects;
-  if (sample_live_) {
-    emit(EventKind::kReject, StageReason::kNone, stage, tick, cost, best);
-  }
+// mcopt: hot
+void Recorder::outcome_impl(EventKind kind, std::uint32_t stage,
+                            std::uint64_t tick, double cost, double best) {
+  if (stage != stage_) bind_stage(stage);
+  if (sample_live_) emit(kind, StageReason::kNone, stage, tick, cost, best);
 }
 
 void Recorder::new_best_impl(std::uint32_t stage, std::uint64_t tick,

@@ -138,7 +138,9 @@ class JsonlFileSink final : public TraceSink {
   /// Always valid; aliases file_ or the caller's stream.  The stream is
   /// only touched with mu_ held.
   std::ostream* out_ PT_GUARDED_BY(mu_);
-  std::string buffer_ GUARDED_BY(mu_);
+  /// Fixed size; lines are formatted in place into buffer_[used_...].
+  std::vector<char> buffer_ GUARDED_BY(mu_);
+  std::size_t used_ GUARDED_BY(mu_) = 0;
   std::uint64_t written_ GUARDED_BY(mu_) = 0;
   bool failed_ GUARDED_BY(mu_) = false;
 };
