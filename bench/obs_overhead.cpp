@@ -2,10 +2,11 @@
 // loop, and the proof that observing a run never changes it.
 //
 // The contract (src/obs/recorder.hpp): every event method and every
-// profile scope is an inlined `if (off_) return;` in front of an
-// out-of-line slow path, so compiling the instrumentation into the Figure 1
-// hot loop must cost <1% in proposals/sec when no recorder is installed.
-// This bench measures that directly against a hand-stripped copy of the
+// profile scope starts with an inlined `if (off_) return;`, so compiling
+// the instrumentation into the Figure 1 hot loop must cost little in
+// proposals/sec when no recorder is installed: at most --gate-pct (1% by
+// default; CI passes 10% at its short budget).  This bench measures that
+// directly against a hand-stripped copy of the
 // same loop (run_stripped_figure1 below, held bit-identical in its results
 // to the real one), then prices each tier when it *is* on: metrics
 // (counters, uphill-delta histograms, observables), metrics + profiler,
