@@ -16,8 +16,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Ablation B — g = 1 gate threshold under Figure 1 (§3)",
       "GOLA set; 12 s budget; thresholds 1 (random walk) .. 10^6 (descent)");
@@ -52,7 +53,8 @@ int main() {
     table.cell(uphill / static_cast<double>(instances.size()), 0);
   }
   table.print();
-  bench::maybe_write_csv("ablation_gate", table);
+  driver.write_csv("ablation_gate", table);
+  driver.finish();
 
   std::printf(
       "\nShape check: threshold 1 (the unguarded random walk) is the worst;\n"

@@ -13,8 +13,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Ablation D — pairwise interchange vs single exchange ([COHO83a])",
       "GOLA set; 12 s budget; move kind x strategy x start");
@@ -42,10 +43,10 @@ int main() {
         config.figure2 = figure2;
         config.move_seed = 41;
         const double random_total =
-            bench::run_method_row(method, instances, config)[0];
+            bench::run_method_row(driver, method, instances, config)[0];
         config.start = bench::StartKind::kGoto;
         const double goto_total =
-            bench::run_method_row(method, instances, config)[0];
+            bench::run_method_row(driver, method, instances, config)[0];
 
         table.begin_row();
         table.cell(method.name);
@@ -59,7 +60,8 @@ int main() {
     }
   }
   table.print();
-  bench::maybe_write_csv("ablation_moves", table);
+  driver.write_csv("ablation_moves", table);
+  driver.finish();
 
   std::printf(
       "\nShape check ([COHO83a] via §4.2.2/§4.2.4): the Cohoon-Sahni g is\n"

@@ -16,8 +16,9 @@
 #include "linarr/problem.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Ablation E — objective: density vs total span",
       "GOLA set; Figure 1; g = 1; 12 s budget; cross-evaluated results");
@@ -69,7 +70,8 @@ int main() {
   table.cell(start_density);
   table.cell(start_span);
   table.print();
-  bench::maybe_write_csv("ablation_objective", table);
+  driver.write_csv("ablation_objective", table);
+  driver.finish();
 
   std::printf(
       "\nShape check: optimizing span drags density down as a side effect\n"

@@ -41,7 +41,8 @@ double run_schedule(const std::vector<netlist::Netlist>& instances,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Ablation C — annealing schedule shape and length",
       "GOLA set; Figure 1; 12 s budget split into k equal slices");
@@ -77,7 +78,8 @@ int main() {
   row("uniform [GOLD84]", core::uniform_schedule(y1, 6));
   row("uniform [GOLD84]", core::uniform_schedule(y1, 25));
   table.print();
-  bench::maybe_write_csv("ablation_schedule", table);
+  driver.write_csv("ablation_schedule", table);
+  driver.finish();
 
   std::printf(
       "\nShape check: once the starting temperature is tuned, the schedule's\n"

@@ -13,8 +13,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Ablation A — sensitivity to the temperature scale (conclusion 1)",
       "GOLA set; Figure 1; 12 s budget; tuned scale x {0.1, 0.5, 1, 2, 10}");
@@ -52,7 +53,7 @@ int main() {
       bench::Method scaled_method = method;
       scaled_method.scale = method.scale * m;
       const double total =
-          bench::run_method_row(scaled_method, instances, config)[0];
+          bench::run_method_row(driver, scaled_method, instances, config)[0];
       row.add(total);
       table.cell(static_cast<long long>(total));
     }
@@ -61,7 +62,8 @@ int main() {
     table.cell(spread, 1);
   }
   table.print();
-  bench::maybe_write_csv("ablation_temperature", table);
+  driver.write_csv("ablation_temperature", table);
+  driver.finish();
 
   std::printf(
       "\nShape check: g = 1 and two-level rows are flat (scale unused);\n"

@@ -16,8 +16,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Convergence curves — total reduction vs work budget (GOLA)",
       "30 instances; Figure 1; logarithmic budget checkpoints");
@@ -54,13 +55,15 @@ int main() {
   }
 
   for (const auto& method : methods) {
-    const auto totals = bench::run_method_row(method, instances, config);
+    const auto totals =
+        bench::run_method_row(driver, method, instances, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
   }
   table.print();
-  bench::maybe_write_csv("convergence_curves", table);
+  driver.write_csv("convergence_curves", table);
+  driver.finish();
 
   std::printf(
       "\nShape checks: Goto's flat line dominates the small budgets and is\n"

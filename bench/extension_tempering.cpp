@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Extension — parallel tempering vs the paper's methods (GOLA)",
       "30 instances; equal tick budgets; tempering uses 4 replicas");
@@ -47,9 +47,8 @@ int main(int argc, char** argv) {
     bench::TableRunConfig config;
     config.budgets = budgets;
     config.move_seed = 47;
-    config.num_threads = threads;
-    config.recorder = bench::driver_recorder();
-    const auto totals = bench::run_method_row(method, instances, config);
+    const auto totals =
+        bench::run_method_row(driver, method, instances, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
@@ -82,22 +81,22 @@ int main(int argc, char** argv) {
       options.budget = budget;
       options.sweep = 25;
       const obs::Recorder rec =
-          bench::driver_recorder()->with_run(tempering_run++).for_restart(
-              i, 0, nullptr);
+          driver.recorder().with_run(tempering_run++).for_restart(i, 0,
+                                                                  nullptr);
       options.recorder = &rec;
       const auto result = core::parallel_tempering(factory, options, rng);
       if (result.aggregate.metrics.collected) {
         obs::RunMetrics m = result.aggregate.metrics;
         m.restarts = 1;
-        bench::absorb_run_metrics(m);
+        driver.absorb(m);
       }
       total += result.aggregate.initial_cost - result.aggregate.best_cost;
     }
     table.cell(static_cast<long long>(total));
   }
   table.print();
-  bench::maybe_write_csv("extension_tempering", table);
-  bench::finish_driver_observability();
+  driver.write_csv("extension_tempering", table);
+  driver.finish();
 
   std::printf(
       "\nShape check: at equal work the verdict of 1985 extends.  Splitting\n"

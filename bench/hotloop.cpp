@@ -22,7 +22,7 @@
 // is the conjunction of the identity checks; the bench exits 1 when it
 // fails.
 //
-// Results land in BENCH_hotloop.json via bench::write_json_report and are
+// Results land in BENCH_hotloop.json via bench::Driver::write_json and are
 // gated against the committed baseline by tools/bench_compare.py.
 //
 // Flags: --proposals N    proposals per timed kernel run (default 2'000'000)
@@ -45,7 +45,6 @@
 #include "obs/log.hpp"
 #include "obs/perfcount.hpp"
 #include "obs/profiler.hpp"
-#include "util/args.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -193,24 +192,9 @@ std::string perf_fields(const char* prefix, const obs::PerfCounts& counts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args{argc, argv};
-  const auto unknown = args.unknown_flags({"proposals", "reps"});
-  if (!unknown.empty() || !args.positional().empty()) {
-    obs::log(obs::LogLevel::kError, "usage: %s [--proposals N] [--reps N]",
-             args.program().c_str());
-    return 2;
-  }
-  std::string error;
-  const auto proposals_flag =
-      bench::positive_int_flag(args, "proposals", 2'000'000, &error);
-  const auto reps_flag = bench::positive_int_flag(args, "reps", 5, &error);
-  if (!proposals_flag || !reps_flag) {
-    obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
-             error.c_str());
-    return 2;
-  }
-  const auto proposals = static_cast<std::uint64_t>(*proposals_flag);
-  const auto reps = static_cast<std::size_t>(*reps_flag);
+  bench::Driver driver{argc, argv, {"proposals", "reps"}};
+  const std::uint64_t proposals = driver.u64("proposals", 2'000'000, 1);
+  const std::size_t reps = driver.count("reps", 5, 1);
 
   bench::print_header(
       "Proposal hot-loop throughput",
@@ -376,7 +360,8 @@ int main(int argc, char** argv) {
     json += std::string{"}"} + (i + 1 < rows.size() ? "," : "") + "\n";
   }
   json += "  ]\n}\n";
-  bench::write_json_report("BENCH_hotloop", json);
+  driver.write_json("BENCH_hotloop", json);
+  driver.finish();
 
   std::printf("\nRep/thread determinism: %s — %s.\n",
               gate_ok ? "bit-identical" : "MISMATCH",

@@ -27,7 +27,7 @@
 // its paired per-rep ratios against the baseline (the gate reads it);
 // overhead_pct_min/_max give their spread.
 //
-// Results land in BENCH_obs.json via bench::write_json_report.  Wall-clock
+// Results land in BENCH_obs.json via bench::Driver::write_json.  Wall-clock
 // numbers are hardware-dependent; the determinism checks are not.
 //
 // Flags: --budget T   ticks per timed run (default 2'000'000)
@@ -51,7 +51,6 @@
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/args.hpp"
 #include "util/budget.hpp"
 #include "util/invariant.hpp"
 #include "util/stats.hpp"
@@ -236,28 +235,10 @@ Snapshot export_snapshot(const obs::RunMetrics& metrics) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args{argc, argv};
-  const auto unknown = args.unknown_flags({"budget", "reps", "gate-pct"});
-  if (!unknown.empty() || !args.positional().empty()) {
-    obs::log(obs::LogLevel::kError,
-             "usage: %s [--budget T] [--reps N] [--gate-pct P]",
-             args.program().c_str());
-    return 2;
-  }
-  std::string error;
-  const auto budget_flag =
-      bench::positive_int_flag(args, "budget", 2'000'000, &error);
-  const auto reps_flag = bench::positive_int_flag(args, "reps", 5, &error);
-  const auto gate_flag =
-      bench::positive_double_flag(args, "gate-pct", 1.0, &error);
-  if (!budget_flag || !reps_flag || !gate_flag) {
-    obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
-             error.c_str());
-    return 2;
-  }
-  const auto budget = static_cast<std::uint64_t>(*budget_flag);
-  const auto reps = static_cast<std::size_t>(*reps_flag);
-  const double gate_pct = *gate_flag;
+  bench::Driver driver{argc, argv, {"budget", "reps", "gate-pct"}};
+  const std::uint64_t budget = driver.u64("budget", 2'000'000, 1);
+  const std::size_t reps = driver.count("reps", 5, 1);
+  const double gate_pct = driver.real("gate-pct", 1.0, 0.001);
 
   char gate_buf[32];
   std::snprintf(gate_buf, sizeof gate_buf, "%.2f", gate_pct);
@@ -471,7 +452,8 @@ int main(int argc, char** argv) {
     json += buf;
   }
   json += "  ]\n}\n";
-  bench::write_json_report("BENCH_obs", json);
+  driver.write_json("BENCH_obs", json);
+  driver.finish();
 
   std::printf(
       "\nOff-path overhead: %.2f%% (gate: <%.2f%%) — %s.\n"

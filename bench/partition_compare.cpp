@@ -20,8 +20,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Circuit partition comparison (§5 / [NAHA84]; schedule from [KIRK83])",
       "10 random graphs per size; balanced bipartition; cut size; Monte "
@@ -106,5 +107,6 @@ int main() {
       "\nShape check: the proven deterministic heuristic is at least\n"
       "competitive with annealing at comparable work — the paper's core\n"
       "methodological point (§2).\n");
+  driver.finish();
   return 0;
 }

@@ -42,7 +42,8 @@ double run_class(const std::vector<netlist::Netlist>& instances,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Scaling study — conclusions beyond the paper's instance size",
       "10 instances per size; nets = 10 x cells; budget grows with size");
@@ -109,7 +110,8 @@ int main() {
     table.cell(static_cast<long long>(run_class(instances, *white, budget, 75)));
   }
   table.print();
-  bench::maybe_write_csv("scaling_study", table);
+  driver.write_csv("scaling_study", table);
+  driver.finish();
 
   std::printf(
       "\nShape checks: the paper's conclusions sharpen with size.  The\n"

@@ -48,7 +48,7 @@ const std::map<std::string, std::array<int, 3>> kPaper41{
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Table 4.1 — GOLA: total density reduction, Figure 1, random starts",
       "30 instances, 15 elements, 150 two-pin nets; budgets = 6/9/12 s "
@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
   config.budgets = {bench::scaled(bench::kSixSec),
                     bench::scaled(bench::kNineSec),
                     bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -95,7 +93,8 @@ int main(int argc, char** argv) {
   table.cell("601 / - / -");
 
   for (const auto& method : methods) {
-    const auto totals = bench::run_method_row(method, instances, config);
+    const auto totals =
+        bench::run_method_row(driver, method, instances, config);
     table.begin_row();
     table.cell(method.name);
     if (core::g_class_uses_scale(method.cls)) {
@@ -115,9 +114,9 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::maybe_write_csv("table_4_1", table);
-  bench::print_invariant_summary();
-  bench::finish_driver_observability();
+  driver.write_csv("table_4_1", table);
+  driver.print_invariant_summary();
+  driver.finish();
 
   std::printf(
       "\nShape checks (paper §4.2.2): six-temperature annealing, g = 1 and\n"

@@ -28,7 +28,7 @@ const std::map<std::string, std::array<int, 3>> kPaper42a{
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Table 4.2(a) — GOLA: reductions from the Goto starting arrangement",
       "30 instances; Figure 1; 13 g classes; budgets = 6/9/12 s equivalents");
@@ -48,8 +48,6 @@ int main(int argc, char** argv) {
   config.budgets = {bench::scaled(bench::kSixSec),
                     bench::scaled(bench::kNineSec),
                     bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
   config.start = bench::StartKind::kGoto;
   config.move_seed = 11;
 
@@ -61,7 +59,8 @@ int main(int argc, char** argv) {
   table.add_column("paper 6/9/12", util::Table::Align::kLeft);
 
   for (const auto& method : methods) {
-    const auto totals = bench::run_method_row(method, instances, config);
+    const auto totals =
+        bench::run_method_row(driver, method, instances, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
@@ -76,8 +75,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::maybe_write_csv("table_4_2a", table);
-  bench::finish_driver_observability();
+  driver.write_csv("table_4_2a", table);
+  driver.finish();
 
   std::printf(
       "\nShape checks (§4.2.3): every improvement is small relative to the\n"

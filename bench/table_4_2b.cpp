@@ -33,7 +33,7 @@ const std::map<std::string, std::array<int, 2>> kPaper42b{
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Table 4.2(b) — GOLA: Figure 1 vs Figure 2 at the 3-minute budget",
       "30 instances; random starts; 13 g classes; budget = 3 min equivalent "
@@ -48,8 +48,6 @@ int main(int argc, char** argv) {
   bench::TableRunConfig fig1;
   fig1.budgets = {bench::scaled(bench::kThreeMin)};
   fig1.move_seed = 13;
-  fig1.num_threads = threads;
-  fig1.recorder = bench::driver_recorder();
   bench::TableRunConfig fig2 = fig1;
   fig2.figure2 = true;
 
@@ -64,8 +62,8 @@ int main(int argc, char** argv) {
   double best_of_better = 0.0;
   double worst_of_better = 1e18;
   for (const auto& method : methods) {
-    const double f1 = bench::run_method_row(method, instances, fig1)[0];
-    const double f2 = bench::run_method_row(method, instances, fig2)[0];
+    const double f1 = bench::run_method_row(driver, method, instances, fig1)[0];
+    const double f2 = bench::run_method_row(driver, method, instances, fig2)[0];
     figure2_wins += f2 > f1;
     const double better = std::max(f1, f2);
     best_of_better = std::max(best_of_better, better);
@@ -81,8 +79,8 @@ int main(int argc, char** argv) {
     table.cell(std::string{buf});
   }
   table.print();
-  bench::maybe_write_csv("table_4_2b", table);
-  bench::finish_driver_observability();
+  driver.write_csv("table_4_2b", table);
+  driver.finish();
 
   std::printf(
       "\nFigure 2 wins %d of 13 classes (paper: 9 of 13).\n"

@@ -31,7 +31,7 @@ const std::map<std::string, std::array<int, 3>> kPaper42c{
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Table 4.2(c) — NOLA: total density reduction, Figure 1, random starts",
       "30 instances, 15 elements, 150 nets of 2-6 pins; GOLA temperatures "
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
   config.budgets = {bench::scaled(bench::kSixSec),
                     bench::scaled(bench::kNineSec),
                     bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
   config.move_seed = 17;
 
   util::Table table;
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
   table.cell("-");
 
   for (const auto& method : methods) {
-    const auto totals = bench::run_method_row(method, nola, config);
+    const auto totals = bench::run_method_row(driver, method, nola, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
@@ -87,8 +85,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::maybe_write_csv("table_4_2c", table);
-  bench::finish_driver_observability();
+  driver.write_csv("table_4_2c", table);
+  driver.finish();
 
   std::printf(
       "\nShape checks (§4.3.2): g = 1 leads and is the only Monte Carlo row\n"

@@ -32,7 +32,7 @@ const std::map<std::string, std::array<int, 3>> kPaper42d{
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  const unsigned threads = bench::parse_driver_flags(argc, argv);
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "Table 4.2(d) — NOLA: reductions from the Goto starting arrangement",
       "30 NOLA instances; Figure 1; GOLA temperatures; budgets = 6/9/12 s "
@@ -53,8 +53,6 @@ int main(int argc, char** argv) {
   config.budgets = {bench::scaled(bench::kSixSec),
                     bench::scaled(bench::kNineSec),
                     bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
   config.start = bench::StartKind::kGoto;
   config.move_seed = 19;
 
@@ -66,7 +64,7 @@ int main(int argc, char** argv) {
   table.add_column("paper 6/9/12", util::Table::Align::kLeft);
 
   for (const auto& method : methods) {
-    const auto totals = bench::run_method_row(method, nola, config);
+    const auto totals = bench::run_method_row(driver, method, nola, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
@@ -77,8 +75,8 @@ int main(int argc, char** argv) {
     table.cell(std::string{buf});
   }
   table.print();
-  bench::maybe_write_csv("table_4_2d", table);
-  bench::finish_driver_observability();
+  driver.write_csv("table_4_2d", table);
+  driver.finish();
 
   std::printf(
       "\nShape checks (§4.3.2): no method improves significantly on the Goto\n"

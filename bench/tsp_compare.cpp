@@ -87,7 +87,8 @@ std::pair<double, std::uint64_t> stewart_standin(
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Driver driver{argc, argv};
   bench::print_header(
       "TSP comparison (paper §2 / [GOLD84] / [NAHA84])",
       "10 random Euclidean instances per size; equal tick budgets; SA uses "
@@ -183,5 +184,6 @@ int main() {
         hot_ratio.mean());
   }
   std::printf("\n* stand-in for Stewart's CCAO; see DESIGN.md\n");
+  driver.finish();
   return 0;
 }

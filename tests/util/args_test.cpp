@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <initializer_list>
+#include <string>
 #include <vector>
 
 #include <stdexcept>
@@ -91,6 +92,97 @@ TEST(ArgsTest, UnknownFlagDetection) {
   const auto unknown = args.unknown_flags({"budget", "seed"});
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "typo");
+}
+
+/// The message `read` throws; empty when it does not throw.
+template <class Read>
+std::string error_of(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return {};
+}
+
+// The typed getters behind every numeric flag of the bench drivers and the
+// examples (the tests keep the names of the bench helpers they replace).
+TEST(NumericFlagTest, PositiveIntFlagParsesOrFallsBack) {
+  const Args args =
+      parse({"--budget", "400000", "--reps", "18446744073709551615"});
+  EXPECT_EQ(args.get_u64("budget", 7, 1), 400000u);
+  EXPECT_EQ(args.get_count("budget", 7, 1), 400000u);
+  EXPECT_EQ(args.get_u64("reps", 7, 1), 18446744073709551615u);
+  EXPECT_EQ(args.get_u64("seed", 7, 1), 7u);
+  EXPECT_EQ(args.get_count("seed", 7, 1), 7u);
+}
+
+TEST(NumericFlagTest, PositiveIntFlagRejectsBadValuesNamingTheFlag) {
+  for (const char* value : {"abc", "1e3", "12x", "99999999999999999999",
+                            "18446744073709551616", "0", "-5", "+5", " 5"}) {
+    const Args args = parse({"--budget", value});
+    for (const std::string& error :
+         {error_of([&] { (void)args.get_u64("budget", 7, 1); }),
+          error_of([&] { (void)args.get_count("budget", 7, 1); })}) {
+      EXPECT_NE(error.find("--budget"), std::string::npos)
+          << value << ": " << error;
+      EXPECT_NE(error.find(value), std::string::npos) << error;
+    }
+  }
+}
+
+TEST(NumericFlagTest, PositiveDoubleFlagParsesOrFallsBack) {
+  EXPECT_EQ(parse({"--gate-pct", "2.5"}).get_real("gate-pct", 1.0, 0.001),
+            2.5);
+  EXPECT_EQ(parse({"--gate-pct", "1e1"}).get_real("gate-pct", 1.0, 0.001),
+            10.0);
+  EXPECT_EQ(parse({}).get_real("gate-pct", 1.0, 0.001), 1.0);
+}
+
+TEST(NumericFlagTest, PositiveDoubleFlagRejectsBadValuesNamingTheFlag) {
+  for (const char* value :
+       {"abc", "1.5x", "1e999", "0", "-0.5", "nan", "inf", "+1"}) {
+    const Args args = parse({"--gate-pct", value});
+    const std::string error =
+        error_of([&] { (void)args.get_real("gate-pct", 1.0, 0.001); });
+    EXPECT_NE(error.find("--gate-pct"), std::string::npos)
+        << value << ": " << error;
+    EXPECT_NE(error.find(value), std::string::npos) << error;
+  }
+}
+
+TEST(NumericFlagTest, TypedGettersRejectAFlagWithoutAValue) {
+  for (const char* word : {"--budget", "--budget="}) {
+    const Args args = parse({word});
+    for (const std::string& error :
+         {error_of([&] { (void)args.get_u64("budget", 7, 0); }),
+          error_of([&] { (void)args.get_count("budget", 7, 0); }),
+          error_of([&] { (void)args.get_real("budget", 7.0, 0.0); })}) {
+      EXPECT_NE(error.find("--budget expects a value"), std::string::npos)
+          << word << ": " << error;
+    }
+  }
+}
+
+TEST(NumericFlagTest, TypedGettersHonourTheirMaximum) {
+  const Args args = parse({"--method", "23", "--scale", "1e7"});
+  EXPECT_EQ(args.get_count("method", 1, 1, 23), 23u);
+  EXPECT_NE(error_of([&] { (void)args.get_count("method", 1, 1, 22); })
+                .find("--method expects a whole number in [1, 22]"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { (void)args.get_real("scale", 1.0, 0.001, 1e6); })
+                .find("--scale"),
+            std::string::npos);
+}
+
+TEST(NumericFlagTest, ParsersNameWhatTheyParse) {
+  EXPECT_EQ(parse_u64("seed", "42", 0), 42u);
+  EXPECT_DOUBLE_EQ(parse_real("MCOPT_BENCH_SCALE", "0.05", 0.01), 0.05);
+  EXPECT_EQ(error_of([] { (void)parse_u64("seed", "abc", 0); }),
+            "seed expects a whole number >= 0, got 'abc'");
+  EXPECT_EQ(error_of([] { (void)parse_real("MCOPT_BENCH_SCALE", "0.001",
+                                           0.01); }),
+            "MCOPT_BENCH_SCALE expects a finite number >= 0.01, got '0.001'");
 }
 
 }  // namespace

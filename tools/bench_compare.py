@@ -3,7 +3,7 @@
 
 The bench drivers write machine-readable reports (BENCH_obs.json,
 BENCH_hotloop.json, BENCH_parallel.json) via
-bench::write_json_report.  The repo commits one baseline per report at the
+bench::Driver::write_json.  The repo commits one baseline per report at the
 repository root; CI reruns the benches and feeds the fresh files through
 this gate::
 
