@@ -35,8 +35,8 @@ EXEMPT_FILES: dict[str, set[str]] = {
 # Absorbed regex rules (PR 1 + PR 3/4/6 additions), semantics unchanged.
 # ---------------------------------------------------------------------------
 
-_REGEX_RULES: list[tuple[str, str, str | None, str]] = [
-    # (name, pattern, scope-dir or None, explanation)
+_REGEX_RULES: list[tuple[str, str, set[str] | None, str]] = [
+    # (name, pattern, scope dirs or None, explanation)
     (
         "c-rand",
         r"\b(?:std\s*::\s*)?s?rand\s*\(",
@@ -121,7 +121,7 @@ _REGEX_RULES: list[tuple[str, str, str | None, str]] = [
         r"\bstd\s*::\s*cerr\b|"
         r"\b(?:std\s*::\s*)?v?fprintf\s*\(\s*stderr\b|"
         r"\b(?:std\s*::\s*)?fput[sc]\s*\([^;)]*\bstderr\b",
-        "src",
+        {"src"},
         "raw stderr writes in src/ bypass the obs::log level control; "
         "route diagnostics through obs::log (obs/log.hpp)",
     ),
@@ -150,6 +150,17 @@ _REGEX_RULES: list[tuple[str, str, str | None, str]] = [
         "std::atomic state is invisible to GUARDED_BY analysis; guard "
         "shared state with util::Mutex, or allowlist the line with a "
         "stated reason",
+    ),
+    (
+        "untyped-flag",
+        r"\b(?:get_int|get_double)\s*\(|"
+        r"\b(?:std\s*::\s*)?(?:ato(?:i|l|ll|f)|strto(?:u?ll?|u?l|[dfq]|ld)|"
+        r"sto(?:i|u?ll?|f|d|ld))\s*\(",
+        {"bench", "examples"},
+        "untyped number parsing in a driver takes any sign and range (a "
+        "budget of -1 becomes 2^64 ticks); read flags with "
+        "util::Args::get_count/get_u64/get_real and other words with "
+        "util::parse_u64/parse_real",
     ),
 ]
 
@@ -475,8 +486,7 @@ class HotLoopAllocRule(Rule):
 
 def default_rules() -> list[Rule]:
     rules: list[Rule] = [
-        RegexRule(name=name, explanation=explanation,
-                  scope={scope} if scope else None,
+        RegexRule(name=name, explanation=explanation, scope=scope,
                   pattern=re.compile(pattern))
         for name, pattern, scope, explanation in _REGEX_RULES
     ]
