@@ -6,14 +6,15 @@
 // that loop on a stripped Metropolis kernel with a *fixed* uphill-accept
 // probability, swept from always-reject to always-accept, so the
 // throughput is measured as a function of acceptance rate.  It runs on
-// GOLA 15/150 and 60/600, whose nets all take DensityState's two-pin
-// path, and on NOLA 15/150 with 2-6 pins, so the wide-net path is priced
-// and identity-checked too.  The kernel owns its acceptance draws and
-// streams them from Rng::next_block in 256-word blocks; pair draws stay
-// inside propose().  Every rep of a config replays the same streams and
-// must agree exactly (final cost, accept count, final arrangement) or the
-// bench fails.  The Figure 1 annealing loop itself is timed, against its
-// stripped copy, by bench/obs_overhead.
+// GOLA 15/150, whose nets take DensityState's two-pin weight matrix, GOLA
+// 60/600, whose nets take its neighbour lists, and NOLA 15/150 with 2-6
+// pins, so the wide-net column kernel is priced and identity-checked
+// too.  The kernel owns its acceptance draws and streams them from
+// Rng::next_block in 256-word blocks; pair draws stay inside propose().
+// Every rep of a config replays the same streams and must agree exactly
+// (final cost, accept count, final arrangement) or the bench fails.  The
+// Figure 1 annealing loop itself is timed, against its stripped copy, by
+// bench/obs_overhead.
 //
 // The bench also re-checks determinism where the speculation journal
 // could plausibly leak state: an 8-thread parallel multistart over

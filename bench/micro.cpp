@@ -88,7 +88,9 @@ BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 // discard on a fixed arrangement, or speculate_swap + commit (the accept
 // path), pairs drawn up front so the RNG is not timed.  Args: (cells,
 // nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell; the NOLA 60
-// and 240 rows give wide nets one and four words of position bits.
+// and 240 rows give wide nets one and four words of position bits.  GOLA
+// 15 takes the two-pin weight matrix, GOLA 60 and 240 (swap only) the
+// neighbour lists: both sides of the rule in linarr/density.hpp.
 template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
@@ -129,6 +131,7 @@ BENCHMARK(BM_DensitySpeculateSwap)
     ->Args({15, 1})
     ->Args({60, 0})
     ->Args({60, 1})
+    ->Args({240, 0})
     ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 

@@ -58,7 +58,8 @@ int usage(const char* error = nullptr) {
       "                  [--seed S] [--tolerance T]\n"
       "  mcopt_cli tsp   --n N [--budget N] [--seed S]\n"
       "minimums: --cells 2, --nets 1, --min-pins/--max-pins 2, --n 3,\n"
-      "  --budget 1, --seed/--tolerance 0; --scale Y in [0.001, 1e6]");
+      "  --budget 1, --seed/--tolerance 0; --scale Y in [0.001, 1e6];\n"
+      "maximum: --cells/--nets 4294967295 (the netlist's 32-bit ids)");
   return 2;
 }
 
@@ -88,8 +89,8 @@ int cmd_gen(const util::Args& args) {
               {"kind", "cells", "nets", "min-pins", "max-pins", "seed", "out"});
   const std::string kind = args.get("kind", "gola");
   netlist::NolaParams params;
-  params.num_cells = args.get_count("cells", 15, 2);
-  params.num_nets = args.get_count("nets", 150, 1);
+  params.num_cells = args.get_count("cells", 15, 2, netlist::kMaxCells);
+  params.num_nets = args.get_count("nets", 150, 1, netlist::kMaxNets);
   params.min_pins = args.get_count("min-pins", 2, 2);
   params.max_pins = args.get_count("max-pins", 6, 2);
   util::Rng rng{args.get_u64("seed", 1985, 0)};
@@ -150,16 +151,24 @@ int cmd_solve(const util::Args& args) {
                      method == "white" || method == "g1" ||
                      method == "metropolis" || method == "cohoon";
   const auto class_id = named ? 0 : util::parse_u64("--method", method, 1, 22);
+  const std::string start_kind = args.get("start", "random");
+  if (start_kind != "goto" && start_kind != "random") {
+    throw std::invalid_argument("--start must be random or goto");
+  }
+  const std::string moves = args.get("moves", "swap");
+  if (moves != "swap" && moves != "insert") {
+    throw std::invalid_argument("--moves must be swap or insert");
+  }
+  const std::string strategy = args.get("strategy", "fig1");
+  if (strategy != "fig1" && strategy != "fig2") {
+    throw std::invalid_argument("--strategy must be fig1 or fig2");
+  }
   const netlist::Netlist nl = load(args);
 
-  const std::string start_kind = args.get("start", "random");
   linarr::Arrangement start =
       start_kind == "goto"
           ? linarr::goto_arrangement(nl)
           : linarr::Arrangement::random(nl.num_cells(), rng);
-  if (start_kind != "goto" && start_kind != "random") {
-    throw std::invalid_argument("--start must be random or goto");
-  }
   std::cout << "start (" << start_kind
             << "): density " << linarr::density_of(nl, start) << '\n';
 
@@ -170,13 +179,9 @@ int cmd_solve(const util::Args& args) {
     return 0;
   }
 
-  const std::string moves = args.get("moves", "swap");
   const linarr::MoveKind move_kind =
       moves == "insert" ? linarr::MoveKind::kSingleExchange
                         : linarr::MoveKind::kPairwiseInterchange;
-  if (moves != "swap" && moves != "insert") {
-    throw std::invalid_argument("--moves must be swap or insert");
-  }
   linarr::LinArrProblem problem{nl, std::move(start), move_kind};
 
   // Resolve the method to a g function.
@@ -200,18 +205,15 @@ int cmd_solve(const util::Args& args) {
     g = core::make_g(static_cast<core::GClass>(class_id), params);
   }
 
-  const std::string strategy = args.get("strategy", "fig1");
   core::RunResult result;
   if (strategy == "fig1") {
     core::Figure1Options options;
     options.budget = budget;
     result = core::run_figure1(problem, *g, options, rng);
-  } else if (strategy == "fig2") {
+  } else {
     core::Figure2Options options;
     options.budget = budget;
     result = core::run_figure2(problem, *g, options, rng);
-  } else {
-    throw std::invalid_argument("--strategy must be fig1 or fig2");
   }
 
   std::cout << g->name() << " (" << strategy << ", " << budget
@@ -227,8 +229,8 @@ int cmd_solve(const util::Args& args) {
 int cmd_partition(const util::Args& args) {
   check_flags(args, {"in", "cells", "nets", "budget", "seed", "tolerance"});
   util::Rng rng{args.get_u64("seed", 1985, 0)};
-  const std::size_t cells = args.get_count("cells", 40, 2);
-  const std::size_t nets = args.get_count("nets", 120, 1);
+  const std::size_t cells = args.get_count("cells", 40, 2, netlist::kMaxCells);
+  const std::size_t nets = args.get_count("nets", 120, 1, netlist::kMaxNets);
   const std::uint64_t budget = args.get_u64("budget", 50'000, 1);
   partition::FmOptions fm_options;
   fm_options.balance_tolerance = args.get_count("tolerance", 1, 0);

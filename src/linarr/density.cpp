@@ -55,6 +55,11 @@ inline int popcount64(std::uint64_t x) {
 constexpr std::size_t kColumnWordCost = 1;
 constexpr std::size_t kIncidenceCost = 2;
 
+// The two-pin rule's constant (density.hpp): the weight matrix iff
+// n^2 <= kMatrixCellsPerPair x (entries of the neighbour lists), fitted
+// to both paths' measured costs (EXPERIMENTS.md).
+constexpr std::size_t kMatrixCellsPerPair = 3;
+
 }  // namespace
 
 DensityState::DensityState(const Netlist& netlist, Arrangement arrangement)
@@ -88,7 +93,9 @@ DensityState::DensityState(const DensityState& other)
       col_(other.col_),
       pre_(other.pre_),
       suf_(other.suf_),
-      wide_cut_(other.wide_cut_) {
+      wide_cut_(other.wide_cut_),
+      uses_matrix_(other.uses_matrix_),
+      weights_(other.weights_) {
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
   reserve_scratch();
 }
@@ -141,6 +148,11 @@ void DensityState::index_nets() {
     pair_offsets_.push_back(pairs_.size());
     wide_offsets_.push_back(cell_wide_.size());
   }
+  // The two-pin rule (density.hpp): an n x n matrix against the
+  // neighbour lists' entries.
+  uses_matrix_ = !pairs_.empty() &&
+                 cells * cells <= kMatrixCellsPerPair * pairs_.size();
+  if (uses_matrix_) weights_.assign(cells * cells, 0);
   words_ = (cells + 63) / 64;
   bits_.assign(wide_net_.size() * words_, 0);
   // The kernel rule (density.hpp): expected window x words against the
@@ -223,6 +235,7 @@ void DensityState::rebuild() {
   for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
     pin_bits(wide_net_[w], bits_.data() + w * words_);
   }
+  if (uses_matrix_) fill_weights();
   if (uses_columns_) refresh_columns(0, n - 1);
   cuts_.pop_back();
   cut_histogram_.assign(netlist_->num_nets() + 2, 0);
@@ -313,12 +326,60 @@ void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
   }
 }
 
+void DensityState::fill_weights() {
+  const std::size_t n = arrangement_.size();
+  std::fill(weights_.begin(), weights_.end(), 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    int* row = weights_.data() + p * n;
+    for (const Neighbour& nb : neighbours(arrangement_.cell_at(p))) {
+      row[arrangement_.position_of(nb.cell)] = nb.weight;
+    }
+  }
+}
+
+// mcopt: hot
+void DensityState::swap_weights(std::size_t p, std::size_t q) {
+  // The cells at p and q trade places: so do rows p and q and, within
+  // them, entries p and q.  The matrix is symmetric, so columns p and q
+  // are then copied from the two rows, one store per row each.
+  const std::size_t n = arrangement_.size();
+  int* w = weights_.data();
+  int* row_p = w + p * n;
+  int* row_q = w + q * n;
+  std::swap_ranges(row_p, row_p + n, row_q);
+  std::swap(row_p[p], row_p[q]);
+  std::swap(row_q[p], row_q[q]);
+  for (std::size_t r = 0; r < n; ++r) {
+    w[r * n + p] = row_p[r];
+    w[r * n + q] = row_q[r];
+  }
+}
+
+// mcopt: hot
+void DensityState::move_weights(std::size_t from, std::size_t to) {
+  // The rows of the window rotate as its cells do, and so do the columns
+  // within every row.
+  const std::size_t n = arrangement_.size();
+  const std::size_t lo = std::min(from, to);
+  const std::size_t hi = std::max(from, to);
+  // A left rotation by one moves `from` to the window's end, a right one
+  // (by width) moves it to the start.
+  const std::size_t first = from < to ? 1 : hi - lo;
+  int* w = weights_.data();
+  std::rotate(w + lo * n, w + (lo + first) * n, w + (hi + 1) * n);
+  for (int* row = w; row != w + n * n; row += n) {
+    std::rotate(row + lo, row + lo + first, row + hi + 1);
+  }
+}
+
 // mcopt: hot
 void DensityState::rearrange(SpecKind kind, std::size_t a, std::size_t b) {
   if (kind == SpecKind::kSwap) {
     arrangement_.swap_positions(a, b);
+    if (uses_matrix_) swap_weights(a, b);
   } else {
     arrangement_.move_position(a, b);
+    if (uses_matrix_) move_weights(a, b);
   }
 }
 
@@ -352,6 +413,35 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
   MCOPT_DCHECK(from < arrangement_.size() && to < arrangement_.size(),
                "move position out of range");
   if (from != to) apply(SpecKind::kMove, from, to);
+}
+
+// mcopt: hot
+int DensityState::spec_swap_matrix(CellId x, CellId y, std::size_t lo,
+                                   std::size_t hi) {
+  // The neighbour-list writes, read off the row difference r = W[lo] -
+  // W[hi]: r[q] is what lands on clamp(q, lo, hi).  Inside the window
+  // that is one add per boundary; r[lo] (y's net to x, skipped) and
+  // r[hi] (x's net to y, past the window) are left out.  Returns the sum
+  // over q < lo, the fold into window_diff_[lo].  A full row sums to
+  // 2 x its cell's two-pin degree and r[lo] + r[hi] = 0, so that sum is
+  // also 2 (deg2(x) - deg2(y)) minus the window's and the right side's:
+  // the shorter outer side is summed.
+  const std::size_t n = arrangement_.size();
+  const int* row_lo = weights_.data() + lo * n;
+  const int* row_hi = weights_.data() + hi * n;
+  int inside = 0;
+  for (std::size_t b = lo + 1; b < hi; ++b) {
+    const int r = row_lo[b] - row_hi[b];
+    window_diff_[b] += r;
+    inside += r;
+  }
+  int outer = 0;
+  if (lo <= n - 1 - hi) {
+    for (std::size_t q = 0; q < lo; ++q) outer += row_lo[q] - row_hi[q];
+    return outer;
+  }
+  for (std::size_t q = hi + 1; q < n; ++q) outer += row_lo[q] - row_hi[q];
+  return 2 * (pair_degree_[x] - pair_degree_[y]) - inside - outer;
 }
 
 // mcopt: hot
@@ -466,14 +556,11 @@ void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
   for (std::size_t b = lo; b < hi; ++b) {
     delta += window_diff_[b];
     window_diff_[b] = 0;
-    const int old_cut = cuts_[b];
-    const int changed = delta != 0 ? 1 : 0;
-    removed_at_[static_cast<std::size_t>(old_cut)] += changed;
-    window_max = std::max(window_max, old_cut + delta);
+    window_max = std::max(window_max, cuts_[b] + delta);
     span_delta += delta;
     spec_boundaries_[count] = b;
     spec_deltas_[count] = delta;
-    count += static_cast<std::size_t>(changed);
+    count += static_cast<std::size_t>(delta != 0);
   }
   window_diff_[hi] = 0;
   spec_boundary_count_ = count;
@@ -482,14 +569,18 @@ void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
   // Candidate density.  Unchanged boundaries keep their cut, so the
   // candidate is the max of (a) the new cuts inside the window and (b) the
   // largest committed cut value that still has at least one unchanged
-  // boundary.  removed_at_[v] counts changed boundaries whose
-  // committed cut is v, so cut_histogram_[v] - removed_at_[v] is the count
-  // of unchanged boundaries at v; we scan down from the committed density
-  // until that is nonzero.
+  // boundary.  (b) matters only when (a) is below the committed density;
+  // then removed_at_[v] counts the changed boundaries whose committed cut
+  // is v, so cut_histogram_[v] - removed_at_[v] is the count of unchanged
+  // boundaries at v, and we scan down from the committed density until
+  // that is nonzero, then zero the counts again.
   const int cur = density();
   if (window_max >= cur) {
     spec_density_ = window_max;
     return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    ++removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])];
   }
   int v = cur;
   while (v > window_max &&
@@ -497,6 +588,9 @@ void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
                  removed_at_[static_cast<std::size_t>(v)] ==
              0) {
     --v;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])] = 0;
   }
   spec_density_ = v;  // v >= window_max on exit
 }
@@ -518,13 +612,17 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   // window_diff_[lo], where a net joining x and y cancels itself; its +w
   // write from x's side lands at hi, past the window.
   int shift = pair_degree_[y] - pair_degree_[x];
-  for (const Neighbour& nb : neighbours(x)) {
-    window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
-        nb.weight;
-  }
-  for (const Neighbour& nb : neighbours(y)) {
-    window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
-        nb.cell == x ? 0 : nb.weight;
+  if (uses_matrix_) {
+    shift += spec_swap_matrix(x, y, lo, hi);
+  } else {
+    for (const Neighbour& nb : neighbours(x)) {
+      window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
+          nb.weight;
+    }
+    for (const Neighbour& nb : neighbours(y)) {
+      window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
+          nb.cell == x ? 0 : nb.weight;
+    }
   }
   // Wide nets, out of line; a swap of two cells on none makes no call
   // to the per-net kernel.
@@ -615,7 +713,6 @@ void DensityState::commit_speculation() {
     const std::size_t b = spec_boundaries_[i];
     const int old_cut = cuts_[b];
     const int new_cut = old_cut + spec_deltas_[i];
-    removed_at_[static_cast<std::size_t>(old_cut)] = 0;
     cuts_[b] = new_cut;
     // One histogram update per changed boundary — bump_boundary would pay
     // one per crossing *unit*.
@@ -656,9 +753,6 @@ void DensityState::commit_speculation() {
 // mcopt: hot
 void DensityState::discard_speculation() {
   MCOPT_DCHECK(speculating(), "discard without a pending speculation");
-  for (std::size_t i = 0; i < spec_boundary_count_; ++i) {
-    removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])] = 0;
-  }
   spec_boundary_count_ = 0;
   spec_net_count_ = 0;
   spec_kind_ = SpecKind::kNone;
@@ -704,7 +798,23 @@ bool DensityState::verify() const {
       return false;
     }
   }
-  return !uses_columns_ || verify_columns();
+  return (!uses_matrix_ || verify_weights()) &&
+         (!uses_columns_ || verify_columns());
+}
+
+bool DensityState::verify_weights() const {
+  // From the two-pin nets themselves, never the neighbour lists.
+  const std::size_t n = arrangement_.size();
+  std::vector<int> weights(n * n, 0);
+  for (NetId net = 0; net < netlist_->num_nets(); ++net) {
+    const auto pins = netlist_->pins(net);
+    if (pins.size() != 2) continue;
+    const std::size_t p = arrangement_.position_of(pins[0]);
+    const std::size_t q = arrangement_.position_of(pins[1]);
+    weights[p * n + q] += 2;
+    weights[q * n + p] += 2;
+  }
+  return weights == weights_;
 }
 
 bool DensityState::verify_columns() const {

@@ -13,7 +13,9 @@
 //     density() is O(1) amortized after a move,
 //   * the position bits of every net of three or more pins,
 //   * on instances that take the column kernel (below), a position-major
-//     index of those nets.
+//     index of those nets,
+//   * on instances that take the weight matrix (below), a position-major
+//     matrix of the two-pin nets.
 //
 // Nets take one of two paths by pin count alone, fixed when the state is
 // built:
@@ -21,7 +23,8 @@
 //     distinct two-pin neighbours z with weight 2 x (the number of two-pin
 //     nets joining the two cells; parallel nets are merged), plus the
 //     cell's two-pin degree.  A two-pin net's extent is the positions of
-//     its two pins, so it never enters the journal.
+//     its two pins, so it never enters the journal.  On instances where it
+//     pays, a swap reads the same weights from the matrix instead.
 //   * Nets of three or more pins ("wide" nets) are renumbered 0..m-1 and
 //     listed per cell.  Each keeps ceil(n/64) words of position bits (bit
 //     p set when one of its pins sits at position p): its extrema are its
@@ -55,6 +58,34 @@
 //   ones, where the window grows as n and the words as m, keep the
 //   per-net kernel.  An instance with no wide net keeps no column state.
 //
+// A swap reads its two-pin weights from one of two layouts, also chosen
+// once, at construction, from the instance's size:
+//   * The neighbour lists: one clamped write into window_diff_ per
+//     neighbour of the two cells, each after a position gather, about
+//     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs).
+//   * The weight matrix: W[p][q] is the weight between the cells at
+//     positions p and q (0 on the diagonal).  For a swap of lo < hi the
+//     lists' writes come to the row difference r = W[lo] - W[hi]: inside
+//     the window r[b] lands on b, one contiguous add per boundary, and
+//     all of r outside it folds into window_diff_[lo] as one contiguous
+//     sum.  That sum can come from the shorter outer side, since a full
+//     row sums to 2 x its cell's two-pin degree and r[lo] + r[hi] = 0.
+//     A commit pays for it: rows lo and hi trade, and columns lo and hi
+//     are stored from them in every row (the matrix is symmetric), O(n)
+//     strided stores where the lists commit nothing.  A single exchange
+//     rotates the window's rows and columns, and speculate_move keeps
+//     the lists.
+//   The rule: the matrix iff n^2 <= kMatrixCellsPerPair x E, with the
+//   constant 3, which also bounds the matrix at three ints per list
+//   entry.  Both layouts were timed forced on the same GOLA and NOLA
+//   instances (EXPERIMENTS.md).  A rejected swap gains from the matrix
+//   up to n^2/E of about 5 and an accepted one loses from about 2, by a
+//   margin that grows with n; at the paper's workloads' acceptance ratio
+//   (about 0.37) the two break even near n^2/E = 3.5.  GOLA 15/150
+//   (n^2/E = 1.4) takes the matrix; GOLA 60/600 (3.5), GOLA 240/2400
+//   (12.5) and NOLA 15/150 (4.5: a fifth of its nets are two-pin) keep
+//   the lists.  An instance with no two-pin net keeps neither.
+//
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
 // from-scratch recount for tests.
@@ -75,7 +106,8 @@
 //       the neighbour's position, so the two cells' two-pin nets come to
 //       window_diff_[lo] += deg2(y) - deg2(x), then +w at
 //       clamp(pos z, lo, hi) for each neighbour z of x and -w for each
-//       neighbour z != x of y.  A net joining x and y keeps its extent:
+//       neighbour z != x of y (with the matrix: r[q] at clamp(q, lo, hi)
+//       for every q but lo).  A net joining x and y keeps its extent:
 //       its -1 and +1 at lo cancel, x's +w for it lands at hi, past the
 //       window, and y's is skipped.  In the per-net kernel a wide net's
 //       L/H are its extreme set bits with the moving pin's masked off; one
@@ -88,17 +120,19 @@
 //       the window.  Each wide net there (once, through touched marks)
 //       reads its extrema from its bits: the new ones are the shifted old
 //       ones, joined by `to` when the net holds the moving cell.
-//     The count-of-counts histogram minus the changed boundaries' old
-//     values gives the largest cut outside the changed set, so the
-//     candidate density/total span are exact integers a Metropolis loop
-//     can test, then commit_speculation() or discard_speculation() in
-//     O(changed boundaries + changed wide nets) — a rejected proposal
-//     never writes cuts_, the histogram, the bits or the arrangement.  A
-//     commit makes one histogram update per changed boundary instead of
-//     one per crossing unit.  The journal holds wide-net ids only (a
-//     column-kernel swap keeps none); a commit flips their bits at a
-//     swap's two positions or re-derives them, and re-derives the window's
-//     columns after a single exchange.
+//     When the window's new maximum is below the committed density, the
+//     count-of-counts histogram minus the changed boundaries' old values
+//     (counted into removed_at_ then, and zeroed before the scan returns)
+//     gives the largest cut outside the changed set, so the candidate
+//     density/total span are exact integers a Metropolis loop can test,
+//     then commit_speculation() in O(changed boundaries + changed wide
+//     nets) or discard_speculation() in O(1) — a rejected proposal never
+//     writes cuts_, the histogram, the bits, the matrix or the
+//     arrangement.  A commit makes one histogram update per changed
+//     boundary instead of one per crossing unit.  The journal holds
+//     wide-net ids only (a column-kernel swap keeps none); a commit flips
+//     their bits at a swap's two positions or re-derives them, and
+//     re-derives the window's columns after a single exchange.
 //   * apply_swap/apply_move mutate the committed state in place: every
 //     net with a pin in the move's window is re-spanned from its pin
 //     positions before and after the move.  apply_swap is self-inverse,
@@ -165,9 +199,10 @@ class DensityState {
   /// Speculatively evaluates a pairwise interchange of positions p and q
   /// (p != q, either order): records the changed wide nets and boundaries
   /// and the exact candidate density / total span, but commits nothing.
-  /// O(|p - q| + the two cells' two-pin neighbours), plus either the two
-  /// cells' wide nets, each scanning at most ceil(n/64) words of position
-  /// bits, or, with uses_columns(), |p - q| x ceil(m/64) words.
+  /// O(|p - q| + the two cells' two-pin neighbours, or with uses_matrix()
+  /// the shorter side outside [p, q]), plus either the two cells' wide
+  /// nets, each scanning at most ceil(n/64) words of position bits, or,
+  /// with uses_columns(), |p - q| x ceil(m/64) words.
   /// Exactly one of commit_speculation()/discard_speculation() must follow
   /// before the next move (speculative or applied).
   void speculate_swap(std::size_t p, std::size_t q);
@@ -195,11 +230,13 @@ class DensityState {
 
   /// Commits the pending speculation in O(changed boundaries + changed
   /// wide nets): one histogram update per changed boundary, the
-  /// arrangement move itself, then the journaled wide nets' bits.
+  /// arrangement move itself, then the journaled wide nets' bits; with
+  /// uses_matrix(), O(n) more for a swap's rows and columns (O(n x the
+  /// window) for a single exchange's).
   void commit_speculation();
 
-  /// Drops the pending speculation in O(changed boundaries); only scratch
-  /// is reset.
+  /// Drops the pending speculation in O(1): the scan left no scratch
+  /// behind, so only the journal counts are reset.
   void discard_speculation();
 
   /// Replaces the arrangement wholesale (full recount).
@@ -207,10 +244,11 @@ class DensityState {
 
   /// Compares the incremental state with an independent recount: cuts,
   /// density and total span against crossing_counts(), each wide net's
-  /// position bits against a fresh recount from its pins and, with
-  /// uses_columns(), the columns, prefix and suffix sets against ones
-  /// rebuilt from the cells and the wide crossing counts against the wide
-  /// nets' extents.
+  /// position bits against a fresh recount from its pins, with
+  /// uses_matrix() the weight matrix against one rebuilt from the two-pin
+  /// nets and, with uses_columns(), the columns, prefix and suffix sets
+  /// against ones rebuilt from the cells and the wide crossing counts
+  /// against the wide nets' extents.
   /// Returns true when they agree, no speculation is pending and every
   /// per-move scratch array (window_diff_ included) is back to zero; tests
   /// assert this after random moves.
@@ -225,6 +263,11 @@ class DensityState {
   /// rather than net by net: fixed at construction by the rule in the
   /// header comment, so tests can assert which kernel an instance takes.
   [[nodiscard]] bool uses_columns() const noexcept { return uses_columns_; }
+
+  /// True when speculate_swap reads its two-pin differences from the
+  /// position-major weight matrix rather than the neighbour lists: fixed
+  /// at construction by the rule in the header comment.
+  [[nodiscard]] bool uses_matrix() const noexcept { return uses_matrix_; }
 
  private:
   enum class SpecKind : unsigned char { kNone, kSwap, kMove };
@@ -255,8 +298,13 @@ class DensityState {
   void add_span(std::size_t lo, std::size_t hi, int delta);
   void bump_boundary(std::size_t b, int delta);
   void respan_window(std::size_t lo, std::size_t hi, int delta);
+  void fill_weights();
+  void swap_weights(std::size_t p, std::size_t q);
+  void move_weights(std::size_t from, std::size_t to);
+  [[nodiscard]] bool verify_weights() const;
   void rearrange(SpecKind kind, std::size_t a, std::size_t b);
   void apply(SpecKind kind, std::size_t a, std::size_t b);
+  int spec_swap_matrix(CellId x, CellId y, std::size_t lo, std::size_t hi);
   [[gnu::noinline]] int spec_swap_wide(CellId x, CellId y, std::size_t lo,
                                        std::size_t hi);
   [[gnu::noinline]] void spec_swap_columns(std::size_t lo, std::size_t hi);
@@ -307,7 +355,8 @@ class DensityState {
   std::vector<std::size_t> spec_boundaries_;  // changed boundaries, ascending
   std::vector<int> spec_deltas_;           //   parallel: crossing delta
   std::vector<int> window_diff_;    // size n, zero between moves
-  std::vector<int> removed_at_;     // old cut value -> #changed boundaries
+  std::vector<int> removed_at_;     // old cut value -> #changed boundaries,
+                                    // nonzero only inside spec_scan
   // Column-kernel scratch, laid out as pre_/suf_/wide_cut_: a swap on
   // [lo, hi) writes rows lo+1..hi and entries lo..hi-1.
   std::vector<std::uint64_t> spec_pre_;
@@ -326,6 +375,12 @@ class DensityState {
   std::vector<std::uint64_t> pre_;    // n+1 rows
   std::vector<std::uint64_t> suf_;    // n+1 rows
   std::vector<int> wide_cut_;         // size n-1
+
+  // The two-pin weight matrix, empty unless uses_matrix_ (declared last
+  // too, so every other member keeps its offset): n x n, row p column q
+  // holding the weight between the cells at positions p and q.
+  bool uses_matrix_ = false;
+  std::vector<int> weights_;
 };
 
 /// Crossing count of every boundary (size n-1), recounted from scratch in

@@ -28,6 +28,10 @@ Netlist random_gola(const GolaParams& params, util::Rng& rng) {
   if (params.num_cells < 2) {
     throw std::invalid_argument("random_gola: need at least two cells");
   }
+  if (params.num_nets > kMaxNets) {
+    throw std::invalid_argument(
+        "random_gola: net count exceeds the NetId range");
+  }
   Netlist::Builder builder{params.num_cells};
   for (std::size_t i = 0; i < params.num_nets; ++i) {
     const auto [a, b] = rng.next_distinct_pair(params.num_cells);
@@ -43,6 +47,10 @@ Netlist random_nola(const NolaParams& params, util::Rng& rng) {
   if (params.min_pins < 2 || params.min_pins > params.max_pins ||
       params.max_pins > params.num_cells) {
     throw std::invalid_argument("random_nola: bad pin-count range");
+  }
+  if (params.num_nets > kMaxNets) {
+    throw std::invalid_argument(
+        "random_nola: net count exceeds the NetId range");
   }
   Netlist::Builder builder{params.num_cells};
   std::vector<CellId> scratch;

@@ -29,6 +29,9 @@ struct NolaParams {
   std::size_t max_pins = 6;
 };
 
+/// Both throw std::invalid_argument, before allocating anything, on fewer
+/// than two or more than kMaxCells cells, more than kMaxNets nets or (NOLA)
+/// a pin-count range that is empty, below two or wider than the cells.
 [[nodiscard]] Netlist random_gola(const GolaParams& params, util::Rng& rng);
 [[nodiscard]] Netlist random_nola(const NolaParams& params, util::Rng& rng);
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 namespace mcopt::netlist {
 
@@ -25,6 +26,11 @@ std::size_t Netlist::max_net_size() const noexcept {
 Netlist::Builder::Builder(std::size_t num_cells) : num_cells_(num_cells) {
   if (num_cells == 0) {
     throw std::invalid_argument("Netlist must have at least one cell");
+  }
+  if (num_cells > kMaxCells) {
+    throw std::invalid_argument("Netlist cell count " +
+                                std::to_string(num_cells) +
+                                " exceeds the CellId range");
   }
 }
 

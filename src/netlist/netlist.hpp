@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -17,6 +18,12 @@ namespace mcopt::netlist {
 
 using CellId = std::uint32_t;
 using NetId = std::uint32_t;
+
+/// The largest cell and net counts a Netlist takes: each id type must
+/// index every cell or net and also hold the count itself (the CSR build
+/// computes `c + 1` in CellId arithmetic).
+inline constexpr std::size_t kMaxCells = std::numeric_limits<CellId>::max();
+inline constexpr std::size_t kMaxNets = std::numeric_limits<NetId>::max();
 
 /// Immutable hypergraph with forward (net -> cells) and inverse
 /// (cell -> nets) incidence, both in CSR form.  Construct via Builder.
@@ -67,7 +74,8 @@ class Netlist {
 };
 
 /// Incremental construction with validation.  Throws std::invalid_argument
-/// on out-of-range pins or nets with fewer than two distinct pins.
+/// on a cell count outside [1, kMaxCells], out-of-range pins or nets with
+/// fewer than two distinct pins.
 /// Accumulates directly into the CSR arrays the Netlist will own — no
 /// vector-of-vectors mirror, so building a large netlist costs one flat
 /// allocation stream instead of one heap node per net.

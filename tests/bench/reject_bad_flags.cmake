@@ -51,7 +51,21 @@ set(cases
     "${CLI}|--scale|inf|solve --in ${netlist} --method metropolis"
     "${CLI}|--sed|3|tsp"
     "${TSP_TOUR}|n|-3"
-    "${QUICKSTART}|seed|abc")
+    "${QUICKSTART}|seed|abc"
+    "${CLI}|--start|bogus|solve --in ${netlist}"
+    "${CLI}|--moves|bogus|solve --in ${netlist}"
+    "${CLI}|--strategy|bogus|solve --in ${netlist}")
+
+# Cell and net counts past the netlist's 32-bit ids (2^64 - 1 segfaulted
+# in gen).  Only values rejected before anything is allocated are run
+# here; a count just under the limit would be a real, huge allocation.
+foreach(words IN ITEMS gen partition)
+  foreach(flag --cells --nets)
+    foreach(value 4294967296 18446744073709551615)
+      list(APPEND cases "${CLI}|${flag}|${value}|${words}")
+    endforeach()
+  endforeach()
+endforeach()
 
 # Every numeric flag of mcopt_cli, at -1 and at 2^64.
 foreach(command_flags IN ITEMS

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "netlist/generator.hpp"
@@ -188,6 +189,22 @@ bool takes_columns(const std::string& shape) {
   return false;
 }
 
+// Likewise for the two-pin path: the weight matrix or the neighbour
+// lists, with matrix18 exactly at the rule and lists18 one pair under.
+bool takes_matrix(const std::string& shape) {
+  for (const char* name : {"mixed12", "gola2", "gola3", "nola3", "matrix18"}) {
+    if (shape == name) return true;
+  }
+  return false;
+}
+
+// The paths `nl` takes under the rules in density.hpp, as
+// {uses_columns(), uses_matrix()}.
+std::pair<bool, bool> paths_of(const Netlist& nl) {
+  const DensityState state{nl, Arrangement{nl.num_cells()}};
+  return {state.uses_columns(), state.uses_matrix()};
+}
+
 // Property sweep: after arbitrary interleavings of swaps and moves, applied
 // or speculated and then committed or discarded, the incremental state
 // must equal a from-scratch recount.
@@ -228,9 +245,10 @@ void expect_churn_matches_recount(const Netlist& nl, util::Rng& rng) {
   EXPECT_TRUE(state.verify());
 }
 
-// Parameterized over (instance seed, use multi-pin nets).  The multi-pin
-// case runs NOLA 12/60 (column kernel) and the shapes one pin under
-// (per-net kernel) and exactly at the kernel rule's crossover.
+// Parameterized over (instance seed, use multi-pin nets).  The two-pin
+// case runs GOLA 12/60 (weight matrix); the multi-pin case runs NOLA 12/60
+// (column kernel), the shapes one pin under (per-net kernel) and exactly
+// at the kernel rule's crossover, and the two sides of the two-pin rule.
 class DensityChurnTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
@@ -238,17 +256,20 @@ TEST_P(DensityChurnTest, IncrementalAlwaysMatchesRecount) {
   const auto [seed, multi_pin] = GetParam();
   util::Rng rng{static_cast<std::uint64_t>(seed)};
   if (!multi_pin) {
-    expect_churn_matches_recount(random_gola(GolaParams{12, 60}, rng), rng);
+    const Netlist gola = random_gola(GolaParams{12, 60}, rng);
+    ASSERT_TRUE((DensityState{gola, Arrangement{12}}.uses_matrix()));
+    expect_churn_matches_recount(gola, rng);
     return;
   }
   const Netlist nola = random_nola(NolaParams{12, 60, 2, 6}, rng);
   ASSERT_TRUE((DensityState{nola, Arrangement{12}}.uses_columns()));
   expect_churn_matches_recount(nola, rng);
-  for (const std::string shape : {"below23", "crossover23"}) {
+  for (const std::string shape :
+       {"below23", "crossover23", "lists18", "matrix18"}) {
     SCOPED_TRACE(shape);
     const Netlist nl = mcopt::testing::linarr_shape(shape, rng);
-    ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
-              takes_columns(shape));
+    ASSERT_EQ(paths_of(nl),
+              std::make_pair(takes_columns(shape), takes_matrix(shape)));
     expect_churn_matches_recount(nl, rng);
   }
 }
@@ -361,24 +382,25 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
 // nets, two-pin and three-pin nets on the same cells, heavily parallel
 // two-pin nets, the smallest arrangements, where every window touches an
 // end of the row, NOLA rows whose wide nets keep one to three words of
-// position bits, and the two sides of the swap-kernel rule (see
-// tests/support/linarr_shapes.hpp).  Each asserts the kernel it takes.
+// position bits, and the two sides of the swap-kernel rule and of the
+// two-pin rule (see tests/support/linarr_shapes.hpp).  Each asserts the
+// paths it takes.
 class DensitySpeculationShapeTest
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DensitySpeculationShapeTest, SwapSpeculationMatchesApplyOracle) {
   util::Rng rng{91};
   const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
-  ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
-            takes_columns(GetParam()));
+  ASSERT_EQ(paths_of(nl), std::make_pair(takes_columns(GetParam()),
+                                         takes_matrix(GetParam())));
   expect_swap_speculation_matches_oracle(nl, rng);
 }
 
 TEST_P(DensitySpeculationShapeTest, MoveSpeculationMatchesApplyOracle) {
   util::Rng rng{93};
   const Netlist nl = mcopt::testing::linarr_shape(GetParam(), rng);
-  ASSERT_EQ((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()),
-            takes_columns(GetParam()));
+  ASSERT_EQ(paths_of(nl), std::make_pair(takes_columns(GetParam()),
+                                         takes_matrix(GetParam())));
   expect_move_speculation_matches_oracle(nl, rng);
 }
 
@@ -387,7 +409,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DensitySpeculationShapeTest,
                                            "mixed12", "parallel8", "gola3",
                                            "nola63", "nola64", "nola65",
                                            "nola130", "below23",
-                                           "crossover23"),
+                                           "crossover23", "lists18",
+                                           "matrix18"),
                          [](const auto& info) { return info.param; });
 
 // Every ordered swap (or single exchange) (p, q) on `nl` from the
@@ -533,13 +556,39 @@ TEST(DensitySpeculationTest, WordEdgeMovesMatchApplyOracle) {
   expect_every_pair_matches_oracle<true>(word_edge_netlist());
 }
 
-// Degenerate instances for the column kernel, each through every ordered
-// swap and single exchange against the apply oracle, with verify() after
-// each: the smallest wide net (n = 3, one 3-pin net), wide nets only, one
-// net on every cell (its crossing count never changes), and 64 and 65
-// wide nets, one and two words of net bits per column.
+// Degenerate instances, each through every ordered swap and single
+// exchange against the apply oracle, with verify() after each; every
+// ordered pair includes the swaps at positions 0 and n-1 and those of two
+// cells a net joins.  For the column kernel: the smallest wide net (n = 3,
+// one 3-pin net), wide nets only, one net on every cell (its crossing
+// count never changes), and 64 and 65 wide nets, one and two words of net
+// bits per column.  For the weight matrix: n = 2 and n = 3 with parallel
+// two-pin nets, and heavily parallel nets on 6 cells, one pair 60 times.
 Netlist degenerate_netlist(const std::string& name) {
   util::Rng rng{97};
+  if (name == "two_cells_parallel") {
+    Netlist::Builder b{2};
+    for (int copy = 0; copy < 5; ++copy) b.add_net({0, 1});
+    return b.build();
+  }
+  if (name == "three_cells_pairs") {
+    Netlist::Builder b{3};
+    for (int copy = 0; copy < 3; ++copy) b.add_net({0, 1});
+    b.add_net({1, 2});
+    b.add_net({0, 2});
+    b.add_net({0, 2});
+    return b.build();
+  }
+  if (name == "heavy_parallel") {
+    Netlist::Builder b{6};
+    for (int copy = 0; copy < 60; ++copy) b.add_net({0, 5});
+    for (int copy = 0; copy < 25; ++copy) b.add_net({1, 2});
+    for (int copy = 0; copy < 40; ++copy) b.add_net({2, 4});
+    b.add_net({3, 4});
+    b.add_net({0, 3});
+    b.add_net({1, 5});
+    return b.build();
+  }
   if (name == "three_cells_one_wide_net") {
     Netlist::Builder b{3};
     b.add_net({0, 1, 2});
@@ -565,32 +614,66 @@ Netlist degenerate_netlist(const std::string& name) {
   throw std::invalid_argument("degenerate_netlist: unknown " + name);
 }
 
+// The weight-matrix instances take no column kernel (they have no wide
+// net); the column-kernel instances keep the neighbour lists.
+bool degenerate_takes_matrix(const std::string& name) {
+  return name == "two_cells_parallel" || name == "three_cells_pairs" ||
+         name == "heavy_parallel";
+}
+
 class DensityDegenerateTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DensityDegenerateTest, SwapsMatchApplyOracle) {
   const Netlist nl = degenerate_netlist(GetParam());
-  ASSERT_TRUE((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()));
+  const bool matrix = degenerate_takes_matrix(GetParam());
+  ASSERT_EQ(paths_of(nl), std::make_pair(!matrix, matrix));
   expect_every_pair_matches_oracle<false>(nl);
 }
 
 TEST_P(DensityDegenerateTest, MovesMatchApplyOracle) {
   const Netlist nl = degenerate_netlist(GetParam());
-  ASSERT_TRUE((DensityState{nl, Arrangement{nl.num_cells()}}.uses_columns()));
+  const bool matrix = degenerate_takes_matrix(GetParam());
+  ASSERT_EQ(paths_of(nl), std::make_pair(!matrix, matrix));
   expect_every_pair_matches_oracle<true>(nl);
+}
+
+// The applied moves and a reset keep the matrix exact too: verify()
+// rebuilds it from the two-pin nets after each.
+TEST_P(DensityDegenerateTest, ApplyAndResetKeepTheStateExact) {
+  const Netlist nl = degenerate_netlist(GetParam());
+  const std::size_t n = nl.num_cells();
+  util::Rng rng{101};
+  DensityState state{nl, Arrangement::random(n, rng)};
+  for (int step = 0; step < 60; ++step) {
+    const auto [a, b] = rng.next_distinct_pair(n);
+    if (step % 2 == 0) {
+      state.apply_swap(a, b);
+    } else {
+      state.apply_move(a, b);
+    }
+    ASSERT_TRUE(state.verify()) << "step " << step;
+    if (step % 20 == 19) {
+      state.reset(Arrangement::random(n, rng));
+      ASSERT_TRUE(state.verify()) << "reset at step " << step;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Instances, DensityDegenerateTest,
                          ::testing::Values("three_cells_one_wide_net",
                                            "wide_nets_only",
                                            "net_on_every_cell", "wide64",
-                                           "wide65"),
+                                           "wide65", "two_cells_parallel",
+                                           "three_cells_pairs",
+                                           "heavy_parallel"),
                          [](const auto& info) { return info.param; });
 
 // Clone regression: vector copies shrink capacity to size and the per-move
 // scratch is empty between moves, so a defaulted copy would silently
 // re-allocate on the worker's first hot-loop move.  The copy constructor
-// and assignment must re-reserve everything, the column kernel's state
-// and scratch on NOLA 15/150 included.
+// and assignment must re-reserve everything and carry the two-pin weight
+// matrix on GOLA 15/150 and the column kernel's state and scratch on NOLA
+// 15/150; verify() holds each copy's matrix and columns to a rebuild.
 void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   const std::size_t n = nl.num_cells();
   DensityState state{nl, Arrangement::random(n, rng)};
@@ -599,12 +682,16 @@ void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   DensityState copied{state};
   EXPECT_TRUE(copied.scratch_reserved());
   EXPECT_EQ(copied.uses_columns(), state.uses_columns());
+  EXPECT_EQ(copied.uses_matrix(), state.uses_matrix());
+  EXPECT_TRUE(copied.verify());
 
   DensityState assigned{nl, Arrangement::random(n, rng)};
   assigned = state;
   EXPECT_TRUE(assigned.scratch_reserved());
   EXPECT_EQ(assigned.density(), state.density());
   EXPECT_EQ(assigned.uses_columns(), state.uses_columns());
+  EXPECT_EQ(assigned.uses_matrix(), state.uses_matrix());
+  EXPECT_TRUE(assigned.verify());
 
   // The copy must also be a correct speculation substrate, not just a
   // reserved one.
@@ -627,8 +714,8 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   util::Rng rng{81};
   const Netlist gola = random_gola(GolaParams{15, 150}, rng);
   const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
-  ASSERT_FALSE((DensityState{gola, Arrangement{15}}.uses_columns()));
-  ASSERT_TRUE((DensityState{nola, Arrangement{15}}.uses_columns()));
+  ASSERT_EQ(paths_of(gola), std::make_pair(false, true));
+  ASSERT_EQ(paths_of(nola), std::make_pair(true, false));
   expect_copies_re_reserve(gola, rng);
   expect_copies_re_reserve(nola, rng);
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "netlist/io.hpp"
@@ -21,6 +22,25 @@ TEST(RandomGolaTest, MatchesRequestedShape) {
 TEST(RandomGolaTest, RejectsDegenerateCellCount) {
   util::Rng rng{1};
   EXPECT_THROW(random_gola(GolaParams{1, 5}, rng), std::invalid_argument);
+}
+
+// Counts the id types cannot index fail up front, before any allocation
+// or any net is drawn.
+TEST(RandomGolaTest, RejectsCountsTheIdTypesCannotIndex) {
+  util::Rng rng{1};
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t cells : {kMaxCells + 1, kHuge}) {
+    EXPECT_THROW(random_gola(GolaParams{cells, 5}, rng), std::invalid_argument);
+    EXPECT_THROW(random_nola(NolaParams{cells, 5, 2, 6}, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(random_graph(cells, 5, rng), std::invalid_argument);
+  }
+  for (const std::size_t nets : {kMaxNets + 1, kHuge}) {
+    EXPECT_THROW(random_gola(GolaParams{15, nets}, rng), std::invalid_argument);
+    EXPECT_THROW(random_nola(NolaParams{15, nets, 2, 6}, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(random_graph(15, nets, rng), std::invalid_argument);
+  }
 }
 
 TEST(RandomGolaTest, NoSelfLoops) {

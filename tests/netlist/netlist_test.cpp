@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace mcopt::netlist {
@@ -20,6 +21,14 @@ Netlist tiny() {
 
 TEST(NetlistBuilderTest, RejectsZeroCells) {
   EXPECT_THROW(Netlist::Builder{0}, std::invalid_argument);
+}
+
+// CellId indexes the cells and must hold the count; a count past it is
+// rejected before anything is allocated.
+TEST(NetlistBuilderTest, RejectsACellCountCellIdCannotIndex) {
+  EXPECT_THROW(Netlist::Builder{kMaxCells + 1}, std::invalid_argument);
+  EXPECT_THROW(Netlist::Builder{std::numeric_limits<std::size_t>::max()},
+               std::invalid_argument);
 }
 
 TEST(NetlistBuilderTest, RejectsOutOfRangePin) {

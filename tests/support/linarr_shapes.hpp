@@ -19,6 +19,13 @@
 //             wide pins on 23 cells with one word of net bits, so
 //             crossover23 sits exactly at the crossover and below23 one
 //             pin under it
+//   matrix18, lists18
+//             two-pin nets over 54 (matrix18) or 53 (lists18) distinct
+//             pairs of 18 cells, each pair one to three times, plus three
+//             wide nets: the two-pin rule in linarr/density.hpp takes the
+//             weight matrix from 108 neighbour-list entries on 18 cells,
+//             so matrix18 sits exactly at the rule and lists18 one pair
+//             under
 #pragma once
 
 #include <cstddef>
@@ -86,6 +93,30 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
       cells.resize(pins);
       b.add_net(cells);
     }
+    return b.build();
+  }
+  if (shape == "matrix18" || shape == "lists18") {
+    constexpr std::size_t kCells = 18;
+    const std::size_t distinct = shape == "matrix18" ? 54 : 53;
+    netlist::Netlist::Builder b{kCells};
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    while (pairs.size() < distinct) {
+      auto pair = rng.next_distinct_pair(kCells);
+      if (pair.first > pair.second) std::swap(pair.first, pair.second);
+      bool fresh = true;
+      for (const auto& seen : pairs) fresh = fresh && seen != pair;
+      if (fresh) pairs.push_back(pair);
+    }
+    for (const auto& [u, v] : pairs) {
+      const std::uint64_t copies = 1 + rng.next_below(3);
+      for (std::uint64_t i = 0; i < copies; ++i) {
+        b.add_net({static_cast<netlist::CellId>(u),
+                   static_cast<netlist::CellId>(v)});
+      }
+    }
+    b.add_net({0, 7, 17});
+    b.add_net({3, 4, 5, 6});
+    b.add_net({1, 8, 14});
     return b.build();
   }
   if (shape == "parallel8") {
