@@ -147,7 +147,7 @@ DriverOptions Driver::parse(const util::Args& args,
                             const std::vector<std::string>& own_flags) {
   std::vector<std::string> known{
       "threads", "trace", "metrics", "metrics-out", "profile-out",
-      "prom-out", "timeline-out", "perf-counters", "trace-sample",
+      "prom-out", "timeline-out", "trace-sample",
       "progress", "flight-recorder", "flight-out", "quiet", "verbose"};
   known.insert(known.end(), own_flags.begin(), own_flags.end());
   const auto unknown = args.unknown_flags(known);
@@ -168,8 +168,8 @@ DriverOptions Driver::parse(const util::Args& args,
   out.threads = static_cast<unsigned>(
       args.get_count("threads", 1, 1, std::numeric_limits<unsigned>::max()));
   out.trace_sample = args.get_u64("trace-sample", 1, 1);
-  // A bare --progress, --flight-recorder or --perf-counters selects the
-  // default; a value goes through the typed getters.
+  // A bare --progress or --flight-recorder selects the default; a value
+  // goes through the typed getters.
   if (args.has("progress")) {
     out.progress_interval =
         args.value("progress") ? args.get_real("progress", 0.0, 0.001) : 2.0;
@@ -195,19 +195,6 @@ DriverOptions Driver::parse(const util::Args& args,
   out.timeline_path = args.get("timeline-out", "");
   if (args.has("timeline-out") && out.timeline_path.empty()) {
     throw std::invalid_argument("--timeline-out expects a file path");
-  }
-  if (args.has("perf-counters")) {
-    const std::string list = args.get("perf-counters", "");
-    if (list.empty()) {
-      out.perf_counters = obs::all_perf_counters();  // bare flag
-    } else {
-      std::string parse_error;
-      const auto counters = obs::parse_perf_counters(list, &parse_error);
-      if (!counters) {
-        throw std::invalid_argument("--perf-counters: " + parse_error);
-      }
-      out.perf_counters = *counters;
-    }
   }
   return out;
 }
@@ -254,30 +241,13 @@ Driver::Driver(int argc, const char* const* argv,
   }
   const bool collect_metrics =
       !options_.metrics_path.empty() || !options_.prom_path.empty();
-  // Timeline export and counter attribution both ride the profile tree.
-  const bool collect_profile = !options_.profile_path.empty() ||
-                               !options_.timeline_path.empty() ||
-                               !options_.perf_counters.empty();
+  // The timeline export rides the profile tree.
+  const bool collect_profile =
+      !options_.profile_path.empty() || !options_.timeline_path.empty();
   if (event_sink != nullptr || collect_metrics || collect_profile) {
     recorder_ = obs::Recorder{event_sink, collect_metrics,
                               options_.trace_sample, /*run=*/0,
                               collect_profile};
-  }
-  if (!options_.perf_counters.empty()) {
-    perf_group_ =
-        std::make_unique<obs::PerfCounterGroup>(options_.perf_counters);
-    if (perf_group_->available()) {
-      recorder_.set_perf_counters(perf_group_.get());
-      obs::log(obs::LogLevel::kInfo,
-               "perf counters armed (%zu of %zu requested)",
-               perf_group_->active_counters().size(),
-               options_.perf_counters.size());
-    } else {
-      // Graceful degradation: the run proceeds identically, the perf
-      // gauges are simply never produced.
-      obs::log(obs::LogLevel::kInfo, "perf counters unavailable: %s",
-               perf_group_->unavailable_reason().c_str());
-    }
   }
 }
 
@@ -289,8 +259,7 @@ void Driver::usage_error(const std::string& error) const {
   obs::log(obs::LogLevel::kError,
            "usage: %s%s [--threads N] [--trace FILE] [--metrics-out FILE] "
            "[--profile-out FILE] [--prom-out FILE] [--timeline-out FILE] "
-           "[--perf-counters [LIST]] [--trace-sample N] "
-           "[--progress [SECS]] [--flight-recorder [CAP]] "
+           "[--trace-sample N] [--progress [SECS]] [--flight-recorder [CAP]] "
            "[--flight-out FILE] [--quiet|--verbose]",
            args_.program().c_str(), own.c_str());
   std::exit(2);

@@ -31,7 +31,6 @@
 #include "netlist/netlist.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfcount.hpp"
 #include "obs/recorder.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -102,7 +101,7 @@ struct TableRunConfig {
 };
 
 /// The shared flags of every bench driver (see Driver), as Driver::parse
-/// reads them.  Empty paths, lists and zero numbers mean "off".
+/// reads them.  Empty paths and zero numbers mean "off".
 struct DriverOptions {
   unsigned threads = 1;
   std::uint64_t trace_sample = 1;
@@ -111,10 +110,9 @@ struct DriverOptions {
   std::string profile_path;   ///< --profile-out
   std::string prom_path;      ///< --prom-out
   std::string timeline_path;  ///< --timeline-out (implies profiling)
-  std::vector<obs::PerfCounter> perf_counters;  ///< implies profiling
-  double progress_interval = 0.0;               ///< --progress
-  std::size_t flight_capacity = 0;              ///< --flight-recorder
-  std::string flight_path = "flight.jsonl";     ///< --flight-out
+  double progress_interval = 0.0;            ///< --progress
+  std::size_t flight_capacity = 0;           ///< --flight-recorder
+  std::string flight_path = "flight.jsonl";  ///< --flight-out
   bool quiet = false;
   bool verbose = false;
 };
@@ -130,7 +128,6 @@ struct DriverOptions {
 ///   --prom-out FILE         the same metrics as Prometheus text
 ///   --profile-out FILE      hierarchical stage-profile tree as JSON
 ///   --timeline-out FILE     Perfetto timeline of the profile trees
-///   --perf-counters [LIST]  hardware counters per profile scope (bare: all)
 ///   --progress [SECS]       heartbeat lines, at most one per SECS (bare: 2)
 ///   --flight-recorder [CAP] ring of the last CAP events (bare: 4096),
 ///   --flight-out FILE       dumped here on a crash (default flight.jsonl)
@@ -143,7 +140,7 @@ class Driver {
   /// Parses the shared flags plus the driver's own `own_flags` (names
   /// without the dashes; read them with count()/u64()/real()), applies
   /// MCOPT_LOG_LEVEL and then --quiet/--verbose, opens the trace and arms
-  /// the flight ring, the heartbeat and the hardware counters it asks for.
+  /// the flight ring and the heartbeat it asks for.
   Driver(int argc, const char* const* argv,
          std::vector<std::string> own_flags = {});
 
@@ -232,8 +229,6 @@ class Driver {
   // Fans the event stream into both the trace file and the flight ring
   // when --trace and --flight-recorder are both active.
   std::unique_ptr<obs::TeeSink> flight_tee_;
-  // Armed by --perf-counters; the recorder borrows the pointer.
-  std::unique_ptr<obs::PerfCounterGroup> perf_group_;
   obs::Recorder recorder_;
   obs::Heartbeat heartbeat_;
   obs::RunMetrics totals_;

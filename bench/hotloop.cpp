@@ -44,8 +44,6 @@
 #include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
 #include "obs/log.hpp"
-#include "obs/perfcount.hpp"
-#include "obs/profiler.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -116,79 +114,7 @@ struct KernelRow {
   std::string name;
   double acceptance_rate = 0.0;
   double proposals_per_sec = 0.0;
-  /// Hardware counts of the fastest rep (all zero when counters are
-  /// unavailable).
-  obs::PerfCounts perf;
 };
-
-/// Counter deltas around one timed region; zeros when unavailable.
-class ScopedPerfSample {
- public:
-  explicit ScopedPerfSample(const obs::PerfCounterGroup& group)
-      : group_(group), live_(group.read(&begin_)) {}
-  [[nodiscard]] obs::PerfCounts finish() const {
-    obs::PerfCounts end;
-    if (!live_ || !group_.read(&end)) return obs::PerfCounts{};
-    return obs::perf_delta(begin_, end);
-  }
-
- private:
-  const obs::PerfCounterGroup& group_;
-  obs::PerfCounts begin_;
-  bool live_;
-};
-
-/// True when `which` is among the counters that opened; a derived field
-/// is reported only when every counter it is computed from did.
-bool opened(const std::vector<obs::PerfCounter>& open,
-            obs::PerfCounter which) {
-  return std::find(open.begin(), open.end(), which) != open.end();
-}
-
-/// One "perf_<counter>_available" field per counter of the menu, so a
-/// report says which counters opened instead of one flag for the group.
-std::string perf_availability_fields(
-    const std::vector<obs::PerfCounter>& open) {
-  std::string out;
-  for (const obs::PerfCounter which : obs::all_perf_counters()) {
-    std::string name = obs::perf_counter_name(which);
-    std::replace(name.begin(), name.end(), '-', '_');
-    out += "  \"perf_" + name + "_available\": " +
-           (opened(open, which) ? "true" : "false") + ",\n";
-  }
-  return out;
-}
-
-/// The informational JSON fields bench_compare.py never gates —
-/// IPC, cache-miss rate, cycles per proposal — as `"key": value` pairs
-/// joined by ", ".  A field whose inputs never opened is left out, not
-/// written as 0; the result is empty when none can be computed.
-std::string perf_fields(const char* prefix, const obs::PerfCounts& counts,
-                        std::uint64_t proposals,
-                        const std::vector<obs::PerfCounter>& open) {
-  std::string out;
-  char buf[96];
-  auto add = [&](const char* field, double value, int precision) {
-    std::snprintf(buf, sizeof buf, "%s\"%s_%s\": %.*f",
-                  out.empty() ? "" : ", ", prefix, field, precision, value);
-    out += buf;
-  };
-  using obs::PerfCounter;
-  if (opened(open, PerfCounter::kCycles) &&
-      opened(open, PerfCounter::kInstructions)) {
-    add("ipc", obs::perf_ipc(counts), 4);
-  }
-  if (opened(open, PerfCounter::kCacheReferences) &&
-      opened(open, PerfCounter::kCacheMisses)) {
-    add("cache_miss_rate", obs::perf_cache_miss_rate(counts), 4);
-  }
-  if (opened(open, PerfCounter::kCycles) && proposals > 0) {
-    add("cycles_per_proposal",
-        static_cast<double>(counts.cycles) / static_cast<double>(proposals),
-        1);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -222,15 +148,6 @@ int main(int argc, char** argv) {
         inst.nl, linarr::Arrangement::random(inst.cells, start_rng)};
   };
 
-  // Hardware counters for the timed regions, reported when the platform
-  // allows self-monitoring; the fields are left out when it does not (CI's
-  // asserted path).
-  const obs::PerfCounterGroup perf{obs::all_perf_counters()};
-  if (!perf.available()) {
-    obs::log(obs::LogLevel::kInfo, "perf counters unavailable: %s",
-             perf.unavailable_reason().c_str());
-  }
-
   bool trajectory_identical = true;
   const std::vector<double> sweep{0.0, 0.05, 0.5, 1.0};
   std::vector<KernelRow> rows;
@@ -248,12 +165,10 @@ int main(int argc, char** argv) {
         auto problem = make_problem(inst);
         util::Rng move_rng = util::Rng::split(bench::kSeed + 9, inst.cells);
         util::Rng accept_rng = util::Rng::split(bench::kSeed + 11, inst.cells);
-        const ScopedPerfSample sample{perf};
         util::Stopwatch watch;
         const KernelResult result =
             run_kernel(problem, proposals, p_uphill, move_rng, accept_rng);
         const double seconds = watch.seconds();
-        const obs::PerfCounts counts = sample.finish();
         if (rep == 0) {
           reference = result;
         } else if (!(result == reference)) {
@@ -263,7 +178,6 @@ int main(int argc, char** argv) {
                    row.name.c_str());
           trajectory_identical = false;
         }
-        if (seconds < best) row.perf = counts;
         best = std::min(best, seconds);
       }
       row.acceptance_rate = static_cast<double>(reference.accepts) /
@@ -333,12 +247,6 @@ int main(int argc, char** argv) {
   json += "  \"seed\": " + std::to_string(bench::kSeed) + ",\n";
   json += "  \"proposals\": " + std::to_string(proposals) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
-  // Informational hardware-counter fields (never gated).
-  const std::vector<obs::PerfCounter> open = perf.active_counters();
-  json += perf_availability_fields(open);
-  json += "  \"perf_unavailable_reason\": \"" +
-          (perf.available() ? std::string{} : perf.unavailable_reason()) +
-          "\",\n";
   json += std::string{"  \"trajectory_identical\": "} +
           (trajectory_identical ? "true" : "false") + ",\n";
   json += std::string{"  \"parallel_identical\": "} +
@@ -351,14 +259,10 @@ int main(int argc, char** argv) {
     char buf[320];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"acceptance_rate\": %.4f, "
-                  "\"spec_proposals_per_sec\": %.1f",
+                  "\"spec_proposals_per_sec\": %.1f}%s\n",
                   row.name.c_str(), row.acceptance_rate,
-                  row.proposals_per_sec);
+                  row.proposals_per_sec, i + 1 < rows.size() ? "," : "");
     json += buf;
-    const std::string fields =
-        perf_fields("spec", row.perf, proposals, open);
-    if (!fields.empty()) json += ",\n     " + fields;
-    json += std::string{"}"} + (i + 1 < rows.size() ? "," : "") + "\n";
   }
   json += "  ]\n}\n";
   driver.write_json("BENCH_hotloop", json);

@@ -12,8 +12,6 @@
 #include "linarr/goto_heuristic.hpp"
 #include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
-#include "obs/perfcount.hpp"
-#include "obs/profiler.hpp"
 #include "partition/kl.hpp"
 #include "partition/problem.hpp"
 #include "tsp/local_search.hpp"
@@ -22,46 +20,6 @@
 namespace {
 
 using namespace mcopt;
-
-/// Reports IPC, cache-miss rate, and cycles/iteration as google-benchmark
-/// user counters when the hardware counters open; silently absent
-/// otherwise (e.g. under a restrictive perf_event_paranoid).  Construct
-/// just before the `for (auto _ : state)` loop so the sampled window is
-/// the timed region plus only negligible frame overhead.
-class PerfReport {
- public:
-  explicit PerfReport(benchmark::State& state)
-      : state_(state), live_(group().read(&begin_)) {}
-  ~PerfReport() {
-    obs::PerfCounts end;
-    if (!live_ || !group().read(&end)) return;
-    const obs::PerfCounts delta = obs::perf_delta(begin_, end);
-    const double ipc = obs::perf_ipc(delta);
-    if (ipc > 0.0) state_.counters["IPC"] = ipc;
-    if (delta.cache_refs > 0) {
-      state_.counters["cache_miss_rate"] = obs::perf_cache_miss_rate(delta);
-    }
-    if (delta.cycles > 0 && state_.iterations() > 0) {
-      state_.counters["cycles_per_iter"] =
-          static_cast<double>(delta.cycles) /
-          static_cast<double>(state_.iterations());
-    }
-  }
-  PerfReport(const PerfReport&) = delete;
-  PerfReport& operator=(const PerfReport&) = delete;
-
- private:
-  // One shared group: the fds are per-thread and google-benchmark runs
-  // every benchmark on the main thread unless Threads() is requested.
-  static const obs::PerfCounterGroup& group() {
-    static const obs::PerfCounterGroup instance{obs::all_perf_counters()};
-    return instance;
-  }
-
-  benchmark::State& state_;
-  obs::PerfCounts begin_;
-  bool live_;
-};
 
 netlist::Netlist gola(std::size_t cells, std::size_t nets) {
   util::Rng rng{1};
@@ -74,7 +32,6 @@ void BM_DensitySwapUndo(benchmark::State& state) {
   util::Rng rng{2};
   linarr::DensityState ds{nl, linarr::Arrangement::random(nl.num_cells(), rng)};
   const std::size_t n = nl.num_cells();
-  PerfReport perf{state};
   for (auto _ : state) {
     const auto [a, b] = rng.next_distinct_pair(n);
     ds.apply_swap(a, b);
@@ -105,7 +62,6 @@ void density_speculation(benchmark::State& state) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs(kPairs);
   for (auto& pair : pairs) pair = rng.next_distinct_pair(cells);
   std::size_t i = 0;
-  PerfReport perf{state};
   for (auto _ : state) {
     const auto [a, b] = pairs[i];
     i = (i + 1) % kPairs;
@@ -168,14 +124,11 @@ void BM_DensityFullRecount(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityFullRecount)->Arg(15)->Arg(60)->Arg(240);
 
-// One propose + reject through the Problem interface.  Run with the perf
-// counters available, the IPC / cache_miss_rate / cycles_per_iter user
-// counters attribute its cost to the microarchitecture.
+// One propose + reject through the Problem interface.
 void BM_LinArrProposeReject(benchmark::State& state) {
   const auto nl = gola(15, 150);
   util::Rng rng{4};
   linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng)};
-  PerfReport perf{state};
   for (auto _ : state) {
     benchmark::DoNotOptimize(problem.propose(rng));
     problem.reject();
@@ -202,7 +155,6 @@ void BM_Figure1Run1k(benchmark::State& state) {
   const auto nl = gola(15, 150);
   const auto g = core::make_g(core::GClass::kSixTempAnnealing, {.scale = 4.0});
   util::Rng rng{5};
-  PerfReport perf{state};
   for (auto _ : state) {
     linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng)};
     core::Figure1Options options;

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "util/args.hpp"
+
 namespace mcopt::netlist {
 
 namespace {
@@ -16,6 +18,12 @@ namespace {
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::runtime_error("netlist parse error at line " +
                            std::to_string(line) + ": " + what);
+}
+
+/// Fails unless nothing but blanks is left on the line.
+void expect_line_end(std::istringstream& ls, std::size_t line) {
+  std::string extra;
+  if (ls >> extra) fail(line, "unexpected '" + extra + "' at end of line");
 }
 
 }  // namespace
@@ -48,11 +56,19 @@ Netlist read_netlist(std::istream& in) {
       if (keyword != "mcnl" || !(ls >> version) || version != 1) {
         fail(line_no, "expected header 'mcnl 1'");
       }
+      expect_line_end(ls, line_no);
       saw_magic = true;
     } else if (keyword == "cells") {
       if (builder) fail(line_no, "duplicate 'cells' line");
+      std::string count;
+      ls >> count;
+      expect_line_end(ls, line_no);
       std::size_t n = 0;
-      if (!(ls >> n) || n == 0) fail(line_no, "bad cell count");
+      try {
+        n = util::parse_u64("cell count", count, 1, kMaxCells);
+      } catch (const std::invalid_argument& e) {
+        fail(line_no, e.what());
+      }
       builder.emplace(n);
     } else if (keyword == "net") {
       if (!builder) fail(line_no, "'net' before 'cells'");

@@ -35,7 +35,6 @@ void ProfileTree::merge(const ProfileTree& other) {
     nodes[static_cast<std::size_t>(mine)].calls += node.calls;
     nodes[static_cast<std::size_t>(mine)].ticks += node.ticks;
     nodes[static_cast<std::size_t>(mine)].wall_ns += node.wall_ns;
-    nodes[static_cast<std::size_t>(mine)].perf.add(node.perf);
   }
 }
 
@@ -47,10 +46,7 @@ void ProfileTree::nest_under(const char* name, std::uint64_t calls,
   root.calls = calls;
   root.ticks = ticks;
   for (const ProfileNode& node : nodes) {
-    if (node.parent < 0) {
-      root.wall_ns += node.wall_ns;
-      root.perf.add(node.perf);
-    }
+    if (node.parent < 0) root.wall_ns += node.wall_ns;
   }
   // Prepend so the parent-before-child invariant survives for merge().
   std::vector<ProfileNode> out;
@@ -77,23 +73,6 @@ void append_node_json(const ProfileTree& tree, std::int32_t index,
   if (include_wall) {
     out += ", \"wall_ns\": ";
     append_u64(node.wall_ns, out);
-    // Hardware counts share wall_ns' carve-out: present only in the
-    // nondeterministic form, and only when a counter actually fired.
-    if (node.perf.any()) {
-      out += ", \"perf\": {\"cycles\": ";
-      append_u64(node.perf.cycles, out);
-      out += ", \"instructions\": ";
-      append_u64(node.perf.instructions, out);
-      out += ", \"cache_refs\": ";
-      append_u64(node.perf.cache_refs, out);
-      out += ", \"cache_misses\": ";
-      append_u64(node.perf.cache_misses, out);
-      out += ", \"branch_misses\": ";
-      append_u64(node.perf.branch_misses, out);
-      out += ", \"task_clock_ns\": ";
-      append_u64(node.perf.task_clock_ns, out);
-      out += "}";
-    }
   }
   out += ", \"children\": [";
   bool first = true;

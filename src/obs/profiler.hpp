@@ -26,40 +26,12 @@ namespace mcopt::obs {
 
 class Recorder;
 
-/// Hardware-counter deltas attributed to a profile scope (obs/perfcount
-/// fills them in when a PerfCounterGroup is armed).  Plain additive data:
-/// all zero when counters are unavailable, and excluded from the
-/// deterministic JSON form exactly like wall_ns — a measurement of the
-/// machine, never of the algorithm.
-struct PerfCounts {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_refs = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t branch_misses = 0;
-  std::uint64_t task_clock_ns = 0;
-
-  [[nodiscard]] bool any() const noexcept {
-    return (cycles | instructions | cache_refs | cache_misses |
-            branch_misses | task_clock_ns) != 0;
-  }
-  void add(const PerfCounts& other) noexcept {
-    cycles += other.cycles;
-    instructions += other.instructions;
-    cache_refs += other.cache_refs;
-    cache_misses += other.cache_misses;
-    branch_misses += other.branch_misses;
-    task_clock_ns += other.task_clock_ns;
-  }
-};
-
 struct ProfileNode {
   std::string name;
   std::int32_t parent = -1;  ///< index into ProfileTree::nodes; -1 = root
   std::uint64_t calls = 0;   ///< times the scope was entered (deterministic)
   std::uint64_t ticks = 0;   ///< budget ticks charged inside (deterministic)
   std::uint64_t wall_ns = 0; ///< wall time inside (nondeterministic)
-  PerfCounts perf;           ///< hardware counters (nondeterministic)
 };
 
 struct ProfileTree {

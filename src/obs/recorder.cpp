@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "obs/perfcount.hpp"
-
 namespace mcopt::obs {
 
 Recorder::Recorder(TraceSink* sink, bool collect_metrics,
@@ -32,11 +30,6 @@ Recorder Recorder::for_restart(std::uint64_t restart, std::uint64_t worker,
   out.run_ = run_;
   out.restart_ = restart;
   out.worker_ = worker;
-  // Perf descriptors count the thread that opened them; worker 0 is by
-  // convention the caller's own thread (sequential loops, remainder
-  // slices), so only those shards keep sampling — a pool worker reading
-  // the armer's counters would attribute the wrong thread's work.
-  out.perf_ = worker == 0 ? perf_ : nullptr;
   return out;
 }
 
@@ -230,9 +223,7 @@ bool Recorder::profile_enter_impl(const char* name) {
   const std::int32_t parent = pstack_.empty() ? -1 : pstack_.back().node;
   const std::int32_t node = metrics_->profile.find_or_add(parent, name);
   ++metrics_->profile.nodes[static_cast<std::size_t>(node)].calls;
-  OpenScope scope{node, util::Stopwatch{}, PerfCounts{}, false};
-  if (perf_ != nullptr) scope.perf_live = perf_->read(&scope.perf_begin);
-  pstack_.push_back(scope);
+  pstack_.push_back(OpenScope{node, util::Stopwatch{}});
   return true;
 }
 
@@ -242,10 +233,6 @@ void Recorder::profile_exit() {
   ProfileNode& node =
       metrics_->profile.nodes[static_cast<std::size_t>(top.node)];
   node.wall_ns += top.watch.nanos();
-  if (top.perf_live && perf_ != nullptr) {
-    PerfCounts end;
-    if (perf_->read(&end)) node.perf.add(perf_delta(top.perf_begin, end));
-  }
   pstack_.pop_back();
 }
 

@@ -47,8 +47,6 @@
 
 namespace mcopt::obs {
 
-class PerfCounterGroup;
-
 class Recorder {
  public:
   /// Off: every event method is a single predicted-not-taken branch.
@@ -74,17 +72,6 @@ class Recorder {
   /// The sink events are routed to (null when not tracing).  Exposed so
   /// the parallel engine can drain per-restart shards into it in order.
   [[nodiscard]] TraceSink* sink() const noexcept { return sink_; }
-
-  /// Arms hardware-counter sampling: every profile scope entered by this
-  /// recorder brackets a read of `group` and charges the delta to its
-  /// ProfileNode.  The group's descriptors count the thread that opened
-  /// them, so arm the group on the thread that runs the recorder; pool
-  /// shards derived via for_restart() drop the group (see there).  Pass
-  /// null (the default state) to disarm.  No-op on the off path.
-  void set_perf_counters(PerfCounterGroup* group) noexcept { perf_ = group; }
-  [[nodiscard]] PerfCounterGroup* perf_counters() const noexcept {
-    return perf_;
-  }
 
   /// A recorder for one restart: same configuration, fresh sampling state,
   /// events stamped (restart, worker) and routed to `shard_sink` (typically
@@ -278,7 +265,6 @@ class Recorder {
   std::uint64_t run_ = 0;
   std::uint64_t restart_ = 0;
   std::uint64_t worker_ = 0;
-  PerfCounterGroup* perf_ = nullptr;  // armed hardware counters, or null
 
   // Per-run state, reset by begin_run().
   RunMetrics* metrics_ = nullptr;
@@ -302,8 +288,6 @@ class Recorder {
   struct OpenScope {
     std::int32_t node;
     util::Stopwatch watch;
-    PerfCounts perf_begin;   // cumulative counts at entry
-    bool perf_live = false;  // did the entry read succeed?
   };
   std::vector<OpenScope> pstack_;
 };

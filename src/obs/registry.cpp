@@ -1,11 +1,9 @@
 #include "obs/registry.hpp"
 
 #include <cstddef>
-#include <vector>
 
 #include "obs/json_number.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfcount.hpp"
 
 namespace mcopt::obs {
 
@@ -258,46 +256,6 @@ void MetricsRegistry::populate_from_run(const RunMetrics& m) {
     emit_locked(G::kStageSpecificHeat, label, o.specific_heat());
     emit_locked(G::kStageAutocorrLag1, label, o.autocorrelation(1));
     emit_locked(C::kStageEquilibrated, label, o.equilibrated_runs);
-  }
-  // Hardware-counter attribution per profile scope.  A family registers
-  // only when its count is nonzero, so all are absent when perf_event_open
-  // was unavailable — the graceful-degradation contract the tests pin.
-  std::vector<std::string> paths(m.profile.nodes.size());
-  for (std::size_t i = 0; i < m.profile.nodes.size(); ++i) {
-    const ProfileNode& node = m.profile.nodes[i];
-    paths[i] = node.parent < 0
-                   ? node.name
-                   : paths[static_cast<std::size_t>(node.parent)] + "/" +
-                         node.name;
-    if (!node.perf.any()) continue;
-    const PerfCounts& p = node.perf;
-    const std::string label = "{scope=\"" + paths[i] + "\"}";
-    if (p.cycles > 0) emit_locked(C::kPerfCycles, label, p.cycles);
-    if (p.instructions > 0) {
-      emit_locked(C::kPerfInstructions, label, p.instructions);
-    }
-    if (p.cache_refs > 0) {
-      emit_locked(C::kPerfCacheReferences, label, p.cache_refs);
-    }
-    if (p.cache_misses > 0) {
-      emit_locked(C::kPerfCacheMisses, label, p.cache_misses);
-    }
-    if (p.branch_misses > 0) {
-      emit_locked(C::kPerfBranchMisses, label, p.branch_misses);
-    }
-    if (p.task_clock_ns > 0) {
-      emit_locked(C::kPerfTaskClockNs, label, p.task_clock_ns);
-    }
-    const double ipc = perf_ipc(p);
-    if (ipc > 0.0) emit_locked(G::kPerfIpc, label, ipc);
-    if (p.cache_refs > 0) {
-      emit_locked(G::kPerfCacheMissRate, label, perf_cache_miss_rate(p));
-    }
-    if (p.cycles > 0 && node.ticks > 0) {
-      emit_locked(G::kPerfCyclesPerTick, label,
-                  static_cast<double>(p.cycles) /
-                      static_cast<double>(node.ticks));
-    }
   }
 }
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/json_number.hpp"
-#include "obs/perfcount.hpp"
 
 namespace mcopt::obs {
 
@@ -39,13 +38,6 @@ void append_us(std::uint64_t ns, std::string& out) {
   const int n = std::snprintf(buf, sizeof buf, "%llu.%03llu",
                               static_cast<unsigned long long>(ns / 1000),
                               static_cast<unsigned long long>(ns % 1000));
-  out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
-}
-
-/// Six significant digits: enough for the args panel of a timeline viewer.
-void append_short_double(double value, std::string& out) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "%.6g", value);
   out.append(buf, static_cast<std::size_t>(n > 0 ? n : 0));
 }
 
@@ -93,21 +85,6 @@ void TimelineBuilder::add_span(const ProfileTree& tree, std::int32_t index,
   append_u64(node.calls, event.args_json);
   event.args_json += ", \"ticks\": ";
   append_u64(node.ticks, event.args_json);
-  if (node.perf.any()) {
-    const double ipc = perf_ipc(node.perf);
-    if (ipc > 0.0) {
-      event.args_json += ", \"ipc\": ";
-      append_short_double(ipc, event.args_json);
-    }
-    if (node.perf.cache_refs > 0) {
-      event.args_json += ", \"cache_miss_rate\": ";
-      append_short_double(perf_cache_miss_rate(node.perf), event.args_json);
-    }
-    if (node.perf.cycles > 0) {
-      event.args_json += ", \"cycles\": ";
-      append_u64(node.perf.cycles, event.args_json);
-    }
-  }
   event.args_json += "}";
   events_.push_back(std::move(event));
 

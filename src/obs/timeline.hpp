@@ -1,7 +1,7 @@
 // Chrome Trace Event Format export of ProfileTrees, viewable in Perfetto.
 //
 // A ProfileTree is a call tree of *accumulated* scopes (calls, ticks,
-// wall_ns, perf counts), not a log of individual enter/exit timestamps —
+// wall_ns), not a log of individual enter/exit timestamps —
 // the profiler deliberately stores O(scopes) state, not O(calls).  The
 // TimelineBuilder therefore renders each tree as a synthetic timeline:
 // root scopes are laid end to end on their (pid, tid) lane, each span's
@@ -15,8 +15,7 @@
 // The driver writes one lane per merged aggregate tree plus one lane per
 // worker from the parallel row runs, appended in job-index order, so the
 // file is reproducible given the same wall-clock measurements.  Spans
-// carry the deterministic accounting (calls, ticks) and the perf-derived
-// gauges (IPC, cache-miss rate) in their args.
+// carry the deterministic accounting (calls, ticks) in their args.
 //
 // Format reference: the "JSON Array Format"/"traceEvents" object accepted
 // by chrome://tracing and ui.perfetto.dev; "X" complete events with ts /

@@ -136,7 +136,6 @@ TEST(DriverFlagsTest, TimelineOutParsesAndImpliesNothingElse) {
   const DriverOptions opts = parse({"--timeline-out", "tl.json"});
   EXPECT_EQ(opts.timeline_path, "tl.json");
   EXPECT_TRUE(opts.profile_path.empty());
-  EXPECT_TRUE(opts.perf_counters.empty());
 }
 
 TEST(DriverFlagsTest, TimelineOutRejectsEmptyPathNamingTheFlag) {
@@ -145,33 +144,11 @@ TEST(DriverFlagsTest, TimelineOutRejectsEmptyPathNamingTheFlag) {
   EXPECT_NE(error.find("file path"), std::string::npos) << error;
 }
 
-TEST(DriverFlagsTest, BarePerfCountersSelectsEveryCounter) {
-  EXPECT_EQ(parse({"--perf-counters"}).perf_counters.size(),
-            obs::all_perf_counters().size());
-}
-
-TEST(DriverFlagsTest, PerfCountersListParses) {
-  const DriverOptions opts = parse({"--perf-counters", "cycles,task-clock"});
-  ASSERT_EQ(opts.perf_counters.size(), 2u);
-  EXPECT_EQ(opts.perf_counters[0], obs::PerfCounter::kCycles);
-  EXPECT_EQ(opts.perf_counters[1], obs::PerfCounter::kTaskClock);
-}
-
-TEST(DriverFlagsTest, PerfCountersRejectsUnknownNamesByName) {
-  const std::string error =
-      parse_error({"--perf-counters", "cycles,zeppelins"});
-  EXPECT_NE(error.find("--perf-counters"), std::string::npos) << error;
-  EXPECT_NE(error.find("zeppelins"), std::string::npos) << error;
-  // The known vocabulary is listed so the user can self-correct.
-  EXPECT_NE(error.find("task-clock"), std::string::npos) << error;
-}
-
 TEST(DriverFlagsTest, TimelineAndPerfCombineWithOtherObservability) {
   const DriverOptions opts =
-      parse({"--timeline-out", "tl.json", "--perf-counters", "task-clock",
-             "--profile-out", "p.json", "--threads", "2"});
+      parse({"--timeline-out", "tl.json", "--profile-out", "p.json",
+             "--threads", "2"});
   EXPECT_EQ(opts.timeline_path, "tl.json");
-  EXPECT_EQ(opts.perf_counters.size(), 1u);
   EXPECT_EQ(opts.profile_path, "p.json");
   EXPECT_EQ(opts.threads, 2u);
 }

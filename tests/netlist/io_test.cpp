@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <string>
 
+#include <exception>
 #include <stdexcept>
 
 #include "netlist/generator.hpp"
@@ -89,6 +90,32 @@ TEST(IoTest, ErrorMentionsLineNumber) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("line 3"), std::string::npos)
         << e.what();
+  }
+}
+
+// A bad header or cells line is a parse error naming its line, never the
+// Builder's std::invalid_argument or a count wrapped from a negative one.
+TEST(IoTest, BadHeaderAndCountLinesNameTheirLine) {
+  const struct {
+    const char* text;
+    const char* line;
+  } cases[] = {
+      {"mcnl 1\ncells 4294967296\n", "line 2"},
+      {"mcnl 1\ncells 18446744073709551615\n", "line 2"},
+      {"mcnl 1\n# comment\ncells -1\n", "line 3"},
+      {"mcnl 1\ncells 3 junk\nnet 0 1\n", "line 2"},
+      {"mcnl 1 junk\ncells 3\n", "line 1"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)from_string(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.line), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a parse error: " << e.what();
+    }
   }
 }
 

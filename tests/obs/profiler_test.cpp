@@ -96,32 +96,6 @@ TEST(ProfileTreeTest, ToJsonNestsChildrenAndCanDropWall) {
   EXPECT_NE(deterministic.find("\"name\": \"sweep\""), std::string::npos);
 }
 
-// Hosts without a PMU never put a perf block in a driver export, so its
-// bytes are pinned here.
-TEST(ProfileTreeTest, ToJsonPinsThePerfBlock) {
-  ProfileTree tree;
-  const std::int32_t run = tree.find_or_add(-1, "run");
-  ProfileNode& node = tree.nodes[static_cast<std::size_t>(run)];
-  node.calls = 1;
-  node.ticks = 10;
-  node.wall_ns = 99;
-  node.perf.cycles = 1;
-  node.perf.instructions = 2;
-  node.perf.cache_refs = 3;
-  node.perf.cache_misses = 4;
-  node.perf.branch_misses = 5;
-  node.perf.task_clock_ns = 18446744073709551615ULL;
-  const std::int32_t sweep = tree.find_or_add(run, "sweep");
-  tree.nodes[static_cast<std::size_t>(sweep)].calls = 4;
-  EXPECT_EQ(tree.to_json(/*include_wall=*/true),
-            "[{\"name\": \"run\", \"calls\": 1, \"ticks\": 10, "
-            "\"wall_ns\": 99, \"perf\": {\"cycles\": 1, \"instructions\": 2, "
-            "\"cache_refs\": 3, \"cache_misses\": 4, \"branch_misses\": 5, "
-            "\"task_clock_ns\": 18446744073709551615}, \"children\": "
-            "[{\"name\": \"sweep\", \"calls\": 4, \"ticks\": 0, "
-            "\"wall_ns\": 0, \"children\": []}]}]");
-}
-
 TEST(ProfileScopeTest, RecorderBuildsTreeWithTicks) {
   RunMetrics metrics;
   Recorder rec{nullptr, /*collect_metrics=*/true, /*trace_sample=*/1,

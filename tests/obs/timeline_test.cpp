@@ -94,22 +94,6 @@ TEST(TimelineBuilderTest, LaneCursorAppendsTreesEndToEndPerLane) {
             std::string::npos);
 }
 
-TEST(TimelineBuilderTest, PerfArgsAppearOnlyWhenCountersFired) {
-  ProfileTree tree = two_level_tree();
-  tree.nodes[0].perf.cycles = 1000;
-  tree.nodes[0].perf.instructions = 2500;
-  tree.nodes[0].perf.cache_refs = 200;
-  tree.nodes[0].perf.cache_misses = 30;
-  TimelineBuilder builder;
-  builder.add_tree(tree, 0, 0);
-  const std::string json = builder.to_json();
-  EXPECT_NE(json.find("\"ipc\": 2.5"), std::string::npos);
-  EXPECT_NE(json.find("\"cache_miss_rate\": 0.15"), std::string::npos);
-  EXPECT_NE(json.find("\"cycles\": 1000"), std::string::npos);
-  // Children carried no counts: exactly one span carries perf args.
-  EXPECT_EQ(json.find("\"ipc\""), json.rfind("\"ipc\""));
-}
-
 TEST(TimelineBuilderTest, ScopeNamesAreJsonEscaped) {
   ProfileTree tree;
   const std::int32_t node = tree.find_or_add(-1, "we\"ird\\name");

@@ -9,7 +9,7 @@ this gate::
 
     python3 tools/bench_compare.py --baseline-dir . fresh/BENCH_obs.json ...
 
-Four field classes, chosen by key name so new benches gate themselves
+Three field classes, chosen by key name so new benches gate themselves
 without per-bench schemas:
 
 * **deterministic** (everything not listed below) — must be *exactly*
@@ -19,15 +19,14 @@ without per-bench schemas:
 * **bool gates** (``gate_ok``, ``*_identical``, ``*_bit_identical``) — a
   ``true`` baseline must stay ``true``; ``false -> true`` is an
   improvement and only prompts a baseline refresh note.
-* **informational** (``*ipc*``, ``*miss_rate*``, ``perf_*``,
-  ``*cycles_per*``) — hardware-counter telemetry, printed in reports but
-  never compared: availability depends on perf_event_open permissions, so
-  a counter-less CI run must pass against a baseline that has them.
 * **perf** (``seconds``, ``proposals_per_sec``, ``overhead_pct``, ...) —
   compared with a relative tolerance band (``--perf-tolerance``, default
   50% to absorb shared-runner noise) in the slower/worse direction only.
   ``--perf-warn-only`` downgrades perf violations to warnings, which is
   how CI runs until the runners are quiet enough to enforce.
+
+Keys that describe the machine rather than the run
+(``hardware_concurrency``) are ignored.
 
 A fresh report with no committed baseline is *seeding mode*: warn and
 exit 0, so adding a bench never breaks the gate it will later feed.
@@ -55,13 +54,6 @@ PERF_KEY_PARTS = (
 # Keys that describe the machine, not the run: ignored entirely.
 ENV_KEYS = {"hardware_concurrency"}
 
-# Hardware-counter telemetry (IPC, cache-miss rates, cycles/proposal,
-# perf_<counter>_available, ...): reported for humans, never gated.  Their
-# presence and values depend on perf_event_open permissions and the host
-# PMU, not on the code under test, so a run without counters must compare
-# clean against a baseline recorded with them (and vice versa).
-INFORMATIONAL_KEY_PARTS = ("ipc", "miss_rate", "perf_", "cycles_per")
-
 # Perf metrics where *larger* is worse (times, overheads).  Everything
 # else perf-classified (throughput, speedup, efficiency) is
 # smaller-is-worse.
@@ -71,8 +63,6 @@ LARGER_IS_WORSE_PARTS = ("seconds", "overhead_pct")
 def classify(key: str):
     if key in ENV_KEYS:
         return "env"
-    if any(part in key for part in INFORMATIONAL_KEY_PARTS):
-        return "informational"
     if any(part in key for part in PERF_KEY_PARTS):
         return "perf"
     return "exact"
@@ -115,11 +105,8 @@ def compare_values(path: str, base, fresh, tolerance_pct: float,
         return
 
     key = path.rsplit(".", 1)[-1].split("[")[0]
-    # Informational wins over the bool-gate rule: perf_cycles_available
-    # flipping true -> false is the host losing PMU access, not a
-    # regression in the code under test.
     kind = classify(key)
-    if kind in ("env", "informational"):
+    if kind == "env":
         return
     if isinstance(base, bool) or isinstance(fresh, bool):
         if base is True and fresh is not True:
@@ -148,18 +135,12 @@ def compare_objects(path: str, base: dict, fresh: dict, tolerance_pct: float,
     for key in base:
         child = f"{path}.{key}" if path else key
         if key not in fresh:
-            if classify(key) == "informational":
-                diff.warn(f"{child}: informational field absent from fresh "
-                          f"report (counters unavailable on this host?)")
-            else:
-                diff.fail(f"{child}: missing from fresh report")
+            diff.fail(f"{child}: missing from fresh report")
             continue
         compare_values(child, base[key], fresh[key], tolerance_pct,
                        perf_warn_only, diff)
     for key in fresh:
         if key not in base:
-            if classify(key) == "informational":
-                continue  # counters came online; nothing to refresh
             child = f"{path}.{key}" if path else key
             diff.warn(f"{child}: new field not in baseline "
                       f"(refresh the baseline)")
@@ -211,10 +192,6 @@ def self_test() -> int:
         "was_false": False,
         "hardware_concurrency": 1,
         "off_overhead_pct": 1.0,
-        "perf_cycles_available": True,
-        "spec_ipc": 2.5,
-        "figure1_spec_cache_miss_rate": 0.04,
-        "spec_cycles_per_proposal": 150.0,
         "configs": [
             {"name": "off", "seconds": 1.00, "proposals_per_sec": 1000.0},
             {"name": "on", "seconds": 1.10, "proposals_per_sec": 900.0},
@@ -261,19 +238,6 @@ def self_test() -> int:
     slow2["configs"][0]["proposals_per_sec"] = 100.0
     expect("throughput regression", slow2, want_fail=True)
 
-    # Informational telemetry never gates: wild drift, the availability
-    # bool flipping false, and counters vanishing entirely all pass.
-    expect("informational drift", mutated(spec_ipc=0.01), want_fail=False)
-    expect("informational bool flip",
-           mutated(perf_cycles_available=False), want_fail=False)
-    no_counters = mutated()
-    for key in ("perf_cycles_available", "spec_ipc",
-                "figure1_spec_cache_miss_rate", "spec_cycles_per_proposal"):
-        del no_counters[key]
-    expect("informational fields absent", no_counters, want_fail=False)
-    expect("informational fields appear",
-           mutated(figure1_spec_ipc=1.2), want_fail=False)
-
     # Structural: missing key and shorter row list fail; new key warns.
     missing = mutated()
     del missing["best_cost"]
@@ -288,7 +252,7 @@ def self_test() -> int:
             print(f"self-test: {failure}", file=sys.stderr)
         print("self-test: FAILED", file=sys.stderr)
         return 1
-    print("self-test: OK (14 scenarios)")
+    print("self-test: OK (10 scenarios)")
     return 0
 
 

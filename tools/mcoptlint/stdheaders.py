@@ -174,17 +174,6 @@ CANONICAL: dict[str, str] = {
 BARE_SYMBOLS: dict[str, frozenset[str]] = {
     "assert": frozenset({"cassert"}),
     "errno": frozenset({"cerrno"}),
-    # The errno constants the perf layer branches on; <cerrno> provides
-    # them as macros, so the identifier scan must credit the include.
-    "EACCES": frozenset({"cerrno"}),
-    "EPERM": frozenset({"cerrno"}),
-    "ENOSYS": frozenset({"cerrno"}),
-    "ENOENT": frozenset({"cerrno"}),
-    "ENODEV": frozenset({"cerrno"}),
-    "EOPNOTSUPP": frozenset({"cerrno"}),
-    "EINVAL": frozenset({"cerrno"}),
-    "EMFILE": frozenset({"cerrno"}),
-    "EBUSY": frozenset({"cerrno"}),
     "NULL": frozenset({"cstddef", "cstdio", "cstdlib", "cstring"}),
     "EXIT_SUCCESS": frozenset({"cstdlib"}),
     "EXIT_FAILURE": frozenset({"cstdlib"}),
