@@ -50,9 +50,8 @@ int main(int argc, char** argv) {
   const auto instances = bench::gola_instances();
 
   // Reuse the tuner to pick the hot-end temperature for annealing.
-  const auto methods =
-      bench::tune_methods({core::GClass::kSixTempAnnealing}, instances,
-                          /*goto_start=*/false, 80.0, 2.0);
+  const auto methods = bench::tune_methods({core::GClass::kSixTempAnnealing},
+                                           bench::StartKind::kRandom);
   const double y1 = methods.front().scale;
   const std::uint64_t budget = bench::scaled(bench::kTwelveSec);
   std::printf("tuned starting temperature Y1 = %.3f\n\n", y1);

@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
       core::GClass::kLinear,        core::GClass::kExponential,
       core::GClass::kCubicDiff,     core::GClass::kExponentialDiff,
       core::GClass::kSixCubicDiff};
-  const auto methods = bench::tune_methods(
-      std::vector<core::GClass>(classes.begin(), classes.end()), instances,
-      /*goto_start=*/false, 80.0, 2.0);
+  const auto methods = bench::tune_methods(classes, bench::StartKind::kRandom);
 
   const std::vector<double> multipliers{0.1, 0.5, 1.0, 2.0, 10.0};
   bench::TableRunConfig config;

@@ -5,12 +5,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "util/args.hpp"
@@ -87,13 +89,10 @@ std::unique_ptr<core::GFunction> make_method_g(const Method& method,
   return core::make_g(method.cls, params);
 }
 
-std::vector<Method> tune_methods(
-    const std::vector<core::GClass>& classes,
-    const std::vector<netlist::Netlist>& instances, bool goto_start,
-    double typical_cost, double typical_delta) {
-  const std::size_t train_count =
-      std::min<std::size_t>(kTuneInstances, instances.size());
-
+std::vector<Method> tune_methods(const std::vector<core::GClass>& classes,
+                                 StartKind start) {
+  const auto instances = gola_instances();
+  const bool goto_start = start == StartKind::kGoto;
   std::vector<Method> methods;
   methods.reserve(classes.size());
   for (const core::GClass cls : classes) {
@@ -105,16 +104,17 @@ std::vector<Method> tune_methods(
           [&instances, goto_start](
               std::size_t i) -> std::unique_ptr<core::Problem> {
         const auto& nl = instances[i];
-        auto start = goto_start ? linarr::goto_arrangement(nl)
-                                : random_start(i, nl.num_cells());
-        return std::make_unique<linarr::LinArrProblem>(nl, std::move(start));
+        auto arrangement = goto_start ? linarr::goto_arrangement(nl)
+                                      : random_start(i, nl.num_cells());
+        return std::make_unique<linarr::LinArrProblem>(nl,
+                                                       std::move(arrangement));
       };
       core::TunerOptions options;
       options.budget = scaled(kTuneBudget);
-      options.num_instances = train_count;
+      options.num_instances = instances.size();
       options.seed = kSeed + 2;
-      options.typical_cost = typical_cost;
-      options.typical_delta = typical_delta;
+      options.typical_cost = goto_start ? 65.0 : 80.0;
+      options.typical_delta = goto_start ? 1.5 : 2.0;
       method.scale = core::tune_scale(cls, factory, options).best_scale;
     }
     methods.push_back(std::move(method));
@@ -212,6 +212,18 @@ Driver::Driver(int argc, const char* const* argv,
   } catch (const std::invalid_argument& error) {
     usage_error(error.what());  // a bad flag or a trace path that won't open
   }
+  // A report directory that is not there fails now, like an unopenable
+  // --trace, rather than after the timed work.
+  for (const char* var : {"MCOPT_BENCH_JSON_DIR", "MCOPT_BENCH_CSV_DIR"}) {
+    const char* dir = std::getenv(var);
+    std::error_code error;
+    if (dir != nullptr && dir[0] != '\0' &&
+        !std::filesystem::is_directory(dir, error)) {
+      obs::log(obs::LogLevel::kError, "cannot write %s/: not a directory",
+               dir);
+      std::exit(1);
+    }
+  }
   if (options_.quiet) obs::set_log_level(obs::LogLevel::kError);
   if (options_.verbose) obs::set_log_level(obs::LogLevel::kDebug);
   if (options_.threads > 1) {
@@ -263,6 +275,20 @@ void Driver::usage_error(const std::string& error) const {
            "[--flight-out FILE] [--quiet|--verbose]",
            args_.program().c_str(), own.c_str());
   std::exit(2);
+}
+
+std::string Driver::choice(const std::string& name,
+                           const std::vector<std::string>& choices,
+                           const std::string& fallback) const {
+  if (!args_.has(name)) return fallback;
+  const std::string value = args_.value(name).value_or("");
+  if (std::find(choices.begin(), choices.end(), value) == choices.end()) {
+    std::string list;
+    for (const auto& word : choices) list += (list.empty() ? "" : "|") + word;
+    usage_error("--" + name + " expects one of " + list + ", got '" + value +
+                "'");
+  }
+  return value;
 }
 
 bool Driver::write_export(const std::string& path, const std::string& text) {

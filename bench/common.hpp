@@ -50,8 +50,6 @@ inline constexpr std::uint64_t kTwelveSec = 1'200;
 inline constexpr std::uint64_t kThreeMin = 18'000;
 /// Tuning budget per (candidate, instance): the paper used about a 5 s run.
 inline constexpr std::uint64_t kTuneBudget = 500;
-/// Training-set size for the tuning pass (the paper used all 30).
-inline constexpr std::size_t kTuneInstances = 30;
 
 /// MCOPT_BENCH_SCALE (a finite number >= 0.01, read with util::parse_real);
 /// 1.0 when unset or empty.  Any other value prints an error naming the
@@ -77,20 +75,22 @@ struct Method {
   double scale = 1.0;     ///< tuned Y scale (Y1; k=6 schedules decay x0.9)
 };
 
-/// Runs the §4.2.1 tuning pass for each class on GOLA training data with
-/// the given start policy and returns the configured methods.  Scale-free
-/// classes pass through untuned.  Deterministic.
-std::vector<Method> tune_methods(
-    const std::vector<core::GClass>& classes,
-    const std::vector<netlist::Netlist>& instances, bool goto_start,
-    double typical_cost, double typical_delta);
+enum class StartKind { kRandom, kGoto };
+
+/// Runs the §4.2.1 tuning pass for each class on all 30 GOLA instances
+/// (as the paper did) from `start` starts and returns the configured
+/// methods.  The start kind sets
+/// the tuner's typical cost and delta: 80 / 2.0 from random starts, 65 /
+/// 1.5 from Goto's near-optimal ones.  Scale-free classes pass through
+/// untuned.  Deterministic, and each class is tuned independently of the
+/// others in `classes`.
+std::vector<Method> tune_methods(const std::vector<core::GClass>& classes,
+                                 StartKind start);
 
 /// Instantiates a method's g for a given instance (Cohoon-Sahni needs the
 /// instance's net count).
 std::unique_ptr<core::GFunction> make_method_g(const Method& method,
                                                const netlist::Netlist& nl);
-
-enum class StartKind { kRandom, kGoto };
 
 struct TableRunConfig {
   std::vector<std::uint64_t> budgets;  ///< already scaled
@@ -138,9 +138,12 @@ struct DriverOptions {
 class Driver {
  public:
   /// Parses the shared flags plus the driver's own `own_flags` (names
-  /// without the dashes; read them with count()/u64()/real()), applies
-  /// MCOPT_LOG_LEVEL and then --quiet/--verbose, opens the trace and arms
-  /// the flight ring and the heartbeat it asks for.
+  /// without the dashes; read them with count()/u64()/real()/choice()),
+  /// applies MCOPT_LOG_LEVEL and then --quiet/--verbose, opens the trace,
+  /// checks that MCOPT_BENCH_JSON_DIR and MCOPT_BENCH_CSV_DIR, when set,
+  /// name directories (else it logs "cannot write <dir>/" and exits 1
+  /// before any work) and arms the flight ring and the heartbeat it asks
+  /// for.
   Driver(int argc, const char* const* argv,
          std::vector<std::string> own_flags = {});
 
@@ -174,6 +177,12 @@ class Driver {
                             double min) const {
     return or_usage([&] { return args_.get_real(name, fallback, min); });
   }
+  /// The driver's own word-valued flag: `fallback` when --name is absent,
+  /// else its value, which must be one of `choices`; anything else, a bare
+  /// flag included, is a usage error (exit 2).
+  [[nodiscard]] std::string choice(const std::string& name,
+                                   const std::vector<std::string>& choices,
+                                   const std::string& fallback) const;
 
   /// Merges one run's metrics into the totals that finish() exports.
   /// run_method_row does this itself; call it only for runs outside that

@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
       core::GClass::kMetropolis, core::GClass::kSixTempAnnealing,
       core::GClass::kGOne, core::GClass::kCubicDiff,
       core::GClass::kCohoonSahni};
-  const auto methods = bench::tune_methods(
-      std::vector<core::GClass>(classes.begin(), classes.end()), instances,
-      /*goto_start=*/false, 80.0, 2.0);
+  const auto methods = bench::tune_methods(classes, bench::StartKind::kRandom);
 
   std::vector<std::uint64_t> checkpoints;
   for (std::uint64_t b = 75; b <= 4'800; b *= 2) {

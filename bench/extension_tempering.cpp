@@ -27,11 +27,10 @@ int main(int argc, char** argv) {
       "30 instances; equal tick budgets; tempering uses 4 replicas");
 
   const auto instances = bench::gola_instances();
-  const auto methods =
-      bench::tune_methods({core::GClass::kSixTempAnnealing,
-                           core::GClass::kGOne, core::GClass::kCubicDiff,
-                           core::GClass::kThresholdAccepting},
-                          instances, /*goto_start=*/false, 80.0, 2.0);
+  const auto methods = bench::tune_methods(
+      {core::GClass::kSixTempAnnealing, core::GClass::kGOne,
+       core::GClass::kCubicDiff, core::GClass::kThresholdAccepting},
+      bench::StartKind::kRandom);
   const double y1 = methods.front().scale;  // reuse the tuned hot end
 
   util::Table table;

@@ -40,12 +40,12 @@ set(cases
     "${BENCH_DIR}/hotloop|--proposals|x"
     "${BENCH_DIR}/obs_overhead|--gate-pct|abc"
     "${BENCH_DIR}/parallel_speedup|--budget|99999999999999999999"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|abc"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|0.5x"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|nan"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|1e999"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|0.001"
-    "${BENCH_DIR}/table_4_2c|MCOPT_BENCH_SCALE|1e300"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|abc"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|0.5x"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|nan"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|1e999"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|0.001"
+    "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|1e300"
     "${CLI}|--cells|-1|gen"
     "${CLI}|--budget|-5|solve --in ${netlist}"
     "${CLI}|--tolerance|-1|partition --cells 3 --nets 2"
@@ -58,8 +58,13 @@ set(cases
     "${CLI}|--moves|bogus|solve --in ${netlist}"
     "${CLI}|--strategy|bogus|solve --in ${netlist}"
     # The hardware-counter flag is gone: bare, it is an unknown flag.
-    "${BENCH_DIR}/table_4_1|--perf-counters|"
-    "${BENCH_DIR}/hotloop|--perf-counters|")
+    "${BENCH_DIR}/tables|--perf-counters|"
+    "${BENCH_DIR}/hotloop|--perf-counters|"
+    # --table names one table or all: a bare flag, an unknown table and a
+    # list are usage errors.
+    "${BENCH_DIR}/tables|--table|4.3"
+    "${BENCH_DIR}/tables|--table|"
+    "${BENCH_DIR}/tables|--table|4.1,4.2a")
 
 # Cell and net counts past the netlist's 32-bit ids (2^64 - 1 segfaulted
 # in gen).  Only values rejected before anything is allocated are run

@@ -1,25 +1,33 @@
 # Runs one bench driver at MCOPT_BENCH_SCALE=0.05 and compares its stdout
-# byte for byte with a committed golden file:
+# byte for byte with committed golden files, concatenated in order:
 #
-#   cmake -DDRIVER=<exe> -DTHREADS=<n> -DGOLDEN=<file> -P compare.cmake
+#   cmake -DDRIVER=<exe> [-DDRIVER_ARGS=<arg;...>] -DTHREADS=<n>
+#         -DGOLDEN=<file;...> -P compare.cmake
 #
 # Both sides are normalized first in two places only: the wall time of
-# table_4_1's tuning pass, and the invariant-check count that builds with
+# Table 4.1's tuning pass, and the invariant-check count that builds with
 # MCOPT_CHECK_INVARIANTS append.  To re-record a golden after a deliberate
 # output change:
 #
 #   MCOPT_BENCH_SCALE=0.05 build/bench/<driver> > tests/golden/<driver>.txt
+#   MCOPT_BENCH_SCALE=0.05 build/bench/tables --table 4.2a \
+#       > tests/golden/table_4_2a.txt     # and likewise for each table
 set(ENV{MCOPT_BENCH_SCALE} 0.05)
 unset(ENV{MCOPT_BENCH_CSV_DIR})
-execute_process(COMMAND "${DRIVER}" --threads ${THREADS}
+set(command "${DRIVER}" ${DRIVER_ARGS} --threads ${THREADS})
+execute_process(COMMAND ${command}
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE diagnostics
                 RESULT_VARIABLE status)
+list(JOIN command " " command)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR
-    "${DRIVER} --threads ${THREADS} exited with ${status}:\n${diagnostics}")
+  message(FATAL_ERROR "${command} exited with ${status}:\n${diagnostics}")
 endif()
-file(READ "${GOLDEN}" expected)
+set(expected "")
+foreach(golden IN LISTS GOLDEN)
+  file(READ "${golden}" text)
+  string(APPEND expected "${text}")
+endforeach()
 
 foreach(side actual expected)
   string(REGEX REPLACE "tuning pass: [0-9.]+ s" "tuning pass: <wall> s"
@@ -29,10 +37,17 @@ foreach(side actual expected)
 endforeach()
 
 if(NOT actual STREQUAL expected)
-  get_filename_component(name "${GOLDEN}" NAME_WE)
+  # Named after the one golden, or after the driver for a concatenation.
+  list(LENGTH GOLDEN goldens)
+  if(goldens EQUAL 1)
+    get_filename_component(name "${GOLDEN}" NAME_WE)
+  else()
+    get_filename_component(name "${DRIVER}" NAME_WE)
+  endif()
   set(saved "${CMAKE_CURRENT_BINARY_DIR}/${name}.t${THREADS}.actual.txt")
   file(WRITE "${saved}" "${actual}")
+  list(JOIN GOLDEN " + " golden)
   message(FATAL_ERROR
-    "stdout of ${DRIVER} --threads ${THREADS} differs from ${GOLDEN}; "
+    "stdout of ${command} differs from ${golden}; "
     "the output is saved in ${saved}")
 endif()

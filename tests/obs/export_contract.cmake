@@ -1,4 +1,4 @@
-# The C++ -> Python export contract.  Runs table_4_1 with a sampled JSONL
+# The C++ -> Python export contract.  Runs Table 4.1 with a sampled JSONL
 # trace and the metrics exports on, then requires tools/trace_report.py to
 # accept the trace (--validate) and the Prometheus text (--prom), and to
 # reject copies with one planted unknown event kind and one planted unknown
@@ -6,17 +6,17 @@
 # so this fails when either stops doing so.  The trace and the deterministic
 # part of both metrics exports must also match pinned SHA-256 digests:
 #
-#   cmake -DDRIVER=<table_4_1> -DPYTHON=<python3> -DREPORT=<trace_report.py>
-#         -DWORKDIR=<dir> -P export_contract.cmake
+#   cmake -DDRIVER=<tables> -DDRIVER_ARGS=--table;4.1 -DPYTHON=<python3>
+#         -DREPORT=<trace_report.py> -DWORKDIR=<dir> -P export_contract.cmake
 set(ENV{MCOPT_BENCH_SCALE} 0.05)
 unset(ENV{MCOPT_BENCH_CSV_DIR})
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace "${WORKDIR}/trace.jsonl")
 set(prom "${WORKDIR}/prom.txt")
-execute_process(COMMAND "${DRIVER}" --quiet --trace "${trace}"
-                        --trace-sample 16 --metrics-out "${WORKDIR}/m.json"
-                        --prom-out "${prom}"
+execute_process(COMMAND "${DRIVER}" ${DRIVER_ARGS} --quiet
+                        --trace "${trace}" --trace-sample 16
+                        --metrics-out "${WORKDIR}/m.json" --prom-out "${prom}"
                 OUTPUT_QUIET
                 ERROR_VARIABLE err
                 RESULT_VARIABLE status)
