@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -162,11 +161,10 @@ class Driver {
 
   /// The driver's own numeric flags, through util::Args' typed getters; a
   /// bad value is a usage error (exit 2).
-  [[nodiscard]] std::size_t count(
-      const std::string& name, std::size_t fallback, std::size_t min,
-      std::size_t max = std::numeric_limits<std::size_t>::max()) const {
-    return or_usage(
-        [&] { return args_.get_count(name, fallback, min, max); });
+  [[nodiscard]] std::size_t count(const std::string& name,
+                                  std::size_t fallback,
+                                  std::size_t min) const {
+    return or_usage([&] { return args_.get_count(name, fallback, min); });
   }
   [[nodiscard]] std::uint64_t u64(const std::string& name,
                                   std::uint64_t fallback,
@@ -201,7 +199,7 @@ class Driver {
 
   /// Writes an already-serialized JSON document to <dir>/<name>.json,
   /// where <dir> is MCOPT_BENCH_JSON_DIR or the current directory
-  /// (BENCH_parallel.json etc.).
+  /// (BENCH_hotloop.json).
   void write_json(const std::string& name, const std::string& payload);
 
   /// Flushes the trace, writes the --metrics-out / --profile-out /

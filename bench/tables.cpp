@@ -139,8 +139,7 @@ const std::vector<TableSpec> kTables{
      .title = "Table 4.2(b) — GOLA: Figure 1 vs Figure 2 at the 3-minute "
               "budget",
      .protocol = "30 instances; random starts; 13 g classes; budget = 3 min "
-                 "equivalent (compressed 1/3 by default; MCOPT_BENCH_SCALE=3 "
-                 "restores it)",
+                 "equivalent (30x the 6 s budget)",
      .budgets = {bench::kThreeMin},
      .move_seed = 13,
      .compare_figures = true,

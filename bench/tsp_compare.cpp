@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/figure1.hpp"
 #include "core/gfunction.hpp"
+#include "core/problem.hpp"
 #include "core/schedule.hpp"
 #include "tsp/construct.hpp"
 #include "tsp/local_search.hpp"
@@ -36,39 +38,61 @@ struct SaOutcome {
   std::uint64_t ticks_to_target = 0;  // 0 = target never reached
 };
 
-/// Figure-1 annealing over an explicit schedule, recording the first tick
-/// at which the running best drops to `target`.
+/// Passes every call through to `inner` and, on accept(), notes the first
+/// proposal count at which the running best drops to `target`.
+class TargetWatch final : public core::Problem {
+ public:
+  TargetWatch(core::Problem& inner, double target)
+      : inner_(inner), target_(target), best_(inner.cost()) {}
+
+  [[nodiscard]] double cost() const override { return inner_.cost(); }
+  double propose(util::Rng& rng) override {
+    ++proposals_;
+    proposed_ = inner_.propose(rng);
+    return proposed_;
+  }
+  void accept() override {
+    inner_.accept();
+    if (proposed_ < best_) {
+      best_ = proposed_;
+      if (hit_ == 0 && best_ <= target_) hit_ = proposals_;
+    }
+  }
+  void reject() override { inner_.reject(); }
+  void descend(util::WorkBudget& budget) override { inner_.descend(budget); }
+  void randomize(util::Rng& rng) override { inner_.randomize(rng); }
+  [[nodiscard]] core::Snapshot snapshot() const override {
+    return inner_.snapshot();
+  }
+  void snapshot_into(core::Snapshot& out) const override {
+    inner_.snapshot_into(out);
+  }
+  void restore(const core::Snapshot& snap) override { inner_.restore(snap); }
+  void check_invariants() const override { inner_.check_invariants(); }
+
+  [[nodiscard]] std::uint64_t hit() const noexcept { return hit_; }
+
+ private:
+  core::Problem& inner_;
+  double target_;
+  double best_;
+  double proposed_ = 0.0;
+  std::uint64_t proposals_ = 0;
+  std::uint64_t hit_ = 0;
+};
+
+/// Figure 1 annealing over an explicit schedule from a random tour,
+/// recording the first tick at which the running best drops to `target`.
 SaOutcome annealed_tsp(const tsp::TspInstance& inst,
                        const std::vector<double>& schedule,
                        std::uint64_t budget, double target, util::Rng& rng) {
-  tsp::TspProblem problem{inst, tsp::random_order(inst.size(), rng)};
-  const auto g = core::make_annealing_g(schedule);
-  const unsigned k = g->num_temperatures();
-  util::WorkBudget work{budget};
-  double h_i = problem.cost();
-  double best = h_i;
-  SaOutcome out;
-  unsigned temp = 0;
-  while (!work.exhausted()) {
-    while (work.spent() >= work.slice_end(k, temp) && temp + 1 < k) ++temp;
-    const double h_j = problem.propose(rng);
-    work.charge();
-    const double delta = h_j - h_i;
-    if (delta < 0.0 || rng.next_double() < g->probability(temp, h_i, h_j)) {
-      problem.accept();
-      h_i = h_j;
-      if (h_i < best) {
-        best = h_i;
-        if (out.ticks_to_target == 0 && best <= target) {
-          out.ticks_to_target = work.spent();
-        }
-      }
-    } else {
-      problem.reject();
-    }
-  }
-  out.best = best;
-  return out;
+  tsp::TspProblem tour{inst, tsp::random_order(inst.size(), rng)};
+  TargetWatch watch{tour, target};
+  core::Figure1Options options;
+  options.budget = budget;
+  const auto result = core::run_figure1(
+      watch, *core::make_annealing_g(schedule), options, rng);
+  return {result.best_cost, watch.hit()};
 }
 
 /// Hull + cheapest insertion + Or-opt, with its evaluation count charged

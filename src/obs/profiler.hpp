@@ -14,7 +14,7 @@
 // path for free); the Recorder owns the open-scope stack.  ProfileScope is
 // the RAII handle: construction is a single predicted branch when
 // profiling is off, so scopes can stay compiled into the runners —
-// bench/obs_overhead holds the off-path cost to the same <1% gate as
+// bench/hotloop holds the off-path cost to the same <1% gate as
 // the rest of the instrumentation.
 #pragma once
 
@@ -69,7 +69,7 @@ struct ProfileTree {
 /// recorder.hpp includes this header): when profiling is off each reduces
 /// to one inlined predicted branch instead of an out-of-line call, which
 /// is what keeps MCOPT_PROFILE_SCOPE compiled into the runners within the
-/// bench/obs_overhead gate.
+/// bench/hotloop off-path gate.
 class ProfileScope {
  public:
   inline ProfileScope(Recorder& recorder, const char* name);

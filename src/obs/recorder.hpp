@@ -8,9 +8,9 @@
 //
 // Near-zero overhead when off: a default-constructed Recorder is *off*,
 // and every event method starts with an inlined `if (off_) return;`.
-// bench/obs_overhead.cpp prices this against a hand-stripped copy of the
-// same loop; CI and the committed BENCH_obs.json gate it at 10%
-// (`--gate-pct 10.0`, the tool's default is 1%), and it measures a few
+// bench/hotloop.cpp prices this against a hand-stripped copy of the
+// same loop; CI and the committed BENCH_hotloop.json gate it at 10%
+// (`--gate-pct 10.0`, the bench's default is 1%), and it measures a few
 // percent.
 //
 // When on, the recorder's cost follows accepted moves, not proposals.  The
@@ -295,7 +295,7 @@ class Recorder {
 // ProfileScope's members live here, not in profiler.cpp: profiler.hpp is
 // included above before Recorder exists, and keeping these inline makes a
 // scope on an off/non-profiling recorder a single predicted branch with no
-// call — the property bench/obs_overhead gates.
+// call — the property bench/hotloop's off-path gate holds.
 inline ProfileScope::ProfileScope(Recorder& recorder, const char* name)
     : recorder_(recorder.profile_enter(name) ? &recorder : nullptr) {}
 

@@ -38,8 +38,8 @@ endif()
 
 set(cases
     "${BENCH_DIR}/hotloop|--proposals|x"
-    "${BENCH_DIR}/obs_overhead|--gate-pct|abc"
-    "${BENCH_DIR}/parallel_speedup|--budget|99999999999999999999"
+    "${BENCH_DIR}/hotloop|--gate-pct|abc"
+    "${BENCH_DIR}/hotloop|--proposals|99999999999999999999"
     "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|abc"
     "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|0.5x"
     "${BENCH_DIR}/tables|MCOPT_BENCH_SCALE|nan"
@@ -60,6 +60,9 @@ set(cases
     # The hardware-counter flag is gone: bare, it is an unknown flag.
     "${BENCH_DIR}/tables|--perf-counters|"
     "${BENCH_DIR}/hotloop|--perf-counters|"
+    # The flags of the benches folded into hotloop are unknown flags there.
+    "${BENCH_DIR}/hotloop|--budget|5"
+    "${BENCH_DIR}/hotloop|--max-threads|4"
     # --table names one table or all: a bare flag, an unknown table and a
     # list are usage errors.
     "${BENCH_DIR}/tables|--table|4.3"

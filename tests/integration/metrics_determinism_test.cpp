@@ -4,7 +4,7 @@
 // between the sequential engine, a 1-thread parallel run, and an 8-thread
 // parallel run.  The exported registry snapshots (JSON and Prometheus,
 // deterministic_only form) are compared byte for byte, which is exactly
-// what bench/obs_overhead gates in CI.
+// what bench/hotloop gates in CI.
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff fresh BENCH_*.json against committed baselines.
 
-The bench drivers write machine-readable reports (BENCH_obs.json,
-BENCH_hotloop.json, BENCH_parallel.json) via
-bench::Driver::write_json.  The repo commits one baseline per report at the
-repository root; CI reruns the benches and feeds the fresh files through
-this gate::
+Bench drivers write machine-readable reports (today one, BENCH_hotloop.json
+from bench/hotloop) via bench::Driver::write_json.  The repo commits one
+baseline per report at the repository root; CI reruns the bench and feeds
+the fresh file through this gate::
 
-    python3 tools/bench_compare.py --baseline-dir . fresh/BENCH_obs.json ...
+    python3 tools/bench_compare.py --baseline-dir . fresh/BENCH_hotloop.json
 
 Three field classes, chosen by key name so new benches gate themselves
 without per-bench schemas:
 
 * **deterministic** (everything not listed below) — must be *exactly*
   equal.  ``best_cost``, ``restarts``, ``trace_events_in_parallel_check``,
-  ``budget``, ``seed`` ... are pure functions of the seed, so any drift is
-  a real behaviour change, not noise.
+  ``total_budget``, ``seed`` ... are pure functions of the seed, so any
+  drift is a real behaviour change, not noise.
 * **bool gates** (``gate_ok``, ``*_identical``, ``*_bit_identical``) — a
   ``true`` baseline must stay ``true``; ``false -> true`` is an
   improvement and only prompts a baseline refresh note.
