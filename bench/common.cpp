@@ -325,10 +325,14 @@ void Driver::write_csv(const std::string& experiment,
 }
 
 void Driver::write_json(const std::string& name, const std::string& payload) {
+  // Never the current directory: from the repo root that would replace the
+  // committed baseline with whatever flags this run was given.
   const char* dir = std::getenv("MCOPT_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && dir[0] != '\0' ? std::string{dir} + "/" : std::string{}) +
-      name + ".json";
+  if (dir == nullptr || dir[0] == '\0') {
+    std::printf("(no json report written: MCOPT_BENCH_JSON_DIR is unset)\n");
+    return;
+  }
+  const std::string path = std::string{dir} + "/" + name + ".json";
   if (write_export(path, payload)) {
     std::printf("(json report written to %s)\n", path.c_str());
   }

@@ -198,8 +198,8 @@ class Driver {
   void write_csv(const std::string& experiment, const util::Table& table);
 
   /// Writes an already-serialized JSON document to <dir>/<name>.json,
-  /// where <dir> is MCOPT_BENCH_JSON_DIR or the current directory
-  /// (BENCH_hotloop.json).
+  /// where <dir> is MCOPT_BENCH_JSON_DIR (BENCH_hotloop.json).  When that
+  /// is unset or empty it writes nothing and says so on stdout.
   void write_json(const std::string& name, const std::string& payload);
 
   /// Flushes the trace, writes the --metrics-out / --profile-out /

@@ -58,7 +58,7 @@ constexpr std::size_t kIncidenceCost = 2;
 // The two-pin rule's constant (density.hpp): the weight matrix iff
 // n^2 <= kMatrixCellsPerPair x (entries of the neighbour lists), fitted
 // to both paths' measured costs (EXPERIMENTS.md).
-constexpr std::size_t kMatrixCellsPerPair = 3;
+constexpr std::size_t kMatrixCellsPerPair = 6;
 
 }  // namespace
 
@@ -95,7 +95,8 @@ DensityState::DensityState(const DensityState& other)
       suf_(other.suf_),
       wide_cut_(other.wide_cut_),
       uses_matrix_(other.uses_matrix_),
-      weights_(other.weights_) {
+      weights_(other.weights_),
+      bits_stale_(other.bits_stale_) {
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
   reserve_scratch();
 }
@@ -149,10 +150,18 @@ void DensityState::index_nets() {
     wide_offsets_.push_back(cell_wide_.size());
   }
   // The two-pin rule (density.hpp): an n x n matrix against the
-  // neighbour lists' entries.
+  // neighbour lists' entries.  The matrix is indexed by cell, so it is
+  // filled here once and never written again.
   uses_matrix_ = !pairs_.empty() &&
                  cells * cells <= kMatrixCellsPerPair * pairs_.size();
-  if (uses_matrix_) weights_.assign(cells * cells, 0);
+  if (uses_matrix_) {
+    weights_.assign(cells * cells, 0);
+    for (CellId c = 0; c < cells; ++c) {
+      for (const Neighbour& nb : neighbours(c)) {
+        weights_[c * cells + nb.cell] = nb.weight;
+      }
+    }
+  }
   words_ = (cells + 63) / 64;
   bits_.assign(wide_net_.size() * words_, 0);
   // The kernel rule (density.hpp): expected window x words against the
@@ -222,6 +231,13 @@ void DensityState::pin_bits(NetId n, std::uint64_t* out) const {
   }
 }
 
+void DensityState::refresh_bits() {
+  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
+    pin_bits(wide_net_[w], bits_.data() + w * words_);
+  }
+  bits_stale_ = false;
+}
+
 void DensityState::rebuild() {
   // Every net's extent into a difference array over the boundaries (the
   // last entry only ever collects a -1), then one prefix-sum pass.
@@ -232,10 +248,7 @@ void DensityState::rebuild() {
     ++cuts_[lo];
     --cuts_[hi];
   }
-  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
-    pin_bits(wide_net_[w], bits_.data() + w * words_);
-  }
-  if (uses_matrix_) fill_weights();
+  refresh_bits();
   if (uses_columns_) refresh_columns(0, n - 1);
   cuts_.pop_back();
   cut_histogram_.assign(netlist_->num_nets() + 2, 0);
@@ -326,60 +339,12 @@ void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
   }
 }
 
-void DensityState::fill_weights() {
-  const std::size_t n = arrangement_.size();
-  std::fill(weights_.begin(), weights_.end(), 0);
-  for (std::size_t p = 0; p < n; ++p) {
-    int* row = weights_.data() + p * n;
-    for (const Neighbour& nb : neighbours(arrangement_.cell_at(p))) {
-      row[arrangement_.position_of(nb.cell)] = nb.weight;
-    }
-  }
-}
-
-// mcopt: hot
-void DensityState::swap_weights(std::size_t p, std::size_t q) {
-  // The cells at p and q trade places: so do rows p and q and, within
-  // them, entries p and q.  The matrix is symmetric, so columns p and q
-  // are then copied from the two rows, one store per row each.
-  const std::size_t n = arrangement_.size();
-  int* w = weights_.data();
-  int* row_p = w + p * n;
-  int* row_q = w + q * n;
-  std::swap_ranges(row_p, row_p + n, row_q);
-  std::swap(row_p[p], row_p[q]);
-  std::swap(row_q[p], row_q[q]);
-  for (std::size_t r = 0; r < n; ++r) {
-    w[r * n + p] = row_p[r];
-    w[r * n + q] = row_q[r];
-  }
-}
-
-// mcopt: hot
-void DensityState::move_weights(std::size_t from, std::size_t to) {
-  // The rows of the window rotate as its cells do, and so do the columns
-  // within every row.
-  const std::size_t n = arrangement_.size();
-  const std::size_t lo = std::min(from, to);
-  const std::size_t hi = std::max(from, to);
-  // A left rotation by one moves `from` to the window's end, a right one
-  // (by width) moves it to the start.
-  const std::size_t first = from < to ? 1 : hi - lo;
-  int* w = weights_.data();
-  std::rotate(w + lo * n, w + (lo + first) * n, w + (hi + 1) * n);
-  for (int* row = w; row != w + n * n; row += n) {
-    std::rotate(row + lo, row + lo + first, row + hi + 1);
-  }
-}
-
 // mcopt: hot
 void DensityState::rearrange(SpecKind kind, std::size_t a, std::size_t b) {
   if (kind == SpecKind::kSwap) {
     arrangement_.swap_positions(a, b);
-    if (uses_matrix_) swap_weights(a, b);
   } else {
     arrangement_.move_position(a, b);
-    if (uses_matrix_) move_weights(a, b);
   }
 }
 
@@ -390,6 +355,7 @@ void DensityState::apply(SpecKind kind, std::size_t a, std::size_t b) {
   // after, and no other net changes.
   const auto lo = std::min(a, b);
   const auto hi = std::max(a, b);
+  if (bits_stale_) refresh_bits();
   respan_window(lo, hi, -1);
   rearrange(kind, a, b);
   respan_window(lo, hi, +1);
@@ -418,29 +384,34 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
 // mcopt: hot
 int DensityState::spec_swap_matrix(CellId x, CellId y, std::size_t lo,
                                    std::size_t hi) {
-  // The neighbour-list writes, read off the row difference r = W[lo] -
-  // W[hi]: r[q] is what lands on clamp(q, lo, hi).  Inside the window
-  // that is one add per boundary; r[lo] (y's net to x, skipped) and
-  // r[hi] (x's net to y, past the window) are left out.  Returns the sum
-  // over q < lo, the fold into window_diff_[lo].  A full row sums to
-  // 2 x its cell's two-pin degree and r[lo] + r[hi] = 0, so that sum is
-  // also 2 (deg2(x) - deg2(y)) minus the window's and the right side's:
-  // the shorter outer side is summed.
+  // The neighbour-list writes, read off the row difference r[q] =
+  // W[x][cell at q] - W[y][cell at q]: r[q] is what lands on
+  // clamp(q, lo, hi).  Inside the window that is one add per boundary;
+  // r[lo] (y's net to x, skipped) and r[hi] (x's net to y, past the
+  // window) are left out.  Returns the sum over q < lo, the fold into
+  // window_diff_[lo].  A full row sums to 2 x its cell's two-pin degree
+  // and r[lo] + r[hi] = 0, so that sum is also 2 (deg2(x) - deg2(y))
+  // minus the window's and the right side's: the shorter outer side is
+  // summed.
   const std::size_t n = arrangement_.size();
-  const int* row_lo = weights_.data() + lo * n;
-  const int* row_hi = weights_.data() + hi * n;
+  const CellId* order = arrangement_.order().data();
+  const int* row_x = weights_.data() + std::size_t{x} * n;
+  const int* row_y = weights_.data() + std::size_t{y} * n;
+  const auto r = [&](std::size_t q) {
+    return row_x[order[q]] - row_y[order[q]];
+  };
   int inside = 0;
   for (std::size_t b = lo + 1; b < hi; ++b) {
-    const int r = row_lo[b] - row_hi[b];
-    window_diff_[b] += r;
-    inside += r;
+    const int d = r(b);
+    window_diff_[b] += d;
+    inside += d;
   }
   int outer = 0;
   if (lo <= n - 1 - hi) {
-    for (std::size_t q = 0; q < lo; ++q) outer += row_lo[q] - row_hi[q];
+    for (std::size_t q = 0; q < lo; ++q) outer += r(q);
     return outer;
   }
-  for (std::size_t q = hi + 1; q < n; ++q) outer += row_lo[q] - row_hi[q];
+  for (std::size_t q = hi + 1; q < n; ++q) outer += r(q);
   return 2 * (pair_degree_[x] - pair_degree_[y]) - inside - outer;
 }
 
@@ -520,25 +491,13 @@ void DensityState::spec_swap_columns(std::size_t lo, std::size_t hi) {
 
 // mcopt: hot
 void DensityState::commit_swap_columns(std::size_t lo, std::size_t hi) {
-  // The nets on exactly one of the two cells are col[lo] ^ col[hi]: their
-  // position bits trade places.  Then the two columns trade, and the
-  // speculated window becomes the committed one.
+  // The two columns trade, and the speculated window becomes the
+  // committed one.  No swap reads the position bits on a column
+  // instance, so they are left stale until something does.
   const std::size_t m = net_words_;
   std::uint64_t* col_lo = col_.data() + lo * m;
-  std::uint64_t* col_hi = col_.data() + hi * m;
-  const std::uint64_t flip_lo = std::uint64_t{1} << (lo % 64);
-  const std::uint64_t flip_hi = std::uint64_t{1} << (hi % 64);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::uint64_t moved = col_lo[i] ^ col_hi[i]; moved != 0;
-         moved &= moved - 1) {
-      const std::size_t w =
-          i * 64 + static_cast<std::size_t>(std::countr_zero(moved));
-      std::uint64_t* bits = bits_.data() + w * words_;
-      bits[lo / 64] ^= flip_lo;
-      bits[hi / 64] ^= flip_hi;
-    }
-  }
-  std::swap_ranges(col_lo, col_lo + m, col_hi);
+  std::swap_ranges(col_lo, col_lo + m, col_.data() + hi * m);
+  bits_stale_ = true;
   const std::size_t rows = (lo + 1) * m;
   std::copy_n(spec_pre_.data() + rows, (hi - lo) * m, pre_.data() + rows);
   std::copy_n(spec_suf_.data() + rows, (hi - lo) * m, suf_.data() + rows);
@@ -641,6 +600,7 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
                "move position out of range");
   MCOPT_DCHECK(from != to, "speculate_move requires distinct positions");
   MCOPT_DCHECK(!speculating(), "speculation already pending");
+  if (bits_stale_) refresh_bits();
   spec_kind_ = SpecKind::kMove;
   spec_a_ = from;
   spec_b_ = to;
@@ -790,12 +750,16 @@ bool DensityState::verify() const {
   if (std::accumulate(counts.begin(), counts.end(), 0LL) != total_span_) {
     return false;
   }
-  std::vector<std::uint64_t> recount(words_);
-  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
-    pin_bits(wide_net_[w], recount.data());
-    if (!std::equal(recount.begin(), recount.end(),
-                    bits_.data() + w * words_)) {
-      return false;
+  // Stale bits are re-derived before anything reads them, so only fresh
+  // ones must match their pins.
+  if (!bits_stale_) {
+    std::vector<std::uint64_t> recount(words_);
+    for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
+      pin_bits(wide_net_[w], recount.data());
+      if (!std::equal(recount.begin(), recount.end(),
+                      bits_.data() + w * words_)) {
+        return false;
+      }
     }
   }
   return (!uses_matrix_ || verify_weights()) &&
@@ -809,10 +773,8 @@ bool DensityState::verify_weights() const {
   for (NetId net = 0; net < netlist_->num_nets(); ++net) {
     const auto pins = netlist_->pins(net);
     if (pins.size() != 2) continue;
-    const std::size_t p = arrangement_.position_of(pins[0]);
-    const std::size_t q = arrangement_.position_of(pins[1]);
-    weights[p * n + q] += 2;
-    weights[q * n + p] += 2;
+    weights[pins[0] * n + pins[1]] += 2;
+    weights[pins[1] * n + pins[0]] += 2;
   }
   return weights == weights_;
 }

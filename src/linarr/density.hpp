@@ -14,8 +14,8 @@
 //   * the position bits of every net of three or more pins,
 //   * on instances that take the column kernel (below), a position-major
 //     index of those nets,
-//   * on instances that take the weight matrix (below), a position-major
-//     matrix of the two-pin nets.
+//   * on instances that take the weight matrix (below), a cell-indexed
+//     matrix of the two-pin nets, built once from the netlist.
 //
 // Nets take one of two paths by pin count alone, fixed when the state is
 // built:
@@ -43,10 +43,15 @@
 //     col[hi], so only the window's boundaries change: two running ORs
 //     give the candidate pre'/suf' there, and |pre'[b] & suf'[b]| minus
 //     the committed count joins the two-pin differences.  A commit trades
-//     the two columns, copies the speculated window, and flips the
-//     position bits of the nets in col[lo] ^ col[hi] (those on exactly
-//     one of the two cells).  Its cost is the window times the words,
-//     about (n+1)/3 x ceil(m/64) for a uniformly drawn pair.
+//     the two columns and copies the speculated window.  Its cost is the
+//     window times the words, about (n+1)/3 x ceil(m/64) for a uniformly
+//     drawn pair.
+//     No swap on such an instance reads the wide nets' position bits, so
+//     a swap commit leaves them stale (a flag, not a flip per net of
+//     col[lo] ^ col[hi]).  speculate_move and apply_swap/apply_move
+//     re-derive every wide net's bits from its pins on entry when they
+//     are stale; a reset leaves them fresh, and verify() checks them only
+//     when they are fresh.
 //   The rule: the column kernel iff
 //     kColumnWordCost x (n+1) x ceil(m/64) x n <= kIncidenceCost x 6 x I,
 //   i.e. expected window x words, priced per word, against the two
@@ -63,28 +68,29 @@
 //   * The neighbour lists: one clamped write into window_diff_ per
 //     neighbour of the two cells, each after a position gather, about
 //     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs).
-//   * The weight matrix: W[p][q] is the weight between the cells at
-//     positions p and q (0 on the diagonal).  For a swap of lo < hi the
-//     lists' writes come to the row difference r = W[lo] - W[hi]: inside
-//     the window r[b] lands on b, one contiguous add per boundary, and
-//     all of r outside it folds into window_diff_[lo] as one contiguous
-//     sum.  That sum can come from the shorter outer side, since a full
-//     row sums to 2 x its cell's two-pin degree and r[lo] + r[hi] = 0.
-//     A commit pays for it: rows lo and hi trade, and columns lo and hi
-//     are stored from them in every row (the matrix is symmetric), O(n)
-//     strided stores where the lists commit nothing.  A single exchange
-//     rotates the window's rows and columns, and speculate_move keeps
-//     the lists.
+//   * The weight matrix: W[x][z] is the weight between cells x and z (0 on
+//     the diagonal), indexed by cell id and filled once from the netlist,
+//     so no move ever writes it.  For a swap of x at lo with y at hi
+//     (lo < hi) the lists' writes come to the row difference
+//     r[q] = W[x][cell at q] - W[y][cell at q], read through the
+//     arrangement's order: inside the window r[b] lands on b, one gathered
+//     add per boundary, and all of r outside it folds into
+//     window_diff_[lo] as one sum.  That sum can come from the shorter
+//     outer side, since a full row sums to 2 x its cell's two-pin degree
+//     and r[lo] + r[hi] = 0.  A commit costs nothing more than the lists'
+//     (the matrix does not depend on the arrangement), and speculate_move
+//     keeps the lists.
 //   The rule: the matrix iff n^2 <= kMatrixCellsPerPair x E, with the
-//   constant 3, which also bounds the matrix at three ints per list
-//   entry.  Both layouts were timed forced on the same GOLA and NOLA
-//   instances (EXPERIMENTS.md).  A rejected swap gains from the matrix
-//   up to n^2/E of about 5 and an accepted one loses from about 2, by a
-//   margin that grows with n; at the paper's workloads' acceptance ratio
-//   (about 0.37) the two break even near n^2/E = 3.5.  GOLA 15/150
-//   (n^2/E = 1.4) takes the matrix; GOLA 60/600 (3.5), GOLA 240/2400
-//   (12.5) and NOLA 15/150 (4.5: a fifth of its nets are two-pin) keep
-//   the lists.  An instance with no two-pin net keeps neither.
+//   constant 6, which also bounds the matrix at six ints per list entry.
+//   Both layouts were timed forced on the same GOLA and NOLA instances
+//   (EXPERIMENTS.md): with no commit cost on either side, the matrix's
+//   swap (about n/3 gathered adds plus the shorter outer side) beats the
+//   lists' (2E/n gathered writes), accepted or rejected alike, up to
+//   n^2/E of about 5; the two tie from 6.5 to 6.8 and the lists win from
+//   8.  GOLA 15/150 (n^2/E = 1.4), GOLA 60/600 (3.5) and
+//   NOLA 15/150 (4.5: a fifth of its nets are two-pin) take the matrix;
+//   GOLA 240/2400 (12.5) keeps the lists.  An instance with no two-pin
+//   net keeps neither.
 //
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
@@ -127,12 +133,13 @@
 //     density/total span are exact integers a Metropolis loop can test,
 //     then commit_speculation() in O(changed boundaries + changed wide
 //     nets) or discard_speculation() in O(1) — a rejected proposal never
-//     writes cuts_, the histogram, the bits, the matrix or the
-//     arrangement.  A commit makes one histogram update per changed
-//     boundary instead of one per crossing unit.  The journal holds
-//     wide-net ids only (a column-kernel swap keeps none); a commit flips
-//     their bits at a swap's two positions or re-derives them, and
-//     re-derives the window's columns after a single exchange.
+//     writes cuts_, the histogram, the bits, the columns or the
+//     arrangement, and no move writes the matrix.  A commit makes one
+//     histogram update per changed boundary instead of one per crossing
+//     unit.  The journal holds wide-net ids only (a column-kernel swap
+//     keeps none and marks the bits stale instead); a commit flips their
+//     bits at a swap's two positions or re-derives them, and re-derives
+//     the window's columns after a single exchange.
 //   * apply_swap/apply_move mutate the committed state in place: every
 //     net with a pin in the move's window is re-spanned from its pin
 //     positions before and after the move.  apply_swap is self-inverse,
@@ -231,8 +238,9 @@ class DensityState {
   /// Commits the pending speculation in O(changed boundaries + changed
   /// wide nets): one histogram update per changed boundary, the
   /// arrangement move itself, then the journaled wide nets' bits; with
-  /// uses_matrix(), O(n) more for a swap's rows and columns (O(n x the
-  /// window) for a single exchange's).
+  /// uses_columns(), O(window x ceil(m/64)) more for the columns, and a
+  /// swap marks the bits stale instead of flipping them.  The matrix is
+  /// never written.
   void commit_speculation();
 
   /// Drops the pending speculation in O(1): the scan left no scratch
@@ -244,9 +252,10 @@ class DensityState {
 
   /// Compares the incremental state with an independent recount: cuts,
   /// density and total span against crossing_counts(), each wide net's
-  /// position bits against a fresh recount from its pins, with
-  /// uses_matrix() the weight matrix against one rebuilt from the two-pin
-  /// nets and, with uses_columns(), the columns, prefix and suffix sets
+  /// position bits (unless a column-kernel swap left them stale) against
+  /// a fresh recount from its pins, with uses_matrix() the weight matrix
+  /// against one rebuilt by cell from the two-pin nets and, with
+  /// uses_columns(), the columns, prefix and suffix sets
   /// against ones rebuilt from the cells and the wide crossing counts
   /// against the wide nets' extents.
   /// Returns true when they agree, no speculation is pending and every
@@ -265,8 +274,8 @@ class DensityState {
   [[nodiscard]] bool uses_columns() const noexcept { return uses_columns_; }
 
   /// True when speculate_swap reads its two-pin differences from the
-  /// position-major weight matrix rather than the neighbour lists: fixed
-  /// at construction by the rule in the header comment.
+  /// cell-indexed weight matrix rather than the neighbour lists: fixed at
+  /// construction by the rule in the header comment.
   [[nodiscard]] bool uses_matrix() const noexcept { return uses_matrix_; }
 
  private:
@@ -291,6 +300,7 @@ class DensityState {
   /// [lowest, highest] pin position of net n under the arrangement.
   [[nodiscard]] std::pair<std::size_t, std::size_t> extent(NetId n) const;
   void pin_bits(NetId n, std::uint64_t* out) const;  // words_ words
+  void refresh_bits();  // every wide net's bits from its pins
 
   void index_nets();
   void rebuild();
@@ -298,9 +308,6 @@ class DensityState {
   void add_span(std::size_t lo, std::size_t hi, int delta);
   void bump_boundary(std::size_t b, int delta);
   void respan_window(std::size_t lo, std::size_t hi, int delta);
-  void fill_weights();
-  void swap_weights(std::size_t p, std::size_t q);
-  void move_weights(std::size_t from, std::size_t to);
   [[nodiscard]] bool verify_weights() const;
   void rearrange(SpecKind kind, std::size_t a, std::size_t b);
   void apply(SpecKind kind, std::size_t a, std::size_t b);
@@ -377,10 +384,16 @@ class DensityState {
   std::vector<int> wide_cut_;         // size n-1
 
   // The two-pin weight matrix, empty unless uses_matrix_ (declared last
-  // too, so every other member keeps its offset): n x n, row p column q
-  // holding the weight between the cells at positions p and q.
+  // too, so every other member keeps its offset): n x n, row x column z
+  // holding the weight between cells x and z, written only by
+  // index_nets().
   bool uses_matrix_ = false;
   std::vector<int> weights_;
+
+  // True when a column-kernel swap commit has left bits_ behind the
+  // arrangement; refresh_bits() clears it.  Declared last, so the members
+  // a GOLA move reads keep their offsets.
+  bool bits_stale_ = false;
 };
 
 /// Crossing count of every boundary (size n-1), recounted from scratch in

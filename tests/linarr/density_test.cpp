@@ -603,7 +603,8 @@ Netlist degenerate_netlist(const std::string& name) {
     std::vector<CellId> every(kCells);
     for (std::size_t c = 0; c < kCells; ++c) every[c] = static_cast<CellId>(c);
     b.add_net(every);
-    for (int net = 0; net < 12; ++net) {
+    // At most 8 distinct pairs: the two-pin rule keeps the lists.
+    for (int net = 0; net < 8; ++net) {
       const auto [u, v] = rng.next_distinct_pair(kCells);
       b.add_net({static_cast<CellId>(u), static_cast<CellId>(v)});
     }
@@ -672,8 +673,10 @@ INSTANTIATE_TEST_SUITE_P(Instances, DensityDegenerateTest,
 // scratch is empty between moves, so a defaulted copy would silently
 // re-allocate on the worker's first hot-loop move.  The copy constructor
 // and assignment must re-reserve everything and carry the two-pin weight
-// matrix on GOLA 15/150 and the column kernel's state and scratch on NOLA
-// 15/150; verify() holds each copy's matrix and columns to a rebuild.
+// matrix on GOLA 15/150, the matrix and the column kernel's state and
+// scratch on NOLA 15/150, and the column kernel beside the neighbour
+// lists on nola12; verify() holds each copy's matrix and columns to a
+// rebuild.
 void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   const std::size_t n = nl.num_cells();
   DensityState state{nl, Arrangement::random(n, rng)};
@@ -714,10 +717,156 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   util::Rng rng{81};
   const Netlist gola = random_gola(GolaParams{15, 150}, rng);
   const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  const Netlist lists = mcopt::testing::linarr_shape("nola12", rng);
   ASSERT_EQ(paths_of(gola), std::make_pair(false, true));
-  ASSERT_EQ(paths_of(nola), std::make_pair(true, false));
+  ASSERT_EQ(paths_of(nola), std::make_pair(true, true));
+  ASSERT_EQ(paths_of(lists), std::make_pair(true, false));
   expect_copies_re_reserve(gola, rng);
   expect_copies_re_reserve(nola, rng);
+  expect_copies_re_reserve(lists, rng);
+}
+
+// The two-pin matrix is indexed by cell and built from the netlist alone,
+// so no move, reset or copy may write it: verify() rebuilds it by cell
+// from the two-pin nets after every step of a mix of committed and
+// discarded speculations, applied moves, resets, copies and assignments.
+TEST(DensityMatrixTest, MatrixOutlivesMovesResetsAndCopies) {
+  util::Rng rng{103};
+  const Netlist gola = random_gola(GolaParams{15, 150}, rng);
+  const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  const Netlist at_rule = mcopt::testing::linarr_shape("matrix18", rng);
+  for (const Netlist* nl : {&gola, &nola, &at_rule}) {
+    const std::size_t n = nl->num_cells();
+    DensityState state{*nl, Arrangement::random(n, rng)};
+    ASSERT_TRUE(state.uses_matrix());
+    for (int step = 0; step < 400; ++step) {
+      const auto [a, b] = rng.next_distinct_pair(n);
+      switch (rng.next_below(8)) {
+        case 0:
+          state.apply_swap(a, b);
+          break;
+        case 1:
+          state.apply_move(a, b);
+          break;
+        case 2:
+          state.reset(Arrangement::random(n, rng));
+          break;
+        case 3:
+          state = DensityState{state};
+          break;
+        case 4: {
+          DensityState other{*nl, Arrangement::random(n, rng)};
+          other = state;
+          state = other;
+          break;
+        }
+        default:
+          if (rng.next_bool(0.5)) {
+            state.speculate_swap(a, b);
+          } else {
+            state.speculate_move(a, b);
+          }
+          if (rng.next_bool(0.5)) {
+            state.commit_speculation();
+          } else {
+            state.discard_speculation();
+          }
+          break;
+      }
+      ASSERT_TRUE(state.verify()) << "step " << step;
+    }
+  }
+}
+
+// A column-kernel swap commit leaves the wide nets' position bits stale;
+// speculate_move and the apply path re-derive them, a reset rebuilds them
+// and a copy or an assignment carries the staleness along.  Each round
+// commits a few swaps (the bits are stale after the first), then runs one
+// of those operations on the stale state, held to an oracle that only
+// ever applies moves, and to verify().
+TEST(DensityStaleBitsTest, ColumnSwapCommitsThenEveryOtherOperation) {
+  util::Rng rng{107};
+  const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  const Netlist lists = mcopt::testing::linarr_shape("nola12", rng);
+  for (const Netlist* nl : {&nola, &lists}) {
+    const std::size_t n = nl->num_cells();
+    DensityState state{*nl, Arrangement::random(n, rng)};
+    DensityState oracle{state};
+    ASSERT_TRUE(state.uses_columns());
+    const auto expect_matches = [&](const DensityState& s) {
+      ASSERT_TRUE(s.verify());
+      ASSERT_EQ(s.arrangement().order(), oracle.arrangement().order());
+      ASSERT_EQ(s.density(), oracle.density());
+      ASSERT_EQ(s.total_span(), oracle.total_span());
+      for (std::size_t b = 0; b + 1 < n; ++b) {
+        ASSERT_EQ(s.cut_at(b), oracle.cut_at(b)) << "boundary " << b;
+      }
+    };
+    // Scores a single exchange on `s` against the oracle, then commits it
+    // on both or discards it.
+    const auto expect_move_matches = [&](DensityState& s) {
+      const auto [from, to] = rng.next_distinct_pair(n);
+      s.speculate_move(from, to);
+      oracle.apply_move(from, to);
+      ASSERT_EQ(s.speculative_density(), oracle.density());
+      ASSERT_EQ(s.speculative_total_span(), oracle.total_span());
+      if (rng.next_bool(0.5)) {
+        s.commit_speculation();
+      } else {
+        s.discard_speculation();
+        oracle.apply_move(to, from);
+      }
+    };
+    for (int round = 0; round < 120; ++round) {
+      SCOPED_TRACE(::testing::Message() << "round " << round);
+      const std::uint64_t swaps = 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < swaps; ++i) {
+        const auto [p, q] = rng.next_distinct_pair(n);
+        state.speculate_swap(p, q);
+        oracle.apply_swap(p, q);
+        ASSERT_EQ(state.speculative_density(), oracle.density());
+        state.commit_speculation();
+      }
+      const auto [a, b] = rng.next_distinct_pair(n);
+      switch (round % 6) {
+        case 0:
+          expect_move_matches(state);
+          break;
+        case 1:
+          state.apply_move(a, b);
+          oracle.apply_move(a, b);
+          break;
+        case 2:
+          state.apply_swap(a, b);
+          oracle.apply_swap(a, b);
+          break;
+        case 3: {
+          const Arrangement fresh = Arrangement::random(n, rng);
+          state.reset(fresh);
+          oracle.reset(fresh);
+          break;
+        }
+        case 4: {
+          DensityState copied{state};
+          expect_matches(copied);
+          expect_move_matches(copied);
+          expect_matches(copied);
+          state = copied;
+          break;
+        }
+        default: {
+          DensityState assigned{*nl, Arrangement::random(n, rng)};
+          assigned = state;
+          expect_matches(assigned);
+          expect_move_matches(assigned);
+          expect_matches(assigned);
+          state = assigned;
+          break;
+        }
+      }
+      expect_matches(state);
+    }
+  }
 }
 
 }  // namespace

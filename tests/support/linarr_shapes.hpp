@@ -1,11 +1,14 @@
 // Netlist shapes the linear-arrangement oracle tests run on, by name:
-//   nola12    NOLA 12 cells / 80 nets, 2-6 pins (about a fifth two-pin)
+//   nola12    NOLA 12 cells / 72 nets, 3-6 pins, plus 8 two-pin nets:
+//             at most 8 distinct pairs, so the two-pin rule in
+//             linarr/density.hpp keeps the neighbour lists
 //   mixed12   NOLA 12 cells / 80 nets, 2-3 pins: two-pin and three-pin
 //             nets share most cells
 //   gola2     GOLA on n = 2
 //   gola3     GOLA on n = 3
 //   nola3     NOLA on n = 3, 2-3 pins
-//   parallel8 two-pin nets on 8 cells, each pair repeated 1-40 times (the
+//   parallel8 two-pin nets over at most 5 distinct pairs of 8 cells (so
+//             the neighbour lists), each pair repeated 1-40 times (the
 //             first pair exactly 40), so neighbour weights reach 80
 //   nola63, nola64, nola65, nola130
 //             NOLA on n cells / 3n nets, 2-6 pins, plus a wide net on
@@ -20,10 +23,10 @@
 //             crossover23 sits exactly at the crossover and below23 one
 //             pin under it
 //   matrix18, lists18
-//             two-pin nets over 54 (matrix18) or 53 (lists18) distinct
+//             two-pin nets over 27 (matrix18) or 26 (lists18) distinct
 //             pairs of 18 cells, each pair one to three times, plus three
 //             wide nets: the two-pin rule in linarr/density.hpp takes the
-//             weight matrix from 108 neighbour-list entries on 18 cells,
+//             weight matrix from 54 neighbour-list entries on 18 cells,
 //             so matrix18 sits exactly at the rule and lists18 one pair
 //             under
 #pragma once
@@ -45,7 +48,19 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
                                      util::Rng& rng) {
   using netlist::GolaParams;
   using netlist::NolaParams;
-  if (shape == "nola12") return random_nola(NolaParams{12, 80, 2, 6}, rng);
+  if (shape == "nola12") {
+    const netlist::Netlist wide = random_nola(NolaParams{12, 72, 3, 6}, rng);
+    netlist::Netlist::Builder b{12};
+    for (netlist::NetId net = 0; net < wide.num_nets(); ++net) {
+      b.add_net(wide.pins(net));
+    }
+    for (int net = 0; net < 8; ++net) {
+      const auto [u, v] = rng.next_distinct_pair(12);
+      b.add_net({static_cast<netlist::CellId>(u),
+                 static_cast<netlist::CellId>(v)});
+    }
+    return b.build();
+  }
   if (shape == "mixed12") return random_nola(NolaParams{12, 80, 2, 3}, rng);
   if (shape == "gola2") return random_gola(GolaParams{2, 6}, rng);
   if (shape == "gola3") return random_gola(GolaParams{3, 12}, rng);
@@ -97,7 +112,7 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
   }
   if (shape == "matrix18" || shape == "lists18") {
     constexpr std::size_t kCells = 18;
-    const std::size_t distinct = shape == "matrix18" ? 54 : 53;
+    const std::size_t distinct = shape == "matrix18" ? 27 : 26;
     netlist::Netlist::Builder b{kCells};
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
     while (pairs.size() < distinct) {
@@ -122,7 +137,7 @@ inline netlist::Netlist linarr_shape(const std::string& shape,
   if (shape == "parallel8") {
     constexpr std::size_t kCells = 8;
     netlist::Netlist::Builder b{kCells};
-    for (int pair = 0; pair < 10; ++pair) {
+    for (int pair = 0; pair < 5; ++pair) {
       const auto [u, v] = rng.next_distinct_pair(kCells);
       const std::uint64_t copies = pair == 0 ? 40 : 1 + rng.next_below(40);
       for (std::uint64_t i = 0; i < copies; ++i) {
