@@ -26,7 +26,6 @@
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
@@ -147,7 +146,7 @@ DriverOptions Driver::parse(const util::Args& args,
                             const std::vector<std::string>& own_flags) {
   std::vector<std::string> known{
       "threads", "trace", "metrics", "metrics-out", "profile-out",
-      "prom-out", "timeline-out", "trace-sample",
+      "prom-out", "trace-sample",
       "progress", "flight-recorder", "flight-out", "quiet", "verbose"};
   known.insert(known.end(), own_flags.begin(), own_flags.end());
   const auto unknown = args.unknown_flags(known);
@@ -191,11 +190,6 @@ DriverOptions Driver::parse(const util::Args& args,
   out.metrics_path = args.get("metrics-out", args.get("metrics", ""));
   out.profile_path = args.get("profile-out", "");
   out.prom_path = args.get("prom-out", "");
-
-  out.timeline_path = args.get("timeline-out", "");
-  if (args.has("timeline-out") && out.timeline_path.empty()) {
-    throw std::invalid_argument("--timeline-out expects a file path");
-  }
   return out;
 }
 
@@ -253,9 +247,7 @@ Driver::Driver(int argc, const char* const* argv,
   }
   const bool collect_metrics =
       !options_.metrics_path.empty() || !options_.prom_path.empty();
-  // The timeline export rides the profile tree.
-  const bool collect_profile =
-      !options_.profile_path.empty() || !options_.timeline_path.empty();
+  const bool collect_profile = !options_.profile_path.empty();
   if (event_sink != nullptr || collect_metrics || collect_profile) {
     recorder_ = obs::Recorder{event_sink, collect_metrics,
                               options_.trace_sample, /*run=*/0,
@@ -270,9 +262,9 @@ void Driver::usage_error(const std::string& error) const {
            error.c_str());
   obs::log(obs::LogLevel::kError,
            "usage: %s%s [--threads N] [--trace FILE] [--metrics-out FILE] "
-           "[--profile-out FILE] [--prom-out FILE] [--timeline-out FILE] "
-           "[--trace-sample N] [--progress [SECS]] [--flight-recorder [CAP]] "
-           "[--flight-out FILE] [--quiet|--verbose]",
+           "[--profile-out FILE] [--prom-out FILE] [--trace-sample N] "
+           "[--progress [SECS]] [--flight-recorder [CAP]] [--flight-out FILE] "
+           "[--quiet|--verbose]",
            args_.program().c_str(), own.c_str());
   std::exit(2);
 }
@@ -354,8 +346,8 @@ std::vector<double> run_method_row(
   const obs::Recorder root = driver.recorder_.with_run(driver.run_counter_++);
   std::vector<obs::RunMetrics> job_metrics(num_jobs);
   std::vector<std::vector<obs::Event>> job_events(num_jobs);
-  // Worker that executed each job, for the per-worker timeline lanes.
-  std::vector<std::uint64_t> job_worker(num_jobs, 0);
+  // Worker that executed each job, for the per-worker profiles.
+  std::vector<unsigned> job_worker(num_jobs, 0);
   // Progress counter for the heartbeat only: rows are reduced from the
   // per-job vectors in index order, so this never touches determinism.
   std::atomic<std::size_t> jobs_done{0};  // mcopt-lint: allow(raw-atomic)
@@ -408,7 +400,6 @@ std::vector<double> run_method_row(
   // invariant), so folding jobs -> row -> driver totals equals the direct
   // fold, and the row aggregate feeds the heartbeat digest below.
   obs::RunMetrics row_metrics;
-  const bool timeline = !driver.options_.timeline_path.empty();
   for (std::size_t job = 0; job < num_jobs; ++job) {
     totals[job / instances.size()] += reductions[job];
     driver.invariant_checks_ += checks[job];
@@ -417,18 +408,10 @@ std::vector<double> run_method_row(
     if (sink != nullptr) {
       for (const obs::Event& event : job_events[job]) sink->write(event);
     }
-    row_metrics.merge(job_metrics[job]);
-    // Per-worker timeline lanes: each job's own profile tree lands on the
-    // lane of the worker that ran it.  The jobs are drained in index
-    // order here, so the lane contents are append-ordered by job index —
-    // the same order the trace and metrics merges use.
-    if (timeline && !job_metrics[job].profile.empty()) {
-      const auto tid = static_cast<std::uint32_t>(job_worker[job]);
-      driver.timeline_.set_process_name(1, "workers");
-      driver.timeline_.set_thread_name(
-          1, tid, tid == 0 ? "caller thread" : "worker " + std::to_string(tid));
-      driver.timeline_.add_tree(job_metrics[job].profile, 1, tid);
+    if (!job_metrics[job].profile.empty()) {
+      driver.worker_profiles_[job_worker[job]].merge(job_metrics[job].profile);
     }
+    row_metrics.merge(job_metrics[job]);
   }
   driver.absorb(row_metrics);
   if (num_jobs > 0) {
@@ -456,23 +439,19 @@ void Driver::finish() {
     obs::log(obs::LogLevel::kInfo, "%s", totals_.summary().c_str());
     obs::log(obs::LogLevel::kInfo, "metrics -> %s", o.metrics_path.c_str());
   }
-  if (!o.profile_path.empty() &&
-      write_export(o.profile_path, "{\n  \"profile\": " +
-                                       totals_.profile.to_json() + "\n}\n")) {
-    obs::log(obs::LogLevel::kInfo, "profile -> %s", o.profile_path.c_str());
-  }
-  if (!o.timeline_path.empty()) {
-    // The aggregate lane goes in last so it reflects every merged row;
-    // worker lanes were appended during run_method_row in job-index order.
-    if (!totals_.profile.empty()) {
-      timeline_.set_process_name(0, "mcopt aggregate profile");
-      timeline_.set_thread_name(0, 0, "all runs");
-      timeline_.add_tree(totals_.profile, 0, 0);
+  if (!o.profile_path.empty()) {
+    std::string doc = "{\n  \"profile\": " + totals_.profile.to_json() +
+                      ",\n  \"workers\": [";
+    const char* sep = "\n    ";
+    for (const auto& [worker, tree] : worker_profiles_) {
+      doc += sep;
+      doc += "{\"worker\": " + std::to_string(worker) +
+             ", \"profile\": " + tree.to_json() + "}";
+      sep = ",\n    ";
     }
-    if (write_export(o.timeline_path, timeline_.to_json())) {
-      obs::log(obs::LogLevel::kInfo,
-               "timeline: %zu events -> %s (open in ui.perfetto.dev)",
-               timeline_.num_events(), o.timeline_path.c_str());
+    doc += worker_profiles_.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    if (write_export(o.profile_path, doc)) {
+      obs::log(obs::LogLevel::kInfo, "profile -> %s", o.profile_path.c_str());
     }
   }
   if (!o.prom_path.empty()) {

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,8 +31,8 @@
 #include "netlist/netlist.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -108,7 +109,6 @@ struct DriverOptions {
   std::string metrics_path;   ///< --metrics-out (--metrics alias)
   std::string profile_path;   ///< --profile-out
   std::string prom_path;      ///< --prom-out
-  std::string timeline_path;  ///< --timeline-out (implies profiling)
   double progress_interval = 0.0;            ///< --progress
   std::size_t flight_capacity = 0;           ///< --flight-recorder
   std::string flight_path = "flight.jsonl";  ///< --flight-out
@@ -121,12 +121,11 @@ struct DriverOptions {
 /// bench binary except Google Benchmark's `micro` builds one from argv,
 /// first thing in main, and calls finish() last.  The shared flags:
 ///   --threads N             run_method_row workers (default 1)
-///   --trace FILE            JSONL trace of every run (trace_report.py)
+///   --trace FILE            JSONL trace of every run (mcopt_report.py)
 ///   --trace-sample N        keep every Nth proposal/accept/reject trio
 ///   --metrics-out FILE      merged metrics as JSON (alias --metrics)
 ///   --prom-out FILE         the same metrics as Prometheus text
-///   --profile-out FILE      hierarchical stage-profile tree as JSON
-///   --timeline-out FILE     Perfetto timeline of the profile trees
+///   --profile-out FILE      stage-profile tree as JSON, plus one per worker
 ///   --progress [SECS]       heartbeat lines, at most one per SECS (bare: 2)
 ///   --flight-recorder [CAP] ring of the last CAP events (bare: 4096),
 ///   --flight-out FILE       dumped here on a crash (default flight.jsonl)
@@ -203,10 +202,10 @@ class Driver {
   void write_json(const std::string& name, const std::string& payload);
 
   /// Flushes the trace, writes the --metrics-out / --profile-out /
-  /// --prom-out / --timeline-out files and logs a telemetry summary.  Call
-  /// once, at the end of main.  When the trace, an export or a CSV / JSON
-  /// report could not be written it logs "cannot write <path>" for each
-  /// and, once every export has been tried, exits with status 1.
+  /// --prom-out files and logs a telemetry summary.  Call once, at the end
+  /// of main.  When the trace, an export or a CSV / JSON report could not
+  /// be written it logs "cannot write <path>" for each and, once every
+  /// export has been tried, exits with status 1.
   void finish();
 
  private:
@@ -239,7 +238,9 @@ class Driver {
   obs::Recorder recorder_;
   obs::Heartbeat heartbeat_;
   obs::RunMetrics totals_;
-  obs::TimelineBuilder timeline_;
+  /// Per worker id, the merge of the profile trees of the run_method_row
+  /// jobs it ran, folded in job order: --profile-out's "workers".
+  std::map<unsigned, obs::ProfileTree> worker_profiles_;
   std::uint64_t run_counter_ = 0;
   std::uint64_t invariant_checks_ = 0;
   bool write_failed_ = false;

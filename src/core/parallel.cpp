@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -58,7 +57,6 @@ struct StartResult {
   Snapshot final_state;
   std::vector<obs::Event> events;
   std::uint64_t slice = 0;
-  unsigned worker = 0;  // 0 = the calling thread
 };
 
 /// Executes restart `index` with `slice` ticks on `problem`, including the
@@ -75,7 +73,6 @@ StartResult run_start(Problem& problem, const Runner& runner,
   if (randomize) problem.randomize(rng);
   StartResult out;
   out.slice = slice;
-  out.worker = worker;
   // Buffer this restart's events privately; each shard has exactly one
   // writer (this thread), so no sink is ever shared across threads.
   obs::VectorSink shard;
@@ -225,14 +222,6 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
       // at any thread count (worker stamps aside).
       if (obs::TraceSink* sink = root.sink()) {
         for (const obs::Event& event : start.events) sink->write(event);
-      }
-      if (options.timeline != nullptr && !start.run.metrics.profile.empty()) {
-        const std::uint32_t tid = start.worker;
-        options.timeline->set_thread_name(
-            options.timeline_pid, tid,
-            tid == 0 ? "caller thread" : "worker " + std::to_string(tid));
-        options.timeline->add_tree(start.run.metrics.profile,
-                                   options.timeline_pid, tid);
       }
       obs::Recorder fold_rec = root.for_restart(index, 0, nullptr);
 

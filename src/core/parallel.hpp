@@ -46,12 +46,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 #include "core/multistart.hpp"
 #include "core/problem.hpp"
-#include "obs/timeline.hpp"
 #include "util/rng.hpp"
 
 namespace mcopt::core {
@@ -76,15 +74,6 @@ struct ParallelMultistartOptions {
   /// nothing.  Oversubscribing the hardware is allowed (useful for
   /// determinism tests); it costs throughput, not correctness.
   unsigned num_threads = 1;
-  /// Optional per-worker span export: when set (and the recorder profiles),
-  /// the fold lays each restart's profile tree on lane
-  /// (timeline_pid, worker-id) — strictly in restart-index order, on the
-  /// calling thread, so the builder needs no locking.  Worker 0 is the
-  /// calling thread; spawned workers are 1-based.  Timeline content is
-  /// wall-clock measurement, outside the determinism contract like every
-  /// other wall export.
-  obs::TimelineBuilder* timeline = nullptr;
-  std::uint32_t timeline_pid = 2;
 };
 
 /// Runs the restarts of multistart() on `options.num_threads` workers and

@@ -12,7 +12,7 @@
 // `worker` — and the kWorkerSteal event, which exists to observe the
 // parallel engine's scheduling — is the one deliberate exception, and
 // consumers that compare traces across thread counts must ignore both
-// (tools/trace_report.py and the trace-determinism tests do).
+// (`tools/mcopt_report.py diff` and the trace-determinism tests do).
 #pragma once
 
 #include <cstddef>

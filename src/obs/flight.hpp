@@ -8,8 +8,8 @@
 // RingBufferSink and, when the process dies abnormally, dumps those last
 // N events as schema-valid JSONL from a signal/terminate handler using
 // only allocation-free primitives (RingBufferSink::crash_dump).  The dump
-// is readable by tools/trace_report.py --validate and diffable by
-// tools/trace_forensics.py like any other trace.
+// passes `tools/mcopt_report.py validate` and `diff` like any other
+// trace.
 //
 // It is a process-wide singleton because signal handlers cannot capture
 // state.  Lifecycle: arm() once from the main thread before any events

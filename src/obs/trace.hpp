@@ -1,21 +1,20 @@
 // Trace sinks: where Event streams go.
 //
 // Every sink is internally synchronized (a util::Mutex guards its buffer
-// state, enforced by the thread-safety build), so a sink may be shared —
-// the job-queue/server work stacked on this library hands one
-// RingBufferSink to many concurrent jobs.  Determinism of the *order* of
-// a stream is still the writers' contract, not the sink's: the parallel
-// multistart engine buffers each restart's events in a private VectorSink
-// shard (one per restart, on the worker that ran it) and the reducing
-// thread drains the shards into the caller's sink strictly in
-// restart-index order.  That makes a traced parallel run produce the same
+// state, enforced by the thread-safety build), so a sink may be shared
+// across threads, though no writer in the project shares one.
+// Determinism of the *order* of a stream is the writers' contract, not the
+// sink's: the parallel multistart engine buffers each restart's events in
+// a private VectorSink shard (one per restart, on the worker that ran it)
+// and the reducing thread drains the shards into the caller's sink
+// strictly in restart-index order.  That makes a traced parallel run produce the same
 // stream as the sequential loop — the project's bit-reproducibility
 // contract extends to traces, except for the `worker` field and
 // kWorkerSteal events (see obs/event.hpp).
 //
 // Three sinks cover the intended uses:
 //   * JsonlFileSink — one JSON object per line, the on-disk interchange
-//     format consumed by tools/trace_report.py;
+//     format consumed by tools/mcopt_report.py;
 //   * RingBufferSink — bounded in-memory tail for always-on tracing (keeps
 //     the last N events, counts what it dropped);
 //   * VectorSink — unbounded in-memory buffer for shards and tests.

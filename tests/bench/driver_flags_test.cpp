@@ -132,27 +132,6 @@ TEST(DriverFlagsTest, OwnFlagsAreKnownOnlyToTheirDriver) {
   EXPECT_THROW((void)Driver::parse(args), std::invalid_argument);
 }
 
-TEST(DriverFlagsTest, TimelineOutParsesAndImpliesNothingElse) {
-  const DriverOptions opts = parse({"--timeline-out", "tl.json"});
-  EXPECT_EQ(opts.timeline_path, "tl.json");
-  EXPECT_TRUE(opts.profile_path.empty());
-}
-
-TEST(DriverFlagsTest, TimelineOutRejectsEmptyPathNamingTheFlag) {
-  const std::string error = parse_error({"--timeline-out"});
-  EXPECT_NE(error.find("--timeline-out"), std::string::npos) << error;
-  EXPECT_NE(error.find("file path"), std::string::npos) << error;
-}
-
-TEST(DriverFlagsTest, TimelineAndPerfCombineWithOtherObservability) {
-  const DriverOptions opts =
-      parse({"--timeline-out", "tl.json", "--profile-out", "p.json",
-             "--threads", "2"});
-  EXPECT_EQ(opts.timeline_path, "tl.json");
-  EXPECT_EQ(opts.profile_path, "p.json");
-  EXPECT_EQ(opts.threads, 2u);
-}
-
 TEST(DriverFlagsTest, QuietAndVerboseConflict) {
   const std::string error = parse_error({"--quiet", "--verbose"});
   EXPECT_NE(error.find("--quiet"), std::string::npos) << error;

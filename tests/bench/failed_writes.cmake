@@ -14,7 +14,7 @@ unset(ENV{MCOPT_BENCH_CSV_DIR})
 unset(ENV{MCOPT_BENCH_JSON_DIR})
 set(missing "${CMAKE_CURRENT_BINARY_DIR}/failed_writes_missing_dir")
 file(REMOVE_RECURSE "${missing}")
-foreach(flag --trace --metrics-out --profile-out --prom-out --timeline-out
+foreach(flag --trace --metrics-out --profile-out --prom-out
              MCOPT_BENCH_CSV_DIR MCOPT_BENCH_JSON_DIR)
   set(target /dev/full)
   if(flag STREQUAL "MCOPT_BENCH_JSON_DIR")

@@ -1,13 +1,13 @@
 # The C++ -> Python export contract.  Runs Table 4.1 with a sampled JSONL
-# trace and the metrics exports on, then requires tools/trace_report.py to
-# accept the trace (--validate) and the Prometheus text (--prom), and to
-# reject copies with one planted unknown event kind and one planted unknown
-# mcopt_ family.  Both sides read their vocabulary from src/obs/schema.def,
+# trace and the metrics exports on, then requires `tools/mcopt_report.py
+# validate` to accept the trace and the Prometheus text, and to reject
+# copies with one planted unknown event kind and one planted unknown mcopt_
+# family.  Both sides read their vocabulary from src/obs/schema.def,
 # so this fails when either stops doing so.  The trace and the deterministic
 # part of both metrics exports must also match pinned SHA-256 digests:
 #
 #   cmake -DDRIVER=<tables> -DDRIVER_ARGS=--table;4.1 -DPYTHON=<python3>
-#         -DREPORT=<trace_report.py> -DWORKDIR=<dir> -P export_contract.cmake
+#         -DREPORT=<mcopt_report.py> -DWORKDIR=<dir> -P export_contract.cmake
 set(ENV{MCOPT_BENCH_SCALE} 0.05)
 unset(ENV{MCOPT_BENCH_CSV_DIR})
 file(REMOVE_RECURSE "${WORKDIR}")
@@ -77,7 +77,7 @@ string(REGEX REPLACE
 expect_masked_sha256(prom "${text}"
     25a2d1daf9af2edb3216fd0f46332a8cef74ce9d850937a9b4fca40173f2f8be)
 
-# Runs trace_report.py with `args` and requires exit status `want`.
+# Runs mcopt_report.py with `args` and requires exit status `want`.
 function(expect_report want)
   execute_process(COMMAND "${PYTHON}" "${REPORT}" ${ARGN}
                   OUTPUT_VARIABLE out
@@ -86,22 +86,22 @@ function(expect_report want)
   if(NOT status STREQUAL "${want}")
     list(JOIN ARGN " " args)
     message(FATAL_ERROR
-      "trace_report.py ${args}: exit ${status}, want ${want}\n${out}${err}")
+      "mcopt_report.py ${args}: exit ${status}, want ${want}\n${out}${err}")
   endif()
 endfunction()
 
-expect_report(0 "${trace}" --validate)
-expect_report(0 --prom "${prom}")
+expect_report(0 validate "${trace}")
+expect_report(0 validate "${prom}")
 
 file(READ "${trace}" text)
 file(WRITE "${WORKDIR}/planted.jsonl" "${text}"
      "{\"event\":\"planted_kind\",\"run\":0,\"restart\":0,\"worker\":0,"
      "\"tick\":0,\"stage\":0,\"cost\":0,\"best\":0}\n")
-expect_report(1 "${WORKDIR}/planted.jsonl" --validate)
+expect_report(1 validate "${WORKDIR}/planted.jsonl")
 
 file(READ "${prom}" text)
 file(WRITE "${WORKDIR}/planted.txt" "${text}"
      "# HELP mcopt_planted_total A family no schema declares\n"
      "# TYPE mcopt_planted_total counter\n"
      "mcopt_planted_total 1\n")
-expect_report(1 --prom "${WORKDIR}/planted.txt")
+expect_report(1 validate "${WORKDIR}/planted.txt")

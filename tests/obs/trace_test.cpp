@@ -1,7 +1,7 @@
 // Sinks and the JSONL schema.  The golden-line tests below pin THE
-// interchange format consumed by tools/trace_report.py — a change that
-// breaks them must update the tool (and its --validate mode) in the same
-// commit.
+// interchange format consumed by tools/mcopt_report.py — a change that
+// breaks them must update the tool (and its `validate` subcommand) in the
+// same commit.
 #include "obs/trace.hpp"
 
 #include <algorithm>

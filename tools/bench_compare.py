@@ -8,7 +8,7 @@ the fresh file through this gate::
 
     python3 tools/bench_compare.py --baseline-dir . fresh/BENCH_hotloop.json
 
-Three field classes, chosen by key name so new benches gate themselves
+Four field classes, chosen by key name so new benches gate themselves
 without per-bench schemas:
 
 * **deterministic** (everything not listed below) — must be *exactly*
@@ -23,6 +23,10 @@ without per-bench schemas:
   50% to absorb shared-runner noise) in the slower/worse direction only.
   ``--perf-warn-only`` downgrades perf violations to warnings, which is
   how CI runs until the runners are quiet enough to enforce.
+* **spread** (``*_min``, ``*_max``: the extremes over a bench's reps, such
+  as ``overhead_pct_min``) — reported when they move, never gated.  An
+  extreme of a handful of noisy reps swings by more than any band from
+  one run to the next, while the median beside it is what the gate reads.
 
 Keys that describe the machine rather than the run
 (``hardware_concurrency``) are ignored.
@@ -62,6 +66,8 @@ LARGER_IS_WORSE_PARTS = ("seconds", "overhead_pct")
 def classify(key: str):
     if key in ENV_KEYS:
         return "env"
+    if key.endswith(("_min", "_max")):
+        return "spread"
     if any(part in key for part in PERF_KEY_PARTS):
         return "perf"
     return "exact"
@@ -80,12 +86,16 @@ class Diff:
     def __init__(self) -> None:
         self.failures: list[str] = []
         self.warnings: list[str] = []
+        self.notes: list[str] = []
 
     def fail(self, msg: str) -> None:
         self.failures.append(msg)
 
     def warn(self, msg: str) -> None:
         self.warnings.append(msg)
+
+    def note(self, msg: str) -> None:
+        self.notes.append(msg)
 
 
 def compare_values(path: str, base, fresh, tolerance_pct: float,
@@ -106,6 +116,10 @@ def compare_values(path: str, base, fresh, tolerance_pct: float,
     key = path.rsplit(".", 1)[-1].split("[")[0]
     kind = classify(key)
     if kind == "env":
+        return
+    if kind == "spread":
+        if base != fresh:
+            diff.note(f"{path}: spread {base!r} -> {fresh!r} (not gated)")
         return
     if isinstance(base, bool) or isinstance(fresh, bool):
         if base is True and fresh is not True:
@@ -169,6 +183,8 @@ def compare_file(fresh_path: str, baseline_dir: str, tolerance_pct: float,
         print(f"{name}: {err}", file=sys.stderr)
         return 2
     diff = compare_docs(base, fresh, tolerance_pct, perf_warn_only)
+    for msg in diff.notes:
+        print(f"{name}: INFO {msg}")
     for msg in diff.warnings:
         print(f"{name}: WARN {msg}")
     for msg in diff.failures:
@@ -192,7 +208,9 @@ def self_test() -> int:
         "hardware_concurrency": 1,
         "off_overhead_pct": 1.0,
         "configs": [
-            {"name": "off", "seconds": 1.00, "proposals_per_sec": 1000.0},
+            {"name": "off", "seconds": 1.00, "proposals_per_sec": 1000.0,
+             "overhead_pct": 1.0, "overhead_pct_min": -12.573,
+             "overhead_pct_max": 19.9},
             {"name": "on", "seconds": 1.10, "proposals_per_sec": 900.0},
         ],
     }
@@ -237,6 +255,12 @@ def self_test() -> int:
     slow2["configs"][0]["proposals_per_sec"] = 100.0
     expect("throughput regression", slow2, want_fail=True)
 
+    # Per-rep extremes are spread, never gated: a fresh run whose worst and
+    # best reps both moved far past the band still passes.
+    wide = mutated()
+    wide["configs"][0].update(overhead_pct_min=-4.085, overhead_pct_max=90.0)
+    expect("widened spread passes", wide, want_fail=False)
+
     # Structural: missing key and shorter row list fail; new key warns.
     missing = mutated()
     del missing["best_cost"]
@@ -251,7 +275,7 @@ def self_test() -> int:
             print(f"self-test: {failure}", file=sys.stderr)
         print("self-test: FAILED", file=sys.stderr)
         return 1
-    print("self-test: OK (10 scenarios)")
+    print("self-test: OK (11 scenarios)")
     return 0
 
 
