@@ -1,8 +1,9 @@
-# Runs one bench driver at MCOPT_BENCH_SCALE=0.05 and compares its stdout
-# byte for byte with committed golden files, concatenated in order:
+# Runs one bench driver at MCOPT_BENCH_SCALE=<SCALE> (default 0.05) and
+# compares its stdout byte for byte with committed golden files,
+# concatenated in order:
 #
 #   cmake -DDRIVER=<exe> [-DDRIVER_ARGS=<arg;...>] -DTHREADS=<n>
-#         -DGOLDEN=<file;...> -P compare.cmake
+#         [-DSCALE=<x>] -DGOLDEN=<file;...> -P compare.cmake
 #
 # Both sides are normalized first in two places only: the wall time of
 # Table 4.1's tuning pass, and the invariant-check count that builds with
@@ -12,7 +13,14 @@
 #   MCOPT_BENCH_SCALE=0.05 build/bench/<driver> > tests/golden/<driver>.txt
 #   MCOPT_BENCH_SCALE=0.05 build/bench/tables --table 4.2a \
 #       > tests/golden/table_4_2a.txt     # and likewise for each table
-set(ENV{MCOPT_BENCH_SCALE} 0.05)
+#
+# and for the full-scale goldens under tests/golden/full/:
+#
+#   MCOPT_BENCH_SCALE=1 build/bench/tables > tests/golden/full/tables_all.txt
+if(NOT DEFINED SCALE)
+  set(SCALE 0.05)
+endif()
+set(ENV{MCOPT_BENCH_SCALE} ${SCALE})
 unset(ENV{MCOPT_BENCH_CSV_DIR})
 set(command "${DRIVER}" ${DRIVER_ARGS} --threads ${THREADS})
 execute_process(COMMAND ${command}
@@ -43,6 +51,9 @@ if(NOT actual STREQUAL expected)
     get_filename_component(name "${GOLDEN}" NAME_WE)
   else()
     get_filename_component(name "${DRIVER}" NAME_WE)
+  endif()
+  if(NOT SCALE STREQUAL "0.05")
+    string(PREPEND name "scale${SCALE}_")
   endif()
   set(saved "${CMAKE_CURRENT_BINARY_DIR}/${name}.t${THREADS}.actual.txt")
   file(WRITE "${saved}" "${actual}")
