@@ -1,6 +1,8 @@
 #include "linarr/problem.hpp"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -78,26 +80,68 @@ bool LinArrProblem::try_improving_move(std::size_t a, std::size_t b,
   return false;
 }
 
+LinArrProblem::ImprovablePairs LinArrProblem::improvable_pairs()
+    const noexcept {
+  const std::size_t n = state_.arrangement().size();
+  if (objective_ != Objective::kDensity) return {n - 2, 0};
+  // A move of positions a < b changes cuts only on boundaries [a, b), so
+  // it lowers the density only if it covers every boundary at the maximum.
+  const int density = state_.density();
+  std::size_t first = 0;
+  while (state_.cut_at(first) != density) ++first;
+  std::size_t last = n - 2;
+  while (state_.cut_at(last) != density) --last;
+  return {first, last + 1};
+}
+
 void LinArrProblem::descend(util::WorkBudget& budget) {
   if (pending_) throw std::logic_error("descend: a perturbation is pending");
   const std::size_t n = state_.arrangement().size();
+  // A single exchange tries a->b, then b->a: two ticks per pair.
+  const std::uint64_t ticks_per_pair =
+      move_kind_ == MoveKind::kSingleExchange ? 2 : 1;
+  // Charges `pairs` unscored pairs what the full sweep would have spent on
+  // them: their ticks, or the rest of the budget if it runs out first (the
+  // sweep stops on the tick it runs out, also between a single exchange's
+  // two directions).  pairs < n^2 / 2 < 2^63 for n <= kMaxCells, so the
+  // product cannot overflow once pairs is below remaining().
+  const auto skip = [&budget, ticks_per_pair](std::uint64_t pairs) {
+    const std::uint64_t left = budget.remaining();
+    budget.charge(pairs >= left ? left
+                                : std::min(pairs * ticks_per_pair, left));
+  };
   bool improved = true;
   while (improved && !budget.exhausted()) {
     improved = false;
-    for (std::size_t a = 0; a + 1 < n && !budget.exhausted(); ++a) {
-      for (std::size_t b = a + 1; b < n && !budget.exhausted(); ++b) {
+    ImprovablePairs pairs = improvable_pairs();
+    for (std::size_t a = 0; a + 1 < n; ++a) {
+      std::size_t b = a + 1;
+      for (; b < n && a <= pairs.a_max; ++b) {
+        if (b < pairs.b_min) {
+          skip(pairs.b_min - b);
+          b = pairs.b_min;
+        }
+        if (budget.exhausted()) return;
         const double before = objective_value();
         budget.charge();
-        if (try_improving_move(a, b, before)) {
-          improved = true;
-          continue;
-        }
-        if (move_kind_ == MoveKind::kSingleExchange) {
-          // Single exchange is directional: try a->b, then b->a.
-          if (budget.exhausted()) break;
+        bool moved = try_improving_move(a, b, before);
+        if (!moved && move_kind_ == MoveKind::kSingleExchange) {
+          if (budget.exhausted()) return;
           budget.charge();
-          if (try_improving_move(b, a, before)) improved = true;
+          moved = try_improving_move(b, a, before);
         }
+        if (moved) {
+          improved = true;
+          pairs = improvable_pairs();
+        }
+      }
+      if (a > pairs.a_max) {
+        // No later pair of the sweep starts at or before a_max: charge the
+        // rest of row a and the (n-a-1)(n-a-2)/2 pairs of the rows after
+        // it (the product is below n^2 < 2^64).
+        const std::uint64_t below = n - a - 1;
+        skip(static_cast<std::uint64_t>(n - b) + below * (below - 1) / 2);
+        break;
       }
     }
   }

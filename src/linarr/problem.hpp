@@ -42,6 +42,15 @@ class LinArrProblem final : public core::Problem {
   double propose(util::Rng& rng) override;
   void accept() override;
   void reject() override;
+  /// Figure 2's descent: first-improvement sweeps over the pairs (a, b),
+  /// a < b, in row order, one tick per evaluated move (two per pair for a
+  /// single exchange, one per direction), until a sweep improves nothing
+  /// or the budget runs out.  A move of positions a < b changes cuts only
+  /// on boundaries [a, b), so under the density only the pairs with
+  /// a <= the first boundary at the maximum and b > the last one are
+  /// scored; the others are charged their ticks in bulk, without being
+  /// scored, so the budget runs out on the same tick and every trajectory
+  /// equals the full sweep's.  The total span scores every pair.
   void descend(util::WorkBudget& budget) override;
   void randomize(util::Rng& rng) override;
   [[nodiscard]] core::Snapshot snapshot() const override;
@@ -60,7 +69,8 @@ class LinArrProblem final : public core::Problem {
 
   /// True when no pairwise interchange (resp. single exchange) lowers the
   /// cost; Figure 2 tests assert this postcondition of descend().  O(n^2)
-  /// evaluations.
+  /// evaluations: it scores every pair, without descend()'s pruning, so it
+  /// checks that pruning instead of repeating it.
   [[nodiscard]] bool is_local_optimum();
 
  private:
@@ -69,6 +79,15 @@ class LinArrProblem final : public core::Problem {
   /// Speculatively evaluates the swap/move (by move_kind_) of (a, b) and
   /// returns its objective; the speculation stays open.
   double speculate(std::size_t a, std::size_t b);
+  /// The pairs (a, b), a < b, whose move can lower the cost: a <= a_max and
+  /// b >= b_min.  Under the density, a_max is the first boundary at the
+  /// maximum and b_min one past the last (O(n) scan of the cuts); under
+  /// the total span, every pair.
+  struct ImprovablePairs {
+    std::size_t a_max;
+    std::size_t b_min;
+  };
+  [[nodiscard]] ImprovablePairs improvable_pairs() const noexcept;
   /// speculate(a, b), committed iff the candidate improves on `before`.
   /// Returns true when committed.
   bool try_improving_move(std::size_t a, std::size_t b, double before);
