@@ -72,29 +72,8 @@ FlightRecorder& FlightRecorder::instance() {
 }
 
 void FlightRecorder::arm(std::size_t capacity, std::string dump_path) {
-  util::MutexLock lock{mu_};
   ring_ = std::make_unique<RingBufferSink>(capacity == 0 ? 1 : capacity);
   path_ = std::move(dump_path);
-}
-
-bool FlightRecorder::armed() const {
-  util::MutexLock lock{mu_};
-  return ring_ != nullptr;
-}
-
-TraceSink* FlightRecorder::sink() const {
-  util::MutexLock lock{mu_};
-  return ring_.get();
-}
-
-const RingBufferSink* FlightRecorder::ring() const {
-  util::MutexLock lock{mu_};
-  return ring_.get();
-}
-
-std::string FlightRecorder::dump_path() const {
-  util::MutexLock lock{mu_};
-  return path_;
 }
 
 void FlightRecorder::install_crash_handlers() {
@@ -109,12 +88,9 @@ void FlightRecorder::install_crash_handlers() {
   g_prev_terminate = std::set_terminate(&flight_terminate_handler);
 }
 
-// NO_THREAD_SAFETY_ANALYSIS: crash-path escape hatch.  arm() happens
-// before install_crash_handlers() and never again after, so ring_/path_
-// are immutable by the time any handler can run; taking mu_ here could
-// deadlock against the thread that crashed while holding it.
-std::size_t FlightRecorder::dump_now() const noexcept
-    NO_THREAD_SAFETY_ANALYSIS {
+// arm() happens before install_crash_handlers() and never again after, so
+// ring_/path_ are fixed by the time any handler can run.
+std::size_t FlightRecorder::dump_now() const noexcept {
   const RingBufferSink* ring = ring_.get();
   if (ring == nullptr || path_.empty()) return 0;
   const int fd =
@@ -126,16 +102,10 @@ std::size_t FlightRecorder::dump_now() const noexcept
 }
 
 std::size_t FlightRecorder::dump_clean() const {
-  std::vector<Event> events;
-  std::string path;
-  {
-    util::MutexLock lock{mu_};
-    if (ring_ == nullptr || path_.empty()) return 0;
-    events = ring_->snapshot();
-    path = path_;
-  }
-  std::ofstream out{path, std::ios::trunc};
+  if (ring_ == nullptr || path_.empty()) return 0;
+  std::ofstream out{path_, std::ios::trunc};
   if (!out) return 0;
+  const std::vector<Event> events = ring_->snapshot();
   std::string text;
   for (const Event& event : events) append_jsonl(event, text);
   out << text;

@@ -14,9 +14,12 @@
 // It is a process-wide singleton because signal handlers cannot capture
 // state.  Lifecycle: arm() once from the main thread before any events
 // flow, then install_crash_handlers(); the ring and dump path are never
-// re-armed while handlers are live (the crash path reads them unlocked).
-// Tracing composes: the driver tees the normal trace sink and the flight
-// ring (TeeSink), so --trace and --flight-recorder stack.
+// re-armed while handlers are live.  The recorder takes no lock: arm()
+// sets the ring and the path before any worker thread starts, the ring
+// then has one writer like every sink (obs/trace.hpp), and the crash path
+// could not take a lock anyway.  Tracing composes: the driver tees the
+// normal trace sink and the flight ring (TeeSink), so --trace and
+// --flight-recorder stack.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +27,6 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace mcopt::obs {
 
@@ -39,15 +40,17 @@ class FlightRecorder {
   /// Arms the recorder: allocates a fresh ring of `capacity` events whose
   /// crash dump goes to `dump_path`.  Call from the main thread before
   /// events flow; re-arming after install_crash_handlers() is not
-  /// supported (the crash path reads the ring unlocked).
-  void arm(std::size_t capacity, std::string dump_path) EXCLUDES(mu_);
+  /// supported (a handler may be reading the ring).
+  void arm(std::size_t capacity, std::string dump_path);
 
-  [[nodiscard]] bool armed() const EXCLUDES(mu_);
+  [[nodiscard]] bool armed() const noexcept { return ring_ != nullptr; }
   /// The sink runs route events into; null when unarmed.
-  [[nodiscard]] TraceSink* sink() const EXCLUDES(mu_);
+  [[nodiscard]] TraceSink* sink() const noexcept { return ring_.get(); }
   /// The underlying ring, for inspection; null when unarmed.
-  [[nodiscard]] const RingBufferSink* ring() const EXCLUDES(mu_);
-  [[nodiscard]] std::string dump_path() const EXCLUDES(mu_);
+  [[nodiscard]] const RingBufferSink* ring() const noexcept {
+    return ring_.get();
+  }
+  [[nodiscard]] const std::string& dump_path() const noexcept { return path_; }
 
   /// Installs SIGABRT/SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGTERM handlers and a
   /// std::set_terminate hook that dump the ring then re-raise so the
@@ -61,17 +64,17 @@ class FlightRecorder {
   /// process crash (reentry-guarded by the callers' once flag).
   std::size_t dump_now() const noexcept;
 
-  /// Normal-path dump of the same events, with locking (exact, not
-  /// best-effort).  For tests and orderly shutdowns.  Returns lines
-  /// written, 0 when unarmed or the file cannot be opened.
-  std::size_t dump_clean() const EXCLUDES(mu_);
+  /// Normal-path dump of the same events through iostreams (exact, not
+  /// best-effort): call it after the ring's writer is done.  For tests
+  /// and orderly shutdowns.  Returns lines written, 0 when unarmed or the
+  /// file cannot be opened.
+  std::size_t dump_clean() const;
 
  private:
   FlightRecorder() = default;
 
-  mutable util::Mutex mu_;
-  std::unique_ptr<RingBufferSink> ring_ GUARDED_BY(mu_);
-  std::string path_ GUARDED_BY(mu_);
+  std::unique_ptr<RingBufferSink> ring_;
+  std::string path_;
 };
 
 }  // namespace mcopt::obs

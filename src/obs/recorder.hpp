@@ -27,11 +27,10 @@
 //
 // Thread-safety: a Recorder is single-writer (its sampling counter and
 // metrics pointer are unsynchronized by design — each run owns its copy).
-// Sinks are internally locked (obs/trace.hpp), but the parallel engine
-// still never shares a *stream* across threads: each restart gets its own
+// Sinks are single-writer too (obs/trace.hpp): each restart gets its own
 // shard recorder via for_restart() pointing at a private VectorSink, and
-// the engine's fold drains shards in restart-index order so the trace stays
-// deterministic, not merely data-race-free.
+// the engine's fold drains shards in restart-index order after the join,
+// so the trace is both race-free and deterministic.
 #pragma once
 
 #include <array>

@@ -1,11 +1,15 @@
 #include "obs/registry.hpp"
 
 #include <cstddef>
+#include <map>
+#include <string>
 
 #include "obs/json_number.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcopt::obs {
+
+namespace {
 
 // The families of obs/schema.def, one enumerator per entry, and
 // (below) one table row per entry.
@@ -22,7 +26,7 @@ enum class HistogramFamily : std::uint8_t {
 #include "obs/schema.def"
 };
 
-namespace {
+using MetricMap = std::map<std::string, Metric>;
 
 /// `family{label="x"}` -> `family`; plain names pass through.
 std::string base_name(const std::string& name) {
@@ -53,6 +57,38 @@ constexpr Family kHistogramFamilies[] = {
 #include "obs/schema.def"
 };
 #undef MCOPT_FAMILY_ROW
+
+/// Adds the metric `family` + `label`, typed and described by its schema
+/// entry.
+Metric& add_metric(MetricMap& metrics, const Family& f,
+                   const std::string& label, MetricKind kind) {
+  Metric& m = metrics[f.name + label];
+  m.kind = kind;
+  m.help = f.help;
+  m.deterministic = f.deterministic;
+  return m;
+}
+
+void emit(MetricMap& metrics, CounterFamily family, const std::string& label,
+          std::uint64_t v) {
+  add_metric(metrics, kCounterFamilies[static_cast<std::size_t>(family)],
+             label, MetricKind::kCounter)
+      .value = v;
+}
+
+void emit(MetricMap& metrics, GaugeFamily family, const std::string& label,
+          double v) {
+  add_metric(metrics, kGaugeFamilies[static_cast<std::size_t>(family)], label,
+             MetricKind::kGauge)
+      .gauge = v;
+}
+
+void emit(MetricMap& metrics, HistogramFamily family,
+          const std::string& label, const LogHistogram& h) {
+  add_metric(metrics, kHistogramFamilies[static_cast<std::size_t>(family)],
+             label, MetricKind::kHistogram)
+      .hist = h;
+}
 
 const char* kind_name(MetricKind kind) {
   switch (kind) {
@@ -115,152 +151,58 @@ void append_prom_histogram(const std::string& family,
 
 }  // namespace
 
-Metric& MetricsRegistry::slot_locked(const std::string& name, MetricKind kind,
-                                     const char* help, bool deterministic) {
-  Metric& m = metrics_[name];
-  if (m.help.empty() && help != nullptr) m.help = help;
-  m.kind = kind;
-  m.deterministic = m.deterministic && deterministic;
-  return m;
-}
-
-void MetricsRegistry::counter_add_locked(const std::string& name,
-                                         const char* help, std::uint64_t v,
-                                         bool deterministic) {
-  slot_locked(name, MetricKind::kCounter, help, deterministic).value += v;
-}
-
-void MetricsRegistry::gauge_max_locked(const std::string& name,
-                                       const char* help, double v,
-                                       bool deterministic) {
-  Metric& m = slot_locked(name, MetricKind::kGauge, help, deterministic);
-  if (v > m.gauge) m.gauge = v;
-}
-
-void MetricsRegistry::histogram_merge_locked(const std::string& name,
-                                             const char* help,
-                                             const LogHistogram& h,
-                                             bool deterministic) {
-  slot_locked(name, MetricKind::kHistogram, help, deterministic).hist.merge(h);
-}
-
-void MetricsRegistry::counter_add(const std::string& name, const char* help,
-                                  std::uint64_t v, bool deterministic) {
-  util::MutexLock lock{mu_};
-  counter_add_locked(name, help, v, deterministic);
-}
-
-void MetricsRegistry::gauge_max(const std::string& name, const char* help,
-                                double v, bool deterministic) {
-  util::MutexLock lock{mu_};
-  gauge_max_locked(name, help, v, deterministic);
-}
-
-void MetricsRegistry::histogram_merge(const std::string& name,
-                                      const char* help, const LogHistogram& h,
-                                      bool deterministic) {
-  util::MutexLock lock{mu_};
-  histogram_merge_locked(name, help, h, deterministic);
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  // Self-merge would deadlock on mu_ and is semantically a doubling the
-  // callers never want; make it a no-op.
-  if (&other == this) return;
-  std::map<std::string, Metric> theirs;
-  {
-    util::MutexLock lock{other.mu_};
-    theirs = other.metrics_;
-  }
-  util::MutexLock lock{mu_};
-  for (const auto& [name, m] : theirs) {
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        counter_add_locked(name, m.help.c_str(), m.value, m.deterministic);
-        break;
-      case MetricKind::kGauge:
-        gauge_max_locked(name, m.help.c_str(), m.gauge, m.deterministic);
-        break;
-      case MetricKind::kHistogram:
-        histogram_merge_locked(name, m.help.c_str(), m.hist, m.deterministic);
-        break;
-    }
-  }
-}
-
 const Metric* MetricsRegistry::find(const std::string& name) const {
-  util::MutexLock lock{mu_};
   const auto it = metrics_.find(name);
   return it == metrics_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::emit_locked(CounterFamily family,
-                                  const std::string& label, std::uint64_t v) {
-  const Family& f = kCounterFamilies[static_cast<std::size_t>(family)];
-  counter_add_locked(f.name + label, f.help, v, f.deterministic);
-}
-
-void MetricsRegistry::emit_locked(GaugeFamily family, const std::string& label,
-                                  double v) {
-  const Family& f = kGaugeFamilies[static_cast<std::size_t>(family)];
-  gauge_max_locked(f.name + label, f.help, v, f.deterministic);
-}
-
-void MetricsRegistry::emit_locked(HistogramFamily family,
-                                  const std::string& label,
-                                  const LogHistogram& h) {
-  const Family& f = kHistogramFamilies[static_cast<std::size_t>(family)];
-  histogram_merge_locked(f.name + label, f.help, h, f.deterministic);
 }
 
 void MetricsRegistry::populate_from_run(const RunMetrics& m) {
   using C = CounterFamily;
   using G = GaugeFamily;
   using H = HistogramFamily;
-  util::MutexLock lock{mu_};
+  metrics_.clear();
   const std::string unlabeled;
-  emit_locked(C::kRestarts, unlabeled, m.restarts);
-  emit_locked(C::kNewBests, unlabeled, m.new_bests);
-  emit_locked(C::kPatienceResets, unlabeled, m.patience_resets);
-  emit_locked(C::kTraceEvents, unlabeled, m.trace_events);
-  emit_locked(C::kInvariantChecks, unlabeled, m.invariant_checks);
-  emit_locked(G::kInvariantSeconds, unlabeled, m.invariant_seconds);
-  emit_locked(G::kWallSeconds, unlabeled, m.wall_seconds);
-  emit_locked(C::kWorkerSteals, unlabeled, m.worker_steals);
-  emit_locked(H::kUphillDeltaProposed, unlabeled, m.uphill_delta_proposed);
-  emit_locked(H::kUphillDeltaAccepted, unlabeled, m.uphill_delta_accepted);
+  emit(metrics_, C::kRestarts, unlabeled, m.restarts);
+  emit(metrics_, C::kNewBests, unlabeled, m.new_bests);
+  emit(metrics_, C::kPatienceResets, unlabeled, m.patience_resets);
+  emit(metrics_, C::kTraceEvents, unlabeled, m.trace_events);
+  emit(metrics_, C::kInvariantChecks, unlabeled, m.invariant_checks);
+  emit(metrics_, G::kInvariantSeconds, unlabeled, m.invariant_seconds);
+  emit(metrics_, G::kWallSeconds, unlabeled, m.wall_seconds);
+  emit(metrics_, C::kWorkerSteals, unlabeled, m.worker_steals);
+  emit(metrics_, H::kUphillDeltaProposed, unlabeled, m.uphill_delta_proposed);
+  emit(metrics_, H::kUphillDeltaAccepted, unlabeled, m.uphill_delta_accepted);
   for (std::size_t i = 0; i < m.stages.size(); ++i) {
     const StageMetrics& s = m.stages[i];
     const std::string label = "{stage=\"" + std::to_string(i) + "\"}";
-    emit_locked(C::kStageProposals, label, s.proposals);
-    emit_locked(C::kStageAccepts, label, s.accepts);
-    emit_locked(C::kStageUphillAccepts, label, s.uphill_accepts);
-    emit_locked(C::kStageRejects, label, s.rejects);
-    emit_locked(C::kStageDownhillProposals, label, s.downhill_proposals);
-    emit_locked(C::kStageSidewaysProposals, label, s.sideways_proposals);
-    emit_locked(C::kStageUphillProposals, label, s.uphill_proposals);
-    emit_locked(C::kStageNewBests, label, s.new_bests);
-    emit_locked(C::kStagePatienceFires, label, s.patience_fires);
-    emit_locked(C::kStageTicks, label, s.ticks);
-    emit_locked(G::kStageWallSeconds, label, s.wall_seconds);
-    emit_locked(G::kStageAcceptanceRate, label, s.acceptance_rate());
-    emit_locked(G::kStageUphillRate, label, s.uphill_rate());
+    emit(metrics_, C::kStageProposals, label, s.proposals);
+    emit(metrics_, C::kStageAccepts, label, s.accepts);
+    emit(metrics_, C::kStageUphillAccepts, label, s.uphill_accepts);
+    emit(metrics_, C::kStageRejects, label, s.rejects);
+    emit(metrics_, C::kStageDownhillProposals, label, s.downhill_proposals);
+    emit(metrics_, C::kStageSidewaysProposals, label, s.sideways_proposals);
+    emit(metrics_, C::kStageUphillProposals, label, s.uphill_proposals);
+    emit(metrics_, C::kStageNewBests, label, s.new_bests);
+    emit(metrics_, C::kStagePatienceFires, label, s.patience_fires);
+    emit(metrics_, C::kStageTicks, label, s.ticks);
+    emit(metrics_, G::kStageWallSeconds, label, s.wall_seconds);
+    emit(metrics_, G::kStageAcceptanceRate, label, s.acceptance_rate());
+    emit(metrics_, G::kStageUphillRate, label, s.uphill_rate());
   }
   for (std::size_t i = 0; i < m.observables.size(); ++i) {
     const StageObservables& o = m.observables[i];
     const std::string label = "{stage=\"" + std::to_string(i) + "\"}";
-    emit_locked(C::kStageCostSamples, label, o.samples);
-    emit_locked(G::kStageCostMean, label, o.mean());
-    emit_locked(G::kStageCostVariance, label, o.variance());
-    emit_locked(G::kStageTemperature, label, o.temperature);
-    emit_locked(G::kStageSpecificHeat, label, o.specific_heat());
-    emit_locked(G::kStageAutocorrLag1, label, o.autocorrelation(1));
-    emit_locked(C::kStageEquilibrated, label, o.equilibrated_runs);
+    emit(metrics_, C::kStageCostSamples, label, o.samples);
+    emit(metrics_, G::kStageCostMean, label, o.mean());
+    emit(metrics_, G::kStageCostVariance, label, o.variance());
+    emit(metrics_, G::kStageTemperature, label, o.temperature);
+    emit(metrics_, G::kStageSpecificHeat, label, o.specific_heat());
+    emit(metrics_, G::kStageAutocorrLag1, label, o.autocorrelation(1));
+    emit(metrics_, C::kStageEquilibrated, label, o.equilibrated_runs);
   }
 }
 
 std::string MetricsRegistry::to_prometheus(bool deterministic_only) const {
-  util::MutexLock lock{mu_};
   std::string out;
   std::string last_family;
   for (const auto& [name, m] : metrics_) {
@@ -303,7 +245,6 @@ std::string MetricsRegistry::to_prometheus(bool deterministic_only) const {
 }
 
 std::string MetricsRegistry::to_json(bool deterministic_only) const {
-  util::MutexLock lock{mu_};
   std::string out = "{\n  \"metrics\": {";
   bool first = true;
   for (const auto& [name, m] : metrics_) {

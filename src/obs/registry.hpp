@@ -1,14 +1,13 @@
-// Aggregated metrics registry with Prometheus and JSON exporters.
+// Metrics registry with Prometheus and JSON exporters.
 //
 // RunMetrics is the per-run shard that rides the engines' index-ordered
-// merges; MetricsRegistry is the *presentation* layer a driver populates
-// once at the end from the merged RunMetrics (populate_from_run) plus any
-// driver-level extras (counter_add / gauge_max / histogram_merge).  It
-// flattens everything into named metric families:
+// merges; MetricsRegistry is the *presentation* layer a driver fills once
+// at the end from the merged RunMetrics (populate_from_run) and then
+// exports.  It flattens the run into named metric families:
 //
-//   counter    u64, merges by sum       (deterministic by default)
-//   gauge      double, merges by max    (wall clocks, peaks)
-//   histogram  LogHistogram, bucket sum (commutative, order-invariant)
+//   counter    u64
+//   gauge      double (wall clocks, rates, observables)
+//   histogram  LogHistogram
 //
 // Determinism contract: metrics observing the scheduler or the clock are
 // registered with `deterministic = false` and both exporters can filter
@@ -25,34 +24,21 @@
 // Family names, TYPEs, HELP texts and determinism flags of the standard
 // families come from obs/schema.def.
 //
-// Thread-safety: a registry may be populated and merged from concurrent
-// threads.  All state is guarded by one util::Mutex; the public methods
-// lock once and delegate to REQUIRES-annotated *_locked() helpers, so the
-// locking structure is visible in the signatures and enforced by the
-// thread-safety build.
-// Determinism is unaffected: counters sum, gauges max, and histogram
-// buckets add commutatively, so any interleaving of whole operations
-// yields the same exports.
+// A registry has one writer and takes no lock: a driver builds it on one
+// thread, from a RunMetrics already merged across workers, and exports it
+// there.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 
 #include "obs/histogram.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace mcopt::obs {
 
 struct RunMetrics;
-// The standard families, one enumerator per obs/schema.def entry (defined
-// in registry.cpp).
-enum class CounterFamily : std::uint8_t;
-enum class GaugeFamily : std::uint8_t;
-enum class HistogramFamily : std::uint8_t;
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -60,88 +46,35 @@ struct Metric {
   MetricKind kind = MetricKind::kCounter;
   std::string help;
   bool deterministic = true;
+  // Only the field of `kind` is set.
   std::uint64_t value = 0;    ///< counters
-  /// Gauges max-merge, so the empty value is the max identity — not 0.0,
-  /// which would silently clamp negative-valued gauges (autocorrelation
-  /// can be negative).  A gauge only exists once a setter ran, so the
-  /// identity itself is never exported.
-  double gauge = std::numeric_limits<double>::lowest();  ///< gauges
+  double gauge = 0.0;         ///< gauges
   LogHistogram hist;          ///< histograms
 };
 
 class MetricsRegistry {
  public:
-  /// Adds `v` to counter `name`, creating it on first use.  `name` may
-  /// carry a Prometheus label suffix: `family{label="x"}`.
-  void counter_add(const std::string& name, const char* help,
-                   std::uint64_t v, bool deterministic = true) EXCLUDES(mu_);
+  /// Replaces the registry's contents with the standard mcopt_* families
+  /// flattened from a merged RunMetrics.
+  void populate_from_run(const RunMetrics& m);
 
-  /// Raises gauge `name` to `v` if larger (max-merge semantics).
-  void gauge_max(const std::string& name, const char* help, double v,
-                 bool deterministic = true) EXCLUDES(mu_);
-
-  /// Merges `h` into histogram `name` (commutative bucket sums).
-  void histogram_merge(const std::string& name, const char* help,
-                       const LogHistogram& h, bool deterministic = true)
-      EXCLUDES(mu_);
-
-  /// Folds another registry in (sum / max / bucket-sum by kind).  Snapshots
-  /// `other` under its own lock first, then folds under ours — two
-  /// registries merging each other concurrently cannot deadlock because
-  /// the locks are never held together.
-  void merge(const MetricsRegistry& other) EXCLUDES(mu_);
-
-  /// Flattens a merged RunMetrics into the standard mcopt_* families.
-  /// One lock acquisition for the whole flatten, not one per family.
-  void populate_from_run(const RunMetrics& m) EXCLUDES(mu_);
-
-  [[nodiscard]] bool empty() const EXCLUDES(mu_) {
-    util::MutexLock lock{mu_};
-    return metrics_.empty();
-  }
-  [[nodiscard]] std::size_t size() const EXCLUDES(mu_) {
-    util::MutexLock lock{mu_};
-    return metrics_.size();
-  }
-  /// Looks up a metric; the returned pointer stays valid (map nodes are
-  /// stable) but its fields are only stable once concurrent writers are
-  /// done — read results after joining, as the tests and drivers do.
-  [[nodiscard]] const Metric* find(const std::string& name) const
-      EXCLUDES(mu_);
+  [[nodiscard]] bool empty() const noexcept { return metrics_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return metrics_.size(); }
+  /// Looks up a metric; null when absent.
+  [[nodiscard]] const Metric* find(const std::string& name) const;
 
   /// Prometheus text exposition format (one HELP/TYPE header per family).
   /// `deterministic_only` drops metrics registered as nondeterministic —
   /// the form compared byte-for-byte across thread counts.
-  [[nodiscard]] std::string to_prometheus(bool deterministic_only = false) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string to_prometheus(
+      bool deterministic_only = false) const;
 
   /// Stable JSON object {"metrics": {name: {...}, ...}} in sorted key
   /// order, same `deterministic_only` filter as to_prometheus().
-  [[nodiscard]] std::string to_json(bool deterministic_only = false) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json(bool deterministic_only = false) const;
 
  private:
-  Metric& slot_locked(const std::string& name, MetricKind kind,
-                      const char* help, bool deterministic) REQUIRES(mu_);
-  void counter_add_locked(const std::string& name, const char* help,
-                          std::uint64_t v, bool deterministic) REQUIRES(mu_);
-  void gauge_max_locked(const std::string& name, const char* help, double v,
-                        bool deterministic) REQUIRES(mu_);
-  void histogram_merge_locked(const std::string& name, const char* help,
-                              const LogHistogram& h, bool deterministic)
-      REQUIRES(mu_);
-
-  /// One sample `family` + `label` of a standard family, with the HELP
-  /// text and determinism flag of its schema entry.
-  void emit_locked(CounterFamily family, const std::string& label,
-                   std::uint64_t v) REQUIRES(mu_);
-  void emit_locked(GaugeFamily family, const std::string& label, double v)
-      REQUIRES(mu_);
-  void emit_locked(HistogramFamily family, const std::string& label,
-                   const LogHistogram& h) REQUIRES(mu_);
-
-  mutable util::Mutex mu_;
-  std::map<std::string, Metric> metrics_ GUARDED_BY(mu_);
+  std::map<std::string, Metric> metrics_;
 };
 
 }  // namespace mcopt::obs

@@ -98,13 +98,11 @@ RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("RingBufferSink: capacity must be >= 1");
   }
-  util::MutexLock lock{mu_};
   buffer_.reserve(capacity);
 }
 
 // mcopt: hot
 void RingBufferSink::write(const Event& event) {
-  util::MutexLock lock{mu_};
   if (!full_) {
     // Within the capacity reserved at construction: never reallocates.
     buffer_.push_back(event);  // mcopt-lint: allow(hot-loop-alloc)
@@ -117,7 +115,7 @@ void RingBufferSink::write(const Event& event) {
   ++dropped_;
 }
 
-std::vector<Event> RingBufferSink::snapshot_locked() const {
+std::vector<Event> RingBufferSink::snapshot() const {
   std::vector<Event> out;
   out.reserve(buffer_.size());
   if (!full_) {
@@ -130,19 +128,11 @@ std::vector<Event> RingBufferSink::snapshot_locked() const {
   return out;
 }
 
-std::vector<Event> RingBufferSink::snapshot() const {
-  util::MutexLock lock{mu_};
-  return snapshot_locked();
-}
-
-// NO_THREAD_SAFETY_ANALYSIS: this is the documented crash-path escape
-// hatch — taking mu_ inside a signal handler could deadlock on the very
-// thread that crashed mid-write, so the ring is read unlocked.  The
-// constructor's reserve() pins buffer_'s data pointer for the object's
-// lifetime (size never exceeds capacity), and every index is clamped, so
-// the worst concurrent outcome is a torn line, not an out-of-bounds read.
-std::size_t RingBufferSink::crash_dump(int fd) const noexcept
-    NO_THREAD_SAFETY_ANALYSIS {
+// The crash path may interrupt the writer mid-write.  The constructor's
+// reserve() pins buffer_'s data pointer for the object's lifetime (size
+// never exceeds capacity), and every index is clamped, so the worst
+// outcome is a torn line, not an out-of-bounds read.
+std::size_t RingBufferSink::crash_dump(int fd) const noexcept {
   const std::size_t count = std::min(buffer_.size(), capacity_);
   const std::size_t start = full_ && capacity_ != 0 ? next_ % capacity_ : 0;
   std::size_t lines = 0;
@@ -157,62 +147,29 @@ std::size_t RingBufferSink::crash_dump(int fd) const noexcept
   return lines;
 }
 
-std::size_t RingBufferSink::size() const {
-  util::MutexLock lock{mu_};
-  return buffer_.size();
-}
-
-std::uint64_t RingBufferSink::dropped() const {
-  util::MutexLock lock{mu_};
-  return dropped_;
-}
-
 // The buffer holds one full line past the flush threshold, so a line
 // formatted at any fill below the threshold always fits.
 JsonlFileSink::JsonlFileSink(const std::string& path)
-    : file_(path), out_(&file_) {
+    : file_(path), out_(&file_), buffer_(kJsonlBufferBytes + kJsonlLineCap) {
   if (!file_) {
     throw std::invalid_argument("JsonlFileSink: cannot open " + path);
   }
-  util::MutexLock lock{mu_};
-  buffer_.resize(kJsonlBufferBytes + kJsonlLineCap);
 }
 
-JsonlFileSink::JsonlFileSink(std::ostream& out) : out_(&out) {
-  util::MutexLock lock{mu_};
-  buffer_.resize(kJsonlBufferBytes + kJsonlLineCap);
-}
+JsonlFileSink::JsonlFileSink(std::ostream& out)
+    : out_(&out), buffer_(kJsonlBufferBytes + kJsonlLineCap) {}
 
-JsonlFileSink::~JsonlFileSink() {
-  util::MutexLock lock{mu_};
-  flush_locked();
-}
+JsonlFileSink::~JsonlFileSink() { flush(); }
 
 // mcopt: hot
 void JsonlFileSink::write(const Event& event) {
-  util::MutexLock lock{mu_};
   // Formats straight into the buffer: no stack line, no copy.
   used_ += format_jsonl(event, buffer_.data() + used_, kJsonlLineCap);
   ++written_;
-  if (used_ >= kJsonlBufferBytes) flush_locked();
+  if (used_ >= kJsonlBufferBytes) flush();
 }
 
 void JsonlFileSink::flush() {
-  util::MutexLock lock{mu_};
-  flush_locked();
-}
-
-std::uint64_t JsonlFileSink::written() const {
-  util::MutexLock lock{mu_};
-  return written_;
-}
-
-bool JsonlFileSink::failed() const {
-  util::MutexLock lock{mu_};
-  return failed_;
-}
-
-void JsonlFileSink::flush_locked() {
   if (used_ != 0) {
     out_->write(buffer_.data(), static_cast<std::streamsize>(used_));
     used_ = 0;

@@ -1,12 +1,14 @@
 // Contention stress for the annotated sync layer (util/sync.hpp) and every
-// component it guards: obs::log, a shared RingBufferSink, the Heartbeat,
-// the MetricsRegistry, and the parallel multistart engine, all hammered
-// from many threads at once.  The test names carry the SyncStress prefix
-// so CI's ThreadSanitizer job selects this suite with its -R filter; under
-// TSan the hammering proves data-race freedom, and the assertions below
-// prove the determinism half of the contract — the engine's index-ordered
-// reduction stays bit-identical to the sequential loop while everything
-// around it is contended.
+// component it guards: obs::log and the Heartbeat, hammered from many
+// threads while the parallel multistart engine runs.  Trace sinks and the
+// metrics registry are single-writer (obs/trace.hpp, obs/registry.hpp), so
+// no thread here shares one: the engine traces into its own sink.  The
+// test names carry the SyncStress prefix so CI's ThreadSanitizer job
+// selects this suite with its -R filter; under TSan the hammering proves
+// data-race freedom, and the assertions below prove the determinism half
+// of the contract — the engine's index-ordered reduction and its trace
+// stay bit-identical to the sequential loop while everything around it is
+// contended.
 //
 // The start gate is built from util::Mutex/util::CondVar on purpose: the
 // suite guards the annotated layer, so its own synchronization should be
@@ -16,7 +18,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/annealer.hpp"
@@ -26,7 +30,6 @@
 #include "obs/heartbeat.hpp"
 #include "obs/log.hpp"
 #include "obs/recorder.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "support/toy_problem.hpp"
 #include "util/rng.hpp"
@@ -83,6 +86,22 @@ Runner descent_runner() {
   };
 }
 
+// The trace as JSONL lines, without the two documented nondeterministic
+// components of a parallel trace: kWorkerSteal events and the worker
+// stamp (obs/event.hpp).
+std::vector<std::string> canonical(const std::vector<obs::Event>& events) {
+  std::vector<std::string> out;
+  out.reserve(events.size());
+  for (obs::Event event : events) {
+    if (event.kind == obs::EventKind::kWorkerSteal) continue;
+    event.worker = 0;
+    std::string line;
+    obs::append_jsonl(event, line);
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
 void expect_identical(const MultistartResult& a, const MultistartResult& b) {
   EXPECT_EQ(a.restarts, b.restarts);
   EXPECT_EQ(a.restart_best_costs, b.restart_best_costs);
@@ -98,9 +117,9 @@ void expect_identical(const MultistartResult& a, const MultistartResult& b) {
   EXPECT_EQ(a.aggregate.invariants.executed, b.aggregate.invariants.executed);
 }
 
-// The headline test: run the parallel engine (tracing into a shared ring
-// buffer) while hammer threads spam obs::log, the same ring buffer, and a
-// Heartbeat.  The reduction must match the uncontended sequential run
+// The headline test: run the parallel engine, traced into its own sink,
+// while hammer threads spam obs::log and a Heartbeat.  The reduction and
+// the canonical trace must match the uncontended sequential run
 // bit-for-bit at every thread count.
 TEST(SyncStressTest, ParallelReductionBitIdenticalUnderContention) {
   QuietLog quiet;
@@ -112,11 +131,16 @@ TEST(SyncStressTest, ParallelReductionBitIdenticalUnderContention) {
 
   ToyProblem sequential_problem{landscape, 0};
   util::Rng sequential_rng{42};
-  const MultistartResult sequential =
-      multistart(sequential_problem, descent_runner(), opts, sequential_rng);
+  obs::VectorSink sequential_sink;
+  const obs::Recorder sequential_root{&sequential_sink};
+  MultistartOptions sequential_opts = opts;
+  sequential_opts.recorder = &sequential_root;
+  const MultistartResult sequential = multistart(
+      sequential_problem, descent_runner(), sequential_opts, sequential_rng);
+  const std::vector<std::string> sequential_trace =
+      canonical(sequential_sink.events());
+  ASSERT_FALSE(sequential_trace.empty());
 
-  obs::RingBufferSink shared_sink{256};
-  obs::Recorder root{&shared_sink};
   obs::Heartbeat heartbeat{"events", 0.0};
 
   constexpr int kHammers = 4;
@@ -125,16 +149,11 @@ TEST(SyncStressTest, ParallelReductionBitIdenticalUnderContention) {
   std::vector<std::thread> hammers;
   hammers.reserve(kHammers);
   for (int t = 0; t < kHammers; ++t) {
-    hammers.emplace_back([&shared_sink, &heartbeat, &gate, t] {
+    hammers.emplace_back([&heartbeat, &gate, t] {
       gate.wait();
-      obs::Event noise;
-      noise.kind = obs::EventKind::kWorkerSteal;
-      noise.worker = static_cast<std::uint64_t>(t) + 100;
       for (std::uint64_t i = 0; i < kIters; ++i) {
         obs::log(obs::LogLevel::kDebug, "[stress] hammer %d iter %llu", t,
                  static_cast<unsigned long long>(i));
-        noise.tick = i;
-        shared_sink.write(noise);
         heartbeat.tick(i + 1, kIters, std::nan(""));
       }
     });
@@ -144,6 +163,8 @@ TEST(SyncStressTest, ParallelReductionBitIdenticalUnderContention) {
   for (const unsigned threads : {2u, 8u}) {
     ToyProblem problem{landscape, 0};
     util::Rng rng{42};
+    obs::VectorSink sink;
+    const obs::Recorder root{&sink};
     ParallelMultistartOptions options;
     options.multistart = opts;
     options.multistart.recorder = &root;
@@ -151,122 +172,10 @@ TEST(SyncStressTest, ParallelReductionBitIdenticalUnderContention) {
     const MultistartResult parallel =
         parallel_multistart(problem, descent_runner(), options, rng);
     expect_identical(sequential, parallel);
+    EXPECT_EQ(canonical(sink.events()), sequential_trace)
+        << "trace diverges at " << threads << " threads";
   }
   for (auto& hammer : hammers) hammer.join();
-
-  // The shared sink absorbed both the engine's drained shards and the
-  // hammer noise; its accounting must balance regardless of interleaving.
-  EXPECT_EQ(shared_sink.size(), shared_sink.capacity());
-  EXPECT_GE(shared_sink.dropped() + shared_sink.size(),
-            static_cast<std::uint64_t>(kHammers) * kIters);
-}
-
-TEST(SyncStressTest, RingBufferSinkKeepsExactAccountsUnderContention) {
-  constexpr std::uint64_t kThreads = 8;
-  constexpr std::uint64_t kPerThread = 5'000;
-  obs::RingBufferSink sink{64};
-
-  StartGate gate;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (std::uint64_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&sink, &gate, t] {
-      gate.wait();
-      obs::Event event;
-      event.worker = t + 1;
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        event.tick = i;
-        sink.write(event);
-      }
-    });
-  }
-  gate.release();
-  for (auto& writer : writers) writer.join();
-
-  EXPECT_EQ(sink.size(), sink.capacity());
-  EXPECT_EQ(sink.dropped() + sink.size(), kThreads * kPerThread);
-  EXPECT_EQ(sink.snapshot().size(), sink.capacity());
-}
-
-TEST(SyncStressTest, VectorSinkNeverLosesEventsAcrossConcurrentTakes) {
-  constexpr std::uint64_t kThreads = 4;
-  constexpr std::uint64_t kPerThread = 10'000;
-  obs::VectorSink sink;
-
-  StartGate gate;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (std::uint64_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&sink, &gate] {
-      gate.wait();
-      obs::Event event;
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        event.tick = i;
-        sink.write(event);
-      }
-    });
-  }
-  // A harvester repeatedly drains the sink while the writers run; every
-  // event must land in exactly one take() batch.
-  std::uint64_t harvested = 0;
-  std::thread harvester([&sink, &gate, &harvested] {
-    gate.wait();
-    for (int round = 0; round < 1'000; ++round) {
-      harvested += sink.take().size();
-    }
-  });
-
-  gate.release();
-  for (auto& writer : writers) writer.join();
-  harvester.join();
-  harvested += sink.take().size();
-  EXPECT_EQ(harvested, kThreads * kPerThread);
-}
-
-TEST(SyncStressTest, MetricsRegistryMergesDeterministicallyUnderContention) {
-  constexpr std::uint64_t kThreads = 8;
-  constexpr std::uint64_t kAdds = 2'000;
-  obs::MetricsRegistry shared;
-
-  StartGate gate;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::uint64_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&shared, &gate] {
-      gate.wait();
-      obs::MetricsRegistry local;
-      for (std::uint64_t i = 0; i < kAdds; ++i) {
-        shared.counter_add("stress_direct_total", "direct adds", 1);
-        local.counter_add("stress_merged_total", "merged adds", 1);
-        local.gauge_max("stress_peak", "max merge", static_cast<double>(i));
-      }
-      shared.merge(local);
-    });
-  }
-  gate.release();
-  for (auto& thread : threads) thread.join();
-
-  const obs::Metric* direct = shared.find("stress_direct_total");
-  ASSERT_NE(direct, nullptr);
-  EXPECT_EQ(direct->value, kThreads * kAdds);
-  const obs::Metric* merged = shared.find("stress_merged_total");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->value, kThreads * kAdds);
-  const obs::Metric* peak = shared.find("stress_peak");
-  ASSERT_NE(peak, nullptr);
-  EXPECT_EQ(peak->gauge, static_cast<double>(kAdds - 1));
-
-  // Counters sum and gauges max commutatively, so the contended registry
-  // must export byte-identically to one built sequentially.
-  obs::MetricsRegistry expected;
-  expected.counter_add("stress_direct_total", "direct adds",
-                       kThreads * kAdds);
-  expected.counter_add("stress_merged_total", "merged adds",
-                       kThreads * kAdds);
-  expected.gauge_max("stress_peak", "max merge",
-                     static_cast<double>(kAdds - 1));
-  EXPECT_EQ(shared.to_json(), expected.to_json());
-  EXPECT_EQ(shared.to_prometheus(), expected.to_prometheus());
 }
 
 // The heartbeat race fix (interval/unit/enabled all under mu_): ticks from

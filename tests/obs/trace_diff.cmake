@@ -2,7 +2,10 @@
 # four must be the same event stream once worker stamps and steal events
 # are dropped, so `mcopt_report.py diff` must exit 0 on the pair.  It must
 # exit 1 once one event's cost is changed in a copy of the four-thread
-# trace, or the diff proves nothing.
+# trace, or the diff proves nothing.  The four-thread leg also arms the
+# flight recorder, so its events pass through the JSONL + ring tee; a
+# clean exit must leave no flight dump.  Under ThreadSanitizer this is the
+# test that drives run_method_row's per-job shards.
 #
 #   cmake -DDRIVER=<tables> -DPYTHON=<python3> -DREPORT=<mcopt_report.py>
 #         -DWORKDIR=<dir> -P trace_diff.cmake
@@ -11,9 +14,13 @@ unset(ENV{MCOPT_BENCH_CSV_DIR})
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 foreach(threads 1 4)
+  set(flight "")
+  if(threads EQUAL 4)
+    set(flight --flight-recorder --flight-out "${WORKDIR}/flight.jsonl")
+  endif()
   execute_process(COMMAND "${DRIVER}" --table 4.1 --threads ${threads}
                           --quiet --trace "${WORKDIR}/t${threads}.jsonl"
-                          --trace-sample 16
+                          --trace-sample 16 ${flight}
                   OUTPUT_QUIET
                   ERROR_VARIABLE err
                   RESULT_VARIABLE status)
@@ -22,6 +29,9 @@ foreach(threads 1 4)
                         "${status}:\n${err}")
   endif()
 endforeach()
+if(EXISTS "${WORKDIR}/flight.jsonl")
+  message(FATAL_ERROR "a clean --flight-recorder run wrote a flight dump")
+endif()
 
 # Runs `mcopt_report.py diff` on t1.jsonl and `other`; requires `want`.
 function(expect_diff want other)
