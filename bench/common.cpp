@@ -25,7 +25,6 @@
 #include "netlist/generator.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
@@ -145,9 +144,8 @@ std::string observables_note(const obs::RunMetrics& metrics) {
 DriverOptions Driver::parse(const util::Args& args,
                             const std::vector<std::string>& own_flags) {
   std::vector<std::string> known{
-      "threads", "trace", "metrics", "metrics-out", "profile-out",
-      "prom-out", "trace-sample",
-      "progress", "flight-recorder", "flight-out", "quiet", "verbose"};
+      "threads", "trace", "report-out", "trace-sample", "progress",
+      "flight-recorder", "flight-out", "quiet", "verbose"};
   known.insert(known.end(), own_flags.begin(), own_flags.end());
   const auto unknown = args.unknown_flags(known);
   if (!unknown.empty()) {
@@ -185,11 +183,7 @@ DriverOptions Driver::parse(const util::Args& args,
   }
 
   out.trace_path = args.get("trace", "");
-  // --metrics is the original spelling; --metrics-out matches the other
-  // exporter flags and wins when both are given.
-  out.metrics_path = args.get("metrics-out", args.get("metrics", ""));
-  out.profile_path = args.get("profile-out", "");
-  out.prom_path = args.get("prom-out", "");
+  out.report_path = args.get("report-out", "");
   return out;
 }
 
@@ -245,13 +239,11 @@ Driver::Driver(int argc, const char* const* argv,
       event_sink = flight.sink();
     }
   }
-  const bool collect_metrics =
-      !options_.metrics_path.empty() || !options_.prom_path.empty();
-  const bool collect_profile = !options_.profile_path.empty();
-  if (event_sink != nullptr || collect_metrics || collect_profile) {
-    recorder_ = obs::Recorder{event_sink, collect_metrics,
+  const bool report = !options_.report_path.empty();
+  if (event_sink != nullptr || report) {
+    recorder_ = obs::Recorder{event_sink, /*collect_metrics=*/report,
                               options_.trace_sample, /*run=*/0,
-                              collect_profile};
+                              /*collect_profile=*/report};
   }
 }
 
@@ -261,8 +253,8 @@ void Driver::usage_error(const std::string& error) const {
   obs::log(obs::LogLevel::kError, "%s: %s", args_.program().c_str(),
            error.c_str());
   obs::log(obs::LogLevel::kError,
-           "usage: %s%s [--threads N] [--trace FILE] [--metrics-out FILE] "
-           "[--profile-out FILE] [--prom-out FILE] [--trace-sample N] "
+           "usage: %s%s [--threads N] [--trace FILE] [--report-out FILE] "
+           "[--trace-sample N] "
            "[--progress [SECS]] [--flight-recorder [CAP]] [--flight-out FILE] "
            "[--quiet|--verbose]",
            args_.program().c_str(), own.c_str());
@@ -434,14 +426,12 @@ void Driver::finish() {
                o.trace_path.c_str());
     }
   }
-  if (!o.metrics_path.empty() &&
-      write_export(o.metrics_path, totals_.to_json())) {
-    obs::log(obs::LogLevel::kInfo, "%s", totals_.summary().c_str());
-    obs::log(obs::LogLevel::kInfo, "metrics -> %s", o.metrics_path.c_str());
-  }
-  if (!o.profile_path.empty()) {
-    std::string doc = "{\n  \"profile\": " + totals_.profile.to_json() +
-                      ",\n  \"workers\": [";
+  if (!o.report_path.empty()) {
+    // The merged metrics document plus one top-level key, "workers": its
+    // closing "\n}\n" is reopened for it.
+    std::string doc = totals_.to_json();
+    doc.resize(doc.size() - 3);
+    doc += ",\n  \"workers\": [";
     const char* sep = "\n    ";
     for (const auto& [worker, tree] : worker_profiles_) {
       doc += sep;
@@ -450,16 +440,9 @@ void Driver::finish() {
       sep = ",\n    ";
     }
     doc += worker_profiles_.empty() ? "]\n}\n" : "\n  ]\n}\n";
-    if (write_export(o.profile_path, doc)) {
-      obs::log(obs::LogLevel::kInfo, "profile -> %s", o.profile_path.c_str());
-    }
-  }
-  if (!o.prom_path.empty()) {
-    obs::MetricsRegistry registry;
-    registry.populate_from_run(totals_);
-    if (write_export(o.prom_path, registry.to_prometheus())) {
-      obs::log(obs::LogLevel::kInfo, "prometheus metrics (%zu series) -> %s",
-               registry.size(), o.prom_path.c_str());
+    if (write_export(o.report_path, doc)) {
+      obs::log(obs::LogLevel::kInfo, "%s", totals_.summary().c_str());
+      obs::log(obs::LogLevel::kInfo, "report -> %s", o.report_path.c_str());
     }
   }
   const obs::FlightRecorder& flight = obs::FlightRecorder::instance();

@@ -106,9 +106,7 @@ struct DriverOptions {
   unsigned threads = 1;
   std::uint64_t trace_sample = 1;
   std::string trace_path;     ///< --trace
-  std::string metrics_path;   ///< --metrics-out (--metrics alias)
-  std::string profile_path;   ///< --profile-out
-  std::string prom_path;      ///< --prom-out
+  std::string report_path;    ///< --report-out
   double progress_interval = 0.0;            ///< --progress
   std::size_t flight_capacity = 0;           ///< --flight-recorder
   std::string flight_path = "flight.jsonl";  ///< --flight-out
@@ -123,9 +121,9 @@ struct DriverOptions {
 ///   --threads N             run_method_row workers (default 1)
 ///   --trace FILE            JSONL trace of every run (mcopt_report.py)
 ///   --trace-sample N        keep every Nth proposal/accept/reject trio
-///   --metrics-out FILE      merged metrics as JSON (alias --metrics)
-///   --prom-out FILE         the same metrics as Prometheus text
-///   --profile-out FILE      stage-profile tree as JSON, plus one per worker
+///   --report-out FILE       run report: merged metrics, observables and
+///                           stage profile, plus one profile per worker
+///                           (mcopt_report.py summary / prom / timeline)
 ///   --progress [SECS]       heartbeat lines, at most one per SECS (bare: 2)
 ///   --flight-recorder [CAP] ring of the last CAP events (bare: 4096),
 ///   --flight-out FILE       dumped here on a crash (default flight.jsonl)
@@ -153,7 +151,7 @@ class Driver {
 
   [[nodiscard]] unsigned threads() const noexcept { return options_.threads; }
   /// The root recorder: off (and free) unless an observability flag asked
-  /// for a trace, metrics or a profile.
+  /// for a trace, a flight ring or a report.
   [[nodiscard]] const obs::Recorder& recorder() const noexcept {
     return recorder_;
   }
@@ -201,11 +199,11 @@ class Driver {
   /// is unset or empty it writes nothing and says so on stdout.
   void write_json(const std::string& name, const std::string& payload);
 
-  /// Flushes the trace, writes the --metrics-out / --profile-out /
-  /// --prom-out files and logs a telemetry summary.  Call once, at the end
-  /// of main.  When the trace, an export or a CSV / JSON report could not
-  /// be written it logs "cannot write <path>" for each and, once every
-  /// export has been tried, exits with status 1.
+  /// Flushes the trace, writes the --report-out file and logs a telemetry
+  /// summary.  Call once, at the end of main.  When the trace, the run
+  /// report or a CSV / JSON report could not be written it logs "cannot
+  /// write <path>" for each and, once every output has been tried, exits
+  /// with status 1.
   void finish();
 
  private:
@@ -239,7 +237,7 @@ class Driver {
   obs::Heartbeat heartbeat_;
   obs::RunMetrics totals_;
   /// Per worker id, the merge of the profile trees of the run_method_row
-  /// jobs it ran, folded in job order: --profile-out's "workers".
+  /// jobs it ran, folded in job order: the report's "workers".
   std::map<unsigned, obs::ProfileTree> worker_profiles_;
   std::uint64_t run_counter_ = 0;
   std::uint64_t invariant_checks_ = 0;

@@ -38,9 +38,9 @@
 //    and column state.  Every thread count must reproduce the 1-thread
 //    aggregate; the sweep reports seconds, speedup and efficiency.
 //  - On GOLA 15/150, a traced and profiled 8-thread run must equal an
-//    untraced 1-thread run, and its deterministic exports (registry JSON,
-//    Prometheus text and the wall-free profile tree) must equal the traced
-//    1-thread run's, byte for byte.
+//    untraced 1-thread run, and its deterministic report JSON
+//    (RunMetrics::to_json(true): no wall clock, steal count or profile
+//    wall_ns) must equal the traced 1-thread run's, byte for byte.
 //
 // Results land in BENCH_hotloop.json via bench::Driver::write_json and are
 // gated against the committed baseline by tools/bench_compare.py.
@@ -54,7 +54,6 @@
 //        --gate-pct P   max off-path overhead vs the stripped loop, in
 //                       percent (default 1.0)
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -75,7 +74,6 @@
 #include "netlist/generator.hpp"
 #include "obs/log.hpp"
 #include "obs/recorder.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/budget.hpp"
 #include "util/invariant.hpp"
@@ -278,17 +276,6 @@ PairedOverhead paired_overhead(const std::vector<double>& tier_seconds,
   if (pct.empty()) return {};
   const auto [lo, hi] = std::minmax_element(pct.begin(), pct.end());
   return {*lo, util::median(pct), *hi};
-}
-
-/// The deterministic exports compared across thread counts: registry JSON,
-/// Prometheus text and the wall-free profile tree.
-std::array<std::string, 3> deterministic_exports(
-    const obs::RunMetrics& metrics) {
-  obs::MetricsRegistry registry;
-  registry.populate_from_run(metrics);
-  return {registry.to_json(/*deterministic_only=*/true),
-          registry.to_prometheus(/*deterministic_only=*/true),
-          metrics.profile.to_json(/*include_wall=*/false)};
 }
 
 struct Instance {
@@ -592,8 +579,8 @@ int main(int argc, char** argv) {
        multistart_match(untraced1, traced8)},
       {"registry_snapshots_identical",
        "8- and 1-thread deterministic exports equal",
-       deterministic_exports(traced1.aggregate.metrics) ==
-           deterministic_exports(traced8.aggregate.metrics)}};
+       traced1.aggregate.metrics.to_json(/*deterministic_only=*/true) ==
+           traced8.aggregate.metrics.to_json(/*deterministic_only=*/true)}};
   bool gate_ok = true;
   for (const Check& check : checks) {
     if (!check.ok) {

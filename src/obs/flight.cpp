@@ -8,12 +8,8 @@
 #include <cstddef>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <utility>
-#include <vector>
-
-#include "obs/event.hpp"
 
 namespace mcopt::obs {
 
@@ -99,17 +95,6 @@ std::size_t FlightRecorder::dump_now() const noexcept {
   const std::size_t lines = ring->crash_dump(fd);
   static_cast<void>(::close(fd));
   return lines;
-}
-
-std::size_t FlightRecorder::dump_clean() const {
-  if (ring_ == nullptr || path_.empty()) return 0;
-  std::ofstream out{path_, std::ios::trunc};
-  if (!out) return 0;
-  const std::vector<Event> events = ring_->snapshot();
-  std::string text;
-  for (const Event& event : events) append_jsonl(event, text);
-  out << text;
-  return events.size();
 }
 
 }  // namespace mcopt::obs

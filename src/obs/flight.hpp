@@ -64,12 +64,6 @@ class FlightRecorder {
   /// process crash (reentry-guarded by the callers' once flag).
   std::size_t dump_now() const noexcept;
 
-  /// Normal-path dump of the same events through iostreams (exact, not
-  /// best-effort): call it after the ring's writer is done.  For tests
-  /// and orderly shutdowns.  Returns lines written, 0 when unarmed or the
-  /// file cannot be opened.
-  std::size_t dump_clean() const;
-
  private:
   FlightRecorder() = default;
 

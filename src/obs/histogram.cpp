@@ -15,12 +15,6 @@ void LogHistogram::merge(const LogHistogram& other) noexcept {
   sum_ += other.sum_;
 }
 
-std::uint64_t LogHistogram::cumulative(std::size_t i) const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b <= i && b < kNumBuckets; ++b) total += buckets_[b];
-  return total;
-}
-
 void LogHistogram::append_json(std::string& out) const {
   std::size_t last = 0;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {

@@ -67,13 +67,10 @@ class LogHistogram {
   }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
-  /// Cumulative count of observations <= bucket_bound(i) — the Prometheus
-  /// `le` convention used by both exporters.
-  [[nodiscard]] std::uint64_t cumulative(std::size_t i) const noexcept;
-
   /// Appends a stable JSON object: {"count":N,"sum":S,"buckets":[{"le":1,
-  /// "count":c}, ..., {"le":"+Inf","count":N}]}.  Cumulative counts; only
-  /// buckets up to the last non-empty one are listed before the +Inf entry.
+  /// "count":c}, ..., {"le":"+Inf","count":N}]}.  Cumulative counts (the
+  /// Prometheus `le` convention); only buckets up to the last non-empty
+  /// one are listed before the +Inf entry.
   void append_json(std::string& out) const;
 
  private:

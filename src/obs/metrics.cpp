@@ -71,7 +71,7 @@ void RunMetrics::merge(const RunMetrics& other) {
   }
 }
 
-std::string RunMetrics::to_json() const {
+std::string RunMetrics::to_json(bool deterministic_only) const {
   std::string out;
   out += "{\n";
   out += "  \"collected\": ";
@@ -82,9 +82,11 @@ std::string RunMetrics::to_json() const {
   append_field("patience_resets", patience_resets, "  ", out);
   append_field("trace_events", trace_events, "  ", out);
   append_field("invariant_checks", invariant_checks, "  ", out);
-  append_field("invariant_seconds", invariant_seconds, "  ", out);
-  append_field("worker_steals", worker_steals, "  ", out);
-  append_field("wall_seconds", wall_seconds, "  ", out);
+  if (!deterministic_only) {
+    append_field("invariant_seconds", invariant_seconds, "  ", out);
+    append_field("worker_steals", worker_steals, "  ", out);
+    append_field("wall_seconds", wall_seconds, "  ", out);
+  }
   out += "  \"uphill_delta_proposed\": ";
   uphill_delta_proposed.append_json(out);
   out += ",\n  \"uphill_delta_accepted\": ";
@@ -107,8 +109,11 @@ std::string RunMetrics::to_json() const {
     append_field("patience_fires", s.patience_fires, "      ", out);
     append_field("ticks", s.ticks, "      ", out);
     append_field("acceptance_rate", s.acceptance_rate(), "      ", out);
-    append_field("uphill_rate", s.uphill_rate(), "      ", out);
-    append_field("wall_seconds", s.wall_seconds, "      ", out, false);
+    append_field("uphill_rate", s.uphill_rate(), "      ", out,
+                 /*comma=*/!deterministic_only);
+    if (!deterministic_only) {
+      append_field("wall_seconds", s.wall_seconds, "      ", out, false);
+    }
     out += "    }";
   }
   out += stages.empty() ? "],\n" : "\n  ],\n";
@@ -141,7 +146,7 @@ std::string RunMetrics::to_json() const {
   }
   out += observables.empty() ? "],\n" : "\n  ],\n";
   out += "  \"profile\": ";
-  out += profile.to_json();
+  out += profile.to_json(/*include_wall=*/!deterministic_only);
   out += "\n}\n";
   return out;
 }

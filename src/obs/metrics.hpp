@@ -13,6 +13,10 @@
 // *_seconds fields are wall-clock (steady_clock durations) and are
 // explicitly excluded from the bit-reproducibility contract — they exist
 // for profiling, never for comparison across runs.
+//
+// to_json() is the body of the bench drivers' run report (--report-out),
+// the one document tools/mcopt_report.py summarizes and renders as
+// Prometheus text and as a timeline.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +75,7 @@ struct RunMetrics {
   double wall_seconds = 0.0;          ///< wall time of the run(s)
   /// Parallel-engine scheduling behaviour.  Like `worker` stamps on events,
   /// this is deliberately nondeterministic (it observes the scheduler) and
-  /// is excluded from the registry's deterministic exports.
+  /// is excluded from the deterministic JSON.
   std::uint64_t worker_steals = 0;    ///< restarts claimed by pool workers
   /// Uphill Δcost magnitudes, log-bucketed (obs/histogram.hpp): every
   /// proposed uphill move, and the subset that was accepted.
@@ -88,9 +92,13 @@ struct RunMetrics {
   /// index (the shorter one is treated as zero-padded).
   void merge(const RunMetrics& other);
 
-  /// Pretty-printed JSON object (stable key order, two-space indent) — the
-  /// payload of the bench drivers' --metrics FILE.
-  [[nodiscard]] std::string to_json() const;
+  /// Pretty-printed JSON object (stable key order, two-space indent), the
+  /// profile included — the body of the bench drivers' --report-out FILE.
+  /// `deterministic_only` drops the wall clocks and the steal count (the
+  /// fields schema.def's nondeterministic families carry) and the
+  /// profile's wall_ns: the form compared byte for byte across thread
+  /// counts.
+  [[nodiscard]] std::string to_json(bool deterministic_only = false) const;
 
   /// One-line human summary for logs and RunResult::to_string.
   [[nodiscard]] std::string summary() const;

@@ -36,9 +36,7 @@ TEST(DriverFlagsTest, DefaultsWhenNoFlagsGiven) {
   EXPECT_EQ(opts.threads, 1u);
   EXPECT_EQ(opts.trace_sample, 1u);
   EXPECT_TRUE(opts.trace_path.empty());
-  EXPECT_TRUE(opts.metrics_path.empty());
-  EXPECT_TRUE(opts.profile_path.empty());
-  EXPECT_TRUE(opts.prom_path.empty());
+  EXPECT_TRUE(opts.report_path.empty());
   EXPECT_EQ(opts.progress_interval, 0.0);
   EXPECT_EQ(opts.flight_capacity, 0u);
   EXPECT_EQ(opts.flight_path, "flight.jsonl");
@@ -75,21 +73,14 @@ TEST(DriverFlagsTest, RejectsNonPositiveFlightCapacity) {
 
 TEST(DriverFlagsTest, ParsesEveryObservabilityFlag) {
   const DriverOptions opts = parse(
-      {"--threads", "4", "--trace", "t.jsonl", "--metrics-out", "m.json",
-       "--profile-out", "p.json", "--prom-out", "prom.txt", "--trace-sample",
-       "16", "--progress", "0.5", "--verbose"});
+      {"--threads", "4", "--trace", "t.jsonl", "--report-out", "r.json",
+       "--trace-sample", "16", "--progress", "0.5", "--verbose"});
   EXPECT_EQ(opts.threads, 4u);
   EXPECT_EQ(opts.trace_path, "t.jsonl");
-  EXPECT_EQ(opts.metrics_path, "m.json");
-  EXPECT_EQ(opts.profile_path, "p.json");
-  EXPECT_EQ(opts.prom_path, "prom.txt");
+  EXPECT_EQ(opts.report_path, "r.json");
   EXPECT_EQ(opts.trace_sample, 16u);
   EXPECT_DOUBLE_EQ(opts.progress_interval, 0.5);
   EXPECT_TRUE(opts.verbose);
-}
-
-TEST(DriverFlagsTest, MetricsAliasStillWorks) {
-  EXPECT_EQ(parse({"--metrics", "m.json"}).metrics_path, "m.json");
 }
 
 TEST(DriverFlagsTest, BareProgressFlagUsesDefaultInterval) {
@@ -119,9 +110,15 @@ TEST(DriverFlagsTest, RejectsNonNumericValues) {
 }
 
 TEST(DriverFlagsTest, RejectsUnknownFlagsAndPositionals) {
-  std::string error = parse_error({"--frobnicate"});
-  EXPECT_NE(error.find("frobnicate"), std::string::npos) << error;
-  error = parse_error({"stray"});
+  // The export flags --report-out replaced are unknown flags too.
+  for (const char* flag : {"--frobnicate", "--metrics", "--metrics-out",
+                           "--profile-out", "--prom-out"}) {
+    const std::string error = parse_error({flag, "out.json"});
+    EXPECT_NE(error.find(std::string{"unknown flag "} + flag),
+              std::string::npos)
+        << error;
+  }
+  const std::string error = parse_error({"stray"});
   EXPECT_NE(error.find("stray"), std::string::npos) << error;
 }
 

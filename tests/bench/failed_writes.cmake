@@ -1,4 +1,4 @@
-# Runs a table driver with its trace, and then each export, aimed at
+# Runs a table driver with its trace, and then its report, aimed at
 # /dev/full, whose writes fail with ENOSPC, and then with its CSV mirror
 # aimed at a directory under /dev/full, which cannot exist.  Each run must
 # end with exit status 1 and a "cannot write /dev/full..." error.  A driver
@@ -14,8 +14,7 @@ unset(ENV{MCOPT_BENCH_CSV_DIR})
 unset(ENV{MCOPT_BENCH_JSON_DIR})
 set(missing "${CMAKE_CURRENT_BINARY_DIR}/failed_writes_missing_dir")
 file(REMOVE_RECURSE "${missing}")
-foreach(flag --trace --metrics-out --profile-out --prom-out
-             MCOPT_BENCH_CSV_DIR MCOPT_BENCH_JSON_DIR)
+foreach(flag --trace --report-out MCOPT_BENCH_CSV_DIR MCOPT_BENCH_JSON_DIR)
   set(target /dev/full)
   if(flag STREQUAL "MCOPT_BENCH_JSON_DIR")
     set(target "${missing}")

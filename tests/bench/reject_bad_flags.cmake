@@ -60,7 +60,7 @@ set(cases
     # The hardware-counter flag is gone: bare, it is an unknown flag.
     "${BENCH_DIR}/tables|--perf-counters|"
     "${BENCH_DIR}/hotloop|--perf-counters|"
-    # So is the timeline flag: the timeline is rendered from --profile-out.
+    # So is the timeline flag: the timeline is rendered from --report-out.
     "${BENCH_DIR}/tables|--timeline-out|timeline.json"
     # The flags of the benches folded into hotloop are unknown flags there.
     "${BENCH_DIR}/hotloop|--budget|5"

@@ -1,8 +1,8 @@
 // Contention stress for the annotated sync layer (util/sync.hpp) and every
 // component it guards: obs::log and the Heartbeat, hammered from many
-// threads while the parallel multistart engine runs.  Trace sinks and the
-// metrics registry are single-writer (obs/trace.hpp, obs/registry.hpp), so
-// no thread here shares one: the engine traces into its own sink.  The
+// threads while the parallel multistart engine runs.  Trace sinks are
+// single-writer (obs/trace.hpp), so no thread here shares one: the engine
+// traces into its own sink.  The
 // test names carry the SyncStress prefix so CI's ThreadSanitizer job
 // selects this suite with its -R filter; under TSan the hammering proves
 // data-race freedom, and the assertions below prove the determinism half

@@ -2,9 +2,9 @@
 // histogram bucket, and profile-tree node that is registered as
 // deterministic must be a pure function of the seed — bit-identical
 // between the sequential engine, a 1-thread parallel run, and an 8-thread
-// parallel run.  The exported registry snapshots (JSON and Prometheus,
-// deterministic_only form) are compared byte for byte, which is exactly
-// what bench/hotloop gates in CI.
+// parallel run.  The run report's deterministic form
+// (RunMetrics::to_json(true), profile included) is compared byte for byte,
+// which is exactly what bench/hotloop gates in CI.
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/registry.hpp"
 
 namespace mcopt {
 namespace {
@@ -48,20 +47,8 @@ core::Runner figure1_runner(const core::GFunction& g) {
   };
 }
 
-struct Snapshot {
-  std::string registry_json;
-  std::string prometheus;
-  std::string profile_json;
-};
-
-Snapshot export_snapshot(const obs::RunMetrics& metrics) {
-  obs::MetricsRegistry registry;
-  registry.populate_from_run(metrics);
-  Snapshot snap;
-  snap.registry_json = registry.to_json(/*deterministic_only=*/true);
-  snap.prometheus = registry.to_prometheus(/*deterministic_only=*/true);
-  snap.profile_json = metrics.profile.to_json(/*include_wall=*/false);
-  return snap;
+std::string snapshot(const obs::RunMetrics& metrics) {
+  return metrics.to_json(/*deterministic_only=*/true);
 }
 
 core::MultistartResult run_profiled(unsigned threads, bool sequential) {
@@ -88,27 +75,20 @@ core::MultistartResult run_profiled(unsigned threads, bool sequential) {
 TEST(MetricsDeterminismTest, RegistrySnapshotsBitIdenticalAcrossThreads) {
   const auto t1 = run_profiled(1, /*sequential=*/false);
   const auto t8 = run_profiled(8, /*sequential=*/false);
-  const Snapshot s1 = export_snapshot(t1.aggregate.metrics);
-  const Snapshot s8 = export_snapshot(t8.aggregate.metrics);
-  EXPECT_FALSE(s1.registry_json.empty());
-  EXPECT_EQ(s1.registry_json, s8.registry_json);
-  EXPECT_EQ(s1.prometheus, s8.prometheus);
-  EXPECT_EQ(s1.profile_json, s8.profile_json);
+  const std::string s1 = snapshot(t1.aggregate.metrics);
+  EXPECT_NE(s1.find("\"stages\": [\n"), std::string::npos) << s1;
+  EXPECT_EQ(s1, snapshot(t8.aggregate.metrics));
 }
 
 TEST(MetricsDeterminismTest, SequentialEngineMatchesParallelSnapshots) {
   const auto seq = run_profiled(1, /*sequential=*/true);
   const auto par = run_profiled(8, /*sequential=*/false);
-  const Snapshot a = export_snapshot(seq.aggregate.metrics);
-  const Snapshot b = export_snapshot(par.aggregate.metrics);
-  EXPECT_EQ(a.registry_json, b.registry_json);
-  EXPECT_EQ(a.prometheus, b.prometheus);
   // Both engines re-root their profile under the same "multistart" node, so
   // even the tree shape is engine-invariant.
-  EXPECT_EQ(a.profile_json, b.profile_json);
-  EXPECT_NE(a.profile_json.find("\"name\": \"multistart\""),
-            std::string::npos);
-  EXPECT_NE(a.profile_json.find("\"name\": \"figure1\""), std::string::npos);
+  const std::string a = snapshot(seq.aggregate.metrics);
+  EXPECT_EQ(a, snapshot(par.aggregate.metrics));
+  EXPECT_NE(a.find("\"name\": \"multistart\""), std::string::npos);
+  EXPECT_NE(a.find("\"name\": \"figure1\""), std::string::npos);
 }
 
 TEST(MetricsDeterminismTest, ProposalMixPartitionsProposalsPerStage) {
@@ -171,17 +151,8 @@ TEST(MetricsDeterminismTest, ShardMergeIsAssociative) {
   grouped.merge(right);
 
   // Wall clocks are doubles and FP addition is not associative; they are
-  // outside the contract anyway, so compare the JSON with walls zeroed.
-  auto strip_wall = [](obs::RunMetrics m) {
-    m.wall_seconds = 0.0;
-    m.invariant_seconds = 0.0;
-    for (auto& s : m.stages) s.wall_seconds = 0.0;
-    for (auto& node : m.profile.nodes) node.wall_ns = 0;
-    return m;
-  };
-  EXPECT_EQ(strip_wall(flat).to_json(), strip_wall(grouped).to_json());
-  EXPECT_EQ(export_snapshot(flat).registry_json,
-            export_snapshot(grouped).registry_json);
+  // outside the contract anyway, and the deterministic JSON leaves them out.
+  EXPECT_EQ(snapshot(flat), snapshot(grouped));
 }
 
 }  // namespace

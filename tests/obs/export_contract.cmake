@@ -1,10 +1,11 @@
 # The C++ -> Python export contract.  Runs Table 4.1 with a sampled JSONL
-# trace and the metrics exports on, then requires `tools/mcopt_report.py
-# validate` to accept the trace and the Prometheus text, and to reject
-# copies with one planted unknown event kind and one planted unknown mcopt_
-# family.  Both sides read their vocabulary from src/obs/schema.def,
-# so this fails when either stops doing so.  The trace and the deterministic
-# part of both metrics exports must also match pinned SHA-256 digests:
+# trace and the run report on, renders the report as Prometheus text with
+# `tools/mcopt_report.py prom`, then requires `mcopt_report.py validate` to
+# accept the trace and the Prometheus text, and to reject copies with one
+# planted unknown event kind and one planted unknown mcopt_ family.  Both
+# sides read their vocabulary from src/obs/schema.def, so this fails when
+# either stops doing so.  The trace and the deterministic part of the report
+# and of its Prometheus text must also match pinned SHA-256 digests:
 #
 #   cmake -DDRIVER=<tables> -DDRIVER_ARGS=--table;4.1 -DPYTHON=<python3>
 #         -DREPORT=<mcopt_report.py> -DWORKDIR=<dir> -P export_contract.cmake
@@ -13,16 +14,32 @@ unset(ENV{MCOPT_BENCH_CSV_DIR})
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace "${WORKDIR}/trace.jsonl")
+set(report "${WORKDIR}/report.json")
 set(prom "${WORKDIR}/prom.txt")
 execute_process(COMMAND "${DRIVER}" ${DRIVER_ARGS} --quiet
                         --trace "${trace}" --trace-sample 16
-                        --metrics-out "${WORKDIR}/m.json" --prom-out "${prom}"
+                        --report-out "${report}"
                 OUTPUT_QUIET
                 ERROR_VARIABLE err
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${DRIVER} exited with ${status}:\n${err}")
 endif()
+
+# Runs mcopt_report.py with `args` and requires exit status `want`.
+function(expect_report want)
+  execute_process(COMMAND "${PYTHON}" "${REPORT}" ${ARGN}
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err
+                  RESULT_VARIABLE status)
+  if(NOT status STREQUAL "${want}")
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR
+      "mcopt_report.py ${args}: exit ${status}, want ${want}\n${out}${err}")
+  endif()
+endfunction()
+
+expect_report(0 prom "${report}" -o "${prom}")
 
 # The trace bytes are pinned: the JSONL encoder may change how it writes a
 # line, never what it writes.  Re-pin only for a deliberate format change.
@@ -36,13 +53,14 @@ if(NOT sha256 STREQUAL want_sha256)
                       "${want_sha256} (23070 lines)")
 endif()
 
-# The deterministic part of both metrics exports is pinned as well, so a
-# change to how the recorder feeds its counters and observables cannot
-# shift a number unnoticed (the determinism tests only compare the code
-# with itself).  Dropped first: from the JSON every wall-clock field, the
-# scheduler's steal count and the invariant-check count (nonzero only in
-# invariant-checking builds); from the Prometheus text every family that
-# schema.def marks nondeterministic, and the invariant-check family.
+# The deterministic part of the report and of its Prometheus text is pinned
+# as well, so a change to how the recorder feeds its counters and
+# observables cannot shift a number unnoticed (the determinism tests only
+# compare the code with itself).  Dropped first: from the report every
+# wall-clock field (the profiles' wall_ns included), the scheduler's steal
+# count and the invariant-check count (nonzero only in invariant-checking
+# builds); from the Prometheus text every family that schema.def marks
+# nondeterministic, and the invariant-check family.
 # A mismatch leaves the masked text beside the export for a diff.
 function(expect_masked_sha256 label masked want)
   string(SHA256 got "${masked}")
@@ -53,12 +71,13 @@ function(expect_masked_sha256 label masked want)
   endif()
 endfunction()
 
-file(READ "${WORKDIR}/m.json" json)
+file(READ "${report}" json)
 string(REGEX REPLACE
        "\n[^\n]*\"([a-z_]*_seconds|worker_steals|invariant_checks)\"[^\n]*"
        "" json "${json}")
+string(REGEX REPLACE ", \"wall_ns\": [0-9]+" "" json "${json}")
 expect_masked_sha256(metrics_json "${json}"
-    0564d7fa86b57e83a825f7e9a56a131f04835c978172feb44bd4336e5b1f0182)
+    f18e3d08a0ee81f5c0cc9ceb75d1e1212ca29a6402b1c69e233fcc4edb5393dd)
 
 file(READ "${CMAKE_CURRENT_LIST_DIR}/../../src/obs/schema.def" schema)
 set(head "MCOPT_(COUNTER|GAUGE|HISTOGRAM)\\(k[A-Za-z0-9]+,")
@@ -76,19 +95,6 @@ string(REGEX REPLACE
        "" text "\n${text}")
 expect_masked_sha256(prom "${text}"
     25a2d1daf9af2edb3216fd0f46332a8cef74ce9d850937a9b4fca40173f2f8be)
-
-# Runs mcopt_report.py with `args` and requires exit status `want`.
-function(expect_report want)
-  execute_process(COMMAND "${PYTHON}" "${REPORT}" ${ARGN}
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err
-                  RESULT_VARIABLE status)
-  if(NOT status STREQUAL "${want}")
-    list(JOIN ARGN " " args)
-    message(FATAL_ERROR
-      "mcopt_report.py ${args}: exit ${status}, want ${want}\n${out}${err}")
-  endif()
-endfunction()
 
 expect_report(0 validate "${trace}")
 expect_report(0 validate "${prom}")

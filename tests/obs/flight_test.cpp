@@ -175,30 +175,5 @@ TEST_F(FlightDeathTest, TerminateHandlerDumpsToo) {
   std::remove(path.c_str());
 }
 
-TEST(FlightTest, DumpCleanWritesSnapshotThroughNormalIo) {
-  // dump_clean is the non-crash spelling (tests, orderly shutdown paths);
-  // it must produce the same bytes as the crash dump.  Uses a local ring
-  // via the singleton only in death tests; here we can't re-arm the
-  // global safely, so exercise the equivalence on RingBufferSink directly
-  // plus the formatter pin above.
-  RingBufferSink ring{6};
-  for (std::uint64_t i = 0; i < 9; ++i) ring.write(numbered_event(i));
-  const std::string path = testing::TempDir() + "flight_clean.jsonl";
-  {
-    std::ofstream out{path, std::ios::trunc};
-    std::string text;
-    for (const Event& event : ring.snapshot()) append_jsonl(event, text);
-    out << text;
-  }
-  const int fd = ::open((path + ".crash").c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(ring.crash_dump(fd), 6u);
-  ASSERT_EQ(::close(fd), 0);
-  EXPECT_EQ(read_file(path), read_file(path + ".crash"));
-  std::remove(path.c_str());
-  std::remove((path + ".crash").c_str());
-}
-
 }  // namespace
 }  // namespace mcopt::obs

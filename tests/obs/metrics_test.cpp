@@ -122,6 +122,37 @@ TEST(RunMetricsTest, ToJsonHasStableShape) {
   EXPECT_LT(json.find("\"wall_seconds\""), json.find("\"stages\""));
 }
 
+TEST(RunMetricsTest, DeterministicJsonDropsClocksAndSteals) {
+  RunMetrics m;
+  m.collected = true;
+  m.restarts = 1;
+  m.stages.resize(1);
+  m.stages[0].proposals = 4;
+  m.profile.nodes.push_back({"figure1", -1, 2, 40, 0});
+  // Same counts, other clocks and scheduling: outside the determinism
+  // contract, so the deterministic form cannot tell the two apart.
+  RunMetrics clocked = m;
+  clocked.wall_seconds = 1.5;
+  clocked.invariant_seconds = 0.25;
+  clocked.worker_steals = 3;
+  clocked.stages[0].wall_seconds = 0.5;
+  clocked.profile.nodes[0].wall_ns = 7;
+
+  const std::string all = clocked.to_json();
+  const std::string det = clocked.to_json(/*deterministic_only=*/true);
+  EXPECT_EQ(det, m.to_json(/*deterministic_only=*/true));
+  EXPECT_NE(all, m.to_json());
+  for (const char* key : {"\"wall_seconds\"", "\"invariant_seconds\"",
+                          "\"worker_steals\"", "\"wall_ns\""}) {
+    EXPECT_NE(all.find(key), std::string::npos) << key;
+    EXPECT_EQ(det.find(key), std::string::npos) << key;
+  }
+  EXPECT_NE(det.find("\"restarts\": 1"), std::string::npos) << det;
+  EXPECT_NE(det.find("\"calls\": 2"), std::string::npos) << det;
+  // The stage object still closes without a trailing comma.
+  EXPECT_NE(det.find("\"uphill_rate\": 0\n    }"), std::string::npos) << det;
+}
+
 TEST(RunMetricsTest, SummaryMentionsHeadlineCounters) {
   RunMetrics m;
   m.collected = true;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The Perfetto timeline, end to end: a driver's --profile-out, rendered.
+"""The Perfetto timeline, end to end: a driver's --report-out, rendered.
 
-Runs Table 4.1 at four threads with --profile-out and a trace, renders the
+Runs Table 4.1 at four threads with --report-out and a trace, renders the
 timeline with `mcopt_report.py timeline` and validates it with
 `mcopt_report.py validate`.  The aggregate lane (pid 0) must carry the
 profile tree span for span (name, calls, ticks, in depth-first order).  The
@@ -37,20 +37,20 @@ def spans(events, pid, tid=None):
 def main(driver: str, report: str, workdir: str) -> int:
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
-    profile = os.path.join(workdir, "profile.json")
+    report_json = os.path.join(workdir, "report.json")
     timeline = os.path.join(workdir, "timeline.json")
     trace = os.path.join(workdir, "trace.jsonl")
     env = dict(os.environ, MCOPT_BENCH_SCALE="0.05")
     env.pop("MCOPT_BENCH_CSV_DIR", None)
     subprocess.run([driver, "--table", "4.1", "--threads", "4", "--quiet",
-                    "--profile-out", profile, "--trace", trace,
+                    "--report-out", report_json, "--trace", trace,
                     "--trace-sample", "16"], env=env, check=True,
                    stdout=subprocess.DEVNULL)
-    for args in (["timeline", profile, "-o", timeline],
+    for args in (["timeline", report_json, "-o", timeline],
                  ["validate", timeline]):
         subprocess.run([sys.executable, report] + args, check=True)
 
-    with open(profile, encoding="utf-8") as handle:
+    with open(report_json, encoding="utf-8") as handle:
         doc = json.load(handle)
     with open(timeline, encoding="utf-8") as handle:
         events = json.load(handle)["traceEvents"]

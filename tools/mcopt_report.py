@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Checks, summarizes, compares and renders mcopt's observability exports.
 
-Reads every export of the bench drivers: a JSONL trace (``--trace``, or the
-crash dump of ``--flight-recorder``), a metrics JSON (``--metrics-out``), a
-Prometheus text (``--prom-out``), a profile JSON (``--profile-out``) and the
-timeline rendered from it, telling them apart by content; its subcommands
-are validate, summary, diff, timeline and self-test.  ``validate`` and
-``diff`` read the event kinds, stage reasons and ``mcopt_`` families
-from ``src/obs/schema.def``, the list the C++ side is generated from.
+Reads both exports of the bench drivers, a JSONL trace (``--trace``, or the
+crash dump of ``--flight-recorder``) and a run report (``--report-out``:
+merged metrics, observables and stage profile, plus one profile per
+worker), and the Prometheus text and timeline rendered from the report,
+telling them apart by content; its subcommands are validate, summary,
+diff, prom, timeline and self-test.  ``validate``, ``diff`` and ``prom``
+read the event kinds, stage reasons and ``mcopt_`` families from
+``src/obs/schema.def``, the list the C++ side is generated from.
+
+``prom REPORT -o OUT`` writes the report as Prometheus text: one sample per
+PROM_FIELDS row (per stage for the stage families), each family's HELP and
+TYPE from schema.def, families in name order.  Numbers are copied as the
+report spells them.
 
 ``diff A B`` applies the determinism contract (src/obs/event.hpp): every
 trace field but ``worker``, and every event but the kinds schema.def marks
@@ -18,7 +24,7 @@ differ and its context.  ``--replay`` flags a ``new_best`` whose cost
 disagrees with its replayed (run, restart) chain; it needs a full trace
 (``--trace-sample 1``).
 
-``timeline PROFILE -o OUT`` writes a Chrome Trace Event file for
+``timeline REPORT -o OUT`` writes a Chrome Trace Event file for
 https://ui.perfetto.dev: lane (pid 0, tid 0) holds the aggregate tree, lane
 (1, w) worker w's.  A profile node sums every call of a scope, so span
 widths are measured wall time but positions are synthetic: read it as a
@@ -31,21 +37,26 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import re
 import sys
+import tempfile
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
 SCHEMA_DEF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "src", "obs", "schema.def")
 
-# One X-macro entry of schema.def: its macro, wire name and first flag.
+# One X-macro entry of schema.def: its macro, wire name, first flag and,
+# for a metric family, its HELP text.
 SCHEMA_ENTRY = re.compile(
     r'^MCOPT_(EVENT_KIND|STAGE_REASON|COUNTER|GAUGE|HISTOGRAM)\(\s*\w+\s*,'
-    r'\s*"([^"]+)"\s*,\s*(true|false)\b', re.MULTILINE)
+    r'\s*"([^"]+)"\s*,\s*(true|false)\s*(?:,\s*"([^"]*)"\s*)?\)',
+    re.MULTILINE)
 
 # Tick ranges of the trace summary's per-tick-range table, and events of
 # context either side of a divergence.
@@ -55,11 +66,18 @@ DIVERGENCE_CONTEXT = 3
 MAX_ERRORS = 20
 
 
+class Family(NamedTuple):
+    """One Prometheus metric family of src/obs/schema.def."""
+    type: str                        # counter, gauge or histogram
+    deterministic: bool
+    help: str
+
+
 class Schema(NamedTuple):
     """The trace and metric vocabulary declared in src/obs/schema.def."""
     event_kinds: dict[str, bool]     # wire name -> deterministic
     stage_reasons: frozenset[str]    # reasons a stage_begin line may carry
-    families: frozenset[str]         # Prometheus family names
+    families: dict[str, Family]      # Prometheus family name -> entry
 
 
 @functools.cache
@@ -68,12 +86,13 @@ def schema() -> Schema:
     generated from, so the accepted vocabulary cannot drift from it."""
     with open(SCHEMA_DEF, encoding="utf-8") as handle:
         entries = SCHEMA_ENTRY.findall(handle.read())
-    kinds = {name: flag == "true" for macro, name, flag in entries
+    kinds = {name: flag == "true" for macro, name, flag, _ in entries
              if macro == "EVENT_KIND"}
-    reasons = frozenset(name for macro, name, flag in entries
+    reasons = frozenset(name for macro, name, flag, _ in entries
                         if macro == "STAGE_REASON" and flag == "true")
-    families = frozenset(name for macro, name, _ in entries
-                         if macro not in ("EVENT_KIND", "STAGE_REASON"))
+    families = {name: Family(macro.lower(), flag == "true", help_text)
+                for macro, name, flag, help_text in entries
+                if macro not in ("EVENT_KIND", "STAGE_REASON")}
     if not (kinds and reasons and families):
         raise OSError(f"{SCHEMA_DEF}: no schema entries found")
     return Schema(kinds, reasons, families)
@@ -84,16 +103,15 @@ class UsageError(Exception):
 
 
 def sniff(text: str):
-    """(kind, payload): "trace" or "prom" with the text, "timeline",
-    "metrics" or "profile" with the parsed document."""
+    """(kind, payload): "trace" or "prom" with the text, "timeline" or
+    "report" with the parsed document."""
     if not text.lstrip().startswith("{"):
         return ("prom" if text.strip() else "trace"), text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
         return "trace", text  # several JSON lines
-    for key, kind in (("traceEvents", "timeline"), ("stages", "metrics"),
-                      ("profile", "profile")):
+    for key, kind in (("traceEvents", "timeline"), ("stages", "report")):
         if isinstance(doc, dict) and key in doc:
             return kind, doc
     return "trace", text  # a one-line trace
@@ -407,9 +425,9 @@ def diff(path_a: str, path_b: str, strict_worker: bool, replay: bool,
     return status
 
 
-# --- metrics and profile exports -----------------------------------------
+# --- run reports ---------------------------------------------------------
 
-def summarize_metrics(path: str, metrics: dict) -> None:
+def summarize_report(path: str, metrics: dict) -> None:
     print(f"{path}: metrics summary")
     for key in ("restarts", "new_bests", "patience_resets", "trace_events",
                 "invariant_checks", "worker_steals", "wall_seconds"):
@@ -460,6 +478,8 @@ def summarize_metrics(path: str, metrics: dict) -> None:
                              f"{100.0 * count / total:.1f}%",
                              "#" * round(40 * count / total)])
         print_table(["Δcost", "count", "share", ""], rows)
+    if metrics.get("profile"):
+        summarize_profile(path, metrics)
 
 
 def print_profile_tree(nodes, indent: int, parent_ticks) -> None:
@@ -485,6 +505,115 @@ def summarize_profile(path: str, doc: dict) -> None:
 
 
 # --- Prometheus text -----------------------------------------------------
+
+# The report's fields, by Prometheus family: (family, section, key).  A
+# "run" field is one unlabelled sample; a "stages" or "observables" field
+# one sample per element of that array, labelled {stage="i"}.  Every
+# schema.def family has exactly one row (mapping_errors() checks).
+PROM_FIELDS = (
+    ("mcopt_restarts_total", "run", "restarts"),
+    ("mcopt_new_bests_total", "run", "new_bests"),
+    ("mcopt_patience_resets_total", "run", "patience_resets"),
+    ("mcopt_trace_events_total", "run", "trace_events"),
+    ("mcopt_invariant_checks_total", "run", "invariant_checks"),
+    ("mcopt_invariant_seconds", "run", "invariant_seconds"),
+    ("mcopt_wall_seconds", "run", "wall_seconds"),
+    ("mcopt_worker_steals_total", "run", "worker_steals"),
+    ("mcopt_uphill_delta_proposed", "run", "uphill_delta_proposed"),
+    ("mcopt_uphill_delta_accepted", "run", "uphill_delta_accepted"),
+    ("mcopt_stage_proposals_total", "stages", "proposals"),
+    ("mcopt_stage_accepts_total", "stages", "accepts"),
+    ("mcopt_stage_uphill_accepts_total", "stages", "uphill_accepts"),
+    ("mcopt_stage_rejects_total", "stages", "rejects"),
+    ("mcopt_stage_downhill_proposals_total", "stages", "downhill_proposals"),
+    ("mcopt_stage_sideways_proposals_total", "stages", "sideways_proposals"),
+    ("mcopt_stage_uphill_proposals_total", "stages", "uphill_proposals"),
+    ("mcopt_stage_new_bests_total", "stages", "new_bests"),
+    ("mcopt_stage_patience_fires_total", "stages", "patience_fires"),
+    ("mcopt_stage_ticks_total", "stages", "ticks"),
+    ("mcopt_stage_wall_seconds", "stages", "wall_seconds"),
+    ("mcopt_stage_acceptance_rate", "stages", "acceptance_rate"),
+    ("mcopt_stage_uphill_rate", "stages", "uphill_rate"),
+    ("mcopt_stage_cost_samples_total", "observables", "samples"),
+    ("mcopt_stage_cost_mean", "observables", "cost_mean"),
+    ("mcopt_stage_cost_variance", "observables", "cost_variance"),
+    ("mcopt_stage_temperature", "observables", "temperature"),
+    ("mcopt_stage_specific_heat", "observables", "specific_heat"),
+    # The report lists lags 1, 2, ...; the family is lag 1.
+    ("mcopt_stage_autocorr_lag1", "observables", "autocorrelation"),
+    ("mcopt_stage_equilibrated_total", "observables", "equilibrated_runs"),
+)
+
+
+def mapping_errors(fields=PROM_FIELDS) -> list[str]:
+    """Families of schema.def without a row of `fields`, and rows naming no
+    family."""
+    named = {family for family, _, _ in fields}
+    families = schema().families
+    return ([f"schema.def family '{f}' has no PROM_FIELDS row"
+             for f in families if f not in named] +
+            [f"PROM_FIELDS row '{f}' names no schema.def family"
+             for f in named if f not in families])
+
+
+def histogram_lines(family: str, hist: dict) -> list[str]:
+    """A report histogram (cumulative buckets up to its last non-empty one,
+    then +Inf) as family_bucket / _sum / _count lines.  Finite buckets past
+    the last one that adds a count are not listed."""
+    finite = [b for b in hist["buckets"] if b["le"] != "+Inf"]
+    while len(finite) > 1 and finite[-1]["count"] == finite[-2]["count"]:
+        finite.pop()
+    return ([f'{family}_bucket{{le="{b["le"]}"}} {b["count"]}'
+             for b in finite] +
+            [f'{family}_bucket{{le="+Inf"}} {hist["count"]}',
+             f"{family}_sum {hist['sum']}", f"{family}_count {hist['count']}"])
+
+
+def render_prometheus(text: str) -> str:
+    """The Prometheus text of a run report's JSON `text`.  Samples sort by
+    name, labels included, so each family's lines are contiguous and carry
+    one HELP/TYPE pair.  Numbers stay the report's literals: the C++ writer
+    (obs/json_number.hpp) already printed them as the exposition needs."""
+    report = json.loads(text, parse_int=str, parse_float=str)
+    samples = []  # (name with labels, family, lines)
+    for family, section, key in PROM_FIELDS:
+        if section == "run":
+            value = report[key]
+            lines = (histogram_lines(family, value)
+                     if isinstance(value, dict) else [f"{family} {value}"])
+            samples.append((family, family, lines))
+            continue
+        for i, row in enumerate(report[section]):
+            value = row[key]
+            if isinstance(value, list):
+                value = value[0]
+            name = f'{family}{{stage="{i}"}}'
+            samples.append((name, family, [f"{name} {value}"]))
+    out, last = [], None
+    families = schema().families
+    for _, family, lines in sorted(samples):
+        if family != last:
+            entry = families[family]
+            out += [f"# HELP {family} {entry.help}",
+                    f"# TYPE {family} {entry.type}"]
+            last = family
+        out += lines
+    return "".join(line + "\n" for line in out)
+
+
+def write_prometheus(report_path: str, out_path: str) -> int:
+    load(report_path, "prom", ["report"])  # any other file: a usage error
+    with open(report_path, encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        prom = render_prometheus(text)
+    except (KeyError, IndexError, TypeError) as err:
+        raise UsageError(f"{report_path}: not a run report ({err!r})")
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(prom)
+    print(f"{out_path}: {len(prom.splitlines())} lines of Prometheus text")
+    return 0
+
 
 PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 PROM_SAMPLE = re.compile(
@@ -560,7 +689,7 @@ EPSILON_US = 0.002
 
 
 def render_timeline(doc: dict) -> list[dict]:
-    """The traceEvents of a --profile-out document: lane (0, 0) carries the
+    """The traceEvents of a run report's profiles: lane (0, 0) carries the
     aggregate tree, lane (1, w) worker w's.  Each lane's roots lie end to
     end from 0 and a node's children pack from its start, so the
     profiler's child-sums-never-exceed-parent invariant keeps every child
@@ -612,8 +741,8 @@ def timeline_json(events: list[dict]) -> str:
             ',\n  "displayTimeUnit": "ms"\n}\n')
 
 
-def write_timeline(profile_path: str, out_path: str) -> int:
-    events = render_timeline(load(profile_path, "timeline", ["profile"])[1])
+def write_timeline(report_path: str, out_path: str) -> int:
+    events = render_timeline(load(report_path, "timeline", ["report"])[1])
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(timeline_json(events))
     print(f"{out_path}: {len(events)} events (open in ui.perfetto.dev)")
@@ -746,8 +875,8 @@ def summarize_timeline(path: str, doc: dict) -> int:
 
 VALIDATORS = {"trace": validate_trace, "prom": validate_prometheus,
               "timeline": validate_timeline}
-SUMMARIES = {"trace": summarize_trace, "metrics": summarize_metrics,
-             "profile": summarize_profile, "timeline": summarize_timeline}
+SUMMARIES = {"trace": summarize_trace, "report": summarize_report,
+             "timeline": summarize_timeline}
 
 
 def synthetic_trace(workers: tuple, with_steal: bool) -> list[dict]:
@@ -790,8 +919,31 @@ def profile_node(name: str, calls: int, ticks: int, wall_ns: int,
             "children": list(children)}
 
 
+def synthetic_report(stages: int = 0, observables: int = 0) -> dict:
+    """A run report shaped as RunMetrics::to_json writes it: every counter,
+    gauge and histogram at zero, `stages` and `observables` zeroed rows."""
+    families = schema().families
+    sections = defaultdict(dict)
+    for family, section, key in PROM_FIELDS:
+        sections[section][key] = (
+            {"count": 0, "sum": 0, "buckets": [{"le": "+Inf", "count": 0}]}
+            if families[family].type == "histogram" else 0)
+    sections["observables"]["autocorrelation"] = [0, 0]
+    report = {"collected": True, **sections["run"]}
+    for section, rows in (("stages", stages), ("observables", observables)):
+        report[section] = [dict(sections[section], stage=i)
+                           for i in range(rows)]
+    return {**report, "profile": [], "workers": []}
+
+
+def prom_lines(report: dict) -> list[str]:
+    return render_prometheus(json.dumps(report)).splitlines()
+
+
 SELF_TEST_CASES = ("diff", "timeline-validator", "empty", "packing",
-                   "metadata", "lane-cursor", "escaping")
+                   "metadata", "lane-cursor", "escaping", "prom-headers",
+                   "prom-histogram", "prom-labels", "prom-mapping",
+                   "prom-non-report")
 
 
 def self_test(case) -> int:
@@ -902,6 +1054,97 @@ def self_test(case) -> int:
               and json.loads(text)["traceEvents"][2]["name"] == odd,
               "scope names are JSON-escaped")
 
+    # prom: one HELP/TYPE pair per family, however many stages it labels,
+    # and the rendered text passes the validator.
+    if case in (None, "prom-headers"):
+        report = synthetic_report(stages=3, observables=3)
+        for row in report["stages"]:
+            row["proposals"] = 10
+        lines = prom_lines(report)
+        family = "mcopt_stage_proposals_total"
+        check([line for line in lines if line.startswith(family)] ==
+              [f'{family}{{stage="{i}"}} 10' for i in range(3)],
+              "three labelled samples of one family")
+        check(lines.count(f"# TYPE {family} counter") == 1 and
+              sum(line.startswith(f"# HELP {family} ") for line in lines)
+              == 1, "one HELP/TYPE pair for the family")
+        headers = Counter(line.split()[2] for line in lines
+                          if line.startswith("# "))
+        check(set(headers) == set(schema().families) and
+              set(headers.values()) == {2},
+              f"every family exactly one HELP and one TYPE: {headers}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = validate_prometheus("rendered", "\n".join(lines))
+        check(status == 0, "the rendered text validates")
+    # prom: a histogram's cumulative buckets up to the last one that adds a
+    # count, then +Inf, _sum and _count; one observation past the finite
+    # buckets lists only the first.
+    if case in (None, "prom-histogram"):
+        report = synthetic_report()
+        report["uphill_delta_proposed"] = {  # the values 1 and 3
+            "count": 2, "sum": 4, "buckets": [
+                {"le": 1, "count": 0}, {"le": 2, "count": 1},
+                {"le": 4, "count": 2}, {"le": "+Inf", "count": 2}]}
+        report["uphill_delta_accepted"] = {  # one value of at least 2^38
+            "count": 1, "sum": 2 ** 40, "buckets": [
+                {"le": 2 ** i, "count": 0} for i in range(39)] +
+            [{"le": "+Inf", "count": 1}]}
+        lines = prom_lines(report)
+        h = "mcopt_uphill_delta_proposed"
+        check(f"# TYPE {h} histogram" in lines, "histogram TYPE")
+        check([line for line in lines if line.startswith(h)] ==
+              [f'{h}_bucket{{le="1"}} 0', f'{h}_bucket{{le="2"}} 1',
+               f'{h}_bucket{{le="4"}} 2', f'{h}_bucket{{le="+Inf"}} 2',
+               f"{h}_sum 4", f"{h}_count 2"], "bucket, sum and count lines")
+        a = "mcopt_uphill_delta_accepted"
+        check([line for line in lines if line.startswith(a + "_bucket")] ==
+              [f'{a}_bucket{{le="1"}} 0', f'{a}_bucket{{le="+Inf"}} 1'],
+              "empty finite buckets past the last count are dropped")
+    # prom: the stage families label each row by its index, observables
+    # take autocorrelation lag 1, and schema.def keeps clocks and scheduling
+    # out of the determinism contract.
+    if case in (None, "prom-labels"):
+        report = synthetic_report(stages=2, observables=2)
+        report["restarts"] = 4
+        report["stages"][1].update(proposals=100, uphill_proposals=60)
+        report["observables"][1]["autocorrelation"] = [0.5, 0.25]
+        lines = prom_lines(report)
+        for line in ("mcopt_restarts_total 4",
+                     'mcopt_stage_proposals_total{stage="1"} 100',
+                     'mcopt_stage_uphill_proposals_total{stage="1"} 60',
+                     'mcopt_stage_autocorr_lag1{stage="1"} 0.5'):
+            check(line in lines, f"sample {line!r}")
+        families = schema().families
+        check(not families["mcopt_wall_seconds"].deterministic and
+              not families["mcopt_worker_steals_total"].deterministic and
+              families["mcopt_restarts_total"].deterministic,
+              "clocks and steals are nondeterministic families")
+    # prom: every schema.def family has one PROM_FIELDS row and every row
+    # names a family; a dropped or an invented row is caught.
+    if case in (None, "prom-mapping"):
+        check(mapping_errors() == [], f"mapping: {mapping_errors()}")
+        check(bool(mapping_errors(PROM_FIELDS[1:])), "a dropped row")
+        check(bool(mapping_errors(PROM_FIELDS + (
+            ("mcopt_planted_total", "run", "restarts"),))), "an invented row")
+    # prom: a file that is not a run report is a usage error with a message.
+    if case in (None, "prom-non-report"):
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = os.path.join(tmp, "trace.jsonl")
+            partial = os.path.join(tmp, "partial.json")
+            with open(trace, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(synthetic_trace((0, 0), False)[0]))
+            with open(partial, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps({"stages": []}))
+            for path, message in ((trace, "prom takes no trace file"),
+                                  (partial, "not a run report")):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    status = main(["prom", path, "-o",
+                                   os.path.join(tmp, "prom.txt")])
+                text = err.getvalue()
+                check(status != 0 and message in text,
+                      f"prom {os.path.basename(path)}: exit {status}, "
+                      f"{text!r}")
+
     failures = [label for ok, label in results if not ok]
     for failure in failures:
         print(f"self-test FAILED: {failure}", file=sys.stderr)
@@ -916,9 +1159,8 @@ def main(argv: list[str]) -> int:
     commands.add_parser("validate", help="check a trace, flight dump, "
                         "Prometheus text or timeline").add_argument(
                             "files", nargs="+")
-    commands.add_parser("summary", help="tables for a trace, metrics "
-                        "export, profile or timeline").add_argument(
-                            "files", nargs="+")
+    commands.add_parser("summary", help="tables for a trace, run report "
+                        "or timeline").add_argument("files", nargs="+")
     diff_parser = commands.add_parser("diff", help="first diverging event "
                                       "of two traces")
     diff_parser.add_argument("trace_a")
@@ -928,11 +1170,15 @@ def main(argv: list[str]) -> int:
             ("--replay", "check each cost chain (full traces only)"),
             ("--observables", "print both traces' per-stage tables")):
         diff_parser.add_argument(flag, action="store_true", help=help_text)
-    timeline_parser = commands.add_parser(
-        "timeline", help="render a --profile-out file for Perfetto")
-    timeline_parser.add_argument("profile")
-    timeline_parser.add_argument("-o", dest="output", required=True,
-                                 help="Chrome Trace Event file to write")
+    for name, help_text, output in (
+            ("prom", "render a --report-out file as Prometheus text",
+             "Prometheus text file to write"),
+            ("timeline", "render a --report-out file for Perfetto",
+             "Chrome Trace Event file to write")):
+        render_parser = commands.add_parser(name, help=help_text)
+        render_parser.add_argument("report")
+        render_parser.add_argument("-o", dest="output", required=True,
+                                   help=output)
     commands.add_parser("self-test", help="run the built-in fixtures"
                         ).add_argument("case", nargs="?",
                                        choices=SELF_TEST_CASES)
@@ -943,8 +1189,10 @@ def main(argv: list[str]) -> int:
         if args.command == "diff":
             return diff(args.trace_a, args.trace_b, args.strict_worker,
                         args.replay, args.observables)
+        if args.command == "prom":
+            return write_prometheus(args.report, args.output)
         if args.command == "timeline":
-            return write_timeline(args.profile, args.output)
+            return write_timeline(args.report, args.output)
         handlers = VALIDATORS if args.command == "validate" else SUMMARIES
         status = 0
         for path in args.files:
