@@ -8,9 +8,10 @@
 //  - kernel rows: a stripped Metropolis kernel with a *fixed* uphill-accept
 //    probability, swept from always-reject to always-accept, so throughput
 //    is measured as a function of acceptance rate.  They run on GOLA
-//    15/150, whose nets take DensityState's two-pin weight matrix, GOLA
-//    60/600, whose nets take its neighbour lists, and NOLA 15/150 with 2-6
-//    pins, whose wide nets take the column kernel.  The kernel owns its
+//    15/150 and 60/600, whose swaps take DensityState's lane pass over
+//    the two-pin weight rows, and NOLA 15/150 with 2-6 pins, whose swaps
+//    take the same pass with the column kernel's wide changes added
+//    (src/linarr/density.hpp).  The kernel owns its
 //    acceptance draws and streams them from Rng::next_block in 256-word
 //    blocks; pair draws stay inside propose().
 //  - Figure 1 tiers: six-temperature annealing on GOLA 15/150, once as a
@@ -34,9 +35,10 @@
 // The multistart section re-checks determinism where the speculation
 // journal could plausibly leak state:
 //  - Figure 1 restarts through core::parallel_multistart at 1, 2, 4 and 8
-//    threads on all three instances, whose clones carry the matrix, list
-//    and column state.  Every thread count must reproduce the 1-thread
-//    aggregate; the sweep reports seconds, speedup and efficiency.
+//    threads on all three instances, whose clones carry the weight rows,
+//    the lists and the column state.  Every thread count must reproduce
+//    the 1-thread aggregate; the sweep reports seconds, speedup and
+//    efficiency.
 //  - On GOLA 15/150, a traced and profiled 8-thread run must equal an
 //    untraced 1-thread run, and its deterministic report JSON
 //    (RunMetrics::to_json(true): no wall clock, steal count or profile

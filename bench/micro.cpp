@@ -46,8 +46,9 @@ BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 // path), pairs drawn up front so the RNG is not timed.  Args: (cells,
 // nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell; the NOLA 60
 // and 240 rows give wide nets one and four words of position bits.  GOLA
-// 15 takes the two-pin weight matrix, GOLA 60 and 240 (swap only) the
-// neighbour lists: both sides of the rule in linarr/density.hpp.
+// 15 and 60 and NOLA 15 take the lane pass over the two-pin weight rows,
+// GOLA 240 (swap only) and NOLA 60 and 240 the neighbour lists: both
+// sides of the rule in linarr/density.hpp.
 template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));

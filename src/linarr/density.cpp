@@ -1,5 +1,10 @@
 #include "linarr/density.hpp"
 
+#if !defined(__SSE2__)
+#error "the weight-row lane pass needs SSE2, which every x86-64 target has"
+#endif
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstddef>
@@ -55,10 +60,31 @@ inline int popcount64(std::uint64_t x) {
 constexpr std::size_t kColumnWordCost = 1;
 constexpr std::size_t kIncidenceCost = 2;
 
-// The two-pin rule's constant (density.hpp): the weight matrix iff
+// The two-pin rule's constants (density.hpp): the weight matrix iff
 // n^2 <= kMatrixCellsPerPair x (entries of the neighbour lists), fitted
-// to both paths' measured costs (EXPERIMENTS.md).
+// to both paths' measured costs (EXPERIMENTS.md), and every cut fits an
+// int16 lane.
 constexpr std::size_t kMatrixCellsPerPair = 6;
+constexpr std::size_t kMaxMatrixNets = 32767;
+
+// int16 lanes per SSE2 vector: the rows, the cuts and window_diff_ are
+// padded to a multiple of it.
+constexpr std::size_t kLanes = 8;
+
+// mcopt: hot
+template <typename T>
+inline __m128i load16(const T* at) {  // 16 bytes, unaligned
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+// mcopt: hot
+inline __m128i low_halves(__m128i a, __m128i b) {
+  // The eight ints' low 16 bits, as int16 lanes: sign-extending the low
+  // half first keeps packs_epi32 from saturating, so the lanes are the
+  // ints modulo 2^16.
+  return _mm_packs_epi32(_mm_srai_epi32(_mm_slli_epi32(a, 16), 16),
+                         _mm_srai_epi32(_mm_slli_epi32(b, 16), 16));
+}
 
 }  // namespace
 
@@ -83,6 +109,7 @@ DensityState::DensityState(const DensityState& other)
       wide_offsets_(other.wide_offsets_),
       cell_wide_(other.cell_wide_),
       words_(other.words_),
+      lanes_(other.lanes_),
       bits_(other.bits_),
       cuts_(other.cuts_),
       cut_histogram_(other.cut_histogram_),
@@ -95,7 +122,7 @@ DensityState::DensityState(const DensityState& other)
       suf_(other.suf_),
       wide_cut_(other.wide_cut_),
       uses_matrix_(other.uses_matrix_),
-      weights_(other.weights_),
+      rows_(other.rows_),
       bits_stale_(other.bits_stale_) {
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
   reserve_scratch();
@@ -149,19 +176,14 @@ void DensityState::index_nets() {
     pair_offsets_.push_back(pairs_.size());
     wide_offsets_.push_back(cell_wide_.size());
   }
-  // The two-pin rule (density.hpp): an n x n matrix against the
-  // neighbour lists' entries.  The matrix is indexed by cell, so it is
-  // filled here once and never written again.
+  // The two-pin rule (density.hpp): an n x lanes matrix against the
+  // neighbour lists' entries, and no cut past an int16 lane.  rebuild()
+  // fills the rows from the arrangement.
   uses_matrix_ = !pairs_.empty() &&
-                 cells * cells <= kMatrixCellsPerPair * pairs_.size();
-  if (uses_matrix_) {
-    weights_.assign(cells * cells, 0);
-    for (CellId c = 0; c < cells; ++c) {
-      for (const Neighbour& nb : neighbours(c)) {
-        weights_[c * cells + nb.cell] = nb.weight;
-      }
-    }
-  }
+                 cells * cells <= kMatrixCellsPerPair * pairs_.size() &&
+                 nl.num_nets() <= kMaxMatrixNets;
+  lanes_ = (cells + kLanes - 1) / kLanes * kLanes;
+  if (uses_matrix_) rows_.assign(cells * lanes_, 0);
   words_ = (cells + 63) / 64;
   bits_.assign(wide_net_.size() * words_, 0);
   // The kernel rule (density.hpp): expected window x words against the
@@ -185,15 +207,16 @@ void DensityState::reserve_scratch() {
   // allocation-free for the life of the state (including clones — vector
   // copies shrink capacity to size, which is zero for empty scratch).
   const std::size_t wide = wide_net_.size();
-  const std::size_t boundaries = cuts_.size();
+  const std::size_t boundaries = arrangement_.size() - 1;
   touched_mark_.assign(wide, 0);
   spec_net_count_ = 0;
   spec_nets_.assign(wide + 1, 0);  // a full journal takes one more write
   spec_boundary_count_ = 0;
   spec_boundaries_.assign(boundaries, 0);
   spec_deltas_.assign(boundaries, 0);
-  window_diff_.assign(arrangement_.size(), 0);
+  window_diff_.assign(lanes_, 0);
   removed_at_.assign(cut_histogram_.size(), 0);
+  spec_lane_delta_.assign(uses_matrix_ ? lanes_ : 0, 0);
   spec_pre_.assign(pre_.size(), 0);
   spec_suf_.assign(suf_.size(), 0);
   spec_wide_cut_.assign(wide_cut_.size(), 0);
@@ -201,12 +224,13 @@ void DensityState::reserve_scratch() {
 
 bool DensityState::scratch_reserved() const noexcept {
   const std::size_t wide = wide_net_.size();
-  const std::size_t boundaries = cuts_.size();
+  const std::size_t boundaries = arrangement_.size() - 1;
   return touched_mark_.size() == wide && spec_nets_.size() == wide + 1 &&
          spec_boundaries_.size() == boundaries &&
          spec_deltas_.size() == boundaries &&
-         window_diff_.size() == arrangement_.size() &&
+         window_diff_.size() == lanes_ &&
          removed_at_.size() == cut_histogram_.size() &&
+         spec_lane_delta_.size() == (uses_matrix_ ? lanes_ : 0) &&
          spec_pre_.size() == pre_.size() && spec_suf_.size() == suf_.size() &&
          spec_wide_cut_.size() == wide_cut_.size();
 }
@@ -238,38 +262,44 @@ void DensityState::refresh_bits() {
   bits_stale_ = false;
 }
 
+void DensityState::refresh_rows() {
+  // Row x, lane q: the weight between x and the cell at position q.
+  std::fill(rows_.begin(), rows_.end(), std::int16_t{0});
+  for (CellId x = 0; x < arrangement_.size(); ++x) {
+    std::int16_t* row = rows_.data() + std::size_t{x} * lanes_;
+    for (const Neighbour& nb : neighbours(x)) {
+      row[arrangement_.position_of(nb.cell)] =
+          static_cast<std::int16_t>(nb.weight);
+    }
+  }
+}
+
 void DensityState::rebuild() {
-  // Every net's extent into a difference array over the boundaries (the
-  // last entry only ever collects a -1), then one prefix-sum pass.
+  // Every net's extent into a difference array over the boundaries, then
+  // one prefix-sum pass.  Entry n-1, which only ever collects a -1, and
+  // the padding lanes past it hold 0.
   const std::size_t n = arrangement_.size();
-  cuts_.assign(n, 0);
+  cuts_.assign(lanes_, 0);
   for (NetId net = 0; net < netlist_->num_nets(); ++net) {
     const auto [lo, hi] = extent(net);
     ++cuts_[lo];
     --cuts_[hi];
   }
+  cuts_[n - 1] = 0;
   refresh_bits();
   if (uses_columns_) refresh_columns(0, n - 1);
-  cuts_.pop_back();
-  cut_histogram_.assign(netlist_->num_nets() + 2, 0);
+  if (uses_matrix_) refresh_rows();
+  cut_histogram_.assign(uses_matrix_ ? 0 : netlist_->num_nets() + 2, 0);
   int cut = 0;
   total_span_ = 0;
   max_cut_ = 0;
-  for (int& entry : cuts_) {
-    cut += entry;
-    entry = cut;
-    ++cut_histogram_[static_cast<std::size_t>(cut)];
+  for (std::size_t b = 0; b + 1 < n; ++b) {
+    cut += cuts_[b];
+    cuts_[b] = cut;
+    if (!uses_matrix_) ++cut_histogram_[static_cast<std::size_t>(cut)];
     total_span_ += cut;
     max_cut_ = std::max(max_cut_, cut);
   }
-}
-
-int DensityState::density() const noexcept {
-  while (max_cut_ > 0 &&
-         cut_histogram_[static_cast<std::size_t>(max_cut_)] == 0) {
-    --max_cut_;
-  }
-  return max_cut_;
 }
 
 // mcopt: hot
@@ -277,9 +307,10 @@ void DensityState::bump_boundary(std::size_t b, int delta) {
   const int old_cut = cuts_[b];
   const int new_cut = old_cut + delta;
   cuts_[b] = new_cut;
-  --cut_histogram_[static_cast<std::size_t>(old_cut)];
-  ++cut_histogram_[static_cast<std::size_t>(new_cut)];
-  if (new_cut > max_cut_) max_cut_ = new_cut;
+  if (!uses_matrix_) {
+    --cut_histogram_[static_cast<std::size_t>(old_cut)];
+    ++cut_histogram_[static_cast<std::size_t>(new_cut)];
+  }
   total_span_ += delta;
 }
 
@@ -341,10 +372,25 @@ void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
 
 // mcopt: hot
 void DensityState::rearrange(SpecKind kind, std::size_t a, std::size_t b) {
+  // The rows' lanes follow the cells: a swap trades two lanes of every
+  // row, a single exchange rotates the window's lanes.
+  std::int16_t* const first = rows_.data();
+  std::int16_t* const last = first + rows_.size();
   if (kind == SpecKind::kSwap) {
     arrangement_.swap_positions(a, b);
+    for (std::int16_t* row = first; row != last; row += lanes_) {
+      std::swap(row[a], row[b]);
+    }
   } else {
     arrangement_.move_position(a, b);
+    // [lo, hi] turns one lane left when the cell at a moves right, one
+    // right when it moves left.
+    const std::size_t lo = std::min(a, b);
+    const std::size_t hi = std::max(a, b);
+    const std::size_t mid = a < b ? lo + 1 : hi;
+    for (std::int16_t* row = first; row != last; row += lanes_) {
+      std::rotate(row + lo, row + mid, row + hi + 1);
+    }
   }
 }
 
@@ -365,6 +411,7 @@ void DensityState::apply(SpecKind kind, std::size_t a, std::size_t b) {
     }
   }
   if (uses_columns_) refresh_columns(lo, hi);
+  max_cut_ = *std::max_element(cuts_.begin(), cuts_.end());
 }
 
 // mcopt: hot
@@ -379,40 +426,6 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
   MCOPT_DCHECK(from < arrangement_.size() && to < arrangement_.size(),
                "move position out of range");
   if (from != to) apply(SpecKind::kMove, from, to);
-}
-
-// mcopt: hot
-int DensityState::spec_swap_matrix(CellId x, CellId y, std::size_t lo,
-                                   std::size_t hi) {
-  // The neighbour-list writes, read off the row difference r[q] =
-  // W[x][cell at q] - W[y][cell at q]: r[q] is what lands on
-  // clamp(q, lo, hi).  Inside the window that is one add per boundary;
-  // r[lo] (y's net to x, skipped) and r[hi] (x's net to y, past the
-  // window) are left out.  Returns the sum over q < lo, the fold into
-  // window_diff_[lo].  A full row sums to 2 x its cell's two-pin degree
-  // and r[lo] + r[hi] = 0, so that sum is also 2 (deg2(x) - deg2(y))
-  // minus the window's and the right side's: the shorter outer side is
-  // summed.
-  const std::size_t n = arrangement_.size();
-  const CellId* order = arrangement_.order().data();
-  const int* row_x = weights_.data() + std::size_t{x} * n;
-  const int* row_y = weights_.data() + std::size_t{y} * n;
-  const auto r = [&](std::size_t q) {
-    return row_x[order[q]] - row_y[order[q]];
-  };
-  int inside = 0;
-  for (std::size_t b = lo + 1; b < hi; ++b) {
-    const int d = r(b);
-    window_diff_[b] += d;
-    inside += d;
-  }
-  int outer = 0;
-  if (lo <= n - 1 - hi) {
-    for (std::size_t q = 0; q < lo; ++q) outer += r(q);
-    return outer;
-  }
-  for (std::size_t q = hi + 1; q < n; ++q) outer += r(q);
-  return 2 * (pair_degree_[x] - pair_degree_[y]) - inside - outer;
 }
 
 // mcopt: hot
@@ -555,6 +568,68 @@ void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
 }
 
 // mcopt: hot
+template <bool kRows, bool kDiff>
+void DensityState::spec_lanes(const std::int16_t* row_x,
+                              const std::int16_t* row_y, int shift,
+                              std::size_t lo, std::size_t hi) {
+  // One pass over every lane, eight at a time, with no branch on the
+  // window: lane b's prefix sum of row_x - row_y (plus window_diff_,
+  // zeroed as it is read) is boundary b's change less `shift`.  The
+  // window's lanes add `shift` and keep it; every other lane's delta is
+  // masked to 0, so its candidate cut is its committed one and whatever
+  // its prefix wrapped to is never read.  All of it is int16 arithmetic
+  // modulo 2^16, exact wherever the result is a true cut (density.hpp).
+  const std::size_t lanes = lanes_;
+  const int* cuts = cuts_.data();
+  int* diff = window_diff_.data();
+  std::int16_t* out = spec_lane_delta_.data();
+  const __m128i after_lo = _mm_set1_epi16(static_cast<short>(lo - 1));
+  const __m128i at_hi = _mm_set1_epi16(static_cast<short>(hi));
+  const __m128i add = _mm_set1_epi16(static_cast<short>(shift));
+  const __m128i ones = _mm_set1_epi16(1);
+  const __m128i step = _mm_set1_epi16(static_cast<short>(kLanes));
+  __m128i lane = _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7);
+  __m128i carry = _mm_setzero_si128();  // every lane: the prefix so far
+  __m128i best = _mm_setzero_si128();
+  __m128i span = _mm_setzero_si128();
+  for (std::size_t k = 0; k < lanes; k += kLanes) {
+    __m128i d = _mm_setzero_si128();
+    if constexpr (kRows) {
+      d = _mm_sub_epi16(load16(row_x + k), load16(row_y + k));
+    }
+    if constexpr (kDiff) {
+      d = _mm_add_epi16(d, low_halves(load16(diff + k),
+                                      load16(diff + k + 4)));
+      std::fill_n(diff + k, kLanes, 0);
+    }
+    // In-register prefix sum: three shift-adds, then the carry, whose
+    // next value adds this vector's last lane off the critical path.
+    d = _mm_add_epi16(d, _mm_slli_si128(d, 2));
+    d = _mm_add_epi16(d, _mm_slli_si128(d, 4));
+    d = _mm_add_epi16(d, _mm_slli_si128(d, 8));
+    const __m128i prefix = _mm_add_epi16(d, carry);
+    carry = _mm_add_epi16(
+        carry, _mm_shuffle_epi32(_mm_shufflehi_epi16(d, 0xFF), 0xFF));
+    const __m128i in = _mm_and_si128(_mm_cmpgt_epi16(lane, after_lo),
+                                     _mm_cmpgt_epi16(at_hi, lane));
+    const __m128i delta = _mm_and_si128(_mm_add_epi16(prefix, add), in);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k), delta);
+    const __m128i cut =
+        _mm_packs_epi32(load16(cuts + k), load16(cuts + k + 4));
+    best = _mm_max_epi16(best, _mm_add_epi16(cut, delta));
+    span = _mm_add_epi32(span, _mm_madd_epi16(delta, ones));
+    lane = _mm_add_epi16(lane, step);
+  }
+  best = _mm_max_epi16(best, _mm_shuffle_epi32(best, 0x4E));
+  best = _mm_max_epi16(best, _mm_shuffle_epi32(best, 0xB1));
+  best = _mm_max_epi16(best, _mm_srli_epi32(best, 16));
+  span = _mm_add_epi32(span, _mm_shuffle_epi32(span, 0x4E));
+  span = _mm_add_epi32(span, _mm_shuffle_epi32(span, 0xB1));
+  spec_density_ = _mm_cvtsi128_si32(best) & 0xFFFF;
+  spec_total_span_ = total_span_ + _mm_cvtsi128_si32(span);
+}
+
+// mcopt: hot
 void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   MCOPT_DCHECK(p < arrangement_.size() && q < arrangement_.size(),
                "swap position out of range");
@@ -567,28 +642,38 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   const std::size_t hi = std::max(p, q);
   const CellId x = arrangement_.cell_at(lo);  // moves right
   const CellId y = arrangement_.cell_at(hi);  // moves left
-  // Two-pin nets: the -1 per net of x and +1 per net of y fold into
-  // window_diff_[lo], where a net joining x and y cancels itself; its +w
-  // write from x's side lands at hi, past the window.
+  // Two-pin nets: -1 per net of x and +1 per net of y on every window
+  // boundary, then their neighbours' weights by position (density.hpp).
   int shift = pair_degree_[y] - pair_degree_[x];
-  if (uses_matrix_) {
-    shift += spec_swap_matrix(x, y, lo, hi);
-  } else {
-    for (const Neighbour& nb : neighbours(x)) {
-      window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
-          nb.weight;
-    }
-    for (const Neighbour& nb : neighbours(y)) {
-      window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
-          nb.cell == x ? 0 : nb.weight;
-    }
-  }
   // Wide nets, out of line; a swap of two cells on none makes no call
   // to the per-net kernel.
   if (uses_columns_) {
     spec_swap_columns(lo, hi);
   } else if (!wide_nets_of(x).empty() || !wide_nets_of(y).empty()) {
     shift += spec_swap_wide(x, y, lo, hi);
+  }
+  if (uses_matrix_) {
+    const std::int16_t* row_x = rows_.data() + std::size_t{x} * lanes_;
+    const std::int16_t* row_y = rows_.data() + std::size_t{y} * lanes_;
+    shift += row_x[hi];  // W[x][y]: the nets joining x and y
+    // Without wide nets window_diff_ stays zero, and the pass skips it.
+    if (wide_net_.empty()) {
+      spec_lanes<true, false>(row_x, row_y, shift, lo, hi);
+    } else {
+      spec_lanes<true, true>(row_x, row_y, shift, lo, hi);
+    }
+    return;
+  }
+  // The lists fold the shift into window_diff_[lo], where a net joining x
+  // and y cancels itself; its +w from x's side lands at hi, past the
+  // window, and y's is skipped.
+  for (const Neighbour& nb : neighbours(x)) {
+    window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
+        nb.weight;
+  }
+  for (const Neighbour& nb : neighbours(y)) {
+    window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
+        nb.cell == x ? 0 : nb.weight;
   }
   window_diff_[lo] += shift;
   spec_scan(lo, hi);
@@ -663,28 +748,38 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
     ++window_diff_[holds ? std::max(other_hi, from) : other_hi];
     --window_diff_[holds ? std::max(new_hi, to) : new_hi];
   }
-  spec_scan(w_lo, w_hi);
+  if (uses_matrix_) {
+    spec_lanes<false, true>(nullptr, nullptr, 0, w_lo, w_hi);
+  } else {
+    spec_scan(w_lo, w_hi);
+  }
 }
 
 // mcopt: hot
 void DensityState::commit_speculation() {
   MCOPT_DCHECK(speculating(), "commit without a pending speculation");
+  const std::size_t a = spec_a_;
+  const std::size_t b = spec_b_;
+  const std::size_t lo = std::min(a, b);
+  const std::size_t hi = std::max(a, b);
+  if (uses_matrix_) {
+    // The lane pass left each window boundary's delta.
+    for (std::size_t k = lo; k < hi; ++k) cuts_[k] += spec_lane_delta_[k];
+  }
   for (std::size_t i = 0; i < spec_boundary_count_; ++i) {
-    const std::size_t b = spec_boundaries_[i];
-    const int old_cut = cuts_[b];
+    const std::size_t at = spec_boundaries_[i];
+    const int old_cut = cuts_[at];
     const int new_cut = old_cut + spec_deltas_[i];
-    cuts_[b] = new_cut;
+    cuts_[at] = new_cut;
     // One histogram update per changed boundary — bump_boundary would pay
     // one per crossing *unit*.
     --cut_histogram_[static_cast<std::size_t>(old_cut)];
     ++cut_histogram_[static_cast<std::size_t>(new_cut)];
   }
   spec_boundary_count_ = 0;
-  rearrange(spec_kind_, spec_a_, spec_b_);
+  rearrange(spec_kind_, a, b);
   // A swapped net is on exactly one of the two cells, so its bits at the
   // two positions trade places; a single exchange moves a whole window.
-  const std::size_t a = spec_a_;
-  const std::size_t b = spec_b_;
   for (std::size_t i = 0; i < spec_net_count_; ++i) {
     const std::uint32_t w = spec_nets_[i];
     std::uint64_t* bits = bits_.data() + w * words_;
@@ -697,15 +792,13 @@ void DensityState::commit_speculation() {
   }
   spec_net_count_ = 0;
   if (uses_columns_) {
-    const std::size_t lo = std::min(a, b);
-    const std::size_t hi = std::max(a, b);
     if (spec_kind_ == SpecKind::kSwap) {
       commit_swap_columns(lo, hi);
     } else {
       refresh_columns(lo, hi);
     }
   }
-  max_cut_ = spec_density_;  // exact, not just an upper bound
+  max_cut_ = spec_density_;
   total_span_ = spec_total_span_;
   spec_kind_ = SpecKind::kNone;
 }
@@ -740,10 +833,16 @@ bool DensityState::verify() const {
     return false;
   }
   const std::vector<int> counts = crossing_counts(*netlist_, arrangement_);
-  if (counts != cuts_) return false;
-  std::vector<int> histogram(cut_histogram_.size(), 0);
-  for (const int cut : counts) ++histogram[static_cast<std::size_t>(cut)];
-  if (histogram != cut_histogram_) return false;
+  std::vector<int> padded = counts;
+  padded.resize(lanes_, 0);
+  if (padded != cuts_) return false;
+  if (!uses_matrix_) {
+    std::vector<int> histogram(cut_histogram_.size(), 0);
+    for (const int cut : counts) ++histogram[static_cast<std::size_t>(cut)];
+    if (histogram != cut_histogram_) return false;
+  } else if (!cut_histogram_.empty()) {
+    return false;
+  }
   const int recount_density =
       counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
   if (density() != recount_density) return false;
@@ -762,21 +861,26 @@ bool DensityState::verify() const {
       }
     }
   }
-  return (!uses_matrix_ || verify_weights()) &&
+  return (!uses_matrix_ || verify_rows()) &&
          (!uses_columns_ || verify_columns());
 }
 
-bool DensityState::verify_weights() const {
-  // From the two-pin nets themselves, never the neighbour lists.
-  const std::size_t n = arrangement_.size();
-  std::vector<int> weights(n * n, 0);
+bool DensityState::verify_rows() const {
+  // From the two-pin nets themselves through the arrangement, never the
+  // neighbour lists; each weight modulo 2^16, as the lanes hold it.
+  std::vector<std::int16_t> rows(rows_.size(), 0);
+  const auto add = [&](CellId from, CellId to) {
+    std::int16_t& lane =
+        rows[std::size_t{from} * lanes_ + arrangement_.position_of(to)];
+    lane = static_cast<std::int16_t>(lane + 2);
+  };
   for (NetId net = 0; net < netlist_->num_nets(); ++net) {
     const auto pins = netlist_->pins(net);
     if (pins.size() != 2) continue;
-    weights[pins[0] * n + pins[1]] += 2;
-    weights[pins[1] * n + pins[0]] += 2;
+    add(pins[0], pins[1]);
+    add(pins[1], pins[0]);
   }
-  return weights == weights_;
+  return rows == rows_;
 }
 
 bool DensityState::verify_columns() const {

@@ -9,13 +9,13 @@
 //
 // DensityState keeps, incrementally:
 //   * per-boundary crossing counts,
-//   * a histogram of crossing counts with a lazily-decremented maximum, so
-//     density() is O(1) amortized after a move,
+//   * the exact maximum, and on instances that keep the neighbour lists a
+//     histogram of crossing counts that speculation reads,
 //   * the position bits of every net of three or more pins,
 //   * on instances that take the column kernel (below), a position-major
 //     index of those nets,
-//   * on instances that take the weight matrix (below), a cell-indexed
-//     matrix of the two-pin nets, built once from the netlist.
+//   * on instances that take the weight rows (below), per cell the
+//     weights of its two-pin nets by position.
 //
 // Nets take one of two paths by pin count alone, fixed when the state is
 // built:
@@ -24,7 +24,7 @@
 //     nets joining the two cells; parallel nets are merged), plus the
 //     cell's two-pin degree.  A two-pin net's extent is the positions of
 //     its two pins, so it never enters the journal.  On instances where it
-//     pays, a swap reads the same weights from the matrix instead.
+//     pays, a swap reads the same weights from the rows instead.
 //   * Nets of three or more pins ("wide" nets) are renumbered 0..m-1 and
 //     listed per cell.  Each keeps ceil(n/64) words of position bits (bit
 //     p set when one of its pins sits at position p): its extrema are its
@@ -67,30 +67,48 @@
 // once, at construction, from the instance's size:
 //   * The neighbour lists: one clamped write into window_diff_ per
 //     neighbour of the two cells, each after a position gather, about
-//     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs).
-//   * The weight matrix: W[x][z] is the weight between cells x and z (0 on
-//     the diagonal), indexed by cell id and filled once from the netlist,
-//     so no move ever writes it.  For a swap of x at lo with y at hi
-//     (lo < hi) the lists' writes come to the row difference
-//     r[q] = W[x][cell at q] - W[y][cell at q], read through the
-//     arrangement's order: inside the window r[b] lands on b, one gathered
-//     add per boundary, and all of r outside it folds into
-//     window_diff_[lo] as one sum.  That sum can come from the shorter
-//     outer side, since a full row sums to 2 x its cell's two-pin degree
-//     and r[lo] + r[hi] = 0.  A commit costs nothing more than the lists'
-//     (the matrix does not depend on the arrangement), and speculate_move
-//     keeps the lists.
-//   The rule: the matrix iff n^2 <= kMatrixCellsPerPair x E, with the
-//   constant 6, which also bounds the matrix at six ints per list entry.
-//   Both layouts were timed forced on the same GOLA and NOLA instances
-//   (EXPERIMENTS.md): with no commit cost on either side, the matrix's
-//   swap (about n/3 gathered adds plus the shorter outer side) beats the
-//   lists' (2E/n gathered writes), accepted or rejected alike, up to
-//   n^2/E of about 5; the two tie from 6.5 to 6.8 and the lists win from
-//   8.  GOLA 15/150 (n^2/E = 1.4), GOLA 60/600 (3.5) and
-//   NOLA 15/150 (4.5: a fifth of its nets are two-pin) take the matrix;
-//   GOLA 240/2400 (12.5) keeps the lists.  An instance with no two-pin
-//   net keeps neither.
+//     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs),
+//     then spec_scan's window pass (below).
+//   * The weight rows: row x, lane q holds W[x][cell at q], the weight
+//     between cell x and the cell at position q (0 on the diagonal), as
+//     int16 lanes padded to a multiple of 8.  For a swap of x at lo with
+//     y at hi (lo < hi), a net of x to the cell at q crosses boundary
+//     b in [lo, hi) after the swap iff q <= b and before it iff q > b, a
+//     net of y the other way round, and the net joining x and y, counted
+//     -1 from each side, keeps its extent, so b changes by
+//       prefix_{q <= b} (row_x[q] - row_y[q]) + W[x][y] + deg2(y) - deg2(x)
+//     with W[x][y] = row_x[hi].  speculate_swap is then one SSE2 pass
+//     over all lanes, with no branch on the window: subtract the two
+//     rows, prefix-sum in register (three shift-adds per vector plus the
+//     carried last lane), add the constant, mask the window, add the
+//     cuts, take the max (the candidate density, exact: outside the
+//     window the candidate cut is the committed one) and a masked madd
+//     (the total-span change).  Wide nets' changes join the same pass
+//     through window_diff_ (read as int16 lanes and zeroed as it is
+//     read), from either wide kernel.  A swap commit adds the window's
+//     deltas to the cuts and trades two lanes of every row (n swaps);
+//     a single exchange is scored from the lists into window_diff_ and
+//     read by the same pass without rows, and its commit rotates the
+//     window's lanes of every row; a reset rebuilds the rows from the
+//     lists.  These
+//     instances keep no count-of-counts histogram: nothing reads one.
+//   The rule: the rows iff n^2 <= kMatrixCellsPerPair x E, with the
+//   constant 6, which also bounds the rows at about six int16 per list
+//   entry, and num_nets <= 32767.  The lanes are int16 arithmetic
+//   modulo 2^16: weights, prefixes and window_diff_ entries may wrap, but
+//   only adds and subtracts reach them, and with num_nets <= 32767 every
+//   committed and candidate cut lies in [0, 32767] and every window
+//   delta in [-32767, 32767], so a lane whose true value is one of those
+//   holds it exactly.  Lanes outside the window may hold wrapped
+//   prefixes; the mask zeroes their delta before the max and the madd
+//   read it.  The window mask compares lane indices as signed int16,
+//   which the rule also bounds: E <= 2 x num_nets gives n < 628.
+//   The constant 6 was fitted to the earlier cell-indexed matrix, timed
+//   against the lists forced on the same GOLA and NOLA instances
+//   (EXPERIMENTS.md): the two tied from n^2/E of 6.5 to 6.8.  GOLA 15/150
+//   (n^2/E = 1.4), GOLA 60/600 (3.5) and NOLA 15/150 (4.5: a fifth of
+//   its nets are two-pin) take the rows; GOLA 240/2400 (12.5) keeps the
+//   lists.  An instance with no two-pin net keeps neither.
 //
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
@@ -102,7 +120,8 @@
 //     crossing counts only on the boundaries of its window [min, max) of
 //     the two positions.  Each net adds its per-boundary change to one
 //     reserved difference array (window_diff_) as a few point writes, and
-//     a single prefix-sum pass over the window yields the changed
+//     a single prefix-sum pass over the window (spec_scan, or on the
+//     weight-row instances the lane pass above) yields the changed
 //     boundaries and their deltas, the window's new maximum and the
 //     total-span delta, zeroing the array as it goes.
 //     - A swap of cell x at lo with cell y at hi: a pin moving right from
@@ -112,8 +131,8 @@
 //       the neighbour's position, so the two cells' two-pin nets come to
 //       window_diff_[lo] += deg2(y) - deg2(x), then +w at
 //       clamp(pos z, lo, hi) for each neighbour z of x and -w for each
-//       neighbour z != x of y (with the matrix: r[q] at clamp(q, lo, hi)
-//       for every q but lo).  A net joining x and y keeps its extent:
+//       neighbour z != x of y (with the rows, the formula above instead).
+//       A net joining x and y keeps its extent:
 //       its -1 and +1 at lo cancel, x's +w for it lands at hi, past the
 //       window, and y's is skipped.  In the per-net kernel a wide net's
 //       L/H are its extreme set bits with the moving pin's masked off; one
@@ -126,17 +145,18 @@
 //       the window.  Each wide net there (once, through touched marks)
 //       reads its extrema from its bits: the new ones are the shifted old
 //       ones, joined by `to` when the net holds the moving cell.
-//     When the window's new maximum is below the committed density, the
-//     count-of-counts histogram minus the changed boundaries' old values
-//     (counted into removed_at_ then, and zeroed before the scan returns)
-//     gives the largest cut outside the changed set, so the candidate
+//     In spec_scan, when the window's new maximum is below the committed
+//     density, the count-of-counts histogram minus the changed boundaries'
+//     old values (counted into removed_at_ then, and zeroed before the
+//     scan returns) gives the largest cut outside the changed set; the
+//     lane pass reads every cut instead.  Either way the candidate
 //     density/total span are exact integers a Metropolis loop can test,
 //     then commit_speculation() in O(changed boundaries + changed wide
-//     nets) or discard_speculation() in O(1) — a rejected proposal never
-//     writes cuts_, the histogram, the bits, the columns or the
-//     arrangement, and no move writes the matrix.  A commit makes one
-//     histogram update per changed boundary instead of one per crossing
-//     unit.  The journal holds wide-net ids only (a column-kernel swap
+//     nets), plus the rows' lanes, or discard_speculation() in O(1) — a
+//     rejected proposal never writes cuts_, the histogram, the bits, the
+//     columns, the rows or the arrangement.  A commit makes one histogram
+//     update per changed boundary instead of one per crossing unit.  The
+//     journal holds wide-net ids only (a column-kernel swap
 //     keeps none and marks the bits stale instead); a commit flips their
 //     bits at a swap's two positions or re-derives them, and re-derives
 //     the window's columns after a single exchange.
@@ -184,7 +204,7 @@ class DensityState {
   [[nodiscard]] const Netlist& netlist() const noexcept { return *netlist_; }
 
   /// Max crossing count over all boundaries; 0 when n == 1.
-  [[nodiscard]] int density() const noexcept;
+  [[nodiscard]] int density() const noexcept { return max_cut_; }
 
   /// Sum of crossing counts over all boundaries (== sum of net spans).
   [[nodiscard]] long long total_span() const noexcept { return total_span_; }
@@ -207,7 +227,7 @@ class DensityState {
   /// (p != q, either order): records the changed wide nets and boundaries
   /// and the exact candidate density / total span, but commits nothing.
   /// O(|p - q| + the two cells' two-pin neighbours, or with uses_matrix()
-  /// the shorter side outside [p, q]), plus either the two cells' wide
+  /// n/8 vectors, whatever p and q), plus either the two cells' wide
   /// nets, each scanning at most ceil(n/64) words of position bits, or,
   /// with uses_columns(), |p - q| x ceil(m/64) words.
   /// Exactly one of commit_speculation()/discard_speculation() must follow
@@ -236,11 +256,13 @@ class DensityState {
   }
 
   /// Commits the pending speculation in O(changed boundaries + changed
-  /// wide nets): one histogram update per changed boundary, the
+  /// wide nets): one histogram update per changed boundary (with
+  /// uses_matrix(), one add per window boundary and no histogram), the
   /// arrangement move itself, then the journaled wide nets' bits; with
   /// uses_columns(), O(window x ceil(m/64)) more for the columns, and a
-  /// swap marks the bits stale instead of flipping them.  The matrix is
-  /// never written.
+  /// swap marks the bits stale instead of flipping them; with
+  /// uses_matrix(), n swaps for a swap's two lanes of every row, or
+  /// n x window writes for a single exchange's.
   void commit_speculation();
 
   /// Drops the pending speculation in O(1): the scan left no scratch
@@ -253,14 +275,17 @@ class DensityState {
   /// Compares the incremental state with an independent recount: cuts,
   /// density and total span against crossing_counts(), each wide net's
   /// position bits (unless a column-kernel swap left them stale) against
-  /// a fresh recount from its pins, with uses_matrix() the weight matrix
-  /// against one rebuilt by cell from the two-pin nets and, with
+  /// a fresh recount from its pins, with uses_matrix() the weight rows
+  /// against ones rebuilt from the two-pin nets through the arrangement
+  /// and, with
   /// uses_columns(), the columns, prefix and suffix sets
   /// against ones rebuilt from the cells and the wide crossing counts
   /// against the wide nets' extents.
   /// Returns true when they agree, no speculation is pending and every
-  /// per-move scratch array (window_diff_ included) is back to zero; tests
-  /// assert this after random moves.
+  /// per-move difference, mark and count array (window_diff_ included,
+  /// its padding too) is back to zero; tests assert this after random
+  /// moves.  spec_lane_delta_ is exempt: each lane pass rewrites all of
+  /// it.
   [[nodiscard]] bool verify() const;
 
   /// True when every per-move scratch buffer holds its full reservation;
@@ -273,9 +298,10 @@ class DensityState {
   /// header comment, so tests can assert which kernel an instance takes.
   [[nodiscard]] bool uses_columns() const noexcept { return uses_columns_; }
 
-  /// True when speculate_swap reads its two-pin differences from the
-  /// cell-indexed weight matrix rather than the neighbour lists: fixed at
-  /// construction by the rule in the header comment.
+  /// True when speculate_swap scores its two-pin nets, and both
+  /// speculations their candidate density, with the lane pass over the
+  /// position-ordered weight rows rather than the neighbour lists and
+  /// spec_scan: fixed at construction by the rule in the header comment.
   [[nodiscard]] bool uses_matrix() const noexcept { return uses_matrix_; }
 
  private:
@@ -308,10 +334,13 @@ class DensityState {
   void add_span(std::size_t lo, std::size_t hi, int delta);
   void bump_boundary(std::size_t b, int delta);
   void respan_window(std::size_t lo, std::size_t hi, int delta);
-  [[nodiscard]] bool verify_weights() const;
+  void refresh_rows();  // every row from the lists and the arrangement
+  [[nodiscard]] bool verify_rows() const;
   void rearrange(SpecKind kind, std::size_t a, std::size_t b);
   void apply(SpecKind kind, std::size_t a, std::size_t b);
-  int spec_swap_matrix(CellId x, CellId y, std::size_t lo, std::size_t hi);
+  template <bool kRows, bool kDiff>
+  void spec_lanes(const std::int16_t* row_x, const std::int16_t* row_y,
+                  int shift, std::size_t lo, std::size_t hi);
   [[gnu::noinline]] int spec_swap_wide(CellId x, CellId y, std::size_t lo,
                                        std::size_t hi);
   [[gnu::noinline]] void spec_swap_columns(std::size_t lo, std::size_t hi);
@@ -337,10 +366,12 @@ class DensityState {
   std::vector<std::uint32_t> cell_wide_;
 
   std::size_t words_ = 0;             // ceil(n/64)
+  std::size_t lanes_ = 0;             // n rounded up to a multiple of 8
   std::vector<std::uint64_t> bits_;   // words_ per wide net
-  std::vector<int> cuts_;            // size n-1
-  std::vector<int> cut_histogram_;   // value -> #boundaries, size num_nets+2
-  mutable int max_cut_ = 0;          // lazily tightened upper bound
+  std::vector<int> cuts_;            // n-1 boundaries, then 0 to lanes_
+  std::vector<int> cut_histogram_;   // value -> #boundaries, size num_nets+2;
+                                     // empty with uses_matrix_
+  int max_cut_ = 0;                  // exact
   long long total_span_ = 0;
   std::vector<char> touched_mark_;   // scratch: per wide net, per move
 
@@ -361,9 +392,11 @@ class DensityState {
   std::size_t spec_boundary_count_ = 0;
   std::vector<std::size_t> spec_boundaries_;  // changed boundaries, ascending
   std::vector<int> spec_deltas_;           //   parallel: crossing delta
-  std::vector<int> window_diff_;    // size n, zero between moves
+  std::vector<int> window_diff_;    // size lanes_, zero between moves
   std::vector<int> removed_at_;     // old cut value -> #changed boundaries,
                                     // nonzero only inside spec_scan
+  std::vector<std::int16_t> spec_lane_delta_;  // lane pass: per boundary,
+                                               // the window's deltas
   // Column-kernel scratch, laid out as pre_/suf_/wide_cut_: a swap on
   // [lo, hi) writes rows lo+1..hi and entries lo..hi-1.
   std::vector<std::uint64_t> spec_pre_;
@@ -383,12 +416,12 @@ class DensityState {
   std::vector<std::uint64_t> suf_;    // n+1 rows
   std::vector<int> wide_cut_;         // size n-1
 
-  // The two-pin weight matrix, empty unless uses_matrix_ (declared last
-  // too, so every other member keeps its offset): n x n, row x column z
-  // holding the weight between cells x and z, written only by
-  // index_nets().
+  // The two-pin weight rows, empty unless uses_matrix_: n rows of lanes_
+  // int16, row x lane q holding the weight between cell x and the cell
+  // at position q modulo 2^16; rearrange() permutes every row's lanes
+  // with the arrangement.
   bool uses_matrix_ = false;
-  std::vector<int> weights_;
+  std::vector<std::int16_t> rows_;
 
   // True when a column-kernel swap commit has left bits_ behind the
   // arrangement; refresh_bits() clears it.  Declared last, so the members

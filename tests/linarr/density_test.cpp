@@ -726,11 +726,12 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   expect_copies_re_reserve(lists, rng);
 }
 
-// The two-pin matrix is indexed by cell and built from the netlist alone,
-// so no move, reset or copy may write it: verify() rebuilds it by cell
-// from the two-pin nets after every step of a mix of committed and
-// discarded speculations, applied moves, resets, copies and assignments.
-TEST(DensityMatrixTest, MatrixOutlivesMovesResetsAndCopies) {
+// The two-pin weight rows follow the arrangement: every commit, applied
+// move and reset permutes or rebuilds their lanes, and a copy carries
+// them.  verify() rebuilds them from the two-pin nets through the
+// arrangement after every step of a mix of committed and discarded
+// speculations, applied moves, resets, copies and assignments.
+TEST(DensityMatrixTest, RowsFollowMovesResetsAndCopies) {
   util::Rng rng{103};
   const Netlist gola = random_gola(GolaParams{15, 150}, rng);
   const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
@@ -775,6 +776,183 @@ TEST(DensityMatrixTest, MatrixOutlivesMovesResetsAndCopies) {
       }
       ASSERT_TRUE(state.verify()) << "step " << step;
     }
+  }
+}
+
+// The lane pass over every lane count around the vector width: matrix
+// instances on n cells, two-pin nets only or with wide nets beside them
+// (the column kernel up to n = 9, the per-net kernel from 15).  Every
+// window (lo, hi), lo = 0 and hi = n - 1 included, is scored as
+// swap(lo, hi) or swap(hi, lo), alternately, against the apply oracle,
+// then committed or discarded, and the state must equal the oracle cut
+// for cut; single exchanges, resets, copies and assignments are
+// interleaved, and verify() holds the rows, cuts and scratch to a
+// recount.
+Netlist lane_instance(std::size_t n, bool wide, util::Rng& rng) {
+  const Netlist gola = random_gola(GolaParams{n, 8 * n}, rng);
+  Netlist::Builder b{n};
+  for (netlist::NetId net = 0; net < gola.num_nets(); ++net) {
+    b.add_net(gola.pins(net));
+  }
+  if (wide) {
+    const Netlist nola = random_nola(
+        NolaParams{n, n / 4 + 1, 3, std::min<std::size_t>(n, 5)}, rng);
+    for (netlist::NetId net = 0; net < nola.num_nets(); ++net) {
+      b.add_net(nola.pins(net));
+    }
+  }
+  return b.build();
+}
+
+void expect_every_window_matches_oracle(const Netlist& nl, util::Rng& rng) {
+  const std::size_t n = nl.num_cells();
+  DensityState state{nl, Arrangement::random(n, rng)};
+  DensityState oracle{state};
+  ASSERT_TRUE(state.uses_matrix());
+  const auto expect_matches = [&] {
+    ASSERT_EQ(state.arrangement().order(), oracle.arrangement().order());
+    ASSERT_EQ(state.density(), oracle.density());
+    ASSERT_EQ(state.total_span(), oracle.total_span());
+    for (std::size_t b = 0; b + 1 < n; ++b) {
+      ASSERT_EQ(state.cut_at(b), oracle.cut_at(b)) << "boundary " << b;
+    }
+  };
+  std::size_t step = 0;
+  for (std::size_t lo = 0; lo < n; ++lo) {
+    for (std::size_t hi = lo + 1; hi < n; ++hi, ++step) {
+      SCOPED_TRACE(::testing::Message() << "window [" << lo << ", " << hi
+                                        << "], step " << step);
+      const bool flip = step % 2 == 1;
+      const std::size_t p = flip ? hi : lo;
+      const std::size_t q = flip ? lo : hi;
+      state.speculate_swap(p, q);
+      oracle.apply_swap(p, q);
+      ASSERT_EQ(state.speculative_density(), oracle.density());
+      ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
+      if (rng.next_bool(0.5)) {
+        state.commit_speculation();
+      } else {
+        state.discard_speculation();
+        oracle.apply_swap(p, q);
+      }
+      expect_matches();
+      const auto [a, b] = rng.next_distinct_pair(n);
+      switch (step % 16) {
+        case 3:
+          state.speculate_move(a, b);
+          oracle.apply_move(a, b);
+          ASSERT_EQ(state.speculative_density(), oracle.density());
+          ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
+          if (rng.next_bool(0.5)) {
+            state.commit_speculation();
+          } else {
+            state.discard_speculation();
+            oracle.apply_move(b, a);
+          }
+          break;
+        case 7: {
+          const Arrangement fresh = Arrangement::random(n, rng);
+          state.reset(fresh);
+          oracle.reset(fresh);
+          break;
+        }
+        case 11:
+          state = DensityState{state};
+          break;
+        case 15: {
+          DensityState other{nl, Arrangement::random(n, rng)};
+          other = state;
+          state = other;
+          break;
+        }
+        default:
+          break;
+      }
+      expect_matches();
+      if (step % 8 == 0) {
+        ASSERT_TRUE(state.verify());
+      }
+    }
+  }
+  EXPECT_TRUE(state.verify());
+  EXPECT_TRUE(state.scratch_reserved());
+}
+
+class DensityLaneTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DensityLaneTest, EveryWindowMatchesApplyOracle) {
+  const std::size_t n = GetParam();
+  util::Rng rng{109 + n};
+  expect_every_window_matches_oracle(lane_instance(n, false, rng), rng);
+  if (n >= 3) {
+    SCOPED_TRACE("with wide nets");
+    const Netlist mixed = lane_instance(n, true, rng);
+    ASSERT_EQ(paths_of(mixed), std::make_pair(n <= 9, true));
+    expect_every_window_matches_oracle(mixed, rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LaneCounts, DensityLaneTest,
+                         ::testing::Values(2, 3, 7, 8, 9, 15, 16, 17, 63, 64,
+                                           65),
+                         [](const auto& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+// The rule's net bound, on 3 cells: 32767 nets take the weight rows and
+// 32768 the lists.  Every 64th net joins cells 0 and 1 and the rest join
+// 0 and 2, so the weight between 0 and 2 (2 x 32255) wraps in its int16
+// lane, and with cell 0 at an end every net crosses its boundary: the
+// cut reaches 32767, the largest value a lane holds.  Every swap and
+// single exchange is scored against the apply oracle from every
+// arrangement, then committed.
+TEST(DensityNetBoundTest, PicksThePathAndStaysExact) {
+  for (const std::size_t nets : {std::size_t{32767}, std::size_t{32768}}) {
+    SCOPED_TRACE(::testing::Message() << nets << " nets");
+    Netlist::Builder b{3};
+    for (std::size_t net = 0; net < nets; ++net) {
+      if (net % 64 == 1) {
+        b.add_net({0, 1});
+      } else {
+        b.add_net({0, 2});
+      }
+    }
+    const Netlist nl = b.build();
+    DensityState state{nl, Arrangement::from_order({0, 1, 2})};
+    DensityState oracle{state};
+    ASSERT_EQ(state.uses_matrix(), nets <= 32767);
+    ASSERT_EQ(state.density(), static_cast<int>(nets));
+    ASSERT_TRUE(state.verify());
+    for (int round = 0; round < 12; ++round) {
+      for (std::size_t p = 0; p < 3; ++p) {
+        for (std::size_t q = 0; q < 3; ++q) {
+          if (p == q) continue;
+          const bool move = round % 2 == 1;
+          if (move) {
+            state.speculate_move(p, q);
+            oracle.apply_move(p, q);
+          } else {
+            state.speculate_swap(p, q);
+            oracle.apply_swap(p, q);
+          }
+          ASSERT_EQ(state.speculative_density(), oracle.density());
+          ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
+          state.commit_speculation();
+          ASSERT_EQ(state.density(), oracle.density());
+          ASSERT_EQ(state.cut_at(0), oracle.cut_at(0));
+          ASSERT_EQ(state.cut_at(1), oracle.cut_at(1));
+        }
+      }
+      ASSERT_TRUE(state.verify()) << "round " << round;
+    }
+    // From 1 0 2, putting cell 0 first puts every net across boundary 0.
+    state.reset(Arrangement::from_order({1, 0, 2}));
+    ASSERT_EQ(state.density(), static_cast<int>(nets) - 512);
+    state.speculate_swap(0, 1);
+    EXPECT_EQ(state.speculative_density(), static_cast<int>(nets));
+    state.commit_speculation();
+    EXPECT_EQ(state.cut_at(0), static_cast<int>(nets));
+    EXPECT_TRUE(state.verify());
   }
 }
 

@@ -5,7 +5,9 @@ Reads both exports of the bench drivers, a JSONL trace (``--trace``, or the
 crash dump of ``--flight-recorder``) and a run report (``--report-out``:
 merged metrics, observables and stage profile, plus one profile per
 worker), and the Prometheus text and timeline rendered from the report,
-telling them apart by content; its subcommands are validate, summary,
+telling them apart by content (a JSON object with none of a trace's
+``event``, a report's ``stages`` or a timeline's ``traceEvents`` is refused,
+exit 2); its subcommands are validate, summary,
 diff, prom, timeline and self-test.  ``validate``, ``diff`` and ``prom``
 read the event kinds, stage reasons and ``mcopt_`` families from
 ``src/obs/schema.def``, the list the C++ side is generated from.
@@ -102,9 +104,15 @@ class UsageError(Exception):
     """A file this subcommand cannot handle (exit status 2)."""
 
 
+#: Why a JSON object that sniff() cannot place is refused.
+STRAY_JSON = ("not a trace, run report or timeline (a JSON object with no "
+              "\"event\", \"stages\" or \"traceEvents\" key)")
+
+
 def sniff(text: str):
     """(kind, payload): "trace" or "prom" with the text, "timeline" or
-    "report" with the parsed document."""
+    "report" with the parsed document, or None for a JSON object that is
+    none of them."""
     if not text.lstrip().startswith("{"):
         return ("prom" if text.strip() else "trace"), text
     try:
@@ -112,15 +120,19 @@ def sniff(text: str):
     except json.JSONDecodeError:
         return "trace", text  # several JSON lines
     for key, kind in (("traceEvents", "timeline"), ("stages", "report")):
-        if isinstance(doc, dict) and key in doc:
+        if key in doc:
             return kind, doc
-    return "trace", text  # a one-line trace
+    if "event" in doc:
+        return "trace", text  # a one-line trace
+    return None, doc
 
 
 def load(path: str, command: str, kinds) -> tuple:
     """sniff() of the file at `path`, which must be one of `kinds`."""
     with open(path, encoding="utf-8") as handle:
         kind, payload = sniff(handle.read())
+    if kind is None:
+        raise UsageError(f"{path}: {STRAY_JSON}")
     if kind not in kinds:
         raise UsageError(f"{path}: {command} takes no {kind} file")
     return kind, payload
@@ -943,7 +955,7 @@ def prom_lines(report: dict) -> list[str]:
 SELF_TEST_CASES = ("diff", "timeline-validator", "empty", "packing",
                    "metadata", "lane-cursor", "escaping", "prom-headers",
                    "prom-histogram", "prom-labels", "prom-mapping",
-                   "prom-non-report")
+                   "prom-non-report", "stray-json")
 
 
 def self_test(case) -> int:
@@ -1143,6 +1155,23 @@ def self_test(case) -> int:
                 text = err.getvalue()
                 check(status != 0 and message in text,
                       f"prom {os.path.basename(path)}: exit {status}, "
+                      f"{text!r}")
+
+    # A JSON object that is no trace, report or timeline (an old
+    # --profile-out file) is a usage error with one message, not a trace.
+    if case in (None, "stray-json"):
+        with tempfile.TemporaryDirectory() as tmp:
+            stray = os.path.join(tmp, "profile.json")
+            with open(stray, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps({"profile": [], "workers": []}))
+            for argv in (["prom", stray, "-o", os.path.join(tmp, "p.txt")],
+                         ["summary", stray]):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    status = main(argv)
+                text = err.getvalue()
+                check(status == 2 and STRAY_JSON in text
+                      and "Traceback" not in text,
+                      f"{argv[0]} of a stray JSON object: exit {status}, "
                       f"{text!r}")
 
     failures = [label for ok, label in results if not ok]
