@@ -45,10 +45,11 @@ BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 // discard on a fixed arrangement, or speculate_swap + commit (the accept
 // path), pairs drawn up front so the RNG is not timed.  Args: (cells,
 // nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell; the NOLA 60
-// and 240 rows give wide nets one and four words of position bits.  GOLA
-// 15 and 60 and NOLA 15 take the lane pass over the two-pin weight rows,
-// GOLA 240 (swap only) and NOLA 60 and 240 the neighbour lists: both
-// sides of the rule in linarr/density.hpp.
+// and 240 rows give wide nets one and four words of position bits.  Every
+// row reads its candidate density with the lane pass: GOLA 15 and 60 and
+// NOLA 15 feed it the two-pin weight rows, GOLA 240 and NOLA 60 and 240
+// the neighbour lists, both sides of the rows' rule in
+// linarr/density.hpp.
 template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
@@ -100,6 +101,7 @@ BENCHMARK(BM_DensitySpeculateCommit)
     ->Args({15, 1})
     ->Args({60, 0})
     ->Args({60, 1})
+    ->Args({240, 0})
     ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 
@@ -111,6 +113,7 @@ BENCHMARK(BM_DensitySpeculateMove)
     ->Args({15, 1})
     ->Args({60, 0})
     ->Args({60, 1})
+    ->Args({240, 0})
     ->Args({240, 1})
     ->ArgNames({"cells", "nola"});
 

@@ -60,12 +60,13 @@ inline int popcount64(std::uint64_t x) {
 constexpr std::size_t kColumnWordCost = 1;
 constexpr std::size_t kIncidenceCost = 2;
 
-// The two-pin rule's constants (density.hpp): the weight matrix iff
-// n^2 <= kMatrixCellsPerPair x (entries of the neighbour lists), fitted
-// to both paths' measured costs (EXPERIMENTS.md), and every cut fits an
-// int16 lane.
+// The lane pass's bound (density.hpp): every cut and every lane index
+// fits an int16 lane.
+constexpr std::size_t kMaxLaneValue = 32767;
+
+// The two-pin rule's constant (density.hpp): the weight rows iff
+// n^2 <= kMatrixCellsPerPair x (entries of the neighbour lists).
 constexpr std::size_t kMatrixCellsPerPair = 6;
-constexpr std::size_t kMaxMatrixNets = 32767;
 
 // int16 lanes per SSE2 vector: the rows, the cuts and window_diff_ are
 // padded to a multiple of it.
@@ -112,7 +113,6 @@ DensityState::DensityState(const DensityState& other)
       lanes_(other.lanes_),
       bits_(other.bits_),
       cuts_(other.cuts_),
-      cut_histogram_(other.cut_histogram_),
       max_cut_(other.max_cut_),
       total_span_(other.total_span_),
       uses_columns_(other.uses_columns_),
@@ -121,6 +121,7 @@ DensityState::DensityState(const DensityState& other)
       pre_(other.pre_),
       suf_(other.suf_),
       wide_cut_(other.wide_cut_),
+      uses_lanes_(other.uses_lanes_),
       uses_matrix_(other.uses_matrix_),
       rows_(other.rows_),
       bits_stale_(other.bits_stale_) {
@@ -176,12 +177,12 @@ void DensityState::index_nets() {
     pair_offsets_.push_back(pairs_.size());
     wide_offsets_.push_back(cell_wide_.size());
   }
-  // The two-pin rule (density.hpp): an n x lanes matrix against the
-  // neighbour lists' entries, and no cut past an int16 lane.  rebuild()
-  // fills the rows from the arrangement.
-  uses_matrix_ = !pairs_.empty() &&
-                 cells * cells <= kMatrixCellsPerPair * pairs_.size() &&
-                 nl.num_nets() <= kMaxMatrixNets;
+  // The lane bound, then the two-pin rule (density.hpp): n x lanes rows
+  // against the neighbour lists' entries.  rebuild() fills the rows from
+  // the arrangement.
+  uses_lanes_ = nl.num_nets() <= kMaxLaneValue && cells <= kMaxLaneValue;
+  uses_matrix_ = uses_lanes_ && !pairs_.empty() &&
+                 cells * cells <= kMatrixCellsPerPair * pairs_.size();
   lanes_ = (cells + kLanes - 1) / kLanes * kLanes;
   if (uses_matrix_) rows_.assign(cells * lanes_, 0);
   words_ = (cells + 63) / 64;
@@ -207,16 +208,12 @@ void DensityState::reserve_scratch() {
   // allocation-free for the life of the state (including clones — vector
   // copies shrink capacity to size, which is zero for empty scratch).
   const std::size_t wide = wide_net_.size();
-  const std::size_t boundaries = arrangement_.size() - 1;
   touched_mark_.assign(wide, 0);
   spec_net_count_ = 0;
   spec_nets_.assign(wide + 1, 0);  // a full journal takes one more write
-  spec_boundary_count_ = 0;
-  spec_boundaries_.assign(boundaries, 0);
-  spec_deltas_.assign(boundaries, 0);
   window_diff_.assign(lanes_, 0);
-  removed_at_.assign(cut_histogram_.size(), 0);
-  spec_lane_delta_.assign(uses_matrix_ ? lanes_ : 0, 0);
+  spec_lane_delta_.assign(uses_lanes_ ? lanes_ : 0, 0);
+  spec_deltas_.assign(uses_lanes_ ? 0 : lanes_, 0);
   spec_pre_.assign(pre_.size(), 0);
   spec_suf_.assign(suf_.size(), 0);
   spec_wide_cut_.assign(wide_cut_.size(), 0);
@@ -224,13 +221,10 @@ void DensityState::reserve_scratch() {
 
 bool DensityState::scratch_reserved() const noexcept {
   const std::size_t wide = wide_net_.size();
-  const std::size_t boundaries = arrangement_.size() - 1;
   return touched_mark_.size() == wide && spec_nets_.size() == wide + 1 &&
-         spec_boundaries_.size() == boundaries &&
-         spec_deltas_.size() == boundaries &&
          window_diff_.size() == lanes_ &&
-         removed_at_.size() == cut_histogram_.size() &&
-         spec_lane_delta_.size() == (uses_matrix_ ? lanes_ : 0) &&
+         spec_lane_delta_.size() == (uses_lanes_ ? lanes_ : 0) &&
+         spec_deltas_.size() == (uses_lanes_ ? 0 : lanes_) &&
          spec_pre_.size() == pre_.size() && spec_suf_.size() == suf_.size() &&
          spec_wide_cut_.size() == wide_cut_.size();
 }
@@ -289,34 +283,21 @@ void DensityState::rebuild() {
   refresh_bits();
   if (uses_columns_) refresh_columns(0, n - 1);
   if (uses_matrix_) refresh_rows();
-  cut_histogram_.assign(uses_matrix_ ? 0 : netlist_->num_nets() + 2, 0);
   int cut = 0;
   total_span_ = 0;
   max_cut_ = 0;
   for (std::size_t b = 0; b + 1 < n; ++b) {
     cut += cuts_[b];
     cuts_[b] = cut;
-    if (!uses_matrix_) ++cut_histogram_[static_cast<std::size_t>(cut)];
     total_span_ += cut;
     max_cut_ = std::max(max_cut_, cut);
   }
 }
 
 // mcopt: hot
-void DensityState::bump_boundary(std::size_t b, int delta) {
-  const int old_cut = cuts_[b];
-  const int new_cut = old_cut + delta;
-  cuts_[b] = new_cut;
-  if (!uses_matrix_) {
-    --cut_histogram_[static_cast<std::size_t>(old_cut)];
-    ++cut_histogram_[static_cast<std::size_t>(new_cut)];
-  }
-  total_span_ += delta;
-}
-
-// mcopt: hot
 void DensityState::add_span(std::size_t lo, std::size_t hi, int delta) {
-  for (std::size_t b = lo; b < hi; ++b) bump_boundary(b, delta);
+  for (std::size_t b = lo; b < hi; ++b) cuts_[b] += delta;
+  total_span_ += static_cast<long long>(hi - lo) * delta;
 }
 
 // mcopt: hot
@@ -434,8 +415,8 @@ int DensityState::spec_swap_wide(CellId x, CellId y, std::size_t lo,
   // Cell x at lo moves right, cell y at hi left.  L/H are the extrema of
   // a net's other pins.  A net whose bit at the other cell's position is
   // set is on both cells: it adds 0 and its journal slot is not kept.
-  // Returns the fold into window_diff_[lo]: -1 per kept net of x, +1 per
-  // kept net of y.
+  // Returns its share of the shift the pass adds on every window
+  // boundary: -1 per kept net of x, +1 per kept net of y.
   std::size_t count = 0;
   const auto visit = [&](CellId c, std::size_t from, std::size_t to,
                          int sign) {
@@ -479,7 +460,7 @@ void DensityState::spec_swap_columns(std::size_t lo, std::size_t hi) {
   }
   // Right to left, each boundary's candidate count |pre' & suf'| as soon
   // as its suf' row is known.  Its change d[b] goes into window_diff_ in
-  // difference form, d[b] - d[b-1] at b, so spec_scan's prefix sum adds
+  // difference form, d[b] - d[b-1] at b, so the pass's prefix sum adds
   // d[b] at boundary b; the -d[hi-1] at hi is past the window.
   const std::uint64_t* right = suf_.data() + (hi + 1) * m;
   add = col + lo * m;  // col'[hi]
@@ -518,53 +499,26 @@ void DensityState::commit_swap_columns(std::size_t lo, std::size_t hi) {
 }
 
 // mcopt: hot
-void DensityState::spec_scan(std::size_t lo, std::size_t hi) {
-  // One prefix-sum pass over the window: the running sum is boundary b's
-  // crossing delta, and the pass zeroes window_diff_ behind it.
-  int delta = 0;
-  int window_max = 0;
+void DensityState::spec_scalar(int shift, std::size_t lo, std::size_t hi) {
+  // The lane pass's arithmetic in int, one boundary at a time, for the
+  // instances past its int16 bounds: boundary b's delta is `shift` plus
+  // the prefix sum of window_diff_ (zero below lo, zeroed as it is read)
+  // inside the window and 0 outside it, and every cut is read.
+  int best = 0;
+  for (std::size_t b = 0; b < lo; ++b) best = std::max(best, cuts_[b]);
+  for (std::size_t b = hi; b < lanes_; ++b) best = std::max(best, cuts_[b]);
+  int delta = shift;
   long long span_delta = 0;
-  std::size_t count = 0;
   for (std::size_t b = lo; b < hi; ++b) {
     delta += window_diff_[b];
     window_diff_[b] = 0;
-    window_max = std::max(window_max, cuts_[b] + delta);
+    spec_deltas_[b] = delta;
+    best = std::max(best, cuts_[b] + delta);
     span_delta += delta;
-    spec_boundaries_[count] = b;
-    spec_deltas_[count] = delta;
-    count += static_cast<std::size_t>(delta != 0);
   }
   window_diff_[hi] = 0;
-  spec_boundary_count_ = count;
+  spec_density_ = best;
   spec_total_span_ = total_span_ + span_delta;
-
-  // Candidate density.  Unchanged boundaries keep their cut, so the
-  // candidate is the max of (a) the new cuts inside the window and (b) the
-  // largest committed cut value that still has at least one unchanged
-  // boundary.  (b) matters only when (a) is below the committed density;
-  // then removed_at_[v] counts the changed boundaries whose committed cut
-  // is v, so cut_histogram_[v] - removed_at_[v] is the count of unchanged
-  // boundaries at v, and we scan down from the committed density until
-  // that is nonzero, then zero the counts again.
-  const int cur = density();
-  if (window_max >= cur) {
-    spec_density_ = window_max;
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    ++removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])];
-  }
-  int v = cur;
-  while (v > window_max &&
-         cut_histogram_[static_cast<std::size_t>(v)] -
-                 removed_at_[static_cast<std::size_t>(v)] ==
-             0) {
-    --v;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    removed_at_[static_cast<std::size_t>(cuts_[spec_boundaries_[i]])] = 0;
-  }
-  spec_density_ = v;  // v >= window_max on exit
 }
 
 // mcopt: hot
@@ -664,9 +618,10 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
     }
     return;
   }
-  // The lists fold the shift into window_diff_[lo], where a net joining x
-  // and y cancels itself; its +w from x's side lands at hi, past the
-  // window, and y's is skipped.
+  // Without the rows, each neighbour's weight goes into window_diff_ at
+  // its clamped position, and the pass adds the shift.  A net joining x
+  // and y keeps its extent: the shift's -1 and +1 for it cancel, its +w
+  // from x's side lands at hi, past the window, and y's is skipped.
   for (const Neighbour& nb : neighbours(x)) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
         nb.weight;
@@ -675,8 +630,11 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
         nb.cell == x ? 0 : nb.weight;
   }
-  window_diff_[lo] += shift;
-  spec_scan(lo, hi);
+  if (uses_lanes_) {
+    spec_lanes<false, true>(nullptr, nullptr, shift, lo, hi);
+  } else {
+    spec_scalar(shift, lo, hi);
+  }
 }
 
 // mcopt: hot
@@ -748,10 +706,10 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
     ++window_diff_[holds ? std::max(other_hi, from) : other_hi];
     --window_diff_[holds ? std::max(new_hi, to) : new_hi];
   }
-  if (uses_matrix_) {
+  if (uses_lanes_) {
     spec_lanes<false, true>(nullptr, nullptr, 0, w_lo, w_hi);
   } else {
-    spec_scan(w_lo, w_hi);
+    spec_scalar(0, w_lo, w_hi);
   }
 }
 
@@ -762,21 +720,12 @@ void DensityState::commit_speculation() {
   const std::size_t b = spec_b_;
   const std::size_t lo = std::min(a, b);
   const std::size_t hi = std::max(a, b);
-  if (uses_matrix_) {
-    // The lane pass left each window boundary's delta.
+  // The pass left each window boundary's delta.
+  if (uses_lanes_) {
     for (std::size_t k = lo; k < hi; ++k) cuts_[k] += spec_lane_delta_[k];
+  } else {
+    for (std::size_t k = lo; k < hi; ++k) cuts_[k] += spec_deltas_[k];
   }
-  for (std::size_t i = 0; i < spec_boundary_count_; ++i) {
-    const std::size_t at = spec_boundaries_[i];
-    const int old_cut = cuts_[at];
-    const int new_cut = old_cut + spec_deltas_[i];
-    cuts_[at] = new_cut;
-    // One histogram update per changed boundary — bump_boundary would pay
-    // one per crossing *unit*.
-    --cut_histogram_[static_cast<std::size_t>(old_cut)];
-    ++cut_histogram_[static_cast<std::size_t>(new_cut)];
-  }
-  spec_boundary_count_ = 0;
   rearrange(spec_kind_, a, b);
   // A swapped net is on exactly one of the two cells, so its bits at the
   // two positions trade places; a single exchange moves a whole window.
@@ -806,7 +755,6 @@ void DensityState::commit_speculation() {
 // mcopt: hot
 void DensityState::discard_speculation() {
   MCOPT_DCHECK(speculating(), "discard without a pending speculation");
-  spec_boundary_count_ = 0;
   spec_net_count_ = 0;
   spec_kind_ = SpecKind::kNone;
 }
@@ -823,26 +771,16 @@ void DensityState::reset(Arrangement arrangement) {
 bool DensityState::verify() const {
   if (speculating()) return false;
   if (!arrangement_.is_consistent()) return false;
-  // Per-move scratch is all zero between moves: a difference, mark or
-  // removal count left behind would corrupt the next speculation.
+  // Per-move scratch is all zero between moves: a difference or mark
+  // left behind would corrupt the next speculation.
   const auto all_zero = [](const auto& v) {
     return std::all_of(v.begin(), v.end(), [](auto x) { return x == 0; });
   };
-  if (!all_zero(window_diff_) || !all_zero(removed_at_) ||
-      !all_zero(touched_mark_)) {
-    return false;
-  }
+  if (!all_zero(window_diff_) || !all_zero(touched_mark_)) return false;
   const std::vector<int> counts = crossing_counts(*netlist_, arrangement_);
   std::vector<int> padded = counts;
   padded.resize(lanes_, 0);
   if (padded != cuts_) return false;
-  if (!uses_matrix_) {
-    std::vector<int> histogram(cut_histogram_.size(), 0);
-    for (const int cut : counts) ++histogram[static_cast<std::size_t>(cut)];
-    if (histogram != cut_histogram_) return false;
-  } else if (!cut_histogram_.empty()) {
-    return false;
-  }
   const int recount_density =
       counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
   if (density() != recount_density) return false;

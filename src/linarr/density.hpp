@@ -8,9 +8,7 @@
 // the wirelength-style objective used by an ablation bench.
 //
 // DensityState keeps, incrementally:
-//   * per-boundary crossing counts,
-//   * the exact maximum, and on instances that keep the neighbour lists a
-//     histogram of crossing counts that speculation reads,
+//   * per-boundary crossing counts and their exact maximum,
 //   * the position bits of every net of three or more pins,
 //   * on instances that take the column kernel (below), a position-major
 //     index of those nets,
@@ -67,8 +65,7 @@
 // once, at construction, from the instance's size:
 //   * The neighbour lists: one clamped write into window_diff_ per
 //     neighbour of the two cells, each after a position gather, about
-//     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs),
-//     then spec_scan's window pass (below).
+//     2E/n writes for E list entries (E = 2 x the distinct two-pin pairs).
 //   * The weight rows: row x, lane q holds W[x][cell at q], the weight
 //     between cell x and the cell at position q (0 on the diagonal), as
 //     int16 lanes padded to a multiple of 8.  For a swap of x at lo with
@@ -77,38 +74,48 @@
 //     net of y the other way round, and the net joining x and y, counted
 //     -1 from each side, keeps its extent, so b changes by
 //       prefix_{q <= b} (row_x[q] - row_y[q]) + W[x][y] + deg2(y) - deg2(x)
-//     with W[x][y] = row_x[hi].  speculate_swap is then one SSE2 pass
-//     over all lanes, with no branch on the window: subtract the two
-//     rows, prefix-sum in register (three shift-adds per vector plus the
-//     carried last lane), add the constant, mask the window, add the
-//     cuts, take the max (the candidate density, exact: outside the
-//     window the candidate cut is the committed one) and a masked madd
-//     (the total-span change).  Wide nets' changes join the same pass
-//     through window_diff_ (read as int16 lanes and zeroed as it is
-//     read), from either wide kernel.  A swap commit adds the window's
-//     deltas to the cuts and trades two lanes of every row (n swaps);
-//     a single exchange is scored from the lists into window_diff_ and
-//     read by the same pass without rows, and its commit rotates the
-//     window's lanes of every row; a reset rebuilds the rows from the
-//     lists.  These
-//     instances keep no count-of-counts histogram: nothing reads one.
-//   The rule: the rows iff n^2 <= kMatrixCellsPerPair x E, with the
-//   constant 6, which also bounds the rows at about six int16 per list
-//   entry, and num_nets <= 32767.  The lanes are int16 arithmetic
-//   modulo 2^16: weights, prefixes and window_diff_ entries may wrap, but
-//   only adds and subtracts reach them, and with num_nets <= 32767 every
-//   committed and candidate cut lies in [0, 32767] and every window
-//   delta in [-32767, 32767], so a lane whose true value is one of those
-//   holds it exactly.  Lanes outside the window may hold wrapped
-//   prefixes; the mask zeroes their delta before the max and the madd
-//   read it.  The window mask compares lane indices as signed int16,
-//   which the rule also bounds: E <= 2 x num_nets gives n < 628.
-//   The constant 6 was fitted to the earlier cell-indexed matrix, timed
-//   against the lists forced on the same GOLA and NOLA instances
-//   (EXPERIMENTS.md): the two tied from n^2/E of 6.5 to 6.8.  GOLA 15/150
-//   (n^2/E = 1.4), GOLA 60/600 (3.5) and NOLA 15/150 (4.5: a fifth of
-//   its nets are two-pin) take the rows; GOLA 240/2400 (12.5) keeps the
-//   lists.  An instance with no two-pin net keeps neither.
+//     with W[x][y] = row_x[hi]: the pass below subtracts the two rows.
+//     A swap commit trades two lanes of every row (n swaps), a single
+//     exchange's commit rotates the window's lanes of every row, and a
+//     reset rebuilds the rows from the lists.
+//   The rule: the rows iff the lane pass runs (below) and
+//   n^2 <= kMatrixCellsPerPair x E, with the constant 6, which also bounds
+//   the rows at about six int16 per list entry.  It was fitted to the
+//   earlier cell-indexed matrix, timed against the lists forced on the
+//   same GOLA and NOLA instances (EXPERIMENTS.md): the two tied from
+//   n^2/E of 6.5 to 6.8.  It is carried unchanged now that the lists feed
+//   the same pass: it keeps every instance the drivers run on the layout
+//   it had, so their outputs and timings stand, and refitting it belongs
+//   to a rule by memory.  GOLA 15/150 (n^2/E = 1.4), GOLA 60/600 (3.5)
+//   and NOLA 15/150 (4.5: a fifth of its nets are two-pin) take the rows;
+//   GOLA 240/2400 (12.5) keeps the lists.  An instance with no two-pin net
+//   keeps neither.
+//
+// One pass then reads every move's candidate density, swap or single
+// exchange, from either layout:
+//   * The lane pass, an SSE2 pass over all lanes with no branch on the
+//     window: the two rows' difference (with the rows) plus window_diff_
+//     (read as int16 lanes and zeroed as it is read), prefix-summed in
+//     register (three shift-adds per vector plus the carried last lane),
+//     plus the constant, masked to the window, added to the cuts; their
+//     max is the candidate density, exact because outside the window the
+//     candidate cut is the committed one, and a masked madd gives the
+//     total-span change.  It leaves the window's deltas in
+//     spec_lane_delta_ for the commit.  The lanes are int16 arithmetic
+//     modulo 2^16: weights, prefixes and window_diff_ entries may wrap,
+//     but only adds and subtracts reach them, and with num_nets <= 32767
+//     every committed and candidate cut lies in [0, 32767] and every
+//     window delta in [-32767, 32767], so a lane whose true value is one
+//     of those holds it exactly.  Lanes outside the window may hold
+//     wrapped prefixes; the mask zeroes their delta before the max and
+//     the madd read it.  The window mask compares lane indices with lo - 1
+//     and hi as signed int16, so the pass also needs n <= 32767 (with the
+//     rows, E <= 2 x num_nets already gives n < 628).
+//   * The scalar pass, on instances past either bound: the same
+//     arithmetic in int, one boundary at a time, its deltas in
+//     spec_deltas_.
+//   Both read every committed cut, so nothing counts boundaries per cut
+//   value.
 //
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` checks everything against an independent
@@ -120,20 +127,19 @@
 //     crossing counts only on the boundaries of its window [min, max) of
 //     the two positions.  Each net adds its per-boundary change to one
 //     reserved difference array (window_diff_) as a few point writes, and
-//     a single prefix-sum pass over the window (spec_scan, or on the
-//     weight-row instances the lane pass above) yields the changed
-//     boundaries and their deltas, the window's new maximum and the
-//     total-span delta, zeroing the array as it goes.
+//     the pass above prefix-sums it (with the rows, beside the rows'
+//     difference) into the window's deltas, the candidate density and
+//     the total-span delta, zeroing the array as it goes.
 //     - A swap of cell x at lo with cell y at hi: a pin moving right from
 //       lo to hi changes its net's count on boundary b by
 //       [L <= b] - [b < H], where L/H are the extrema of the net's other
 //       pins (a leftward pin, the negation).  For a two-pin net L = H is
 //       the neighbour's position, so the two cells' two-pin nets come to
-//       window_diff_[lo] += deg2(y) - deg2(x), then +w at
+//       deg2(y) - deg2(x) on every window boundary, then +w at
 //       clamp(pos z, lo, hi) for each neighbour z of x and -w for each
 //       neighbour z != x of y (with the rows, the formula above instead).
 //       A net joining x and y keeps its extent:
-//       its -1 and +1 at lo cancel, x's +w for it lands at hi, past the
+//       its -1 and +1 cancel, x's +w for it lands at hi, past the
 //       window, and y's is skipped.  In the per-net kernel a wide net's
 //       L/H are its extreme set bits with the moving pin's masked off; one
 //       on both cells (its bit at the other position is set) adds 0.  The
@@ -145,21 +151,16 @@
 //       the window.  Each wide net there (once, through touched marks)
 //       reads its extrema from its bits: the new ones are the shifted old
 //       ones, joined by `to` when the net holds the moving cell.
-//     In spec_scan, when the window's new maximum is below the committed
-//     density, the count-of-counts histogram minus the changed boundaries'
-//     old values (counted into removed_at_ then, and zeroed before the
-//     scan returns) gives the largest cut outside the changed set; the
-//     lane pass reads every cut instead.  Either way the candidate
-//     density/total span are exact integers a Metropolis loop can test,
-//     then commit_speculation() in O(changed boundaries + changed wide
-//     nets), plus the rows' lanes, or discard_speculation() in O(1) — a
-//     rejected proposal never writes cuts_, the histogram, the bits, the
-//     columns, the rows or the arrangement.  A commit makes one histogram
-//     update per changed boundary instead of one per crossing unit.  The
-//     journal holds wide-net ids only (a column-kernel swap
-//     keeps none and marks the bits stale instead); a commit flips their
-//     bits at a swap's two positions or re-derives them, and re-derives
-//     the window's columns after a single exchange.
+//     Either way the candidate density/total span are exact integers a
+//     Metropolis loop can test, then commit_speculation() adds the
+//     window's deltas to the cuts, moves the arrangement, the rows' lanes,
+//     the journaled wide nets' bits and the columns, or
+//     discard_speculation() drops them in O(1) — a rejected proposal never
+//     writes cuts_, the bits, the columns, the rows or the arrangement.
+//     The journal holds wide-net ids only (a column-kernel swap keeps none
+//     and marks the bits stale instead); a commit flips their bits at a
+//     swap's two positions or re-derives them, and re-derives the window's
+//     columns after a single exchange.
 //   * apply_swap/apply_move mutate the committed state in place: every
 //     net with a pin in the move's window is re-spanned from its pin
 //     positions before and after the move.  apply_swap is self-inverse,
@@ -224,12 +225,13 @@ class DensityState {
   void apply_move(std::size_t from, std::size_t to);
 
   /// Speculatively evaluates a pairwise interchange of positions p and q
-  /// (p != q, either order): records the changed wide nets and boundaries
-  /// and the exact candidate density / total span, but commits nothing.
-  /// O(|p - q| + the two cells' two-pin neighbours, or with uses_matrix()
-  /// n/8 vectors, whatever p and q), plus either the two cells' wide
-  /// nets, each scanning at most ceil(n/64) words of position bits, or,
-  /// with uses_columns(), |p - q| x ceil(m/64) words.
+  /// (p != q, either order): records the changed wide nets, the window's
+  /// deltas and the exact candidate density / total span, but commits
+  /// nothing.  O(the two cells' two-pin neighbours, or with uses_matrix()
+  /// none) plus one pass over every boundary (n/8 vectors with
+  /// uses_lanes()), plus either the two cells' wide nets, each scanning
+  /// at most ceil(n/64) words of position bits, or, with uses_columns(),
+  /// |p - q| x ceil(m/64) words.
   /// Exactly one of commit_speculation()/discard_speculation() must follow
   /// before the next move (speculative or applied).
   void speculate_swap(std::size_t p, std::size_t q);
@@ -255,18 +257,16 @@ class DensityState {
     return spec_kind_ != SpecKind::kNone;
   }
 
-  /// Commits the pending speculation in O(changed boundaries + changed
-  /// wide nets): one histogram update per changed boundary (with
-  /// uses_matrix(), one add per window boundary and no histogram), the
-  /// arrangement move itself, then the journaled wide nets' bits; with
-  /// uses_columns(), O(window x ceil(m/64)) more for the columns, and a
-  /// swap marks the bits stale instead of flipping them; with
-  /// uses_matrix(), n swaps for a swap's two lanes of every row, or
-  /// n x window writes for a single exchange's.
+  /// Commits the pending speculation in O(window + changed wide nets):
+  /// one add per window boundary, the arrangement move itself, then the
+  /// journaled wide nets' bits; with uses_columns(), O(window x
+  /// ceil(m/64)) more for the columns, and a swap marks the bits stale
+  /// instead of flipping them; with uses_matrix(), n swaps for a swap's
+  /// two lanes of every row, or n x window writes for a single exchange's.
   void commit_speculation();
 
-  /// Drops the pending speculation in O(1): the scan left no scratch
-  /// behind, so only the journal counts are reset.
+  /// Drops the pending speculation in O(1): the pass left no scratch
+  /// behind, so only the journal count is reset.
   void discard_speculation();
 
   /// Replaces the arrangement wholesale (full recount).
@@ -282,10 +282,10 @@ class DensityState {
   /// against ones rebuilt from the cells and the wide crossing counts
   /// against the wide nets' extents.
   /// Returns true when they agree, no speculation is pending and every
-  /// per-move difference, mark and count array (window_diff_ included,
-  /// its padding too) is back to zero; tests assert this after random
-  /// moves.  spec_lane_delta_ is exempt: each lane pass rewrites all of
-  /// it.
+  /// per-move difference and mark array (window_diff_ included, its
+  /// padding too) is back to zero; tests assert this after random moves.
+  /// spec_lane_delta_ and spec_deltas_ are exempt: each pass rewrites the
+  /// window it commits.
   [[nodiscard]] bool verify() const;
 
   /// True when every per-move scratch buffer holds its full reservation;
@@ -298,10 +298,15 @@ class DensityState {
   /// header comment, so tests can assert which kernel an instance takes.
   [[nodiscard]] bool uses_columns() const noexcept { return uses_columns_; }
 
-  /// True when speculate_swap scores its two-pin nets, and both
-  /// speculations their candidate density, with the lane pass over the
-  /// position-ordered weight rows rather than the neighbour lists and
-  /// spec_scan: fixed at construction by the rule in the header comment.
+  /// True when both speculations read their candidate density with the
+  /// int16 lane pass rather than the scalar one: num_nets and n are at
+  /// most 32767 (the header comment), fixed at construction.
+  [[nodiscard]] bool uses_lanes() const noexcept { return uses_lanes_; }
+
+  /// True when speculate_swap feeds its two-pin nets to the lane pass as
+  /// the position-ordered weight rows rather than as neighbour-list
+  /// writes into window_diff_: fixed at construction by the rule in the
+  /// header comment; implies uses_lanes().
   [[nodiscard]] bool uses_matrix() const noexcept { return uses_matrix_; }
 
  private:
@@ -332,7 +337,6 @@ class DensityState {
   void rebuild();
   void reserve_scratch();
   void add_span(std::size_t lo, std::size_t hi, int delta);
-  void bump_boundary(std::size_t b, int delta);
   void respan_window(std::size_t lo, std::size_t hi, int delta);
   void refresh_rows();  // every row from the lists and the arrangement
   [[nodiscard]] bool verify_rows() const;
@@ -347,7 +351,7 @@ class DensityState {
   [[gnu::noinline]] void commit_swap_columns(std::size_t lo, std::size_t hi);
   void refresh_columns(std::size_t lo, std::size_t hi);
   [[nodiscard]] bool verify_columns() const;
-  void spec_scan(std::size_t lo, std::size_t hi);
+  void spec_scalar(int shift, std::size_t lo, std::size_t hi);
 
   const Netlist* netlist_;
   Arrangement arrangement_;
@@ -369,8 +373,6 @@ class DensityState {
   std::size_t lanes_ = 0;             // n rounded up to a multiple of 8
   std::vector<std::uint64_t> bits_;   // words_ per wide net
   std::vector<int> cuts_;            // n-1 boundaries, then 0 to lanes_
-  std::vector<int> cut_histogram_;   // value -> #boundaries, size num_nets+2;
-                                     // empty with uses_matrix_
   int max_cut_ = 0;                  // exact
   long long total_span_ = 0;
   std::vector<char> touched_mark_;   // scratch: per wide net, per move
@@ -383,20 +385,16 @@ class DensityState {
   std::size_t spec_b_ = 0;
   int spec_density_ = 0;
   long long spec_total_span_ = 0;
-  // The journal arrays are sized, not grown: an entry is written at the
-  // count and the count advances only when it is kept, so neither the
-  // journal nor the window scan branches on whether a net or boundary
-  // changed.
+  // The journal is sized, not grown: an entry is written at the count
+  // and the count advances only when it is kept, so it does not branch on
+  // whether a net changed.
   std::size_t spec_net_count_ = 0;
   std::vector<std::uint32_t> spec_nets_;   // journal: moved wide net ids
-  std::size_t spec_boundary_count_ = 0;
-  std::vector<std::size_t> spec_boundaries_;  // changed boundaries, ascending
-  std::vector<int> spec_deltas_;           //   parallel: crossing delta
   std::vector<int> window_diff_;    // size lanes_, zero between moves
-  std::vector<int> removed_at_;     // old cut value -> #changed boundaries,
-                                    // nonzero only inside spec_scan
-  std::vector<std::int16_t> spec_lane_delta_;  // lane pass: per boundary,
-                                               // the window's deltas
+  // Per boundary, the window's deltas: the lane pass's, size lanes_ with
+  // uses_lanes_ (else empty), or the scalar pass's, size lanes_ without.
+  std::vector<std::int16_t> spec_lane_delta_;
+  std::vector<int> spec_deltas_;
   // Column-kernel scratch, laid out as pre_/suf_/wide_cut_: a swap on
   // [lo, hi) writes rows lo+1..hi and entries lo..hi-1.
   std::vector<std::uint64_t> spec_pre_;
@@ -420,6 +418,7 @@ class DensityState {
   // int16, row x lane q holding the weight between cell x and the cell
   // at position q modulo 2^16; rearrange() permutes every row's lanes
   // with the arrangement.
+  bool uses_lanes_ = false;
   bool uses_matrix_ = false;
   std::vector<std::int16_t> rows_;
 

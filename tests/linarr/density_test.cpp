@@ -189,8 +189,9 @@ bool takes_columns(const std::string& shape) {
   return false;
 }
 
-// Likewise for the two-pin path: the weight matrix or the neighbour
-// lists, with matrix18 exactly at the rule and lists18 one pair under.
+// Likewise for the two-pin path into the lane pass: the weight rows or
+// the neighbour lists, with matrix18 exactly at the rule and lists18 one
+// pair under.
 bool takes_matrix(const std::string& shape) {
   for (const char* name : {"mixed12", "gola2", "gola3", "nola3", "matrix18"}) {
     if (shape == name) return true;
@@ -246,7 +247,7 @@ void expect_churn_matches_recount(const Netlist& nl, util::Rng& rng) {
 }
 
 // Parameterized over (instance seed, use multi-pin nets).  The two-pin
-// case runs GOLA 12/60 (weight matrix); the multi-pin case runs NOLA 12/60
+// case runs GOLA 12/60 (weight rows); the multi-pin case runs NOLA 12/60
 // (column kernel), the shapes one pin under (per-net kernel) and exactly
 // at the kernel rule's crossover, and the two sides of the two-pin rule.
 class DensityChurnTest
@@ -562,7 +563,7 @@ TEST(DensitySpeculationTest, WordEdgeMovesMatchApplyOracle) {
 // cells a net joins.  For the column kernel: the smallest wide net (n = 3,
 // one 3-pin net), wide nets only, one net on every cell (its crossing
 // count never changes), and 64 and 65 wide nets, one and two words of net
-// bits per column.  For the weight matrix: n = 2 and n = 3 with parallel
+// bits per column.  For the weight rows: n = 2 and n = 3 with parallel
 // two-pin nets, and heavily parallel nets on 6 cells, one pair 60 times.
 Netlist degenerate_netlist(const std::string& name) {
   util::Rng rng{97};
@@ -615,8 +616,9 @@ Netlist degenerate_netlist(const std::string& name) {
   throw std::invalid_argument("degenerate_netlist: unknown " + name);
 }
 
-// The weight-matrix instances take no column kernel (they have no wide
-// net); the column-kernel instances keep the neighbour lists.
+// The weight-row instances take no column kernel (they have no wide net);
+// the column-kernel instances feed the lane pass from the neighbour
+// lists.
 bool degenerate_takes_matrix(const std::string& name) {
   return name == "two_cells_parallel" || name == "three_cells_pairs" ||
          name == "heavy_parallel";
@@ -638,8 +640,8 @@ TEST_P(DensityDegenerateTest, MovesMatchApplyOracle) {
   expect_every_pair_matches_oracle<true>(nl);
 }
 
-// The applied moves and a reset keep the matrix exact too: verify()
-// rebuilds it from the two-pin nets after each.
+// The applied moves and a reset keep the rows exact too: verify()
+// rebuilds them from the two-pin nets after each.
 TEST_P(DensityDegenerateTest, ApplyAndResetKeepTheStateExact) {
   const Netlist nl = degenerate_netlist(GetParam());
   const std::size_t n = nl.num_cells();
@@ -673,9 +675,9 @@ INSTANTIATE_TEST_SUITE_P(Instances, DensityDegenerateTest,
 // scratch is empty between moves, so a defaulted copy would silently
 // re-allocate on the worker's first hot-loop move.  The copy constructor
 // and assignment must re-reserve everything and carry the two-pin weight
-// matrix on GOLA 15/150, the matrix and the column kernel's state and
+// rows on GOLA 15/150, the rows and the column kernel's state and
 // scratch on NOLA 15/150, and the column kernel beside the neighbour
-// lists on nola12; verify() holds each copy's matrix and columns to a
+// lists on nola12; verify() holds each copy's rows and columns to a
 // rebuild.
 void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   const std::size_t n = nl.num_cells();
@@ -685,6 +687,7 @@ void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   DensityState copied{state};
   EXPECT_TRUE(copied.scratch_reserved());
   EXPECT_EQ(copied.uses_columns(), state.uses_columns());
+  EXPECT_EQ(copied.uses_lanes(), state.uses_lanes());
   EXPECT_EQ(copied.uses_matrix(), state.uses_matrix());
   EXPECT_TRUE(copied.verify());
 
@@ -693,6 +696,7 @@ void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   EXPECT_TRUE(assigned.scratch_reserved());
   EXPECT_EQ(assigned.density(), state.density());
   EXPECT_EQ(assigned.uses_columns(), state.uses_columns());
+  EXPECT_EQ(assigned.uses_lanes(), state.uses_lanes());
   EXPECT_EQ(assigned.uses_matrix(), state.uses_matrix());
   EXPECT_TRUE(assigned.verify());
 
@@ -779,20 +783,39 @@ TEST(DensityMatrixTest, RowsFollowMovesResetsAndCopies) {
   }
 }
 
-// The lane pass over every lane count around the vector width: matrix
-// instances on n cells, two-pin nets only or with wide nets beside them
-// (the column kernel up to n = 9, the per-net kernel from 15).  Every
-// window (lo, hi), lo = 0 and hi = n - 1 included, is scored as
+// The lane pass over every lane count around the vector width, with the
+// weight rows and without: on n cells, dense two-pin nets (the rows) or
+// sparse ones (the lists: fewer than n^2/12 distinct pairs, each one to
+// three times, none at all for n <= 3), alone or with wide nets beside
+// them (the column kernel up to n = 9, the per-net kernel from 15).
+// Every window (lo, hi), lo = 0 and hi = n - 1 included, is scored as
 // swap(lo, hi) or swap(hi, lo), alternately, against the apply oracle,
 // then committed or discarded, and the state must equal the oracle cut
 // for cut; single exchanges, resets, copies and assignments are
 // interleaved, and verify() holds the rows, cuts and scratch to a
 // recount.
-Netlist lane_instance(std::size_t n, bool wide, util::Rng& rng) {
-  const Netlist gola = random_gola(GolaParams{n, 8 * n}, rng);
+Netlist lane_instance(std::size_t n, bool rows, bool wide, util::Rng& rng) {
   Netlist::Builder b{n};
-  for (netlist::NetId net = 0; net < gola.num_nets(); ++net) {
-    b.add_net(gola.pins(net));
+  if (rows) {
+    const Netlist gola = random_gola(GolaParams{n, 8 * n}, rng);
+    for (netlist::NetId net = 0; net < gola.num_nets(); ++net) {
+      b.add_net(gola.pins(net));
+    }
+  } else {
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    while (12 * (pairs.size() + 1) < n * n) {
+      auto pair = rng.next_distinct_pair(n);
+      if (pair.first > pair.second) std::swap(pair.first, pair.second);
+      if (std::find(pairs.begin(), pairs.end(), pair) != pairs.end()) {
+        continue;
+      }
+      pairs.push_back(pair);
+      const std::uint64_t copies = 1 + rng.next_below(3);
+      for (std::uint64_t i = 0; i < copies; ++i) {
+        b.add_net({static_cast<CellId>(pair.first),
+                   static_cast<CellId>(pair.second)});
+      }
+    }
   }
   if (wide) {
     const Netlist nola = random_nola(
@@ -808,7 +831,6 @@ void expect_every_window_matches_oracle(const Netlist& nl, util::Rng& rng) {
   const std::size_t n = nl.num_cells();
   DensityState state{nl, Arrangement::random(n, rng)};
   DensityState oracle{state};
-  ASSERT_TRUE(state.uses_matrix());
   const auto expect_matches = [&] {
     ASSERT_EQ(state.arrangement().order(), oracle.arrangement().order());
     ASSERT_EQ(state.density(), oracle.density());
@@ -883,12 +905,17 @@ class DensityLaneTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(DensityLaneTest, EveryWindowMatchesApplyOracle) {
   const std::size_t n = GetParam();
   util::Rng rng{109 + n};
-  expect_every_window_matches_oracle(lane_instance(n, false, rng), rng);
-  if (n >= 3) {
-    SCOPED_TRACE("with wide nets");
-    const Netlist mixed = lane_instance(n, true, rng);
-    ASSERT_EQ(paths_of(mixed), std::make_pair(n <= 9, true));
-    expect_every_window_matches_oracle(mixed, rng);
+  for (const bool rows : {true, false}) {
+    for (const bool wide : {false, true}) {
+      if (wide && n < 3) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << (rows ? "rows" : "lists")
+                   << (wide ? ", with wide nets" : ""));
+      const Netlist nl = lane_instance(n, rows, wide, rng);
+      ASSERT_TRUE((DensityState{nl, Arrangement{n}}.uses_lanes()));
+      ASSERT_EQ(paths_of(nl), std::make_pair(wide && n <= 9, rows));
+      expect_every_window_matches_oracle(nl, rng);
+    }
   }
 }
 
@@ -899,8 +926,8 @@ INSTANTIATE_TEST_SUITE_P(LaneCounts, DensityLaneTest,
                            return "n" + std::to_string(info.param);
                          });
 
-// The rule's net bound, on 3 cells: 32767 nets take the weight rows and
-// 32768 the lists.  Every 64th net joins cells 0 and 1 and the rest join
+// The lane bound on nets, on 3 cells: 32767 nets take the weight rows and
+// 32768 the lists and the scalar pass.  Every 64th net joins cells 0 and 1 and the rest join
 // 0 and 2, so the weight between 0 and 2 (2 x 32255) wraps in its int16
 // lane, and with cell 0 at an end every net crosses its boundary: the
 // cut reaches 32767, the largest value a lane holds.  Every swap and
@@ -953,6 +980,85 @@ TEST(DensityNetBoundTest, PicksThePathAndStaysExact) {
     state.commit_speculation();
     EXPECT_EQ(state.cut_at(0), static_cast<int>(nets));
     EXPECT_TRUE(state.verify());
+  }
+}
+
+// The lane bound on cells: n = 32767 takes the lane pass, 32768 and 32800
+// the scalar pass.  A handful of nets, far too few for the rows, start
+// with most pins near position 32767 and at the end of the row, where
+// six parallel nets keep a tall cut.  Each step swaps or single-exchanges
+// the cell of one of those pins with a position from 32759 on, so every
+// window ends near or past position 32767 (past every int16 lane index
+// on 32800 cells), scores it against the apply oracle, then commits or
+// discards it; verify() recounts the state every eighth step.
+TEST(DensityCellBoundTest, PicksThePathAndStaysExact) {
+  constexpr std::size_t kLane = 32767;
+  for (const std::size_t n : {kLane, kLane + 1, kLane + 33}) {
+    SCOPED_TRACE(::testing::Message() << n << " cells");
+    util::Rng rng{113 + n};
+    const auto cell = [](std::size_t c) { return static_cast<CellId>(c); };
+    const auto tail = [&](std::size_t from) {
+      return from + rng.next_below(n - from);
+    };
+    Netlist::Builder b{n};
+    b.add_net({0, cell(n - 1)});
+    for (int copy = 0; copy < 6; ++copy) b.add_net({cell(n - 2), cell(n - 1)});
+    b.add_net({cell(kLane - 1), cell(n - 3)});
+    b.add_net({1, cell(n / 2), cell(n - 4)});
+    b.add_net({cell(kLane - 3), cell(kLane - 2), cell(n - 5), cell(n - 6)});
+    for (int net = 0; net < 16; ++net) {
+      b.add_net({cell(rng.next_below(kLane - 40)), cell(tail(kLane - 40))});
+    }
+    const Netlist nl = b.build();
+    std::vector<CellId> pinned;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (nl.degree(cell(c)) > 0) pinned.push_back(cell(c));
+    }
+    DensityState state{nl, Arrangement{n}};
+    DensityState oracle{state};
+    ASSERT_EQ(state.uses_lanes(), n <= kLane);
+    ASSERT_FALSE(state.uses_matrix());
+    ASSERT_TRUE(state.verify());
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      const std::size_t a = state.arrangement().position_of(
+          pinned[rng.next_below(pinned.size())]);
+      std::size_t c = tail(kLane - 8);
+      if (c == a) c = a == n - 1 ? 0 : n - 1;
+      const bool move = step % 2 == 1;
+      const std::size_t from = step % 4 < 2 ? a : c;
+      const std::size_t to = from == a ? c : a;
+      if (move) {
+        state.speculate_move(from, to);
+        oracle.apply_move(from, to);
+      } else {
+        state.speculate_swap(from, to);
+        oracle.apply_swap(from, to);
+      }
+      ASSERT_EQ(state.speculative_density(), oracle.density());
+      ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
+      if (rng.next_bool(0.5)) {
+        state.commit_speculation();
+      } else {
+        state.discard_speculation();
+        if (move) {
+          oracle.apply_move(to, from);
+        } else {
+          oracle.apply_swap(from, to);
+        }
+      }
+      ASSERT_EQ(state.density(), oracle.density());
+      ASSERT_EQ(state.total_span(), oracle.total_span());
+      if (step % 8 == 7) {
+        ASSERT_TRUE(state.verify());
+        for (std::size_t boundary = 0; boundary + 1 < n; ++boundary) {
+          ASSERT_EQ(state.cut_at(boundary), oracle.cut_at(boundary))
+              << "boundary " << boundary;
+        }
+      }
+    }
+    EXPECT_TRUE(state.verify());
+    EXPECT_TRUE(state.scratch_reserved());
   }
 }
 

@@ -26,7 +26,7 @@
 //             two-pin nets over 27 (matrix18) or 26 (lists18) distinct
 //             pairs of 18 cells, each pair one to three times, plus three
 //             wide nets: the two-pin rule in linarr/density.hpp takes the
-//             weight matrix from 54 neighbour-list entries on 18 cells,
+//             weight rows from 54 neighbour-list entries on 18 cells,
 //             so matrix18 sits exactly at the rule and lists18 one pair
 //             under
 #pragma once
