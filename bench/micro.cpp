@@ -50,15 +50,21 @@ BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 // NOLA 15 feed it the two-pin weight rows, GOLA 240 and NOLA 60 and 240
 // the neighbour lists, both sides of the rows' rule in
 // linarr/density.hpp.
+netlist::Netlist density_instance(const benchmark::State& state,
+                                  util::Rng& rng) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  return state.range(1) == 0
+             ? netlist::random_gola(netlist::GolaParams{cells, cells * 10},
+                                    rng)
+             : netlist::random_nola(
+                   netlist::NolaParams{cells, cells * 10, 2, 6}, rng);
+}
+
 template <bool kMove, bool kCommit = false>
 void density_speculation(benchmark::State& state) {
   const auto cells = static_cast<std::size_t>(state.range(0));
   util::Rng rng{10};
-  const auto nl =
-      state.range(1) == 0
-          ? netlist::random_gola(netlist::GolaParams{cells, cells * 10}, rng)
-          : netlist::random_nola(netlist::NolaParams{cells, cells * 10, 2, 6},
-                                 rng);
+  const auto nl = density_instance(state, rng);
   linarr::DensityState ds{nl, linarr::Arrangement::random(cells, rng)};
   constexpr std::size_t kPairs = 4096;
   std::vector<std::pair<std::size_t, std::size_t>> pairs(kPairs);
@@ -115,6 +121,41 @@ BENCHMARK(BM_DensitySpeculateMove)
     ->Args({60, 1})
     ->Args({240, 0})
     ->Args({240, 1})
+    ->ArgNames({"cells", "nola"});
+
+// The fixed cost of one short solve before its first proposal: a
+// LinArrProblem built on a netlist that earlier problems already used
+// (its NetIndex built once, outside the loop), and a DensityState copy,
+// the start of every clone().  Args: (cells, nola), as above.
+void BM_LinArrConstruct(benchmark::State& state) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  util::Rng rng{11};
+  const auto nl = density_instance(state, rng);
+  const auto start = linarr::Arrangement::random(cells, rng);
+  benchmark::DoNotOptimize(nl.net_index());
+  for (auto _ : state) {
+    linarr::LinArrProblem problem{nl, start};
+    benchmark::DoNotOptimize(problem.cost());
+  }
+}
+BENCHMARK(BM_LinArrConstruct)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->ArgNames({"cells", "nola"});
+
+void BM_DensityCopy(benchmark::State& state) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  util::Rng rng{12};
+  const auto nl = density_instance(state, rng);
+  const linarr::DensityState ds{nl, linarr::Arrangement::random(cells, rng)};
+  for (auto _ : state) {
+    linarr::DensityState copy{ds};
+    benchmark::DoNotOptimize(copy.density());
+  }
+}
+BENCHMARK(BM_DensityCopy)
+    ->Args({15, 0})
+    ->Args({15, 1})
     ->ArgNames({"cells", "nola"});
 
 void BM_DensityFullRecount(benchmark::State& state) {

@@ -1,7 +1,7 @@
 #include "linarr/density.hpp"
 
-#if !defined(__SSE2__)
-#error "the weight-row lane pass needs SSE2, which every x86-64 target has"
+#if !defined(__SSE4_2__) || !defined(__POPCNT__)
+#error "the lane pass and the column kernel need x86-64-v2 (SSE4.2, POPCNT)"
 #endif
 #include <emmintrin.h>
 
@@ -9,7 +9,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -43,16 +42,6 @@ inline std::pair<std::size_t, std::size_t> other_extrema(
           j * 64 + 63 - static_cast<std::size_t>(std::countl_zero(masked(j)))};
 }
 
-// mcopt: hot
-inline int popcount64(std::uint64_t x) {
-  // std::popcount is a libgcc call on a baseline x86-64 target (no
-  // -mpopcnt); this SWAR count stays inline everywhere.
-  x -= (x >> 1) & 0x5555555555555555U;
-  x = (x & 0x3333333333333333U) + ((x >> 2) & 0x3333333333333333U);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fU;
-  return static_cast<int>((x * 0x0101010101010101U) >> 56);
-}
-
 // The selection rule's prices (density.hpp): one word of the column
 // kernel's window against one wide-net incidence of the per-net kernel,
 // in relative units fitted to both kernels' measured costs
@@ -79,6 +68,12 @@ inline __m128i load16(const T* at) {  // 16 bytes, unaligned
 }
 
 // mcopt: hot
+template <typename T>
+inline void store16(T* at, __m128i v) {  // 16 bytes, unaligned
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(at), v);
+}
+
+// mcopt: hot
 inline __m128i low_halves(__m128i a, __m128i b) {
   // The eight ints' low 16 bits, as int16 lanes: sign-extending the low
   // half first keeps packs_epi32 from saturating, so the lanes are the
@@ -95,20 +90,16 @@ DensityState::DensityState(const Netlist& netlist, Arrangement arrangement)
     throw std::invalid_argument(
         "DensityState: arrangement size != netlist cell count");
   }
-  index_nets();
+  index_ = &netlist.net_index();
+  choose_paths();
   rebuild();
   reserve_scratch();
 }
 
 DensityState::DensityState(const DensityState& other)
     : netlist_(other.netlist_),
+      index_(other.index_),
       arrangement_(other.arrangement_),
-      pair_offsets_(other.pair_offsets_),
-      pairs_(other.pairs_),
-      pair_degree_(other.pair_degree_),
-      wide_net_(other.wide_net_),
-      wide_offsets_(other.wide_offsets_),
-      cell_wide_(other.cell_wide_),
       words_(other.words_),
       lanes_(other.lanes_),
       bits_(other.bits_),
@@ -134,65 +125,26 @@ DensityState& DensityState::operator=(const DensityState& other) {
   return *this;
 }
 
-void DensityState::index_nets() {
-  const Netlist& nl = *netlist_;
-  const std::size_t cells = nl.num_cells();
-  std::vector<std::uint32_t> wide_id(nl.num_nets(), 0);
-  std::size_t pair_pins = 0;
-  for (NetId net = 0; net < nl.num_nets(); ++net) {
-    if (nl.pins(net).size() > 2) {
-      wide_id[net] = static_cast<std::uint32_t>(wide_net_.size());
-      wide_net_.push_back(net);
-    } else {
-      pair_pins += 2;
-    }
-  }
-  pairs_.reserve(pair_pins);
-  cell_wide_.reserve(nl.num_pins() - pair_pins);
-  pair_offsets_.reserve(cells + 1);
-  wide_offsets_.reserve(cells + 1);
-  // slot[z] is the index in pairs_ of the current cell's entry for
-  // neighbour z; an index below the cell's first entry is stale.
-  std::vector<std::size_t> slot(cells, std::numeric_limits<std::size_t>::max());
-  pair_offsets_.assign(1, 0);
-  wide_offsets_.assign(1, 0);
-  pair_degree_.assign(cells, 0);
-  for (CellId c = 0; c < cells; ++c) {
-    const std::size_t first = pairs_.size();
-    for (const NetId net : nl.nets_of(c)) {
-      const auto pins = nl.pins(net);
-      if (pins.size() > 2) {
-        cell_wide_.push_back(wide_id[net]);
-        continue;
-      }
-      const CellId z = pins[0] == c ? pins[1] : pins[0];
-      ++pair_degree_[c];
-      if (slot[z] >= first && slot[z] < pairs_.size()) {
-        pairs_[slot[z]].weight += 2;  // a parallel net
-      } else {
-        slot[z] = pairs_.size();
-        pairs_.push_back({z, 2});
-      }
-    }
-    pair_offsets_.push_back(pairs_.size());
-    wide_offsets_.push_back(cell_wide_.size());
-  }
+void DensityState::choose_paths() {
+  const std::size_t cells = netlist_->num_cells();
+  const std::size_t wide = index_->wide_net.size();
   // The lane bound, then the two-pin rule (density.hpp): n x lanes rows
   // against the neighbour lists' entries.  rebuild() fills the rows from
   // the arrangement.
-  uses_lanes_ = nl.num_nets() <= kMaxLaneValue && cells <= kMaxLaneValue;
-  uses_matrix_ = uses_lanes_ && !pairs_.empty() &&
-                 cells * cells <= kMatrixCellsPerPair * pairs_.size();
+  uses_lanes_ =
+      netlist_->num_nets() <= kMaxLaneValue && cells <= kMaxLaneValue;
+  uses_matrix_ = uses_lanes_ && !index_->pairs.empty() &&
+                 cells * cells <= kMatrixCellsPerPair * index_->pairs.size();
   lanes_ = (cells + kLanes - 1) / kLanes * kLanes;
   if (uses_matrix_) rows_.assign(cells * lanes_, 0);
   words_ = (cells + 63) / 64;
-  bits_.assign(wide_net_.size() * words_, 0);
+  bits_.assign(wide * words_, 0);
   // The kernel rule (density.hpp): expected window x words against the
   // two cells' expected wide incidences, both scaled by 3n.
-  const std::size_t net_words = (wide_net_.size() + 63) / 64;
+  const std::size_t net_words = (wide + 63) / 64;
   uses_columns_ = net_words > 0 &&
                   kColumnWordCost * (cells + 1) * net_words * cells <=
-                      kIncidenceCost * 6 * cell_wide_.size();
+                      kIncidenceCost * 6 * index_->cell_wide.size();
   if (uses_columns_) {
     net_words_ = net_words;
     col_.assign(cells * net_words_, 0);
@@ -207,7 +159,7 @@ void DensityState::reserve_scratch() {
   // reservation up front keeps every per-move scratch buffer
   // allocation-free for the life of the state (including clones — vector
   // copies shrink capacity to size, which is zero for empty scratch).
-  const std::size_t wide = wide_net_.size();
+  const std::size_t wide = index_->wide_net.size();
   touched_mark_.assign(wide, 0);
   spec_net_count_ = 0;
   spec_nets_.assign(wide + 1, 0);  // a full journal takes one more write
@@ -220,7 +172,7 @@ void DensityState::reserve_scratch() {
 }
 
 bool DensityState::scratch_reserved() const noexcept {
-  const std::size_t wide = wide_net_.size();
+  const std::size_t wide = index_->wide_net.size();
   return touched_mark_.size() == wide && spec_nets_.size() == wide + 1 &&
          window_diff_.size() == lanes_ &&
          spec_lane_delta_.size() == (uses_lanes_ ? lanes_ : 0) &&
@@ -242,16 +194,31 @@ std::pair<std::size_t, std::size_t> DensityState::extent(NetId n) const {
 
 // mcopt: hot
 void DensityState::pin_bits(NetId n, std::uint64_t* out) const {
+  const auto pins = netlist_->pins(n);
+  if (words_ == 1) {
+    // n <= 64, the paper's instances: the word is ORed up in a register
+    // and stored once.  ORing every pin through out[0] would make each
+    // pin's load wait on the previous pin's store.
+    std::uint64_t bits = 0;
+    for (const CellId cell : pins) {
+      bits |= std::uint64_t{1} << arrangement_.position_of(cell);
+    }
+    out[0] = bits;
+    return;
+  }
+  // With several words the pins scatter over them, so their stores
+  // rarely chain, and a register per run of pins in one word would
+  // mispredict its branch instead (EXPERIMENTS.md).
   std::fill_n(out, words_, std::uint64_t{0});
-  for (const CellId cell : netlist_->pins(n)) {
+  for (const CellId cell : pins) {
     const std::size_t pos = arrangement_.position_of(cell);
     out[pos / 64] |= std::uint64_t{1} << (pos % 64);
   }
 }
 
 void DensityState::refresh_bits() {
-  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
-    pin_bits(wide_net_[w], bits_.data() + w * words_);
+  for (std::uint32_t w = 0; w < index_->wide_net.size(); ++w) {
+    pin_bits(index_->wide_net[w], bits_.data() + w * words_);
   }
   bits_stale_ = false;
 }
@@ -261,7 +228,7 @@ void DensityState::refresh_rows() {
   std::fill(rows_.begin(), rows_.end(), std::int16_t{0});
   for (CellId x = 0; x < arrangement_.size(); ++x) {
     std::int16_t* row = rows_.data() + std::size_t{x} * lanes_;
-    for (const Neighbour& nb : neighbours(x)) {
+    for (const auto& nb : index_->neighbours(x)) {
       row[arrangement_.position_of(nb.cell)] =
           static_cast<std::int16_t>(nb.weight);
     }
@@ -328,7 +295,8 @@ void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
   for (std::size_t p = lo; p <= hi; ++p) {
     std::uint64_t* row = col_.data() + p * m;
     std::fill_n(row, m, std::uint64_t{0});
-    for (const std::uint32_t w : wide_nets_of(arrangement_.cell_at(p))) {
+    for (const std::uint32_t w :
+         index_->wide_nets_of(arrangement_.cell_at(p))) {
       row[w / 64] |= std::uint64_t{1} << (w % 64);
     }
   }
@@ -345,7 +313,7 @@ void DensityState::refresh_columns(std::size_t lo, std::size_t hi) {
   for (std::size_t b = lo; b < hi; ++b) {
     int count = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      count += popcount64(pre_[(b + 1) * m + i] & suf_[(b + 1) * m + i]);
+      count += std::popcount(pre_[(b + 1) * m + i] & suf_[(b + 1) * m + i]);
     }
     wide_cut_[b] = count;
   }
@@ -387,8 +355,9 @@ void DensityState::apply(SpecKind kind, std::size_t a, std::size_t b) {
   rearrange(kind, a, b);
   respan_window(lo, hi, +1);
   for (std::size_t pos = lo; pos <= hi; ++pos) {
-    for (const std::uint32_t w : wide_nets_of(arrangement_.cell_at(pos))) {
-      pin_bits(wide_net_[w], bits_.data() + w * words_);
+    for (const std::uint32_t w :
+         index_->wide_nets_of(arrangement_.cell_at(pos))) {
+      pin_bits(index_->wide_net[w], bits_.data() + w * words_);
     }
   }
   if (uses_columns_) refresh_columns(lo, hi);
@@ -420,7 +389,7 @@ int DensityState::spec_swap_wide(CellId x, CellId y, std::size_t lo,
   std::size_t count = 0;
   const auto visit = [&](CellId c, std::size_t from, std::size_t to,
                          int sign) {
-    for (const std::uint32_t w : wide_nets_of(c)) {
+    for (const std::uint32_t w : index_->wide_nets_of(c)) {
       const std::uint64_t* bits = bits_.data() + w * words_;
       const bool moves = !has_bit(bits, to);
       const auto [other_lo, other_hi] = other_extrema(bits, words_, from);
@@ -471,7 +440,7 @@ void DensityState::spec_swap_columns(std::size_t lo, std::size_t hi) {
     int count = 0;
     for (std::size_t i = 0; i < m; ++i) {
       row[i] = right[i] | add[i];
-      count += popcount64(both[i] & row[i]);
+      count += std::popcount(both[i] & row[i]);
     }
     right = row;
     add = col + b * m;
@@ -567,7 +536,7 @@ void DensityState::spec_lanes(const std::int16_t* row_x,
     const __m128i in = _mm_and_si128(_mm_cmpgt_epi16(lane, after_lo),
                                      _mm_cmpgt_epi16(at_hi, lane));
     const __m128i delta = _mm_and_si128(_mm_add_epi16(prefix, add), in);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k), delta);
+    store16(out + k, delta);
     const __m128i cut =
         _mm_packs_epi32(load16(cuts + k), load16(cuts + k + 4));
     best = _mm_max_epi16(best, _mm_add_epi16(cut, delta));
@@ -598,12 +567,13 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   const CellId y = arrangement_.cell_at(hi);  // moves left
   // Two-pin nets: -1 per net of x and +1 per net of y on every window
   // boundary, then their neighbours' weights by position (density.hpp).
-  int shift = pair_degree_[y] - pair_degree_[x];
+  int shift = index_->pair_degree[y] - index_->pair_degree[x];
   // Wide nets, out of line; a swap of two cells on none makes no call
   // to the per-net kernel.
   if (uses_columns_) {
     spec_swap_columns(lo, hi);
-  } else if (!wide_nets_of(x).empty() || !wide_nets_of(y).empty()) {
+  } else if (!index_->wide_nets_of(x).empty() ||
+             !index_->wide_nets_of(y).empty()) {
     shift += spec_swap_wide(x, y, lo, hi);
   }
   if (uses_matrix_) {
@@ -611,7 +581,7 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
     const std::int16_t* row_y = rows_.data() + std::size_t{y} * lanes_;
     shift += row_x[hi];  // W[x][y]: the nets joining x and y
     // Without wide nets window_diff_ stays zero, and the pass skips it.
-    if (wide_net_.empty()) {
+    if (index_->wide_net.empty()) {
       spec_lanes<true, false>(row_x, row_y, shift, lo, hi);
     } else {
       spec_lanes<true, true>(row_x, row_y, shift, lo, hi);
@@ -622,11 +592,11 @@ void DensityState::speculate_swap(std::size_t p, std::size_t q) {
   // its clamped position, and the pass adds the shift.  A net joining x
   // and y keeps its extent: the shift's -1 and +1 for it cancel, its +w
   // from x's side lands at hi, past the window, and y's is skipped.
-  for (const Neighbour& nb : neighbours(x)) {
+  for (const auto& nb : index_->neighbours(x)) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] +=
         nb.weight;
   }
-  for (const Neighbour& nb : neighbours(y)) {
+  for (const auto& nb : index_->neighbours(y)) {
     window_diff_[std::clamp(arrangement_.position_of(nb.cell), lo, hi)] -=
         nb.cell == x ? 0 : nb.weight;
   }
@@ -668,7 +638,7 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
     // Two-pin nets, each taken from its lower pin in the window.  A pin
     // outside the window does not move: clamped to the window's end, its
     // old and new writes land on the same entry and cancel.
-    for (const Neighbour& nb : neighbours(c)) {
+    for (const auto& nb : index_->neighbours(c)) {
       const std::size_t at = arrangement_.position_of(nb.cell);
       const bool inside = at >= w_lo && at <= w_hi;
       if (inside && at < pos) continue;
@@ -680,7 +650,7 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
       window_diff_[std::min(new_pos, new_z)] += m;
       window_diff_[std::max(new_pos, new_z)] -= m;
     }
-    for (const std::uint32_t w : wide_nets_of(c)) {
+    for (const std::uint32_t w : index_->wide_nets_of(c)) {
       spec_nets_[count] = w;
       count += static_cast<std::size_t>(touched_mark_[w] == 0);
       touched_mark_[w] = 1;
@@ -720,9 +690,21 @@ void DensityState::commit_speculation() {
   const std::size_t b = spec_b_;
   const std::size_t lo = std::min(a, b);
   const std::size_t hi = std::max(a, b);
-  // The pass left each window boundary's delta.
+  // The lane pass left a delta in every lane, 0 outside the window, so
+  // every lane's is added, eight at a time: the loop's length does not
+  // depend on the window.
   if (uses_lanes_) {
-    for (std::size_t k = lo; k < hi; ++k) cuts_[k] += spec_lane_delta_[k];
+    const std::int16_t* delta = spec_lane_delta_.data();
+    int* cuts = cuts_.data();
+    for (std::size_t k = 0; k < lanes_; k += kLanes) {
+      const __m128i d = load16(delta + k);
+      // Each int16 delta sign-extended to int32: its copy in the high half
+      // shifted down arithmetically.
+      const __m128i low = _mm_srai_epi32(_mm_unpacklo_epi16(d, d), 16);
+      const __m128i high = _mm_srai_epi32(_mm_unpackhi_epi16(d, d), 16);
+      store16(cuts + k, _mm_add_epi32(load16(cuts + k), low));
+      store16(cuts + k + 4, _mm_add_epi32(load16(cuts + k + 4), high));
+    }
   } else {
     for (std::size_t k = lo; k < hi; ++k) cuts_[k] += spec_deltas_[k];
   }
@@ -736,7 +718,7 @@ void DensityState::commit_speculation() {
       bits[a / 64] ^= std::uint64_t{1} << (a % 64);
       bits[b / 64] ^= std::uint64_t{1} << (b % 64);
     } else {
-      pin_bits(wide_net_[w], bits);
+      pin_bits(index_->wide_net[w], bits);
     }
   }
   spec_net_count_ = 0;
@@ -791,8 +773,8 @@ bool DensityState::verify() const {
   // ones must match their pins.
   if (!bits_stale_) {
     std::vector<std::uint64_t> recount(words_);
-    for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
-      pin_bits(wide_net_[w], recount.data());
+    for (std::uint32_t w = 0; w < index_->wide_net.size(); ++w) {
+      pin_bits(index_->wide_net[w], recount.data());
       if (!std::equal(recount.begin(), recount.end(),
                       bits_.data() + w * words_)) {
         return false;
@@ -829,12 +811,12 @@ bool DensityState::verify_columns() const {
   const std::size_t m = net_words_;
   std::vector<std::uint64_t> col(n * m, 0);
   std::vector<int> wide_cut(n, 0);
-  for (std::uint32_t w = 0; w < wide_net_.size(); ++w) {
-    for (const CellId cell : netlist_->pins(wide_net_[w])) {
+  for (std::uint32_t w = 0; w < index_->wide_net.size(); ++w) {
+    for (const CellId cell : netlist_->pins(index_->wide_net[w])) {
       const std::size_t pos = arrangement_.position_of(cell);
       col[pos * m + w / 64] |= std::uint64_t{1} << (w % 64);
     }
-    const auto [lo, hi] = extent(wide_net_[w]);
+    const auto [lo, hi] = extent(index_->wide_net[w]);
     ++wide_cut[lo];
     --wide_cut[hi];
   }

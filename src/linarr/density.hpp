@@ -15,8 +15,12 @@
 //   * on instances that take the weight rows (below), per cell the
 //     weights of its two-pin nets by position.
 //
-// Nets take one of two paths by pin count alone, fixed when the state is
-// built:
+// Nets take one of two paths by pin count alone.  The split is the
+// netlist's, not the state's: Netlist::net_index() builds the neighbour
+// lists, degrees and wide-net numbering below once per netlist, on first
+// use, and every state on that netlist (and every copy of one) keeps a
+// pointer to it, so constructing, copying and clone()-ing a state copy
+// none of it.
 //   * Two-pin nets are a per-cell neighbour list: for each cell, its
 //     distinct two-pin neighbours z with weight 2 x (the number of two-pin
 //     nets joining the two cells; parallel nets are merged), plus the
@@ -40,7 +44,8 @@
 //     |pre[b] & suf[b]|.  A swap of positions lo < hi trades col[lo] and
 //     col[hi], so only the window's boundaries change: two running ORs
 //     give the candidate pre'/suf' there, and |pre'[b] & suf'[b]| minus
-//     the committed count joins the two-pin differences.  A commit trades
+//     the committed count joins the two-pin differences (a popcnt per
+//     word: the library builds for x86-64-v2).  A commit trades
 //     the two columns and copies the speculated window.  Its cost is the
 //     window times the words, about (n+1)/3 x ceil(m/64) for a uniformly
 //     drawn pair.
@@ -100,8 +105,10 @@
 //     plus the constant, masked to the window, added to the cuts; their
 //     max is the candidate density, exact because outside the window the
 //     candidate cut is the committed one, and a masked madd gives the
-//     total-span change.  It leaves the window's deltas in
-//     spec_lane_delta_ for the commit.  The lanes are int16 arithmetic
+//     total-span change.  It leaves every lane's delta in
+//     spec_lane_delta_ for the commit, 0 outside the window, so the
+//     commit adds all of them with vector adds, one per eight lanes,
+//     whatever the window.  The lanes are int16 arithmetic
 //     modulo 2^16: weights, prefixes and window_diff_ entries may wrap,
 //     but only adds and subtracts reach them, and with num_nets <= 32767
 //     every committed and candidate cut lies in [0, 32767] and every
@@ -171,7 +178,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -203,6 +209,10 @@ class DensityState {
     return arrangement_;
   }
   [[nodiscard]] const Netlist& netlist() const noexcept { return *netlist_; }
+  /// The netlist's NetIndex, which this state reads and never copies.
+  [[nodiscard]] const netlist::NetIndex& net_index() const noexcept {
+    return *index_;
+  }
 
   /// Max crossing count over all boundaries; 0 when n == 1.
   [[nodiscard]] int density() const noexcept { return max_cut_; }
@@ -257,12 +267,14 @@ class DensityState {
     return spec_kind_ != SpecKind::kNone;
   }
 
-  /// Commits the pending speculation in O(window + changed wide nets):
-  /// one add per window boundary, the arrangement move itself, then the
-  /// journaled wide nets' bits; with uses_columns(), O(window x
-  /// ceil(m/64)) more for the columns, and a swap marks the bits stale
-  /// instead of flipping them; with uses_matrix(), n swaps for a swap's
-  /// two lanes of every row, or n x window writes for a single exchange's.
+  /// Commits the pending speculation in O(lanes + changed wide nets):
+  /// with uses_lanes() one add per lane (eight to a vector add; lanes
+  /// outside the window add 0), else one per window boundary, the
+  /// arrangement move itself, then the journaled wide nets' bits; with
+  /// uses_columns(), O(window x ceil(m/64)) more for the columns, and a
+  /// swap marks the bits stale instead of flipping them; with
+  /// uses_matrix(), n swaps for a swap's two lanes of every row, or
+  /// n x window writes for a single exchange's.
   void commit_speculation();
 
   /// Drops the pending speculation in O(1): the pass left no scratch
@@ -312,28 +324,12 @@ class DensityState {
  private:
   enum class SpecKind : unsigned char { kNone, kSwap, kMove };
 
-  /// A distinct two-pin neighbour of a cell; weight = 2 x the number of
-  /// two-pin nets joining the two cells.
-  struct Neighbour {
-    CellId cell;
-    int weight;
-  };
-
-  [[nodiscard]] std::span<const Neighbour> neighbours(CellId c) const {
-    return {pairs_.data() + pair_offsets_[c],
-            pair_offsets_[c + 1] - pair_offsets_[c]};
-  }
-  [[nodiscard]] std::span<const std::uint32_t> wide_nets_of(CellId c) const {
-    return {cell_wide_.data() + wide_offsets_[c],
-            wide_offsets_[c + 1] - wide_offsets_[c]};
-  }
-
   /// [lowest, highest] pin position of net n under the arrangement.
   [[nodiscard]] std::pair<std::size_t, std::size_t> extent(NetId n) const;
   void pin_bits(NetId n, std::uint64_t* out) const;  // words_ words
   void refresh_bits();  // every wide net's bits from its pins
 
-  void index_nets();
+  void choose_paths();  // the layouts and kernels, by the rules above
   void rebuild();
   void reserve_scratch();
   void add_span(std::size_t lo, std::size_t hi, int delta);
@@ -354,20 +350,10 @@ class DensityState {
   void spec_scalar(int shift, std::size_t lo, std::size_t hi);
 
   const Netlist* netlist_;
+  // The netlist's nets split by pin count (netlist::NetIndex): built once
+  // per netlist and shared by every state on it and every copy of it.
+  const netlist::NetIndex* index_ = nullptr;
   Arrangement arrangement_;
-
-  // Net classes, built once from the netlist (index_nets()).  Two-pin
-  // nets: cell c's neighbours are pairs_[pair_offsets_[c] ..
-  // pair_offsets_[c+1]), and pair_degree_[c] counts its two-pin nets.
-  // Wide nets (three or more pins): wide_net_[w] is wide net w's NetId,
-  // and cell c is on wide nets
-  // cell_wide_[wide_offsets_[c] .. wide_offsets_[c+1]).
-  std::vector<std::size_t> pair_offsets_;
-  std::vector<Neighbour> pairs_;
-  std::vector<int> pair_degree_;
-  std::vector<NetId> wide_net_;
-  std::vector<std::size_t> wide_offsets_;
-  std::vector<std::uint32_t> cell_wide_;
 
   std::size_t words_ = 0;             // ceil(n/64)
   std::size_t lanes_ = 0;             // n rounded up to a multiple of 8

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <initializer_list>
+#include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace mcopt::netlist {
 
@@ -21,6 +24,55 @@ std::size_t Netlist::max_net_size() const noexcept {
     best = std::max(best, net_offsets_[n + 1] - net_offsets_[n]);
   }
   return best;
+}
+
+const NetIndex& Netlist::net_index() const {
+  std::call_once(index_->once, [this] {
+    NetIndex& ix = index_->index;
+    const std::size_t cells = num_cells_;
+    std::vector<std::uint32_t> wide_id(num_nets(), 0);
+    std::size_t pair_pins = 0;
+    for (NetId net = 0; net < num_nets(); ++net) {
+      if (pins(net).size() > 2) {
+        wide_id[net] = static_cast<std::uint32_t>(ix.wide_net.size());
+        ix.wide_net.push_back(net);
+      } else {
+        pair_pins += 2;
+      }
+    }
+    ix.pairs.reserve(pair_pins);
+    ix.cell_wide.reserve(num_pins() - pair_pins);
+    ix.pair_offsets.reserve(cells + 1);
+    ix.wide_offsets.reserve(cells + 1);
+    ix.pair_offsets.assign(1, 0);
+    ix.wide_offsets.assign(1, 0);
+    ix.pair_degree.assign(cells, 0);
+    // slot[z] is the index in pairs of the current cell's entry for
+    // neighbour z; an index below the cell's first entry is stale.
+    std::vector<std::size_t> slot(cells,
+                                  std::numeric_limits<std::size_t>::max());
+    for (CellId c = 0; c < cells; ++c) {
+      const std::size_t first = ix.pairs.size();
+      for (const NetId net : nets_of(c)) {
+        const auto net_pins = pins(net);
+        if (net_pins.size() > 2) {
+          ix.cell_wide.push_back(wide_id[net]);
+          continue;
+        }
+        const CellId z = net_pins[0] == c ? net_pins[1] : net_pins[0];
+        ++ix.pair_degree[c];
+        if (slot[z] >= first && slot[z] < ix.pairs.size()) {
+          ix.pairs[slot[z]].weight += 2;  // a parallel net
+        } else {
+          slot[z] = ix.pairs.size();
+          ix.pairs.push_back({z, 2});
+        }
+      }
+      ix.pair_offsets.push_back(ix.pairs.size());
+      ix.wide_offsets.push_back(ix.cell_wide.size());
+    }
+  });
+  return index_->index;
 }
 
 Netlist::Builder::Builder(std::size_t num_cells) : num_cells_(num_cells) {

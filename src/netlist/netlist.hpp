@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -24,6 +26,37 @@ using NetId = std::uint32_t;
 /// computes `c + 1` in CellId arithmetic).
 inline constexpr std::size_t kMaxCells = std::numeric_limits<CellId>::max();
 inline constexpr std::size_t kMaxNets = std::numeric_limits<NetId>::max();
+
+/// Each cell's nets split by pin count, the form the density kernels read
+/// them in (linarr/density.hpp).  Two-pin nets: cell c's distinct two-pin
+/// neighbours are pairs[pair_offsets[c] .. pair_offsets[c+1]), each with
+/// weight 2 x the number of two-pin nets joining the two cells (parallel
+/// nets merged), and pair_degree[c] counts c's two-pin nets.  Nets of
+/// three or more pins ("wide" nets) are renumbered 0..m-1 in NetId order:
+/// wide_net[w] is wide net w's NetId, and cell c is on wide nets
+/// cell_wide[wide_offsets[c] .. wide_offsets[c+1]).
+struct NetIndex {
+  struct Neighbour {
+    CellId cell;
+    int weight;
+  };
+
+  std::vector<std::size_t> pair_offsets;
+  std::vector<Neighbour> pairs;
+  std::vector<int> pair_degree;
+  std::vector<NetId> wide_net;
+  std::vector<std::size_t> wide_offsets;
+  std::vector<std::uint32_t> cell_wide;
+
+  [[nodiscard]] std::span<const Neighbour> neighbours(CellId c) const {
+    return {pairs.data() + pair_offsets[c],
+            pair_offsets[c + 1] - pair_offsets[c]};
+  }
+  [[nodiscard]] std::span<const std::uint32_t> wide_nets_of(CellId c) const {
+    return {cell_wide.data() + wide_offsets[c],
+            wide_offsets[c + 1] - wide_offsets[c]};
+  }
+};
 
 /// Immutable hypergraph with forward (net -> cells) and inverse
 /// (cell -> nets) incidence, both in CSR form.  Construct via Builder.
@@ -63,7 +96,21 @@ class Netlist {
   /// Largest pin count over all nets; 0 for a net-free list.
   [[nodiscard]] std::size_t max_net_size() const noexcept;
 
+  /// The nets split by pin count (NetIndex).  Built on the first call,
+  /// from any thread (concurrent first calls build it once), and shared
+  /// by every copy of this netlist, so each DensityState on it reads the
+  /// same index instead of deriving its own.  Empty on a default-
+  /// constructed netlist.
+  [[nodiscard]] const NetIndex& net_index() const;
+
  private:
+  // The lazily built index; a copy shares the pointer, which is sound
+  // because the incidence it is derived from never changes after build().
+  struct IndexSlot {
+    std::once_flag once;
+    NetIndex index;
+  };
+
   std::size_t num_cells_ = 0;
   // CSR: net n occupies net_pins_[net_offsets_[n] .. net_offsets_[n+1]).
   std::vector<std::size_t> net_offsets_{0};
@@ -71,6 +118,7 @@ class Netlist {
   // CSR inverse: cell c is on nets cell_nets_[cell_offsets_[c] .. ...c+1]).
   std::vector<std::size_t> cell_offsets_;
   std::vector<NetId> cell_nets_;
+  std::shared_ptr<IndexSlot> index_ = std::make_shared<IndexSlot>();
 };
 
 /// Incremental construction with validation.  Throws std::invalid_argument

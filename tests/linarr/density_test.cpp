@@ -5,12 +5,15 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hpp"
+#include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
 #include "support/linarr_shapes.hpp"
 
@@ -730,6 +733,90 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   expect_copies_re_reserve(lists, rng);
 }
 
+// The netlist builds its NetIndex once and every reader shares it: two
+// problems on one netlist, a clone() of one, and a copy of the netlist
+// taken before the index existed and used first.  Each state still
+// verify()s after committed moves.
+TEST(DensityNetIndexTest, ProblemsClonesAndNetlistCopiesShareOneIndex) {
+  util::Rng rng{87};
+  const Netlist gola = random_gola(GolaParams{15, 150}, rng);
+  const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  const Netlist lists = mcopt::testing::linarr_shape("nola12", rng);
+  for (const Netlist* nl : {&gola, &nola, &lists}) {
+    const Netlist copy = *nl;  // before the first net_index() call
+    const std::size_t n = nl->num_cells();
+    LinArrProblem on_copy{copy, Arrangement::random(n, rng)};
+    LinArrProblem first{*nl, Arrangement::random(n, rng)};
+    LinArrProblem second{*nl, Arrangement::random(n, rng)};
+    const std::unique_ptr<core::Problem> clone = first.clone();
+    const auto& cloned = dynamic_cast<const LinArrProblem&>(*clone);
+    const netlist::NetIndex* index = &nl->net_index();
+    EXPECT_EQ(&copy.net_index(), index);
+    for (LinArrProblem* problem : {&on_copy, &first, &second}) {
+      EXPECT_EQ(&problem->state().net_index(), index);
+      for (int step = 0; step < 50; ++step) {
+        (void)problem->propose(rng);
+        problem->accept();
+      }
+      EXPECT_TRUE(problem->state().verify());
+    }
+    EXPECT_EQ(&cloned.state().net_index(), index);
+    EXPECT_TRUE(cloned.state().verify());
+  }
+}
+
+// A default-constructed netlist has no cells: its index is empty, and a
+// state or problem on it is refused (no arrangement has zero cells, so
+// the size check throws) rather than read out of bounds.
+TEST(DensityNetIndexTest, DefaultConstructedNetlistIsRejected) {
+  const Netlist empty;
+  const netlist::NetIndex& index = empty.net_index();
+  EXPECT_EQ(index.pair_offsets, std::vector<std::size_t>{0});
+  EXPECT_EQ(index.wide_offsets, std::vector<std::size_t>{0});
+  EXPECT_TRUE(index.pairs.empty());
+  EXPECT_TRUE(index.pair_degree.empty());
+  EXPECT_TRUE(index.wide_net.empty());
+  EXPECT_TRUE(index.cell_wide.empty());
+  EXPECT_THROW((DensityState{empty, Arrangement{1}}), std::invalid_argument);
+  EXPECT_THROW((LinArrProblem{empty, Arrangement{2}}), std::invalid_argument);
+}
+
+// Eight threads build problems on one fresh netlist at once, so its
+// index's first use races: it must be built once, every thread must read
+// the same one, and every state must verify().  Named for the TSan job's
+// `Parallel` filter, which runs it under the race detector.
+TEST(ParallelNetIndexFirstUse, EightThreadsBuildProblemsOnOneFreshNetlist) {
+  constexpr unsigned kThreads = 8;
+  util::Rng rng{89};
+  for (int round = 0; round < 6; ++round) {
+    const Netlist nl =
+        round % 2 == 0 ? random_gola(GolaParams{15, 150}, rng)
+                       : random_nola(NolaParams{15, 150, 2, 6}, rng);
+    const std::uint64_t seed = rng.next();
+    // Each job writes only its own slots, so the vectors need no lock.
+    std::vector<const netlist::NetIndex*> seen(kThreads, nullptr);
+    std::vector<char> verified(kThreads, 0);
+    core::parallel_for(kThreads, kThreads, [&](std::size_t job, unsigned) {
+      util::Rng local{seed + job};
+      LinArrProblem problem{nl, Arrangement::random(nl.num_cells(), local)};
+      for (int step = 0; step < 200; ++step) {
+        (void)problem.propose(local);
+        if (local.next_bool(0.4)) {
+          problem.accept();
+        } else {
+          problem.reject();
+        }
+      }
+      seen[job] = &problem.state().net_index();
+      verified[job] = problem.state().verify() ? 1 : 0;
+    });
+    for (unsigned job = 0; job < kThreads; ++job) {
+      EXPECT_EQ(seen[job], &nl.net_index()) << "round " << round;
+      EXPECT_EQ(verified[job], 1) << "round " << round << ", job " << job;
+    }
+  }
+}
+
 // The two-pin weight rows follow the arrangement: every commit, applied
 // move and reset permutes or rebuilds their lanes, and a copy carries
 // them.  verify() rebuilds them from the two-pin nets through the
@@ -789,11 +876,12 @@ TEST(DensityMatrixTest, RowsFollowMovesResetsAndCopies) {
 // three times, none at all for n <= 3), alone or with wide nets beside
 // them (the column kernel up to n = 9, the per-net kernel from 15).
 // Every window (lo, hi), lo = 0 and hi = n - 1 included, is scored as
-// swap(lo, hi) or swap(hi, lo), alternately, against the apply oracle,
-// then committed or discarded, and the state must equal the oracle cut
-// for cut; single exchanges, resets, copies and assignments are
-// interleaved, and verify() holds the rows, cuts and scratch to a
-// recount.
+// swap(lo, hi) or swap(hi, lo), alternately, then as a single exchange
+// from one end to the other, each against the apply oracle and then
+// committed or discarded: a commit adds every lane's delta, so the state
+// must equal the oracle cut for cut, inside the window and out.  Resets,
+// copies and assignments are interleaved, and verify() holds the rows,
+// the cuts (their padding lanes too) and the scratch to a recount.
 Netlist lane_instance(std::size_t n, bool rows, bool wide, util::Rng& rng) {
   Netlist::Builder b{n};
   if (rows) {
@@ -839,6 +927,29 @@ void expect_every_window_matches_oracle(const Netlist& nl, util::Rng& rng) {
       ASSERT_EQ(state.cut_at(b), oracle.cut_at(b)) << "boundary " << b;
     }
   };
+  // One move of either kind, scored against the oracle, then committed
+  // or discarded (the oracle undoing it).
+  const auto score = [&](bool swap, std::size_t p, std::size_t q) {
+    if (swap) {
+      state.speculate_swap(p, q);
+      oracle.apply_swap(p, q);
+    } else {
+      state.speculate_move(p, q);
+      oracle.apply_move(p, q);
+    }
+    ASSERT_EQ(state.speculative_density(), oracle.density());
+    ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
+    if (rng.next_bool(0.5)) {
+      state.commit_speculation();
+    } else {
+      state.discard_speculation();
+      if (swap) {
+        oracle.apply_swap(p, q);
+      } else {
+        oracle.apply_move(q, p);
+      }
+    }
+  };
   std::size_t step = 0;
   for (std::size_t lo = 0; lo < n; ++lo) {
     for (std::size_t hi = lo + 1; hi < n; ++hi, ++step) {
@@ -847,30 +958,14 @@ void expect_every_window_matches_oracle(const Netlist& nl, util::Rng& rng) {
       const bool flip = step % 2 == 1;
       const std::size_t p = flip ? hi : lo;
       const std::size_t q = flip ? lo : hi;
-      state.speculate_swap(p, q);
-      oracle.apply_swap(p, q);
-      ASSERT_EQ(state.speculative_density(), oracle.density());
-      ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
-      if (rng.next_bool(0.5)) {
-        state.commit_speculation();
-      } else {
-        state.discard_speculation();
-        oracle.apply_swap(p, q);
-      }
+      score(true, p, q);
+      expect_matches();
+      score(false, q, p);
       expect_matches();
       const auto [a, b] = rng.next_distinct_pair(n);
       switch (step % 16) {
         case 3:
-          state.speculate_move(a, b);
-          oracle.apply_move(a, b);
-          ASSERT_EQ(state.speculative_density(), oracle.density());
-          ASSERT_EQ(state.speculative_total_span(), oracle.total_span());
-          if (rng.next_bool(0.5)) {
-            state.commit_speculation();
-          } else {
-            state.discard_speculation();
-            oracle.apply_move(b, a);
-          }
+          score(false, a, b);
           break;
         case 7: {
           const Arrangement fresh = Arrangement::random(n, rng);
