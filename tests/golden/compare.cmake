@@ -2,8 +2,11 @@
 # compares its stdout byte for byte with committed golden files,
 # concatenated in order:
 #
-#   cmake -DDRIVER=<exe> [-DDRIVER_ARGS=<arg;...>] -DTHREADS=<n>
+#   cmake -DDRIVER=<exe> [-DDRIVER_ARGS=<arg;...>] [-DTHREADS=<n>]
 #         [-DSCALE=<x>] -DGOLDEN=<file;...> -P compare.cmake
+#
+# THREADS is passed as `--threads <n>`; an example, which takes no flags,
+# runs without it.
 #
 # Both sides are normalized first in two places only: the wall time of
 # Table 4.1's tuning pass, and the invariant-check count that builds with
@@ -17,12 +20,19 @@
 # and for the full-scale goldens under tests/golden/full/:
 #
 #   MCOPT_BENCH_SCALE=1 build/bench/tables > tests/golden/full/tables_all.txt
+#
+# and for an example:
+#
+#   build/examples/board_ordering > tests/golden/board_ordering.txt
 if(NOT DEFINED SCALE)
   set(SCALE 0.05)
 endif()
 set(ENV{MCOPT_BENCH_SCALE} ${SCALE})
 unset(ENV{MCOPT_BENCH_CSV_DIR})
-set(command "${DRIVER}" ${DRIVER_ARGS} --threads ${THREADS})
+set(command "${DRIVER}" ${DRIVER_ARGS})
+if(DEFINED THREADS)
+  list(APPEND command --threads ${THREADS})
+endif()
 execute_process(COMMAND ${command}
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE diagnostics
@@ -55,7 +65,10 @@ if(NOT actual STREQUAL expected)
   if(NOT SCALE STREQUAL "0.05")
     string(PREPEND name "scale${SCALE}_")
   endif()
-  set(saved "${CMAKE_CURRENT_BINARY_DIR}/${name}.t${THREADS}.actual.txt")
+  if(DEFINED THREADS)
+    string(APPEND name ".t${THREADS}")
+  endif()
+  set(saved "${CMAKE_CURRENT_BINARY_DIR}/${name}.actual.txt")
   file(WRITE "${saved}" "${actual}")
   list(JOIN GOLDEN " + " golden)
   message(FATAL_ERROR
