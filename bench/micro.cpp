@@ -42,8 +42,8 @@ void BM_DensitySwapUndo(benchmark::State& state) {
 BENCHMARK(BM_DensitySwapUndo)->Arg(15)->Arg(60)->Arg(240);
 
 // The speculative kernels alone: speculate_swap (resp. speculate_move) +
-// discard on a fixed arrangement, or speculate_swap + commit (the accept
-// path), pairs drawn up front so the RNG is not timed.  Args: (cells,
+// discard on a fixed arrangement, or either + commit (the accept path),
+// pairs drawn up front so the RNG is not timed.  Args: (cells,
 // nola) — GOLA (2-pin) or NOLA (2..6-pin), 10 nets per cell; the NOLA 60
 // and 240 rows give wide nets one and four words of position bits.  Every
 // row reads its candidate density with the lane pass: GOLA 15 and 60 and
@@ -115,6 +115,18 @@ void BM_DensitySpeculateMove(benchmark::State& state) {
   density_speculation<true>(state);
 }
 BENCHMARK(BM_DensitySpeculateMove)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({60, 0})
+    ->Args({60, 1})
+    ->Args({240, 0})
+    ->Args({240, 1})
+    ->ArgNames({"cells", "nola"});
+
+void BM_DensityMoveCommit(benchmark::State& state) {
+  density_speculation<true, true>(state);
+}
+BENCHMARK(BM_DensityMoveCommit)
     ->Args({15, 0})
     ->Args({15, 1})
     ->Args({60, 0})

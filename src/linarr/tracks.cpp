@@ -18,13 +18,7 @@ TrackAssignment assign_tracks(const Netlist& netlist,
   const std::size_t num_nets = netlist.num_nets();
   out.nets.resize(num_nets);
   for (NetId n = 0; n < num_nets; ++n) {
-    std::size_t lo = arrangement.size();
-    std::size_t hi = 0;
-    for (const auto cell : netlist.pins(n)) {
-      const std::size_t pos = arrangement.position_of(cell);
-      lo = std::min(lo, pos);
-      hi = std::max(hi, pos);
-    }
+    const auto [lo, hi] = net_extent(netlist, arrangement, n);
     out.nets[n] = RoutedNet{n, lo, hi, 0};
   }
 

@@ -2,12 +2,12 @@
 //
 // The paper compares methods under equal CPU time (6/9/12 seconds or 3
 // minutes per instance on a VAX 11/780).  Wall-clock budgets are not
-// reproducible across machines, so the default budget unit here is a *tick*:
+// reproducible across machines, so the budget unit here is a *tick*:
 // one tick per move proposal (and per descent step inside the Figure 2
 // strategy).  A WorkBudget of N ticks plays the role of a T-second run; the
 // mapping used by the reproduction benches is documented in DESIGN.md
-// (6 s ~= 30,000 ticks).  A wall-clock budget is provided for users who want
-// literal equal-time runs.
+// (6 s ~= 600 ticks, bench::kSixSec).  Every budget is counted in ticks;
+// wall time is only measured, with the Stopwatch below.
 #pragma once
 
 #include <chrono>
@@ -50,8 +50,8 @@ class WorkBudget {
   std::uint64_t spent_ = 0;
 };
 
-/// Wall-clock stopwatch for the optional literal equal-time mode and for
-/// reporting measured runtimes in the benches.
+/// Wall-clock stopwatch: it measures runtimes (benches, calibration,
+/// heartbeats) and bounds no run.
 class Stopwatch {
  public:
   Stopwatch() noexcept : start_(clock::now()) {}

@@ -674,15 +674,14 @@ INSTANTIATE_TEST_SUITE_P(Instances, DensityDegenerateTest,
                                            "heavy_parallel"),
                          [](const auto& info) { return info.param; });
 
-// Clone regression: vector copies shrink capacity to size and the per-move
-// scratch is empty between moves, so a defaulted copy would silently
-// re-allocate on the worker's first hot-loop move.  The copy constructor
-// and assignment must re-reserve everything and carry the two-pin weight
-// rows on GOLA 15/150, the rows and the column kernel's state and
-// scratch on NOLA 15/150, and the column kernel beside the neighbour
-// lists on nola12; verify() holds each copy's rows and columns to a
-// rebuild.
-void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
+// Clone regression: every per-move scratch buffer is sized to its full
+// reservation, so a copy or an assignment carries it at full size and a
+// cloned worker's first hot-loop move does not allocate.  Each copy must
+// also carry the two-pin weight rows on GOLA 15/150, the rows and the
+// column kernel's state and scratch on NOLA 15/150, and the column kernel
+// beside the neighbour lists on nola12; verify() holds each copy's rows
+// and columns to a rebuild.
+void expect_copies_keep_scratch(const Netlist& nl, util::Rng& rng) {
   const std::size_t n = nl.num_cells();
   DensityState state{nl, Arrangement::random(n, rng)};
   ASSERT_TRUE(state.scratch_reserved());
@@ -720,7 +719,7 @@ void expect_copies_re_reserve(const Netlist& nl, util::Rng& rng) {
   EXPECT_TRUE(assigned.scratch_reserved());
 }
 
-TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
+TEST(DensityCopyTest, CopyAndAssignKeepScratchReservedAndExact) {
   util::Rng rng{81};
   const Netlist gola = random_gola(GolaParams{15, 150}, rng);
   const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
@@ -728,9 +727,53 @@ TEST(DensityCopyTest, CopyAndAssignReReserveSpeculationScratch) {
   ASSERT_EQ(paths_of(gola), std::make_pair(false, true));
   ASSERT_EQ(paths_of(nola), std::make_pair(true, true));
   ASSERT_EQ(paths_of(lists), std::make_pair(true, false));
-  expect_copies_re_reserve(gola, rng);
-  expect_copies_re_reserve(nola, rng);
-  expect_copies_re_reserve(lists, rng);
+  expect_copies_keep_scratch(gola, rng);
+  expect_copies_keep_scratch(nola, rng);
+  expect_copies_keep_scratch(lists, rng);
+}
+
+// A copy or an assignment taken while a speculation is pending carries it:
+// committed on the copy, it gives the order, cuts, density and span the
+// original commits to, on every kernel and layout pairing.
+TEST(DensityCopyTest, CopyTakenMidSpeculationCommitsLikeTheOriginal) {
+  util::Rng rng{83};
+  const Netlist gola = random_gola(GolaParams{15, 150}, rng);
+  const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
+  const Netlist lists = mcopt::testing::linarr_shape("nola12", rng);
+  const Netlist per_net = random_nola(NolaParams{60, 600, 2, 6}, rng);
+  ASSERT_EQ(paths_of(gola), std::make_pair(false, true));
+  ASSERT_EQ(paths_of(nola), std::make_pair(true, true));
+  ASSERT_EQ(paths_of(lists), std::make_pair(true, false));
+  ASSERT_EQ(paths_of(per_net), std::make_pair(false, false));
+  for (const Netlist* nl : {&gola, &nola, &lists, &per_net}) {
+    const std::size_t n = nl->num_cells();
+    DensityState state{*nl, Arrangement::random(n, rng)};
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(::testing::Message() << n << " cells, round " << round);
+      const auto [a, b] = rng.next_distinct_pair(n);
+      if (round % 2 == 0) {
+        state.speculate_swap(a, b);
+      } else {
+        state.speculate_move(a, b);
+      }
+      DensityState copied{state};
+      DensityState assigned{*nl, Arrangement::random(n, rng)};
+      assigned = state;
+      state.commit_speculation();
+      for (DensityState* copy : {&copied, &assigned}) {
+        ASSERT_TRUE(copy->speculating());
+        copy->commit_speculation();
+        ASSERT_TRUE(copy->verify());
+        ASSERT_EQ(copy->arrangement().order(), state.arrangement().order());
+        ASSERT_EQ(copy->density(), state.density());
+        ASSERT_EQ(copy->total_span(), state.total_span());
+        for (std::size_t k = 0; k + 1 < n; ++k) {
+          ASSERT_EQ(copy->cut_at(k), state.cut_at(k)) << "boundary " << k;
+        }
+      }
+      ASSERT_TRUE(state.verify());
+    }
+  }
 }
 
 // The netlist builds its NetIndex once and every reader shares it: two
@@ -1157,13 +1200,13 @@ TEST(DensityCellBoundTest, PicksThePathAndStaysExact) {
   }
 }
 
-// A column-kernel swap commit leaves the wide nets' position bits stale;
-// speculate_move and the apply path re-derive them, a reset rebuilds them
-// and a copy or an assignment carries the staleness along.  Each round
-// commits a few swaps (the bits are stale after the first), then runs one
-// of those operations on the stale state, held to an oracle that only
-// ever applies moves, and to verify().
-TEST(DensityStaleBitsTest, ColumnSwapCommitsThenEveryOtherOperation) {
+// On a column instance, which stores no position bits, swap commits (two
+// columns traded, the speculated window copied) interleave with every
+// other operation: a single exchange's speculation, the apply path, a
+// reset, a copy and an assignment.  Each round commits a few swaps, then
+// runs one of those operations, held to an oracle that only ever applies
+// moves, and to verify().
+TEST(DensityColumnTest, SwapCommitsThenEveryOtherOperation) {
   util::Rng rng{107};
   const Netlist nola = random_nola(NolaParams{15, 150, 2, 6}, rng);
   const Netlist lists = mcopt::testing::linarr_shape("nola12", rng);
