@@ -242,16 +242,40 @@ void BM_KernighanLin(benchmark::State& state) {
 }
 BENCHMARK(BM_KernighanLin)->Arg(20)->Arg(40)->Arg(80);
 
+// Partition swaps through the Problem interface (the RNG's rejection draws
+// included) on 40 cells and 120 nets.  Arg hyper: 0 is a random graph,
+// every swap priced by the two-pin gains alone; 1 a hypergraph of 2..6-pin
+// nets, whose wide nets are counted per net too.
+netlist::Netlist partition_instance(const benchmark::State& state,
+                                    util::Rng& rng) {
+  return state.range(0) == 0
+             ? netlist::random_graph(40, 120, rng)
+             : netlist::random_nola(netlist::NolaParams{40, 120, 2, 6}, rng);
+}
+
 void BM_PartitionProposeReject(benchmark::State& state) {
   util::Rng rng{7};
-  const auto nl = netlist::random_graph(40, 120, rng);
+  const auto nl = partition_instance(state, rng);
   partition::PartitionProblem problem{partition::PartitionState::random(nl, rng)};
   for (auto _ : state) {
     benchmark::DoNotOptimize(problem.propose(rng));
     problem.reject();
   }
 }
-BENCHMARK(BM_PartitionProposeReject);
+BENCHMARK(BM_PartitionProposeReject)->Arg(0)->Arg(1)->ArgName("hyper");
+
+// The accept path: every proposed swap is committed, so each iteration
+// also moves the gains of both cells' neighbours.
+void BM_PartitionSpeculateCommit(benchmark::State& state) {
+  util::Rng rng{7};
+  const auto nl = partition_instance(state, rng);
+  partition::PartitionProblem problem{partition::PartitionState::random(nl, rng)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(problem.propose(rng));
+    problem.accept();
+  }
+}
+BENCHMARK(BM_PartitionSpeculateCommit)->Arg(0)->Arg(1)->ArgName("hyper");
 
 void BM_TwoOptDelta(benchmark::State& state) {
   util::Rng rng{8};

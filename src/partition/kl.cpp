@@ -48,16 +48,14 @@ KlResult kernighan_lin(const Netlist& netlist,
     improved = false;
     ++result.passes;
 
-    // D values at pass start.
-    std::vector<long long> d(n, 0);
-    for (CellId v = 0; v < n; ++v) {
-      for (CellId u = 0; u < n; ++u) {
-        if (u == v) continue;
-        const int wt = weight(v, u);
-        if (wt == 0) continue;
-        d[v] += result.sides[u] != result.sides[v] ? wt : -wt;
-      }
-    }
+    // D values at pass start: the two-pin gains of a state counted from
+    // the current sides.  A fresh count each pass, not one state carried
+    // across passes, keeps every pass's gains exact, so each improving
+    // pass really lowers the cut and the loop ends.
+    const PartitionState start{netlist, result.sides};
+    result.cut = start.cut();
+    std::vector<long long> d(n);
+    for (CellId v = 0; v < n; ++v) d[v] = start.gain(v);
 
     std::vector<char> locked(n, 0);
     std::vector<std::pair<CellId, CellId>> swaps;
@@ -119,8 +117,7 @@ KlResult kernighan_lin(const Netlist& netlist,
       improved = true;
     }
   }
-
-  result.cut = PartitionState{netlist, result.sides}.cut();
+  // The last pass improved nothing: its start cut is the final cut.
   return result;
 }
 

@@ -18,45 +18,6 @@ PartitionState::PartitionState(const Netlist& netlist,
     if (s > 1) throw std::invalid_argument("PartitionState: side must be 0/1");
   }
   rebuild();
-  reserve_scratch();
-}
-
-PartitionState::PartitionState(const PartitionState& other)
-    : netlist_(other.netlist_),
-      sides_(other.sides_),
-      on_side0_(other.on_side0_),
-      cut_(other.cut_),
-      side0_count_(other.side0_count_) {
-  MCOPT_DCHECK(!other.speculating(), "copying a speculating PartitionState");
-  reserve_scratch();
-}
-
-PartitionState& PartitionState::operator=(const PartitionState& other) {
-  if (this == &other) return *this;
-  MCOPT_DCHECK(!other.speculating(), "copying a speculating PartitionState");
-  netlist_ = other.netlist_;
-  sides_ = other.sides_;
-  on_side0_ = other.on_side0_;
-  cut_ = other.cut_;
-  side0_count_ = other.side0_count_;
-  spec_pending_ = false;
-  spec_nets_.clear();
-  spec_new0_.clear();
-  reserve_scratch();
-  return *this;
-}
-
-void PartitionState::reserve_scratch() {
-  const std::size_t nets = netlist_->num_nets();
-  spec_nets_.reserve(nets);
-  spec_new0_.reserve(nets);
-  spec_mark_.assign(nets, 0);
-}
-
-bool PartitionState::scratch_reserved() const noexcept {
-  const std::size_t nets = netlist_->num_nets();
-  return spec_nets_.capacity() >= nets && spec_new0_.capacity() >= nets &&
-         spec_mark_.size() == nets;
 }
 
 PartitionState PartitionState::random(const Netlist& netlist, util::Rng& rng) {
@@ -70,19 +31,34 @@ PartitionState PartitionState::random(const Netlist& netlist, util::Rng& rng) {
 }
 
 void PartitionState::rebuild() {
-  on_side0_.assign(netlist_->num_nets(), 0);
+  gain_.assign(sides_.size(), 0);
+  wide_.clear();
   cut_ = 0;
   side0_count_ = 0;
-  for (CellId c = 0; c < sides_.size(); ++c) {
-    if (sides_[c] == 0) ++side0_count_;
-  }
+  for (const auto s : sides_) side0_count_ += s == 0;
+  // Wide nets are numbered in NetId order, as NetIndex numbers them.
   for (NetId n = 0; n < netlist_->num_nets(); ++n) {
+    const auto pins = netlist_->pins(n);
+    if (pins.size() == 2) {
+      const int cut = sides_[pins[0]] ^ sides_[pins[1]];
+      gain_[pins[0]] += 2 * cut - 1;
+      gain_[pins[1]] += 2 * cut - 1;
+      cut_ += cut;
+      continue;
+    }
     int zero = 0;
-    for (const CellId c : netlist_->pins(n)) zero += sides_[c] == 0;
-    on_side0_[n] = zero;
-    const auto size = static_cast<int>(netlist_->pins(n).size());
+    for (const CellId c : pins) zero += sides_[c] == 0;
+    const auto size = static_cast<int>(pins.size());
+    wide_.push_back({zero, size});
     if (zero > 0 && zero < size) ++cut_;
   }
+}
+
+const netlist::NetIndex& PartitionState::index() {
+  if (index_ == nullptr) [[unlikely]] {
+    index_ = &netlist_->net_index();
+  }
+  return *index_;
 }
 
 bool PartitionState::is_balanced() const noexcept {
@@ -93,23 +69,48 @@ bool PartitionState::is_balanced() const noexcept {
 }
 
 // mcopt: hot
+void PartitionState::move_neighbour_gains(const netlist::NetIndex& index,
+                                          CellId c, std::uint8_t from) {
+  for (const auto& nb : index.neighbours(c)) {
+    // +weight for a neighbour on c's old side (their nets become cut),
+    // -weight otherwise.  The sides are random, so a branch here would
+    // mispredict about half the time: negate through the sign mask.
+    const int other = -static_cast<int>(sides_[nb.cell] ^ from);  // 0 / -1
+    gain_[nb.cell] += (nb.weight ^ other) - other;
+  }
+}
+
+// mcopt: hot
+int PartitionState::step_wide(const netlist::NetIndex& index, CellId c,
+                              int step) {
+  int delta = 0;
+  for (const std::uint32_t w : index.wide_nets_of(c)) {
+    WideCount& net = wide_[w];
+    // Cut iff 0 < on_side0 < pins, as one unsigned compare.
+    const auto span = static_cast<unsigned>(net.pins - 1);
+    delta -= static_cast<int>(static_cast<unsigned>(net.on_side0 - 1) < span);
+    net.on_side0 += step;
+    delta += static_cast<int>(static_cast<unsigned>(net.on_side0 - 1) < span);
+  }
+  return delta;
+}
+
+// mcopt: hot
 void PartitionState::flip(CellId c) {
   MCOPT_DCHECK(c < sides_.size(), "flip cell out of range");
-  const int to_side0 = sides_[c] == 1 ? 1 : -1;  // +1 when moving onto side 0
+  MCOPT_DCHECK(!spec_pending_, "flip while a speculation is pending");
+  const netlist::NetIndex& ix = index();
+  const std::uint8_t from = sides_[c];
+  move_neighbour_gains(ix, c, from);
+  // Every two-pin net of c changes state: the cut ones heal, the rest cut.
+  cut_ -= gain_[c];
+  gain_[c] = -gain_[c];
+  if (!wide_.empty()) cut_ += step_wide(ix, c, from == 0 ? -1 : 1);
   sides_[c] ^= 1;
-  if (to_side0 > 0) {
-    ++side0_count_;
-  } else {
+  if (from == 0) {
     --side0_count_;
-  }
-  for (const NetId n : netlist_->nets_of(c)) {
-    const auto size = static_cast<int>(netlist_->pins(n).size());
-    const int before = on_side0_[n];
-    const int after = before + to_side0;
-    const bool was_cut = before > 0 && before < size;
-    const bool is_cut = after > 0 && after < size;
-    on_side0_[n] = after;
-    cut_ += static_cast<int>(is_cut) - static_cast<int>(was_cut);
+  } else {
+    ++side0_count_;
   }
 }
 
@@ -127,39 +128,24 @@ void PartitionState::speculate_swap(CellId a, CellId b) {
                "swap cell out of range");
   MCOPT_DCHECK(sides_[a] != sides_[b], "speculate_swap: same side");
   MCOPT_DCHECK(!spec_pending_, "speculation already pending");
+  const netlist::NetIndex& ix = index();
   spec_pending_ = true;
   spec_a_ = a;
   spec_b_ = b;
-  const int da = sides_[a] == 1 ? 1 : -1;  // a's flip effect on on_side0_
-  const int db = -da;
-  for (const NetId n : netlist_->nets_of(a)) spec_mark_[n] = 1;
-  for (const NetId n : netlist_->nets_of(b)) spec_mark_[n] |= 2;
-  int cut = cut_;
-  for (const NetId n : netlist_->nets_of(a)) {
-    const char m = spec_mark_[n];
-    spec_mark_[n] = 0;
-    // A net with pins on both swapped cells keeps its per-side pin counts
-    // (one pin leaves each side, one arrives): provably unchanged.
-    if (m == 3) continue;
-    const auto size = static_cast<int>(netlist_->pins(n).size());
-    const int before = on_side0_[n];
-    const int after = before + da;
-    cut += static_cast<int>(after > 0 && after < size) -
-           static_cast<int>(before > 0 && before < size);
-    // Reserved to num_nets() up front; never reallocates.
-    spec_nets_.push_back(n);    // mcopt-lint: allow(hot-loop-alloc)
-    spec_new0_.push_back(after);  // mcopt-lint: allow(hot-loop-alloc)
+  // 2 c(a,b): the nets joining a and b stay cut, so the gains, which
+  // count them as healed, are corrected by twice their number.
+  int weight = 0;
+  for (const auto& nb : ix.neighbours(a)) {
+    weight += nb.cell == b ? nb.weight : 0;
   }
-  for (const NetId n : netlist_->nets_of(b)) {
-    if (spec_mark_[n] == 0) continue;  // shared net, already cleared above
-    spec_mark_[n] = 0;
-    const auto size = static_cast<int>(netlist_->pins(n).size());
-    const int before = on_side0_[n];
-    const int after = before + db;
-    cut += static_cast<int>(after > 0 && after < size) -
-           static_cast<int>(before > 0 && before < size);
-    spec_nets_.push_back(n);    // mcopt-lint: allow(hot-loop-alloc)
-    spec_new0_.push_back(after);  // mcopt-lint: allow(hot-loop-alloc)
+  spec_weight_ = weight;
+  int cut = cut_ - gain_[a] - gain_[b] + weight;
+  if (!wide_.empty()) {
+    // In place: a wide net on both cells steps there and back, so its
+    // two cut changes cancel.
+    const int step = sides_[a] == 0 ? -1 : 1;  // a leaves side 0 or joins
+    cut += step_wide(ix, a, step);
+    cut += step_wide(ix, b, -step);
   }
   spec_cut_ = cut;
 }
@@ -167,30 +153,43 @@ void PartitionState::speculate_swap(CellId a, CellId b) {
 // mcopt: hot
 void PartitionState::commit_speculation() {
   MCOPT_DCHECK(spec_pending_, "commit without a pending speculation");
-  sides_[spec_a_] ^= 1;
-  sides_[spec_b_] ^= 1;
-  for (std::size_t i = 0; i < spec_nets_.size(); ++i) {
-    on_side0_[spec_nets_[i]] = spec_new0_[i];
-  }
+  const netlist::NetIndex& ix = *index_;
+  const CellId a = spec_a_;
+  const CellId b = spec_b_;
+  const std::uint8_t from = sides_[a];
+  const int gain_a = gain_[a];
+  const int gain_b = gain_[b];
+  move_neighbour_gains(ix, a, from);
+  move_neighbour_gains(ix, b, from ^ 1);
+  // Re-signed from the saved gains: each cell's nets change state but
+  // the ones joining the pair, which stay cut.  This also overwrites
+  // what the neighbour loops added to a and b.
+  gain_[a] = spec_weight_ - gain_a;
+  gain_[b] = spec_weight_ - gain_b;
+  sides_[a] ^= 1;
+  sides_[b] ^= 1;
   cut_ = spec_cut_;
-  // side0_count_ is unchanged: the swap moves one cell each way.
-  spec_nets_.clear();
-  spec_new0_.clear();
+  // side0_count_ is unchanged: the swap moves one cell each way.  The
+  // wide counts were moved by the speculation.
   spec_pending_ = false;
 }
 
 // mcopt: hot
 void PartitionState::discard_speculation() {
   MCOPT_DCHECK(spec_pending_, "discard without a pending speculation");
-  spec_nets_.clear();
-  spec_new0_.clear();
+  if (!wide_.empty()) {
+    const netlist::NetIndex& ix = *index_;
+    const int step = sides_[spec_a_] == 0 ? -1 : 1;
+    static_cast<void>(step_wide(ix, spec_a_, -step));
+    static_cast<void>(step_wide(ix, spec_b_, step));
+  }
   spec_pending_ = false;
 }
 
 bool PartitionState::verify() const {
   if (speculating()) return false;
-  PartitionState fresh{*netlist_, sides_};
-  return fresh.cut_ == cut_ && fresh.on_side0_ == on_side0_ &&
+  const PartitionState fresh{*netlist_, sides_};
+  return fresh.cut_ == cut_ && fresh.gain_ == gain_ && fresh.wide_ == wide_ &&
          fresh.side0_count_ == side0_count_;
 }
 

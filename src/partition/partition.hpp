@@ -6,7 +6,21 @@
 // partition assigns every cell to side 0 or 1 with sizes differing by at
 // most one; the cost is the cut size — the number of nets with pins on both
 // sides.  PartitionState maintains the cut incrementally under single-cell
-// flips and cross-side swaps.
+// flips and cross-side swaps, one form per net kind:
+//
+//   * two-pin nets as Kernighan–Lin gains: gain(c) is the number of c's
+//     two-pin nets that are cut minus the number that are not, so a swap
+//     of a and b changes their cut by -(gain(a) + gain(b)) + 2 c(a,b),
+//     c(a,b) the count of two-pin nets joining them, read from a's merged
+//     neighbour list (netlist::NetIndex).  A committed flip re-signs the
+//     cell's gain and moves each neighbour's by the net weight.
+//   * nets of three or more pins as pin counts on side 0, numbered as the
+//     NetIndex numbers its wide nets; a speculation moves the counts of
+//     the two cells' wide nets in place, and a discard moves them back.
+//
+// The constructor and rebuild() read the nets alone; the index is taken
+// on the first flip or speculation, so building a state that is only
+// scored (a full recount) costs no index.
 #pragma once
 
 #include <cstddef>
@@ -28,14 +42,6 @@ class PartitionState {
   /// assignment.  Throws std::invalid_argument on a size mismatch.
   PartitionState(const Netlist& netlist, std::vector<std::uint8_t> sides);
 
-  /// Copies re-reserve the per-move speculation scratch (vector copies
-  /// shrink capacity to size, which is zero for empty scratch).
-  PartitionState(const PartitionState& other);
-  PartitionState& operator=(const PartitionState& other);
-  PartitionState(PartitionState&&) noexcept = default;
-  PartitionState& operator=(PartitionState&&) noexcept = default;
-  ~PartitionState() = default;
-
   /// Balanced random assignment: exactly ceil(n/2) cells on side 0.
   [[nodiscard]] static PartitionState random(const Netlist& netlist,
                                              util::Rng& rng);
@@ -52,6 +58,11 @@ class PartitionState {
     return side == 0 ? side0_count_ : sides_.size() - side0_count_;
   }
 
+  /// Kernighan–Lin's D value of `c`: its cut two-pin nets minus its uncut
+  /// ones (parallel nets count once each), so flipping c alone lowers the
+  /// two-pin cut by gain(c).  Nets of three or more pins do not enter it.
+  [[nodiscard]] int gain(CellId c) const noexcept { return gain_[c]; }
+
   /// |#side0 - #side1| <= 1.
   [[nodiscard]] bool is_balanced() const noexcept;
 
@@ -62,11 +73,11 @@ class PartitionState {
   /// preserves balance.  O(deg(a) + deg(b)).
   void swap(CellId a, CellId b);
 
-  /// Speculatively evaluates swap(a, b) into a touched-net journal
-  /// without committing: the exact candidate cut is speculative_cut().
-  /// Nets incident to both cells are skipped (their pin-count per side is
-  /// unchanged by a cross-side swap).  Exactly one of
-  /// commit_speculation()/discard_speculation() must follow.
+  /// Speculatively evaluates swap(a, b) without committing: the exact
+  /// candidate cut is speculative_cut().  O(deg(a)) on two-pin nets plus
+  /// both cells' wide nets.  Exactly one of commit_speculation() /
+  /// discard_speculation() must follow; a copy taken meanwhile carries
+  /// the speculation.
   void speculate_swap(CellId a, CellId b);
 
   /// Exact cut of the candidate recorded by the pending speculation.
@@ -75,38 +86,47 @@ class PartitionState {
   /// True while a speculation is pending.
   [[nodiscard]] bool speculating() const noexcept { return spec_pending_; }
 
-  /// Commits the pending speculation in O(touched).
+  /// Commits the pending speculation: the two cells' neighbours' gains.
   void commit_speculation();
 
-  /// Drops the pending speculation; only journal entries are cleared.
+  /// Drops the pending speculation: the two cells' wide counts move back.
   void discard_speculation();
 
-  /// Recomputes from scratch and compares; tests assert this.  False
-  /// while a speculation is pending.
+  /// Recounts the gains, the wide counts, the cut and the side sizes from
+  /// scratch and compares; tests assert this.  False while a speculation
+  /// is pending.
   [[nodiscard]] bool verify() const;
 
-  /// True when the speculation scratch holds its full reservation; the
-  /// clone regression test asserts this.
-  [[nodiscard]] bool scratch_reserved() const noexcept;
-
  private:
+  /// A net of three or more pins: its pins on side 0, and all its pins.
+  struct WideCount {
+    int on_side0;
+    int pins;
+    friend bool operator==(const WideCount&, const WideCount&) = default;
+  };
+
   void rebuild();
-  void reserve_scratch();
+  const netlist::NetIndex& index();
+  /// Moves the gains of c's two-pin neighbours for c leaving side `from`.
+  void move_neighbour_gains(const netlist::NetIndex& index, CellId c,
+                            std::uint8_t from);
+  /// Adds `step` to the side-0 count of each of c's wide nets; returns the
+  /// change in their cut.
+  int step_wide(const netlist::NetIndex& index, CellId c, int step);
 
   const Netlist* netlist_;
+  const netlist::NetIndex* index_ = nullptr;  // taken on first use
   std::vector<std::uint8_t> sides_;
-  std::vector<int> on_side0_;  // per net: pins on side 0
+  std::vector<int> gain_;         // per cell: KL's D over two-pin nets
+  std::vector<WideCount> wide_;   // per wide net, in NetIndex numbering
   int cut_ = 0;
   std::size_t side0_count_ = 0;
 
-  // Speculation journal and scratch; reserved once, cleared per move.
   bool spec_pending_ = false;
   CellId spec_a_ = 0;
   CellId spec_b_ = 0;
+  int spec_weight_ = 0;  // 2 c(a,b)
   int spec_cut_ = 0;
-  std::vector<NetId> spec_nets_;   // journal: nets whose on_side0_ changes
-  std::vector<int> spec_new0_;     //   parallel: candidate pin count
-  std::vector<char> spec_mark_;    // per-net gather marks, zero between moves
 };
 
 }  // namespace mcopt::partition

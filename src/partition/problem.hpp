@@ -20,7 +20,7 @@ class PartitionProblem final : public core::Problem {
   /// Starts from `start` (must be balanced).  The underlying netlist must
   /// outlive the problem.  propose() scores the swap speculatively
   /// (PartitionState::speculate_swap): accept() commits it, reject() only
-  /// discards the per-move scratch.
+  /// moves the two cells' wide-net counts back.
   explicit PartitionProblem(PartitionState start);
 
   // core::Problem

@@ -25,6 +25,7 @@ struct Outcome {
   std::uint64_t spent;
   std::vector<CellId> order;
   double cost;
+  bool stalled = false;  // a commit did not lower the cost, or made it < 0
 };
 
 double value(const DensityState& s, Objective objective) {
@@ -40,11 +41,17 @@ double speculative_value(const DensityState& s, Objective objective) {
 }
 
 // The unpruned sweep: every pair is speculated and discarded unless it
-// improves, one tick per direction tried.
+// improves, one tick per direction tried.  Each commit must lower the
+// committed cost and leave it nonnegative, so an unlimited budget ends
+// after at most the start cost's number of sweeps.  A wrong speculation
+// that commits false improvements, or drives a corrupted committed count
+// below zero, would otherwise sweep forever: the sweep fails the test and
+// stops there instead.
 Outcome full_sweep(const Netlist& nl, const Arrangement& start, MoveKind kind,
                    Objective objective, std::uint64_t ticks) {
   DensityState s{nl, start};
   util::WorkBudget budget{ticks};
+  bool stalled = false;
   const auto try_move = [&](std::size_t a, std::size_t b, double before) {
     if (kind == MoveKind::kPairwiseInterchange) {
       s.speculate_swap(a, b);
@@ -53,6 +60,13 @@ Outcome full_sweep(const Netlist& nl, const Arrangement& start, MoveKind kind,
     }
     if (speculative_value(s, objective) < before) {
       s.commit_speculation();
+      const double after = value(s, objective);
+      if (!(after < before) || after < 0) {
+        ADD_FAILURE() << "move " << a << " -> " << b << " committed as an "
+                      << "improvement, but the cost went from " << before
+                      << " to " << after;
+        stalled = true;
+      }
       return true;
     }
     s.discard_speculation();
@@ -60,10 +74,12 @@ Outcome full_sweep(const Netlist& nl, const Arrangement& start, MoveKind kind,
   };
   const std::size_t n = start.size();
   bool improved = true;
-  while (improved && !budget.exhausted()) {
+  while (improved && !budget.exhausted() && !stalled) {
     improved = false;
-    for (std::size_t a = 0; a + 1 < n && !budget.exhausted(); ++a) {
-      for (std::size_t b = a + 1; b < n && !budget.exhausted(); ++b) {
+    for (std::size_t a = 0; a + 1 < n && !budget.exhausted() && !stalled;
+         ++a) {
+      for (std::size_t b = a + 1; b < n && !budget.exhausted() && !stalled;
+           ++b) {
         const double before = value(s, objective);
         budget.charge();
         if (try_move(a, b, before)) {
@@ -78,7 +94,8 @@ Outcome full_sweep(const Netlist& nl, const Arrangement& start, MoveKind kind,
       }
     }
   }
-  return {budget.spent(), s.arrangement().order(), value(s, objective)};
+  return {budget.spent(), s.arrangement().order(), value(s, objective),
+          stalled};
 }
 
 Outcome pruned(const Netlist& nl, const Arrangement& start, MoveKind kind,
@@ -95,6 +112,9 @@ void expect_same(const Netlist& nl, const Arrangement& start, MoveKind kind,
                  Objective objective, std::uint64_t ticks) {
   SCOPED_TRACE("budget " + std::to_string(ticks));
   const Outcome want = full_sweep(nl, start, kind, objective, ticks);
+  // The library's descent makes the same false commits; on an unlimited
+  // budget it would not return.
+  ASSERT_FALSE(want.stalled);
   const Outcome got = pruned(nl, start, kind, objective, ticks);
   EXPECT_EQ(got.spent, want.spent);
   EXPECT_EQ(got.order, want.order);
@@ -134,6 +154,7 @@ void expect_same_at_every_budget(const Netlist& nl, std::uint64_t seed,
     SCOPED_TRACE(move_name(kind));
     const Outcome unlimited =
         full_sweep(nl, start, kind, objective, kUnlimited);
+    ASSERT_FALSE(unlimited.stalled);
     for (std::uint64_t ticks = 0; ticks <= unlimited.spent + 1;
          ticks += stride) {
       expect_same(nl, start, kind, objective, ticks);
@@ -162,6 +183,7 @@ TEST(DescentPruningTest, SixtyCellsAtSampledBudgets) {
       const Outcome unlimited =
           full_sweep(instance.netlist, start, kind, Objective::kDensity,
                      kUnlimited);
+      ASSERT_FALSE(unlimited.stalled);
       // A sweep is 1770 pairs.  More than one sweep means the descent
       // moved, so the sample runs out both before and after a move.
       const std::uint64_t sweep =

@@ -164,33 +164,35 @@ TEST(PartitionSpeculationTest, SwapSpeculationMatchesFlipOracle) {
   EXPECT_TRUE(spec.verify());
 }
 
-// Clone regression: a defaulted copy would shrink the speculation scratch
-// to zero capacity and silently re-allocate on the worker's first swap.
-TEST(PartitionCopyTest, CopyAndAssignReReserveSpeculationScratch) {
+// Copies are member-wise: a copied or assigned state speculates and
+// commits exactly as the original does.
+TEST(PartitionCopyTest, CopyAndAssignSpeculateLikeTheOriginal) {
   util::Rng rng{91};
   const Netlist nl = netlist::random_graph(16, 48, rng);
   PartitionState state = PartitionState::random(nl, rng);
-  ASSERT_TRUE(state.scratch_reserved());
 
   PartitionState copied{state};
-  EXPECT_TRUE(copied.scratch_reserved());
-
   PartitionState assigned = PartitionState::random(nl, rng);
   assigned = state;
-  EXPECT_TRUE(assigned.scratch_reserved());
   EXPECT_EQ(assigned.cut(), state.cut());
+  EXPECT_EQ(assigned.sides(), state.sides());
 
-  // The copy must also speculate correctly: pick one cell per side.
   CellId a = 0;
-  while (copied.side(a) != 0) ++a;
+  while (state.side(a) != 0) ++a;
   CellId b = 0;
-  while (copied.side(b) != 1) ++b;
-  copied.speculate_swap(a, b);
-  const int candidate = copied.speculative_cut();
-  copied.commit_speculation();
-  EXPECT_EQ(copied.cut(), candidate);
-  EXPECT_TRUE(copied.verify());
-  EXPECT_TRUE(copied.scratch_reserved());
+  while (state.side(b) != 1) ++b;
+  state.speculate_swap(a, b);
+  const int candidate = state.speculative_cut();
+  state.commit_speculation();
+  for (PartitionState* other : {&copied, &assigned}) {
+    other->speculate_swap(a, b);
+    EXPECT_EQ(other->speculative_cut(), candidate);
+    other->commit_speculation();
+    EXPECT_EQ(other->cut(), state.cut());
+    EXPECT_EQ(other->sides(), state.sides());
+    EXPECT_TRUE(other->verify());
+  }
+  EXPECT_TRUE(state.verify());
 }
 
 }  // namespace

@@ -106,13 +106,13 @@ TEST(PartitionProblemTest, KirkpatrickAnnealingImprovesRandomCut) {
   EXPECT_TRUE(problem.state().is_balanced());
 }
 
-TEST(PartitionProblemTest, CloneReReservesSpeculationScratch) {
+TEST(PartitionProblemTest, CloneAnnealsFromTheSameState) {
   util::Rng rng{12};
   const Netlist nl = netlist::random_graph(16, 48, rng);
   PartitionProblem problem{PartitionState::random(nl, rng)};
   const auto clone = problem.clone();
   auto& cloned = dynamic_cast<PartitionProblem&>(*clone);
-  EXPECT_TRUE(cloned.state().scratch_reserved());
+  EXPECT_EQ(cloned.state().sides(), problem.state().sides());
   for (int i = 0; i < 50; ++i) {
     const double h_j = cloned.propose(rng);
     if (h_j <= cloned.cost()) {
@@ -122,7 +122,7 @@ TEST(PartitionProblemTest, CloneReReservesSpeculationScratch) {
     }
   }
   EXPECT_TRUE(cloned.state().verify());
-  EXPECT_TRUE(cloned.state().scratch_reserved());
+  EXPECT_TRUE(problem.state().verify());
 }
 
 TEST(PartitionProblemTest, AnnealingApproachesKlQuality) {
